@@ -18,7 +18,7 @@ keeps whole diagonal blocks instead of single entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,13 +40,32 @@ class TransformAlgebra:
     ``basis(xs)`` returns the (len(xs), n) generalized Vandermonde block of
     basis functions evaluated at arbitrary points; it is None for custom
     algebras that come without a trigonometric construction.
+
+    ``unitary`` of a built-in algebra is ``basis(grid)``, built and checked
+    for unitarity on first read, so ``make_algebra`` does O(n) work.  A
+    custom algebra carries the matrix it was given, checked when wrapped.
+
+    ``lag_weights(ks, xs)`` returns the (len(xs), len(ks)) block of lag
+    weights w_k(x) = sum_j v_{j+k}(x) conj(v_j(x)) of the basis row v(x),
+    for integer lags |k| < n, in closed form.  Only ``make_algebra`` sets
+    it; custom algebras fall back to the dense basis block.
     """
 
     kind: str
     order: int
-    unitary: np.ndarray
     grid: Optional[np.ndarray] = None
     basis: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    lag_weights: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    # The checked unitary: passed in by custom_algebra, or set on first read.
+    _unitary: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @property
+    def unitary(self) -> np.ndarray:
+        if self._unitary is None:
+            u = self.basis(self.grid)
+            _check_unitary(u, self.kind)
+            object.__setattr__(self, "_unitary", u)
+        return self._unitary
 
     def unitarity_defect(self) -> float:
         u = self.unitary
@@ -64,8 +83,31 @@ def _check_unitary(u: np.ndarray, kind: str) -> None:
         )
 
 
+def _dirichlet_ratio(m, xs) -> np.ndarray:
+    """sin(m x) / sin(x) for integers m >= 1, with the limit at multiples of pi.
+
+    x is reduced to r = x - q pi with |r| <= pi/2 first, and
+    sin(m x) / sin(x) = (-1)^(q (m - 1)) sin(m r) / sin(r): near a multiple
+    of pi, sin(m x) of the unreduced argument is all round-off.
+    """
+    q = np.round(xs / np.pi)
+    r = xs - q * np.pi
+    s = np.sin(r)
+    zero = s == 0.0
+    ratio = np.where(zero, m, np.sin(m * r) / np.where(zero, 1.0, s))
+    # (-1)^(q (m - 1)) is -1 where q is odd and m is even
+    return ratio * (1.0 - 2.0 * (q % 2) * (1 - m % 2))
+
+
 def make_algebra(kind: str, n: int) -> TransformAlgebra:
-    """Construct a built-in algebra of order n (n >= 2)."""
+    """Construct a built-in algebra of order n (n >= 2) in O(n) work.
+
+    With M = n - |k| and D_M(x) = sin(M x) / sin(x), the lag weights are
+
+      fourier  w_k = (M / n) exp(i k x)
+      sine     w_k = (M cos(k x) - cos((n + 1) x) D_M(x)) / (n + 1)
+      hartley  w_k = (M cos(k x) + sin((n - 1) x) D_M(x)) / n
+    """
     if n < 2:
         raise ValueError("order must be >= 2")
     kind = kind.lower()
@@ -76,6 +118,9 @@ def make_algebra(kind: str, n: int) -> TransformAlgebra:
             xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
             return np.exp(1j * np.outer(xs, np.arange(_n))) / np.sqrt(_n)
 
+        def lag_weights(ks, xs, _n=n):
+            return (_n - np.abs(ks)) / _n * np.exp(1j * np.outer(xs, ks))
+
     elif kind == "sine":
         grid = np.pi * np.arange(1, n + 1) / (n + 1)
 
@@ -83,6 +128,11 @@ def make_algebra(kind: str, n: int) -> TransformAlgebra:
             xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
             block = np.sin(np.outer(xs, np.arange(1, _n + 1)))
             return np.sqrt(2.0 / (_n + 1)) * block.astype(np.complex128)
+
+        def lag_weights(ks, xs, _n=n):
+            m, x = _n - np.abs(ks), xs[:, None]
+            edge = np.cos((_n + 1) * x) * _dirichlet_ratio(m, x)
+            return (m * np.cos(ks * x) - edge) / (_n + 1)
 
     elif kind == "hartley":
         grid = 2.0 * np.pi * np.arange(n) / n
@@ -94,13 +144,18 @@ def make_algebra(kind: str, n: int) -> TransformAlgebra:
                 np.complex128
             )
 
+        def lag_weights(ks, xs, _n=n):
+            m, x = _n - np.abs(ks), xs[:, None]
+            edge = np.sin((_n - 1) * x) * _dirichlet_ratio(m, x)
+            return (m * np.cos(ks * x) + edge) / _n
+
     else:
         raise ValueError(
             f"unknown algebra kind {kind!r}; built-ins are {ALGEBRA_KINDS}"
         )
-    unitary = basis(grid)
-    _check_unitary(unitary, kind)
-    return TransformAlgebra(kind=kind, order=n, unitary=unitary, grid=grid, basis=basis)
+    return TransformAlgebra(
+        kind=kind, order=n, grid=grid, basis=basis, lag_weights=lag_weights
+    )
 
 
 def custom_algebra(
@@ -113,7 +168,9 @@ def custom_algebra(
     u = as_square(np.asarray(unitary, dtype=np.complex128))
     _check_unitary(u, kind)
     g = None if grid is None else np.asarray(grid, dtype=np.float64)
-    return TransformAlgebra(kind=kind, order=u.shape[0], unitary=u, grid=g, basis=basis)
+    return TransformAlgebra(
+        kind=kind, order=u.shape[0], grid=g, basis=basis, _unitary=u
+    )
 
 
 def random_unitary_algebra(n: int, seed: int = 42) -> TransformAlgebra:

@@ -477,12 +477,19 @@ def _check_widom():
 
 
 def _check_lpo_diagonal():
-    sym = symbols.parse_trig_expression("2+cos")
-    alg = algebras.make_algebra("sine", 16)
-    a = toeplitz.toeplitz_section(sym, 16)
-    diag = np.diagonal(alg.unitary @ a @ alg.unitary.conj().T).real
-    vals = korovkin.lpo_eval(alg, sym, alg.grid)
-    assert np.max(np.abs(vals - diag)) < 1e-10
+    sym = symbols.parse_trig_expression("2+cos+0.5sin3x")
+    n = 16
+    a = toeplitz.toeplitz_section(sym, n)
+    off_grid = np.array([0.0, np.pi, np.nextafter(np.pi, 0.0), 2.0 * np.pi, -1.0, 7.5])
+    for kind in algebras.ALGEBRA_KINDS:
+        alg = algebras.make_algebra(kind, n)
+        diag = np.diagonal(alg.unitary @ a @ alg.unitary.conj().T).real
+        vals = korovkin.lpo_eval(alg, sym, alg.grid)
+        assert np.max(np.abs(vals - diag)) < 1e-10, f"grid {kind}"
+        v = alg.basis(off_grid)
+        dense = np.einsum("ij,ij->i", v @ a, v.conj()).real
+        vals = korovkin.lpo_eval(alg, sym, off_grid)
+        assert np.max(np.abs(vals - dense)) < 1e-10, f"off grid {kind}"
 
 
 def _check_fejer():
@@ -619,7 +626,7 @@ def build_parser() -> _Parser:
     p.add_argument("--ladder", type=_parse_ladder, default=(128, 256, 512, 1024))
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--precond", default="both",
-                   choices=("both", "none", "algebra_projection", "pinched"))
+                   choices=("both", "none", "algebra_projection"))
     p.add_argument("--max-iter", type=int, default=None, dest="max_iter")
     p.add_argument("--timings", action="store_true",
                    help="record wall times in the CSV (breaks byte determinism)")

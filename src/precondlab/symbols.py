@@ -222,11 +222,34 @@ def load_symbol(path) -> Symbol:
 
 
 # ---------------------------------------------------------------------------
-# preset grammar: terms like "2", "cos", "2cos", "0.5sin3x", "delta(0.01)"
+# preset grammar: terms like "2", "1e-3", "cos", "2cos", "0.5sin3x",
+# "delta(0.01)"
 
 _TERM_RE = re.compile(
-    r"^(?P<coef>[+-]?(?:\d+\.?\d*|\.\d+)?)\*?(?:(?P<fn>cos|sin)(?P<freq>\d*)x?|(?P<delta>delta\((?P<dval>[^)]+)\)))?$"
+    r"^(?P<coef>[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?)\*?"
+    r"(?:(?P<fn>cos|sin)(?P<freq>\d*)x?|(?P<delta>delta\((?P<dval>[^)]+)\)))?$"
 )
+
+
+def _split_terms(src: str) -> list[str]:
+    """Split at the signs that start a term.
+
+    A sign inside parentheses, as in ``delta(-0.01)``, or right after the
+    exponent ``e`` of a number, as in ``1e-3``, belongs to the term.
+    """
+    terms, start, depth = [], 0, 0
+    for i, ch in enumerate(src):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch in "+-" and i > start and depth == 0:
+            exponent = src[i - 1] in "eE" and i >= 2 and src[i - 2] in "0123456789."
+            if not exponent:
+                terms.append(src[start:i])
+                start = i
+    terms.append(src[start:])
+    return terms
 
 
 def parse_trig_expression(text: str) -> Symbol:
@@ -234,14 +257,14 @@ def parse_trig_expression(text: str) -> Symbol:
     src = text.replace(" ", "")
     if not src:
         raise ParseError("empty symbol expression")
-    # Split into signed terms.
-    terms = re.findall(r"[+-]?[^+-]+(?:\([^)]*\))?", src)
-    if "".join(terms) != src:
-        raise ParseError(f"cannot tokenize symbol expression {text!r}")
     total = Symbol({}, label=text)
-    for term in terms:
+    for term in _split_terms(src):
         m = _TERM_RE.match(term)
-        if not m or (not m.group("coef") and not m.group("fn") and not m.group("delta")):
+        if (
+            not m
+            or term in ("+", "-")
+            or (not m.group("coef") and not m.group("fn") and not m.group("delta"))
+        ):
             raise ParseError(f"bad term {term!r} in symbol expression {text!r}")
         coef_text = m.group("coef")
         if coef_text in ("", "+", "-"):

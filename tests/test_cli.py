@@ -108,6 +108,12 @@ def test_unknown_preset_exit_one(tmp_path, capsys):
     assert code == 1 and "error" in err
 
 
+def test_pcg_bench_rejects_pinched(capsys):
+    # the CLI has no way to pass the partition a pinched preconditioner needs
+    code, _, err = run(capsys, "pcg-bench", "--precond", "pinched", "--dry-run")
+    assert code == 1 and "invalid choice" in err
+
+
 def test_invariant_violation_exit_two(tmp_path, capsys):
     # non-doubling ladder passes argument parsing but violates the
     # classifier's ladder invariant

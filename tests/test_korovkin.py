@@ -8,7 +8,14 @@ independent of the matrix quadratic form used by the library.
 import numpy as np
 import pytest
 
-from precondlab.algebras import algebra_diagonal, make_algebra, random_unitary_algebra
+from precondlab.algebras import (
+    ALGEBRA_KINDS,
+    TransformAlgebra,
+    algebra_diagonal,
+    custom_algebra,
+    make_algebra,
+    random_unitary_algebra,
+)
 from precondlab.korovkin import (
     evaluation_grid,
     fit_rate,
@@ -19,7 +26,14 @@ from precondlab.korovkin import (
     remainder_propagation,
     sup_error,
 )
-from precondlab.symbols import constant, cosine, parse_trig_expression, product, sine
+from precondlab.symbols import (
+    Symbol,
+    constant,
+    cosine,
+    parse_trig_expression,
+    product,
+    sine,
+)
 from precondlab.toeplitz import toeplitz_section
 
 
@@ -105,6 +119,88 @@ def test_lpo_needs_basis():
     alg = random_unitary_algebra(6)
     with pytest.raises(ValueError):
         lpo_eval(alg, cosine(), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# closed-form lag weights against the dense definition v(x) T_n(f) v(x)*
+
+
+# 0 and pi lie on the 4096-point grid too; fl(pi) != pi, and the points
+# next to it and beyond [0, 2pi) need the argument reduction
+SPECIAL_POINTS = np.array(
+    [
+        0.0,
+        np.pi,
+        2.0 * np.pi,
+        np.nextafter(np.pi, np.inf),
+        np.nextafter(np.pi, -np.inf),
+        -1.0,
+        7.5,
+    ]
+)
+
+
+def dense_lpo(alg, f, xs):
+    v = alg.basis(xs)
+    return np.einsum("ij,ij->i", v @ toeplitz_section(f, alg.order), v.conj()).real
+
+
+def random_real_symbol(seed, degree):
+    rng = np.random.default_rng(seed)
+    coeffs = {0: complex(rng.standard_normal())}
+    for k in range(1, degree + 1):
+        a = complex(rng.standard_normal(), rng.standard_normal())
+        coeffs[k], coeffs[-k] = a, a.conjugate()
+    return Symbol(coeffs)
+
+
+DIFFERENTIAL_SYMBOLS = [
+    cosine(),
+    parse_trig_expression("2+cos+0.5sin3x"),
+    random_real_symbol(11, 4),
+    # degree 6: at n <= 6 every lag |k| >= n must drop out
+    product(parse_trig_expression("1+cos+sin2x"), parse_trig_expression("2-cos3x+sin")),
+]
+
+
+@pytest.mark.parametrize("kind", ALGEBRA_KINDS)
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 64])
+def test_lpo_closed_form_matches_dense_definition(kind, n):
+    alg = make_algebra(kind, n)
+    xs = np.concatenate([SPECIAL_POINTS, evaluation_grid()])
+    for f in DIFFERENTIAL_SYMBOLS:
+        scale = sum(abs(a) for a in f.coefficients.values())
+        np.testing.assert_allclose(
+            lpo_eval(alg, f, xs), dense_lpo(alg, f, xs), rtol=0, atol=1e-12 * scale
+        )
+
+
+def test_custom_algebra_with_builtin_label_takes_dense_path():
+    n = 8
+    u = random_unitary_algebra(n, seed=5).unitary
+    alg = custom_algebra(u, basis=make_algebra("fourier", n).basis, kind="sine")
+    assert alg.lag_weights is None
+    assert np.array_equal(alg.unitary, u)
+    f = parse_trig_expression("2+cos+0.5sin3x")
+    values = lpo_eval(alg, f, SPECIAL_POINTS)
+    # the caller's basis decides: the Fourier rows give the Fejer mean,
+    # which differs from the sine algebra's operator
+    np.testing.assert_allclose(values, fejer_mean(f, n, SPECIAL_POINTS), atol=1e-12)
+    sine_values = lpo_eval(make_algebra("sine", n), f, SPECIAL_POINTS)
+    assert np.max(np.abs(values - sine_values)) > 0.1
+
+
+def test_lpo_rates_never_builds_the_unitary(monkeypatch):
+    def refuse(alg):
+        raise AssertionError(f"{alg.kind} unitary of order {alg.order} was built")
+
+    monkeypatch.setattr(TransformAlgebra, "unitary", property(refuse))
+    errors = {
+        kind: lpo_rates(kind, [cosine()], ladder=(4096,))[0].sup_error[4096]
+        for kind in ALGEBRA_KINDS
+    }
+    assert all(np.isfinite(e) for e in errors.values()), errors
+    assert errors["fourier"] == pytest.approx(1.0 / 4096, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,9 @@ def test_serialization_rejects_garbage():
         ("1", {0: 1.0}),
         ("sin", {1: -0.5j, -1: 0.5j}),
         ("2+cos+0.5cos2x", {0: 2.0, 1: 0.5, -1: 0.5, 2: 0.25, -2: 0.25}),
+        ("2+delta(-0.01)", {0: 1.99}),
+        ("1e-3+cos", {0: 0.001, 1: 0.5, -1: 0.5}),
+        ("1.5e2", {0: 150.0}),
     ],
 )
 def test_parse_trig_expression(expr, expected):
@@ -238,6 +241,6 @@ def test_parse_trig_expression(expr, expected):
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "2**cos", "cosx+", "tan"):
+    for bad in ("", "2**cos", "cosx+", "tan", "2+-cos", "1e", "delta(0.01"):
         with pytest.raises(ParseError):
             parse_trig_expression(bad)
