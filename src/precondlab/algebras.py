@@ -183,6 +183,19 @@ def random_unitary_algebra(n: int, seed: int = 42) -> TransformAlgebra:
     return custom_algebra(q, kind="custom")
 
 
+AlgebraFactory = Callable[[int], TransformAlgebra]
+
+
+def resolve_algebra_factory(kind, seed: int = 42) -> tuple[str, AlgebraFactory]:
+    """Normalize an algebra kind name or factory callable to (label, factory)."""
+    if callable(kind):
+        return getattr(kind, "__name__", "custom"), kind
+    name = str(kind).lower()
+    if name == "custom":
+        return "custom", lambda n: random_unitary_algebra(n, seed=seed)
+    return name, lambda n: make_algebra(name, n)
+
+
 def algebra_diagonal(alg: TransformAlgebra, a) -> np.ndarray:
     """diag(U* A U): the algebra coordinates of the projection of A."""
     m = as_square(a)
@@ -201,16 +214,12 @@ def project(alg: TransformAlgebra, a) -> np.ndarray:
     return (u * d) @ u.conj().T
 
 
-def project_toeplitz_fast(f: Symbol, n: int) -> np.ndarray:
-    """Closed-form Fourier-algebra projection of a Toeplitz section.
+def optimal_circulant_column(f: Symbol, n: int) -> np.ndarray:
+    """First column of the optimal circulant of T_n(f).
 
-    The result is the circulant whose first column is
-    c_k = ((n - k) a_k + k a_{k-n}) / n; it agrees with the generic
-    projection onto the Fourier algebra to round-off and costs O(n log n)
-    for the coefficients plus the O(n^2) write of the dense result.
+    c_k = ((n - k) a_k + k a_{k-n}) / n, the mean of the Toeplitz
+    diagonals that wrap onto the k-th circulant diagonal.
     """
-    if n < 1:
-        raise ValueError("order must be >= 1")
     c = np.zeros(n, dtype=np.complex128)
     # Only the symbol's nonzero frequencies contribute; |freq| >= n falls
     # outside the section entirely.
@@ -219,12 +228,20 @@ def project_toeplitz_fast(f: Symbol, n: int) -> np.ndarray:
             c[freq] += (n - freq) * amp / n
         elif -n < freq < 0:
             c[n + freq] += (n + freq) * amp / n
-    return scipy.linalg.circulant(c)
+    return c
 
 
-def circulant_eigenvalues(first_column) -> np.ndarray:
-    """Eigenvalues of a circulant, ordered like the Fourier algebra columns."""
-    return np.fft.fft(np.asarray(first_column, dtype=np.complex128))
+def project_toeplitz_fast(f: Symbol, n: int) -> np.ndarray:
+    """Closed-form Fourier-algebra projection of a Toeplitz section.
+
+    The result is the circulant with first column
+    ``optimal_circulant_column(f, n)``; it agrees with the generic
+    projection onto the Fourier algebra to round-off and costs O(n) for
+    the column plus the O(n^2) write of the dense result.
+    """
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    return scipy.linalg.circulant(optimal_circulant_column(f, n))
 
 
 @dataclass(frozen=True)

@@ -15,16 +15,14 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import algebras, clustering, korovkin, operators, solver, symbols, toeplitz
 from .errors import ParseError, PrecondlabError, UsageError
 from .linalg import frobenius_norm_sq
-from .parallel import ladder_map
 
 DEFAULT_SEED = 42
 DEFAULT_TOL = 1e-10
@@ -41,25 +39,7 @@ SUBCOMMANDS = (
 
 
 # ---------------------------------------------------------------------------
-# configuration files: `key = value` lines
-
-
-@dataclass
-class ExperimentConfig:
-    algebra: Optional[str] = None
-    symbol: Optional[str] = None
-    generators: Optional[str] = None
-    holdout: Optional[str] = None
-    testset: Optional[str] = None
-    source: Optional[str] = None
-    ladder: Optional[tuple[int, ...]] = None
-    eps: Optional[tuple[float, ...]] = None
-    tol: Optional[float] = None
-    outdir: Optional[str] = None
-    seed: Optional[int] = None
-    precond: Optional[str] = None
-    max_iter: Optional[int] = None
-    n: Optional[int] = None
+# option types and configuration files
 
 
 def _parse_ladder(text: str) -> tuple[int, ...]:
@@ -72,6 +52,11 @@ def _parse_ladder(text: str) -> tuple[int, ...]:
     return ladder
 
 
+def _parse_cluster_ladder(text: str) -> tuple[int, ...]:
+    """A ladder the outlier classifier accepts: >= 4 sizes, doubling at each step."""
+    return clustering._validate_ladder(_parse_ladder(text))
+
+
 def _parse_eps(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in text.split(","))
@@ -79,49 +64,34 @@ def _parse_eps(text: str) -> tuple[float, ...]:
         raise ParseError(f"bad eps grid {text!r}: {exc}") from exc
 
 
-_CONFIG_PARSERS = {
-    "algebra": str,
-    "symbol": str,
-    "generators": str,
-    "holdout": str,
-    "testset": str,
-    "source": str,
-    "ladder": _parse_ladder,
-    "eps": _parse_eps,
-    "tol": float,
-    "outdir": str,
-    "seed": int,
-    "precond": str,
-    "max_iter": int,
-    "n": int,
-}
+def load_config(path) -> list[str]:
+    """Read `key = value` lines as `--key=value` tokens for the subcommand's parser.
 
-
-def load_config(path) -> ExperimentConfig:
-    """Parse a `key = value` config file; unknown or duplicate keys fail."""
-    cfg = ExperimentConfig()
+    Keys are option names (`max_iter` and `max-iter` both name --max-iter);
+    the parser checks each value exactly like a flag.  Malformed lines,
+    duplicate keys and a `config` key fail here.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot read config file: {exc}") from exc
+    tokens: list[str] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _CONFIG_PARSERS:
-                raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in seen:
-                raise ParseError(f"{path}:{lineno}: duplicate key {key!r}")
-            seen.add(key)
-            try:
-                setattr(cfg, key, _CONFIG_PARSERS[key](value))
-            except ParseError:
-                raise
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-    return cfg
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = line.partition("=")
+        key = key.strip().replace("_", "-")
+        if not eq or not key:
+            raise ParseError(f"{path}:{lineno}: expected 'key = value'")
+        if key == "config":
+            raise ParseError(f"{path}:{lineno}: a config file cannot set 'config'")
+        if key in seen:
+            raise ParseError(f"{path}:{lineno}: duplicate key {key!r}")
+        seen.add(key)
+        tokens.append(f"--{key}={value.strip()}")
+    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +163,7 @@ def cmd_project(args) -> int:
     plan = _plan(args, {"algebra": args.algebra, "symbol": sym.label, "n": args.n})
     if args.dry_run:
         return _emit_plan(plan)
-    _, factory = korovkin.resolve_algebra_factory(args.algebra, seed=args.seed)
+    _, factory = algebras.resolve_algebra_factory(args.algebra, seed=args.seed)
     alg = factory(args.n)
     a = toeplitz.toeplitz_section(sym, args.n)
     p = algebras.project(alg, a)
@@ -220,13 +190,12 @@ def cmd_project(args) -> int:
 
 
 def _cluster_pairs(sym, alg_kind, ladder, seed):
-    _, factory = korovkin.resolve_algebra_factory(alg_kind, seed=seed)
-
-    def one(n):
+    _, factory = algebras.resolve_algebra_factory(alg_kind, seed=seed)
+    pairs = {}
+    for n in ladder:
         a = toeplitz.toeplitz_section(sym, n)
-        return n, (a, algebras.project(factory(n), a))
-
-    return dict(ladder_map(one, ladder))
+        pairs[n] = (a, algebras.project(factory(n), a))
+    return pairs
 
 
 def cmd_cluster_scan(args) -> int:
@@ -588,7 +557,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("cluster-scan", help="outlier counts over a size ladder")
     p.add_argument("--algebra", default="fourier")
     p.add_argument("--symbol", default="preset:2+cos")
-    p.add_argument("--ladder", type=_parse_ladder, default=clustering.DEFAULT_LADDER)
+    p.add_argument("--ladder", type=_parse_cluster_ladder,
+                   default=clustering.DEFAULT_LADDER)
     p.add_argument("--eps", type=_parse_eps, default=clustering.DEFAULT_EPS_GRID)
     p.add_argument("--preconditioned", action="store_true",
                    help="count preconditioned eigenvalues off 1 instead of "
@@ -600,7 +570,8 @@ def build_parser() -> _Parser:
     p.add_argument("--generators", default="cos;sin",
                    help="semicolon-separated symbol specs")
     p.add_argument("--holdout", default="2+cos+0.5cos2x")
-    p.add_argument("--ladder", type=_parse_ladder, default=clustering.DEFAULT_LADDER)
+    p.add_argument("--ladder", type=_parse_cluster_ladder,
+                   default=clustering.DEFAULT_LADDER)
     p.add_argument("--eps", type=_parse_eps, default=clustering.DEFAULT_EPS_GRID)
     _add_common(p)
 
@@ -616,7 +587,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("operator-scan", help="distribution convergence of a source")
     p.add_argument("--source", default="hs_decay(1.5)")
     p.add_argument("--algebra", default="fourier")
-    p.add_argument("--ladder", type=_parse_ladder, default=clustering.DEFAULT_LADDER)
+    p.add_argument("--ladder", type=_parse_cluster_ladder,
+                   default=clustering.DEFAULT_LADDER)
     p.add_argument("--eps", type=_parse_eps, default=clustering.DEFAULT_EPS_GRID)
     _add_common(p)
 
@@ -638,40 +610,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-_CONFIG_TO_ARG = {
-    "algebra": "algebra",
-    "symbol": "symbol",
-    "generators": "generators",
-    "holdout": "holdout",
-    "testset": "testset",
-    "source": "source",
-    "ladder": "ladder",
-    "eps": "eps",
-    "tol": "tol",
-    "outdir": "outdir",
-    "seed": "seed",
-    "precond": "precond",
-    "max_iter": "max_iter",
-    "n": "n",
-}
-
-
-def _merge_config(args, argv_tokens) -> None:
-    """Config values fill in any option not given explicitly on the command line."""
-    if not args.config:
-        return
-    cfg = load_config(args.config)
-    explicit = set()
-    for token in argv_tokens:
-        if token.startswith("--"):
-            explicit.add(token[2:].split("=")[0].replace("-", "_"))
-    for key, attr in _CONFIG_TO_ARG.items():
-        value = getattr(cfg, key)
-        if value is None or not hasattr(args, attr) or attr in explicit:
-            continue
-        setattr(args, attr, value)
-
-
 _HANDLERS = {
     "project": cmd_project,
     "cluster-scan": cmd_cluster_scan,
@@ -688,7 +626,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _merge_config(args, argv)
+        if args.config:
+            # Parse again with the file's tokens ahead of the command line:
+            # argparse keeps the last value, so explicit flags win.
+            tokens = load_config(args.config)
+            try:
+                args = parser.parse_args([argv[0], *tokens, *argv[1:]])
+            except PrecondlabError as exc:
+                raise type(exc)(f"config file {args.config}: {exc}") from exc
         return _HANDLERS[args.command](args)
     except (UsageError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

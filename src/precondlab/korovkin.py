@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebras import TransformAlgebra, make_algebra, project, random_unitary_algebra
+from .algebras import TransformAlgebra, project, resolve_algebra_factory
 from .clustering import (
     DEFAULT_EPS_GRID,
     DEFAULT_LADDER,
@@ -42,18 +42,6 @@ from .toeplitz import toeplitz_section
 
 EVAL_GRID_POINTS = 4096
 RATE_FIT_POINTS = 4
-
-AlgebraFactory = Callable[[int], TransformAlgebra]
-
-
-def resolve_algebra_factory(kind, seed: int = 42) -> tuple[str, AlgebraFactory]:
-    """Normalize an algebra kind name or factory callable to (label, factory)."""
-    if callable(kind):
-        return getattr(kind, "__name__", "custom"), kind
-    name = str(kind).lower()
-    if name == "custom":
-        return "custom", lambda n: random_unitary_algebra(n, seed=seed)
-    return name, lambda n: make_algebra(name, n)
 
 
 def lpo_eval(alg: TransformAlgebra, f: Symbol, x):

@@ -16,10 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .algebras import project
+from .algebras import project, resolve_algebra_factory
 from .clustering import DEFAULT_EPS_GRID, DEFAULT_LADDER, ClusterReport, build_cluster_report
 from .errors import InvariantViolationError
-from .korovkin import resolve_algebra_factory
 from .symbols import Symbol
 
 HS_TAIL_FRACTION_MAX = 0.01

@@ -20,15 +20,15 @@ from .algebras import (
     PinchingPartition,
     TransformAlgebra,
     algebra_diagonal,
-    circulant_eigenvalues,
+    optimal_circulant_column,
     pinch,
+    resolve_algebra_factory,
 )
 from .errors import (
     DimensionMismatchError,
     MaxIterationsError,
     NotPositiveDefiniteError,
 )
-from .korovkin import resolve_algebra_factory
 from .symbols import Symbol
 from .toeplitz import ToeplitzOperator, as_linear_operator
 
@@ -57,13 +57,7 @@ class SolveTrace:
 
 def _fourier_toeplitz_inverse(symbol: Symbol, n: int) -> Callable:
     """Fast inverse of the optimal circulant of a Toeplitz section."""
-    c = np.zeros(n, dtype=np.complex128)
-    for freq, amp in symbol.coefficients.items():
-        if 0 <= freq < n:
-            c[freq] += (n - freq) * amp / n
-        elif -n < freq < 0:
-            c[n + freq] += (n + freq) * amp / n
-    d = circulant_eigenvalues(c)
+    d = np.fft.fft(optimal_circulant_column(symbol, n))
     _check_diagonal(d.real, np.max(np.abs(d.real)))
     dr = d.real
 

@@ -260,11 +260,8 @@ def parse_trig_expression(text: str) -> Symbol:
     total = Symbol({}, label=text)
     for term in _split_terms(src):
         m = _TERM_RE.match(term)
-        if (
-            not m
-            or term in ("+", "-")
-            or (not m.group("coef") and not m.group("fn") and not m.group("delta"))
-        ):
+        # a term needs a number, cos/sin or delta: a sign alone is no term
+        if not m or not (m.group("coef").strip("+-") or m.group("fn") or m.group("delta")):
             raise ParseError(f"bad term {term!r} in symbol expression {text!r}")
         coef_text = m.group("coef")
         if coef_text in ("", "+", "-"):

@@ -21,18 +21,17 @@ def run(capsys, *argv):
 def test_load_config_empty(tmp_path):
     path = tmp_path / "empty.cfg"
     path.write_text("")
-    cfg = load_config(path)
-    assert cfg.ladder is None and cfg.seed is None
+    assert load_config(path) == []
 
 
 def test_load_config_values(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("ladder = 64,128\nseed = 7\nalgebra = sine\n# comment\n\ntol = 1e-8\n")
-    cfg = load_config(path)
-    assert cfg.ladder == (64, 128)
-    assert cfg.seed == 7
-    assert cfg.algebra == "sine"
-    assert cfg.tol == 1e-8
+    path.write_text(
+        "ladder = 64,128\nseed = 7\nalgebra = sine\n# comment\n\ntol = 1e-8\nmax_iter = 9\n"
+    )
+    assert load_config(path) == [
+        "--ladder=64,128", "--seed=7", "--algebra=sine", "--tol=1e-8", "--max-iter=9",
+    ]
 
 
 def test_load_config_duplicate_key(tmp_path):
@@ -42,18 +41,77 @@ def test_load_config_duplicate_key(tmp_path):
         load_config(path)
 
 
-def test_load_config_unknown_key(tmp_path):
+def test_load_config_malformed_line(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("seed 1\n")
+    with pytest.raises(ParseError, match="key = value"):
+        load_config(path)
+
+
+def test_missing_config_file_exit_one(tmp_path, capsys):
+    code, _, err = run(capsys, "project", "--config", str(tmp_path / "none.cfg"), "--dry-run")
+    assert code == 1 and "cannot read config file" in err
+
+
+def test_load_config_unknown_key(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("volume = 11\n")
-    with pytest.raises(ParseError, match="unknown key"):
-        load_config(path)
+    code, _, err = run(capsys, "project", "--config", str(path), "--dry-run")
+    assert code == 1 and "volume" in err
 
 
-def test_load_config_bad_value(tmp_path):
+def test_load_config_bad_value(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("ladder = 64,32\n")
-    with pytest.raises(ParseError):
-        load_config(path)
+    code, _, err = run(capsys, "pcg-bench", "--config", str(path), "--dry-run")
+    assert code == 1 and "strictly increasing" in err
+
+
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_config_value_checked_against_choices(tmp_path, capsys, dry_run):
+    path = tmp_path / "run.cfg"
+    path.write_text("precond = pinched\n")
+    argv = ["pcg-bench", "--config", str(path), "--outdir", str(tmp_path / "out")]
+    code, out, err = run(capsys, *argv, *(["--dry-run"] if dry_run else []))
+    assert code == 1 and "invalid choice" in err
+    assert not out and not (tmp_path / "out").exists()
+
+
+def test_config_key_foreign_to_subcommand(tmp_path, capsys):
+    # `precond` is a pcg-bench option; project does not take it
+    path = tmp_path / "run.cfg"
+    path.write_text("precond = none\n")
+    code, _, err = run(capsys, "project", "--config", str(path), "--dry-run")
+    assert code == 1 and str(path) in err
+
+
+def test_config_key_config_rejected(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"config = {path}\n")
+    code, _, err = run(capsys, "project", "--config", str(path), "--dry-run")
+    assert code == 1 and "cannot set 'config'" in err
+
+
+def test_lpo_rates_symbols_from_config(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("symbols = cos;2+sin\n")
+    code, out, _ = run(capsys, "lpo-rates", "--config", str(path), "--dry-run")
+    assert code == 0
+    assert json.loads(out)["symbols"] == ["cos", "2+sin"]
+
+
+def test_config_run_matches_flag_run(tmp_path, capsys):
+    options = {"ladder": "8,16,32,64", "eps": "0.2,0.1", "algebra": "sine",
+               "symbol": "preset:2+cos"}
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in options.items()))
+    flags = [token for key, value in options.items() for token in (f"--{key}", value)]
+    code_flags, _, _ = run(capsys, "cluster-scan", *flags, "--outdir", str(tmp_path / "flags"))
+    code_cfg, _, _ = run(capsys, "cluster-scan", "--config", str(path),
+                         "--outdir", str(tmp_path / "cfg"))
+    assert code_flags == code_cfg == 0
+    for fname in ("cluster_scan.csv", "cluster_scan.json"):
+        assert (tmp_path / "flags" / fname).read_bytes() == (tmp_path / "cfg" / fname).read_bytes()
 
 
 def test_config_feeds_command(tmp_path, capsys):
@@ -114,9 +172,23 @@ def test_pcg_bench_rejects_pinched(capsys):
     assert code == 1 and "invalid choice" in err
 
 
+@pytest.mark.parametrize("command", ["cluster-scan", "korovkin-test", "operator-scan"])
+@pytest.mark.parametrize("ladder", ["8,16,32,65", "8,16,32"])
+def test_classifier_ladder_checked_at_parse(command, ladder, capsys):
+    # the classifier needs >= 4 doubling sizes; --dry-run rejects what the run would
+    code, out, err = run(capsys, command, "--ladder", ladder, "--dry-run")
+    assert code == 2 and "invariant" in err and not out
+
+
+def test_classifier_ladder_checked_in_config(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("ladder = 8,16,32,65\n")
+    code, _, err = run(capsys, "cluster-scan", "--config", str(path), "--dry-run")
+    assert code == 2 and str(path) in err
+
+
 def test_invariant_violation_exit_two(tmp_path, capsys):
-    # non-doubling ladder passes argument parsing but violates the
-    # classifier's ladder invariant
+    # a non-doubling ladder violates the classifier's ladder invariant
     code, _, err = run(
         capsys, "cluster-scan", "--ladder", "8,16,32,65", "--outdir", str(tmp_path)
     )

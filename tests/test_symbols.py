@@ -241,6 +241,6 @@ def test_parse_trig_expression(expr, expected):
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "2**cos", "cosx+", "tan", "2+-cos", "1e", "delta(0.01"):
+    for bad in ("", "2**cos", "cosx+", "tan", "2+-cos", "1e", "delta(0.01", "2+*", "-*"):
         with pytest.raises(ParseError):
             parse_trig_expression(bad)
