@@ -14,6 +14,7 @@ from .algebras import (
     algebra_diagonal,
     contiguous_partition,
     custom_algebra,
+    eigenbasis,
     make_algebra,
     pinch,
     project,

@@ -13,7 +13,9 @@ plus custom Vandermonde algebras from any user-supplied unitary.
 
 The Frobenius-optimal projection of A onto the algebra keeps only the
 diagonal of U* A U:  project(A) = U diag(U* A U) U*.  The pinched variant
-keeps whole diagonal blocks instead of single entries.
+keeps whole diagonal blocks instead of single entries.  For the built-in
+kinds, U* A U (``eigenbasis``) comes from fast transforms along both axes
+(FFT, DST-I, DHT) in O(n^2 log n), without forming U.
 """
 
 from __future__ import annotations
@@ -49,6 +51,12 @@ class TransformAlgebra:
     weights w_k(x) = sum_j v_{j+k}(x) conj(v_j(x)) of the basis row v(x),
     for integer lags |k| < n, in closed form.  Only ``make_algebra`` sets
     it; custom algebras fall back to the dense basis block.
+
+    ``transform(x, out=None)`` returns U* x along axis 0 in O(n log n) per
+    column, written to ``out`` when given (``out`` may be ``x``).  Only
+    ``make_algebra`` sets it.  The three built-in unitaries are symmetric,
+    so U x = conj(transform(conj x)).  Custom algebras multiply by their
+    dense unitary instead.
     """
 
     kind: str
@@ -56,6 +64,7 @@ class TransformAlgebra:
     grid: Optional[np.ndarray] = None
     basis: Optional[Callable[[np.ndarray], np.ndarray]] = None
     lag_weights: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    transform: Optional[Callable[..., np.ndarray]] = None
     # The checked unitary: passed in by custom_algebra, or set on first read.
     _unitary: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -99,6 +108,44 @@ def _dirichlet_ratio(m, xs) -> np.ndarray:
     return ratio * (1.0 - 2.0 * (q % 2) * (1 - m % 2))
 
 
+def _fourier_transform(x, out=None) -> np.ndarray:
+    """Orthonormal DFT along axis 0: the Fourier U* x."""
+    return np.fft.fft(x, axis=0, norm="ortho", out=out)
+
+
+def _sine_transform(x, out=None) -> np.ndarray:
+    """Orthonormal DST-I along axis 0: the sine U* x.
+
+    The DFT of the odd extension [0, x, 0, -x[::-1]] of length 2(n + 1) is
+    -2i sum_j x_j sin((j + 1) k pi / (n + 1)) at k = 1..n.
+    """
+    n = x.shape[0]
+    ext = np.empty((2 * (n + 1),) + x.shape[1:], dtype=np.complex128)
+    ext[0] = ext[n + 1] = 0.0
+    ext[1 : n + 1] = x
+    np.negative(x[::-1], out=ext[n + 2 :])
+    np.fft.fft(ext, axis=0, out=ext)
+    return np.multiply(ext[1 : n + 1], 0.5j * np.sqrt(2.0 / (n + 1)), out=out)
+
+
+def _hartley_transform(x, out=None) -> np.ndarray:
+    """Orthonormal DHT along axis 0: the Hartley U* x.
+
+    With F the orthonormal DFT, cas = cos + sin gives
+    H_k = ((1 + i) F_k + (1 - i) F_{-k}) / 2, combined in place pairwise.
+    """
+    f = np.fft.fft(x, axis=0, norm="ortho", out=out)
+    n = f.shape[0]
+    top, bottom = f[1 : (n + 1) // 2], f[n - 1 : n // 2 : -1]  # rows k and -k
+    odd = top - bottom
+    odd *= 0.5j
+    top += bottom
+    top *= 0.5
+    np.subtract(top, odd, out=bottom)
+    top += odd
+    return f
+
+
 def make_algebra(kind: str, n: int) -> TransformAlgebra:
     """Construct a built-in algebra of order n (n >= 2) in O(n) work.
 
@@ -107,6 +154,8 @@ def make_algebra(kind: str, n: int) -> TransformAlgebra:
       fourier  w_k = (M / n) exp(i k x)
       sine     w_k = (M cos(k x) - cos((n + 1) x) D_M(x)) / (n + 1)
       hartley  w_k = (M cos(k x) + sin((n - 1) x) D_M(x)) / n
+
+    and ``transform`` is the orthonormal DFT, DST-I or DHT.
     """
     if n < 2:
         raise ValueError("order must be >= 2")
@@ -121,6 +170,8 @@ def make_algebra(kind: str, n: int) -> TransformAlgebra:
         def lag_weights(ks, xs, _n=n):
             return (_n - np.abs(ks)) / _n * np.exp(1j * np.outer(xs, ks))
 
+        transform = _fourier_transform
+
     elif kind == "sine":
         grid = np.pi * np.arange(1, n + 1) / (n + 1)
 
@@ -133,6 +184,8 @@ def make_algebra(kind: str, n: int) -> TransformAlgebra:
             m, x = _n - np.abs(ks), xs[:, None]
             edge = np.cos((_n + 1) * x) * _dirichlet_ratio(m, x)
             return (m * np.cos(ks * x) - edge) / (_n + 1)
+
+        transform = _sine_transform
 
     elif kind == "hartley":
         grid = 2.0 * np.pi * np.arange(n) / n
@@ -149,12 +202,15 @@ def make_algebra(kind: str, n: int) -> TransformAlgebra:
             edge = np.sin((_n - 1) * x) * _dirichlet_ratio(m, x)
             return (m * np.cos(ks * x) + edge) / _n
 
+        transform = _hartley_transform
+
     else:
         raise ValueError(
             f"unknown algebra kind {kind!r}; built-ins are {ALGEBRA_KINDS}"
         )
     return TransformAlgebra(
-        kind=kind, order=n, grid=grid, basis=basis, lag_weights=lag_weights
+        kind=kind, order=n, grid=grid, basis=basis, lag_weights=lag_weights,
+        transform=transform,
     )
 
 
@@ -196,15 +252,40 @@ def resolve_algebra_factory(kind, seed: int = 42) -> tuple[str, AlgebraFactory]:
     return name, lambda n: make_algebra(name, n)
 
 
+def eigenbasis(alg: TransformAlgebra, a) -> np.ndarray:
+    """W = U* A U, the matrix A in the algebra's eigenbasis, as a new array.
+
+    A built-in algebra applies its transform along both axes in place,
+    W = (U* (U* A)*)*, in O(n^2 log n) without forming U.  Its unitary
+    check is ||W||_F^2 = ||A||_F^2 to UNITARITY_RTOL * sqrt(n), relative.
+    A custom algebra multiplies by its dense, already checked unitary.
+    """
+    m = as_square(a)
+    n = m.shape[0]
+    if n != alg.order:
+        raise DimensionMismatchError(
+            f"matrix order {n} does not match algebra order {alg.order}"
+        )
+    if alg.transform is None:
+        u = alg.unitary
+        return u.conj().T @ m @ u
+    w = alg.transform(m)
+    np.conjugate(w, out=w)  # now w.T = (U* A)*
+    alg.transform(w.T, out=w.T)  # now w.T = U* A* U = W*
+    np.conjugate(w, out=w)
+    norm_a = frobenius_norm_sq(m)
+    defect = abs(frobenius_norm_sq(w) - norm_a)
+    if defect > UNITARITY_RTOL * np.sqrt(n) * norm_a:
+        raise NotUnitaryError(
+            f"{alg.kind} transform of order {n} is not unitary: "
+            f"Frobenius norm defect {defect:.3e} of {norm_a:.3e}"
+        )
+    return w
+
+
 def algebra_diagonal(alg: TransformAlgebra, a) -> np.ndarray:
     """diag(U* A U): the algebra coordinates of the projection of A."""
-    m = as_square(a)
-    if m.shape[0] != alg.order:
-        raise DimensionMismatchError(
-            f"matrix order {m.shape[0]} does not match algebra order {alg.order}"
-        )
-    u = alg.unitary
-    return np.einsum("ji,ji->i", u.conj(), m @ u)
+    return np.diagonal(eigenbasis(alg, a)).copy()
 
 
 def project(alg: TransformAlgebra, a) -> np.ndarray:
@@ -315,13 +396,8 @@ def project_pinched(alg: TransformAlgebra, partition: PinchingPartition, a) -> n
     adjoint, trace and Frobenius-Pythagoras identities and is never farther
     from A than the plain projection.
     """
-    m = as_square(a)
-    if m.shape[0] != alg.order:
-        raise DimensionMismatchError(
-            f"matrix order {m.shape[0]} does not match algebra order {alg.order}"
-        )
+    transformed = eigenbasis(alg, a)
     u = alg.unitary
-    transformed = u.conj().T @ m @ u
     return u @ pinch(partition, transformed) @ u.conj().T
 
 

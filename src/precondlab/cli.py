@@ -193,8 +193,7 @@ def _cluster_pairs(sym, alg_kind, ladder, seed):
     _, factory = algebras.resolve_algebra_factory(alg_kind, seed=seed)
     pairs = {}
     for n in ladder:
-        a = toeplitz.toeplitz_section(sym, n)
-        pairs[n] = (a, algebras.project(factory(n), a))
+        pairs[n] = (toeplitz.toeplitz_section(sym, n), factory(n))
     return pairs
 
 

@@ -17,18 +17,22 @@ from typing import Optional
 
 import numpy as np
 
+from .algebras import TransformAlgebra, eigenbasis
 from .errors import (
     DimensionMismatchError,
     InsufficientLadderError,
     NotPositiveDefiniteError,
 )
 from .linalg import (
+    HERMITIAN_EIG_TOL,
     as_square,
     frobenius_norm_sq,
     hermitian_eig,
     hermitian_eigvalues,
+    hermitian_eigvalues_overwrite,
     is_hermitian,
     singular_values,
+    singular_values_overwrite,
 )
 
 DEFAULT_LADDER = (64, 128, 256, 512)
@@ -148,17 +152,22 @@ class PreconditionedSpectrum:
     delta: float  # smallest eigenvalue of B, reported per the positivity premise
 
 
+def _check_positive(eigenvalues_b) -> float:
+    delta = float(np.min(eigenvalues_b))
+    if delta <= 0.0:
+        raise NotPositiveDefiniteError(f"B is not positive definite: lambda_min {delta:.3e}")
+    return delta
+
+
 def preconditioned_eigenvalues(a, b) -> tuple[np.ndarray, float]:
     """Eigenvalues of B^{-1/2} A B^{-1/2} for Hermitian A and HPD B."""
     ma, mb = as_square(a), as_square(b)
     if ma.shape != mb.shape:
         raise DimensionMismatchError(f"shapes {ma.shape} and {mb.shape} differ")
-    if not is_hermitian(ma, tol=1e-10):
+    if not is_hermitian(ma, tol=HERMITIAN_EIG_TOL):
         raise NotPositiveDefiniteError("A must be Hermitian")
     wb, vb = hermitian_eig(mb)
-    delta = float(wb[0])
-    if delta <= 0.0:
-        raise NotPositiveDefiniteError(f"B is not positive definite: lambda_min {delta:.3e}")
+    delta = _check_positive(wb)
     inv_sqrt = (vb / np.sqrt(wb)) @ vb.conj().T
     sym = inv_sqrt @ ma @ inv_sqrt
     return hermitian_eigvalues(0.5 * (sym + sym.conj().T)), delta
@@ -215,36 +224,73 @@ class ClusterReport:
         return json.dumps(self.summary(), sort_keys=True, indent=2)
 
 
+def _dense_deviations(a, b, mode: str) -> tuple[float, np.ndarray]:
+    """||A - B||_F^2 and the deviations counted against eps, from dense B."""
+    ma, mb = as_square(a), as_square(b)
+    diff = ma - mb
+    fro = frobenius_norm_sq(diff)
+    if mode == "difference":
+        return fro, singular_values(diff)
+    values, _ = preconditioned_eigenvalues(ma, mb)
+    return fro, np.abs(values - 1.0)
+
+
+def _algebra_deviations(a, alg: TransformAlgebra, mode: str) -> tuple[float, np.ndarray]:
+    """The same for B = U diag(d) U*, the projection of A, read off W = U* A U.
+
+    With d = diag W: A - B = U offdiag(W) U*, and B^{-1/2} A B^{-1/2} is
+    unitarily similar to D^{-1/2} W D^{-1/2}.  W is factorized in place.
+    """
+    ma = as_square(a)
+    hermitian = is_hermitian(ma, tol=HERMITIAN_EIG_TOL)
+    if mode == "preconditioned" and not hermitian:
+        raise NotPositiveDefiniteError("A must be Hermitian")
+    w = eigenbasis(alg, ma)
+    # In preconditioned mode A is Hermitian, so d is real up to A's Hermitian
+    # defect: Re d are the eigenvalues of the symmetrized B the dense path uses.
+    d = np.diagonal(w).real.copy()
+    np.fill_diagonal(w, 0.0)
+    fro = frobenius_norm_sq(w)
+    if mode == "difference":
+        if hermitian:
+            return fro, np.abs(hermitian_eigvalues_overwrite(w))
+        return fro, singular_values_overwrite(w)
+    _check_positive(d)
+    np.fill_diagonal(w, d)
+    scale = 1.0 / np.sqrt(d)
+    w *= scale[:, None]
+    w *= scale[None, :]
+    return fro, np.abs(hermitian_eigvalues_overwrite(w) - 1.0)
+
+
 def build_cluster_report(
     pairs: dict,
     epsilons=DEFAULT_EPS_GRID,
     label: str = "",
     mode: str = "difference",
 ) -> ClusterReport:
-    """Assemble a ClusterReport from a map n -> (A_n, B_n).
+    """Assemble a ClusterReport from a map n -> (A_n, B_n) or n -> (A_n, alg_n).
 
     mode 'difference' counts singular values of A_n - B_n at or above eps;
     mode 'preconditioned' counts eigenvalues of B_n^{-1/2} A_n B_n^{-1/2}
-    outside (1 - eps, 1 + eps).
+    outside (1 - eps, 1 + eps).  When the second item is a TransformAlgebra,
+    B_n is its projection of A_n, and both counts and ||A_n - B_n||_F^2 are
+    read off W = U* A_n U without forming B_n.
     """
     ladder = _validate_ladder(sorted(pairs))
     epsilons = tuple(float(e) for e in epsilons)
+    if mode not in ("difference", "preconditioned"):
+        raise ValueError(f"unknown mode {mode!r}")
     counts: dict = {}
     fro: dict = {}
     for n in ladder:
         a, b = pairs[n]
-        ma, mb = as_square(a), as_square(b)
-        fro[n] = frobenius_norm_sq(ma - mb)
-        if mode == "difference":
-            sigma = singular_values(ma - mb)
-            for eps in epsilons:
-                counts[(n, eps)] = int(np.count_nonzero(sigma >= eps))
-        elif mode == "preconditioned":
-            values, _ = preconditioned_eigenvalues(ma, mb)
-            for eps in epsilons:
-                counts[(n, eps)] = int(np.count_nonzero(np.abs(values - 1.0) >= eps))
+        if isinstance(b, TransformAlgebra):
+            fro[n], deviations = _algebra_deviations(a, b, mode)
         else:
-            raise ValueError(f"unknown mode {mode!r}")
+            fro[n], deviations = _dense_deviations(a, b, mode)
+        for eps in epsilons:
+            counts[(n, eps)] = int(np.count_nonzero(deviations >= eps))
     classification, slopes = classify(counts, ladder, epsilons)
     verdict = classify_frobenius(ladder, [fro[n] for n in ladder])
     return ClusterReport(

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebras import TransformAlgebra, project, resolve_algebra_factory
+from .algebras import TransformAlgebra, resolve_algebra_factory
 from .clustering import (
     DEFAULT_EPS_GRID,
     DEFAULT_LADDER,
@@ -189,11 +189,7 @@ class KorovkinReport:
 
 
 def _verdict_for(factory, f: Symbol, ladder, epsilons) -> FunctionVerdict:
-    pairs = {}
-    for n in ladder:
-        a = toeplitz_section(f, n)
-        b = project(factory(n), a)
-        pairs[n] = (a, b)
+    pairs = {n: (toeplitz_section(f, n), factory(n)) for n in ladder}
     report = build_cluster_report(pairs, epsilons, label=f.label)
     return FunctionVerdict(
         label=f.label or "symbol",

@@ -8,6 +8,7 @@ Every other module builds on these routines.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -103,6 +104,38 @@ def singular_values(a) -> np.ndarray:
     m = as_matrix(a)
     try:
         s = np.linalg.svd(m, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"svd failed to converge: {exc}") from exc
+    return s[::-1].copy()
+
+
+def _lapack_view(m: np.ndarray) -> np.ndarray:
+    """m, or for a C-ordered m its Fortran-ordered transpose view.
+
+    LAPACK can then work in m's memory.  The transpose has the same
+    singular values and, for Hermitian m, the same eigenvalues.
+    """
+    return m.T if m.flags.c_contiguous else m
+
+
+def hermitian_eigvalues_overwrite(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian complex128 matrix, ascending; A is destroyed.
+
+    Unlike `hermitian_eigvalues` it makes neither a symmetry check nor a
+    symmetrized copy: LAPACK reads one triangle, in A's own memory.
+    """
+    try:
+        return scipy.linalg.eigvalsh(
+            _lapack_view(a), overwrite_a=True, check_finite=False
+        )
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"eigvalsh failed to converge: {exc}") from exc
+
+
+def singular_values_overwrite(a: np.ndarray) -> np.ndarray:
+    """Singular values of a complex128 matrix, ascending; A is destroyed."""
+    try:
+        s = scipy.linalg.svdvals(_lapack_view(a), overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"svd failed to converge: {exc}") from exc
     return s[::-1].copy()

@@ -92,10 +92,7 @@ def distribution_convergence(
                 f"source {src.label!r} declares hilbert_schmidt decay but its "
                 f"border mass fraction is {frac:.3%} (> {HS_TAIL_FRACTION_MAX:.0%})"
             )
-    pairs = {}
-    for n in ladder:
-        a = truncate(src, n)
-        pairs[n] = (a, project(factory(n), a))
+    pairs = {n: (truncate(src, n), factory(n)) for n in ladder}
     return build_cluster_report(
         pairs, eps_grid, label=f"{src.label} vs {label} projection"
     )

@@ -20,6 +20,7 @@ from .algebras import (
     PinchingPartition,
     TransformAlgebra,
     algebra_diagonal,
+    eigenbasis,
     optimal_circulant_column,
     pinch,
     resolve_algebra_factory,
@@ -75,16 +76,28 @@ def _check_diagonal(d: np.ndarray, scale: float) -> None:
         )
 
 
+def _unitary_maps(alg: TransformAlgebra) -> tuple[Callable, Callable]:
+    """(x -> U* x, x -> U x): the fast transform when the algebra has one.
+
+    The built-in unitaries are symmetric, so U x = conj(U* conj x).
+    """
+    if alg.transform is None:
+        u = alg.unitary
+        return (lambda x: u.conj().T @ x), (lambda x: u @ x)
+    forward = alg.transform
+    return forward, lambda x: np.conj(forward(np.conj(x)))
+
+
 def _diagonal_inverse(alg: TransformAlgebra, a_dense: np.ndarray) -> Callable:
     d = algebra_diagonal(alg, a_dense)
     if np.max(np.abs(d.imag)) > 1e-8 * (1.0 + np.max(np.abs(d.real))):
         raise NotPositiveDefiniteError("projected diagonal is not real")
     dr = d.real
     _check_diagonal(dr, float(np.max(np.abs(dr))))
-    u = alg.unitary
+    forward, back = _unitary_maps(alg)
 
     def apply(r):
-        return u @ ((u.conj().T @ r) / dr)
+        return back(forward(r) / dr)
 
     return apply
 
@@ -92,9 +105,8 @@ def _diagonal_inverse(alg: TransformAlgebra, a_dense: np.ndarray) -> Callable:
 def _pinched_inverse(
     alg: TransformAlgebra, partition: PinchingPartition, a_dense: np.ndarray
 ) -> Callable:
-    u = alg.unitary
-    transformed = u.conj().T @ a_dense @ u
-    blocked = pinch(partition, transformed)
+    forward, back = _unitary_maps(alg)
+    blocked = pinch(partition, eigenbasis(alg, a_dense))
     factors = []
     for block in partition.blocks:
         sub = blocked[np.ix_(block, block)]
@@ -105,11 +117,11 @@ def _pinched_inverse(
             raise NotPositiveDefiniteError(f"pinched block is not HPD: {exc}") from exc
 
     def apply(r):
-        rt = u.conj().T @ r
+        rt = forward(r)
         zt = np.empty_like(rt)
         for block, factor in factors:
             zt[list(block)] = scipy.linalg.cho_solve(factor, rt[list(block)])
-        return u @ zt
+        return back(zt)
 
     return apply
 

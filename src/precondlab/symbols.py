@@ -226,8 +226,8 @@ def load_symbol(path) -> Symbol:
 # "delta(0.01)"
 
 _TERM_RE = re.compile(
-    r"^(?P<coef>[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?)\*?"
-    r"(?:(?P<fn>cos|sin)(?P<freq>\d*)x?|(?P<delta>delta\((?P<dval>[^)]+)\)))?$"
+    r"^(?P<coef>[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?)"
+    r"(?:\*?(?:(?P<fn>cos|sin)(?P<freq>\d*)x?|(?P<delta>delta\((?P<dval>[^)]+)\))))?$"
 )
 
 

@@ -294,6 +294,10 @@ DOCUMENTED_COMMANDS = [
         "pcg-bench", "--symbol", "preset:2-2cos+delta(0.01)",
         "--ladder", "128,256,512", "--tol", "1e-10",
     ],
+    [
+        "cluster-scan", "--algebra", "sine", "--symbol", "preset:2-2cos+delta(0.01)",
+        "--ladder", "32,64,128,256", "--preconditioned",
+    ],
 ]
 
 

@@ -1,5 +1,7 @@
 """Tests for transform algebras, projections and pinchings."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from precondlab.algebras import (
     algebra_diagonal,
     contiguous_partition,
     custom_algebra,
+    eigenbasis,
     make_algebra,
     pinch,
     project,
@@ -96,6 +99,70 @@ def test_random_unitary_algebra_deterministic():
     b = random_unitary_algebra(8, seed=3)
     assert np.array_equal(a.unitary, b.unitary)
     assert a.unitarity_defect() <= 1e-10 * np.sqrt(8)
+
+
+# ---------------------------------------------------------------------------
+# fast transforms and the eigenbasis
+
+
+@pytest.mark.parametrize("kind", ALGEBRA_KINDS)
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 64, 129])
+def test_eigenbasis_matches_dense_definition(kind, n):
+    alg = make_algebra(kind, n)
+    u = alg.basis(alg.grid)
+    a = seeded_matrix(n, seed=n)
+    before = a.copy()
+    w = eigenbasis(alg, a)
+    np.testing.assert_allclose(w, u.conj().T @ a @ u, rtol=0, atol=1e-12 * n)
+    assert np.array_equal(a, before), "eigenbasis must not write to its input"
+    np.testing.assert_allclose(
+        algebra_diagonal(alg, a), np.diagonal(w), rtol=0, atol=1e-12 * n
+    )
+
+
+@pytest.mark.parametrize("kind", ALGEBRA_KINDS)
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 64, 129])
+def test_transform_is_the_adjoint_unitary(kind, n):
+    alg = make_algebra(kind, n)
+    u = alg.basis(alg.grid)
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    np.testing.assert_allclose(alg.transform(x), u.conj().T @ x, rtol=0, atol=1e-12 * n)
+    # the built-in unitaries are symmetric: U x = conj(U* conj x)
+    np.testing.assert_allclose(
+        np.conj(alg.transform(np.conj(x[:, 0]))), u @ x[:, 0], rtol=0, atol=1e-12 * n
+    )
+    out = x.copy()
+    assert alg.transform(out, out=out) is out
+    np.testing.assert_allclose(out, alg.transform(x), rtol=0, atol=1e-15 * n)
+
+
+def test_eigenbasis_custom_is_dense_product():
+    alg = random_unitary_algebra(6, seed=3)
+    a = seeded_matrix(6, seed=4)
+    u = alg.unitary
+    np.testing.assert_allclose(eigenbasis(alg, a), u.conj().T @ a @ u, atol=1e-13)
+
+
+@pytest.mark.parametrize("kind", ALGEBRA_KINDS)
+def test_scaled_transform_is_not_unitary(kind):
+    alg = make_algebra(kind, 16)
+
+    def scaled(x, out=None):
+        return np.multiply(alg.transform(x), 1 + 1e-6, out=out)
+
+    bad = dataclasses.replace(alg, transform=scaled)
+    a = seeded_matrix(16, seed=5)
+    with pytest.raises(NotUnitaryError, match=kind):
+        eigenbasis(bad, a)
+    with pytest.raises(NotUnitaryError):
+        algebra_diagonal(bad, a)
+    eigenbasis(alg, a)  # the unscaled transform passes the same check
+
+
+def test_eigenbasis_dimension_mismatch():
+    with pytest.raises(DimensionMismatchError):
+        eigenbasis(make_algebra("sine", 4), np.eye(5))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from precondlab.algebras import ALGEBRA_KINDS, TransformAlgebra
 from precondlab.cli import SUBCOMMANDS, load_config, main, resolve_symbol
 from precondlab.errors import ParseError
 
@@ -195,6 +196,15 @@ def test_invariant_violation_exit_two(tmp_path, capsys):
     assert code == 2 and "invariant" in err
 
 
+def test_indefinite_sine_projection_exit_two(tmp_path, capsys):
+    # the tau algebra contains T_n(cos) itself, whose eigenvalues change sign
+    code, out, err = run(
+        capsys, "cluster-scan", "--algebra", "sine", "--symbol", "preset:cos",
+        "--ladder", "16,32,64,128", "--preconditioned", "--outdir", str(tmp_path),
+    )
+    assert code == 2 and "B is not positive definite" in err and not out
+
+
 # ---------------------------------------------------------------------------
 # dry runs
 
@@ -290,6 +300,24 @@ def test_pcg_bench_timings_flag(tmp_path, capsys):
     assert code == 0
     rows = (tmp_path / "pcg_bench.csv").read_text().splitlines()[1:]
     assert all(not row.endswith(",") for row in rows)
+
+
+@pytest.mark.parametrize("kind", ALGEBRA_KINDS)
+def test_spectral_commands_never_build_the_unitary(kind, tmp_path, capsys, monkeypatch):
+    def refuse(alg):
+        raise AssertionError(f"{alg.kind} unitary of order {alg.order} was built")
+
+    monkeypatch.setattr(TransformAlgebra, "unitary", property(refuse))
+    ladder = ["--ladder", "16,32,64,128", "--algebra", kind]
+    commands = [
+        ["cluster-scan", "--symbol", "preset:2+cos+0.5sin2x", *ladder],
+        ["cluster-scan", "--symbol", "preset:2+cos+0.5sin2x", *ladder, "--preconditioned"],
+        ["operator-scan", "--source", "hs_decay(1.5)", *ladder],
+        ["korovkin-test", "--generators", "cos;sin", "--holdout", "2+cos", *ladder],
+    ]
+    for i, argv in enumerate(commands):
+        code, _, err = run(capsys, *argv, "--outdir", str(tmp_path / str(i)))
+        assert code == 0, (argv, err)
 
 
 # ---------------------------------------------------------------------------

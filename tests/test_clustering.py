@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from precondlab.algebras import project_toeplitz_fast, random_unitary_algebra, project
+from precondlab.algebras import (
+    ALGEBRA_KINDS,
+    make_algebra,
+    project,
+    project_toeplitz_fast,
+    random_unitary_algebra,
+)
 from precondlab.clustering import (
     DEFAULT_EPS_GRID,
     DEFAULT_LADDER,
@@ -19,7 +25,7 @@ from precondlab.errors import (
     InsufficientLadderError,
     NotPositiveDefiniteError,
 )
-from precondlab.symbols import parse_trig_expression
+from precondlab.symbols import Symbol, parse_trig_expression
 from precondlab.toeplitz import toeplitz_section
 
 LADDER = (64, 128, 256, 512)
@@ -241,3 +247,69 @@ def test_build_report_preconditioned_mode():
     assert report.classification in ("strong", "uniform")
     tail = [report.counts[(n, 0.1)] for n in report.ladder[-3:]]
     assert max(tail) - min(tail) <= 1
+
+
+# ---------------------------------------------------------------------------
+# algebra pairs: spectra read off the eigenbasis against the dense definition
+
+HERMITIAN_SYMBOL = Symbol(
+    {0: 3.0, 1: 0.61 + 0.27j, -1: 0.61 - 0.27j, 2: 0.33 - 0.18j, -2: 0.33 + 0.18j}
+)
+NON_HERMITIAN_SYMBOL = Symbol({0: 2.0, 1: 0.7, -1: 0.2 + 0.3j, 3: 0.4j})
+PAIR_KINDS = ALGEBRA_KINDS + ("custom",)
+
+
+def _algebra(kind, n):
+    if kind == "custom":
+        return random_unitary_algebra(n, seed=100 + n)
+    return make_algebra(kind, n)
+
+
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+@pytest.mark.parametrize(
+    "symbol, mode",
+    [
+        (HERMITIAN_SYMBOL, "difference"),
+        (HERMITIAN_SYMBOL, "preconditioned"),
+        (NON_HERMITIAN_SYMBOL, "difference"),  # the svd branch
+    ],
+)
+@pytest.mark.parametrize("start", [2, 3, 5])
+def test_algebra_pairs_match_dense_pairs(kind, symbol, mode, start):
+    ladder = tuple(start * 2**k for k in range(4))
+    sections = {n: toeplitz_section(symbol, n) for n in ladder}
+    algs = {n: _algebra(kind, n) for n in ladder}
+    fast = build_cluster_report(
+        {n: (sections[n], algs[n]) for n in ladder}, DEFAULT_EPS_GRID, mode=mode
+    )
+    dense = build_cluster_report(
+        {n: (sections[n], project(algs[n], sections[n])) for n in ladder},
+        DEFAULT_EPS_GRID,
+        mode=mode,
+    )
+    assert fast.counts == dense.counts
+    assert fast.classification == dense.classification
+    assert fast.frobenius_verdict == dense.frobenius_verdict
+    for n in ladder:
+        scale = np.sum(np.abs(sections[n]) ** 2)
+        assert abs(fast.frobenius_sq[n] - dense.frobenius_sq[n]) <= 1e-10 * scale
+
+
+def test_algebra_pairs_preconditioned_rejects_non_hermitian():
+    pairs = {n: (toeplitz_section(NON_HERMITIAN_SYMBOL, n), make_algebra("sine", n))
+             for n in (4, 8, 16, 32)}
+    with pytest.raises(NotPositiveDefiniteError, match="A must be Hermitian"):
+        build_cluster_report(pairs, mode="preconditioned")
+
+
+def test_algebra_pairs_preconditioned_rejects_indefinite():
+    f = parse_trig_expression("cos")
+    pairs = {n: (toeplitz_section(f, n), make_algebra("sine", n)) for n in (16, 32, 64, 128)}
+    with pytest.raises(NotPositiveDefiniteError, match="B is not positive definite"):
+        build_cluster_report(pairs, mode="preconditioned")
+
+
+def test_algebra_pairs_unknown_mode():
+    pairs = {n: (np.eye(n), make_algebra("fourier", n)) for n in (4, 8, 16, 32)}
+    with pytest.raises(ValueError, match="unknown mode"):
+        build_cluster_report(pairs, mode="sideways")

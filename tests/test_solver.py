@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from precondlab.algebras import contiguous_partition, project_toeplitz_fast
+from precondlab.algebras import (
+    ALGEBRA_KINDS,
+    TransformAlgebra,
+    contiguous_partition,
+    custom_algebra,
+    make_algebra,
+    project_toeplitz_fast,
+)
 from precondlab.errors import (
     MaxIterationsError,
     NotPositiveDefiniteError,
@@ -138,3 +145,47 @@ def test_scaling_study_seeded_rhs_deterministic():
     a = scaling_study(f, (32, 64), tol=1e-10, rhs="seeded", seed=11)
     b = scaling_study(f, (32, 64), tol=1e-10, rhs="seeded", seed=11)
     assert [c.iterations for c in a] == [c.iterations for c in b]
+
+
+# ---------------------------------------------------------------------------
+# transform-applied algebra preconditioners
+
+
+def test_tau_preconditioner_solves_tridiagonal_in_one_iteration():
+    # the tau (sine) algebra contains the symmetric tridiagonal Toeplitz sections
+    op = ToeplitzOperator(parse_trig_expression("2-2cos+delta(0.01)"), 1024)
+    trace = pcg(op, np.ones(1024, dtype=complex), precond="algebra_projection",
+                alg_kind="sine", tol=1e-10)
+    assert trace.iterations == 1
+
+
+@pytest.mark.parametrize("kind", ALGEBRA_KINDS)
+def test_transform_preconditioner_matches_dense_unitary(kind):
+    # a dense section: the Fourier kind then takes the generic path too
+    n = 96
+    op = toeplitz_section(parse_trig_expression("3+cos+0.4sin2x"), n)
+    b = np.random.default_rng(5).standard_normal(n).astype(complex)
+
+    def dense_factory(order):
+        alg = make_algebra(kind, order)
+        return custom_algebra(alg.basis(alg.grid), kind=kind)
+
+    fast = pcg(op, b, precond="algebra_projection", alg_kind=kind, tol=1e-12)
+    dense = pcg(op, b, precond="algebra_projection", alg_kind=dense_factory, tol=1e-12)
+    assert fast.iterations == dense.iterations
+    np.testing.assert_allclose(fast.residual_history, dense.residual_history,
+                               rtol=1e-6, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", ("sine", "hartley"))
+def test_transform_preconditioners_never_build_the_unitary(kind, monkeypatch):
+    def refuse(alg):
+        raise AssertionError(f"{alg.kind} unitary of order {alg.order} was built")
+
+    monkeypatch.setattr(TransformAlgebra, "unitary", property(refuse))
+    a = toeplitz_section(parse_trig_expression("3+cos"), 64)
+    b = np.ones(64, dtype=complex)
+    for precond, partition in (("algebra_projection", None),
+                               ("pinched", contiguous_partition(64, 4))):
+        trace = pcg(a, b, precond=precond, alg_kind=kind, partition=partition, tol=1e-10)
+        assert trace.converged

@@ -241,6 +241,7 @@ def test_parse_trig_expression(expr, expected):
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "2**cos", "cosx+", "tan", "2+-cos", "1e", "delta(0.01", "2+*", "-*"):
+    for bad in ("", "2**cos", "cosx+", "tan", "2+-cos", "1e", "delta(0.01", "2+*", "-*",
+                "2*", "2*+cos"):
         with pytest.raises(ParseError):
             parse_trig_expression(bad)
