@@ -23,6 +23,7 @@ from .algebras import (
     random_unitary_algebra,
     single_block_partition,
     singleton_partition,
+    toeplitz_diagonal,
 )
 from .clustering import (
     DEFAULT_EPS_GRID,

@@ -15,7 +15,9 @@ The Frobenius-optimal projection of A onto the algebra keeps only the
 diagonal of U* A U:  project(A) = U diag(U* A U) U*.  The pinched variant
 keeps whole diagonal blocks instead of single entries.  For the built-in
 kinds, U* A U (``eigenbasis``) comes from fast transforms along both axes
-(FFT, DST-I, DHT) in O(n^2 log n), without forming U.
+(FFT, DST-I, DHT) in O(n^2 log n), without forming U, and the diagonal of
+U* T_n(f) U of a Toeplitz section (``toeplitz_diagonal``) from closed
+forms in O(n log n) or O(n deg f), without forming the section.
 """
 
 from __future__ import annotations
@@ -26,11 +28,17 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
-from .errors import BadPartitionError, DimensionMismatchError, NotUnitaryError
+from .errors import (
+    BadPartitionError,
+    DimensionMismatchError,
+    InvariantViolationError,
+    NotUnitaryError,
+)
 from .linalg import as_square, frobenius_norm_sq
 from .symbols import Symbol
 
 UNITARITY_RTOL = 1e-10
+TRACE_RTOL = 1e-10
 
 ALGEBRA_KINDS = ("fourier", "sine", "hartley")
 
@@ -273,14 +281,29 @@ def eigenbasis(alg: TransformAlgebra, a) -> np.ndarray:
     np.conjugate(w, out=w)  # now w.T = (U* A)*
     alg.transform(w.T, out=w.T)  # now w.T = U* A* U = W*
     np.conjugate(w, out=w)
-    norm_a = frobenius_norm_sq(m)
-    defect = abs(frobenius_norm_sq(w) - norm_a)
-    if defect > UNITARITY_RTOL * np.sqrt(n) * norm_a:
-        raise NotUnitaryError(
-            f"{alg.kind} transform of order {n} is not unitary: "
-            f"Frobenius norm defect {defect:.3e} of {norm_a:.3e}"
-        )
+    _check_norm_kept(alg, frobenius_norm_sq(m), frobenius_norm_sq(w))
     return w
+
+
+def _check_norm_kept(alg: TransformAlgebra, before: float, after: float) -> None:
+    """Squared norms before and after U* agree to UNITARITY_RTOL * sqrt(n)."""
+    defect = abs(after - before)
+    if defect > UNITARITY_RTOL * np.sqrt(alg.order) * before:
+        raise NotUnitaryError(
+            f"{alg.kind} transform of order {alg.order} is not unitary: "
+            f"norm defect {defect:.3e} of {before:.3e}"
+        )
+
+
+def check_transform(alg: TransformAlgebra) -> None:
+    """Check that ``alg.transform`` keeps the norm of one fixed vector.
+
+    O(n log n): the per-build unitarity check of a built-in algebra whose
+    unitary is never formed.
+    """
+    x = np.arange(1.0, alg.order + 1.0)
+    y = alg.transform(x)
+    _check_norm_kept(alg, float(np.vdot(x, x).real), float(np.vdot(y, y).real))
 
 
 def algebra_diagonal(alg: TransformAlgebra, a) -> np.ndarray:
@@ -310,6 +333,51 @@ def optimal_circulant_column(f: Symbol, n: int) -> np.ndarray:
         elif -n < freq < 0:
             c[n + freq] += (n + freq) * amp / n
     return c
+
+
+def lag_sum(alg: TransformAlgebra, f: Symbol, xs: np.ndarray) -> np.ndarray:
+    """sum_{|k|<n} a_k w_k(xs) with the algebra's closed-form lag weights.
+
+    O(len(xs) deg f).  For a real f, w_{-k} = conj(w_k) and
+    a_{-k} = conj(a_k): the lags k < 0 add the conjugates of the lags
+    k > 0, so only k >= 0 is evaluated and the result is real.
+    """
+    n = alg.order
+    real = f.is_real
+    lo = 0 if real else 1 - n
+    lags = {k: a for k, a in f.coefficients.items() if lo <= k < n}
+    ks = np.fromiter(lags, dtype=np.int64, count=len(lags))
+    amps = np.fromiter(lags.values(), dtype=np.complex128, count=len(lags))
+    if not real:
+        return alg.lag_weights(ks, xs) @ amps
+    amps[ks > 0] *= 2.0
+    return (alg.lag_weights(ks, xs) @ amps).real
+
+
+def toeplitz_diagonal(alg: TransformAlgebra, f: Symbol) -> np.ndarray:
+    """diag(U* T_n(f) U) for a built-in algebra, without the section.
+
+    These are the eigenvalues of the projection of T_n(f).  Fourier: the
+    DFT of ``optimal_circulant_column``, O(n log n).  Sine and Hartley:
+    ``lag_sum`` on the grid, O(n deg f).  Only the lags |k| < n enter, so
+    any degree works.  The result is checked against the trace identity
+    sum d = n a_0, else InvariantViolationError.
+    """
+    if alg.lag_weights is None:
+        raise ValueError(f"{alg.kind} algebra has no closed-form Toeplitz diagonal")
+    n = alg.order
+    if alg.kind == "fourier":
+        d = np.fft.fft(optimal_circulant_column(f, n))
+    else:
+        d = lag_sum(alg, f, alg.grid)
+    scale = n * sum(abs(a) for k, a in f.coefficients.items() if abs(k) < n)
+    defect = abs(np.sum(d) - n * f.coefficient(0))
+    if defect > TRACE_RTOL * scale:
+        raise InvariantViolationError(
+            f"{alg.kind} Toeplitz diagonal of order {n} breaks the trace "
+            f"identity: defect {defect:.3e} of {scale:.3e}"
+        )
+    return d
 
 
 def project_toeplitz_fast(f: Symbol, n: int) -> np.ndarray:

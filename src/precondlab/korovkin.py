@@ -25,12 +25,12 @@ each function over a size ladder.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebras import TransformAlgebra, resolve_algebra_factory
+from .algebras import TransformAlgebra, lag_sum, resolve_algebra_factory
 from .clustering import (
     DEFAULT_EPS_GRID,
     DEFAULT_LADDER,
@@ -50,8 +50,9 @@ def lpo_eval(alg: TransformAlgebra, f: Symbol, x):
     At the i-th grid point this equals the i-th diagonal entry of
     U A_n(f) U*, i.e. the eigenvalue of the algebra projection attached to
     that grid point.  Built-in algebras sum a_k w_k(x) over the symbol's
-    lags |k| < n with the closed-form lag weights, at O(P deg f) for P
-    points; custom algebras form the dense basis block and section.
+    lags |k| < n with the closed-form lag weights (``lag_sum``), at
+    O(P deg f) for P points; custom algebras form the dense basis block
+    and section.
     """
     if alg.basis is None:
         raise ValueError("algebra has no basis functions; cannot evaluate off-grid")
@@ -63,13 +64,7 @@ def lpo_eval(alg: TransformAlgebra, f: Symbol, x):
         a = toeplitz_section(f, alg.order)
         values = np.einsum("ij,ij->i", v @ a, v.conj()).real
     else:
-        # w_{-k} = conj(w_k) and a_{-k} = conj(a_k): the lags k < 0 add the
-        # conjugates of the lags k > 0, so only k >= 0 is evaluated.
-        lags = {k: a for k, a in f.coefficients.items() if 0 <= k < alg.order}
-        ks = np.fromiter(lags, dtype=np.int64, count=len(lags))
-        amps = np.fromiter(lags.values(), dtype=np.complex128, count=len(lags))
-        amps[ks > 0] *= 2.0
-        values = (alg.lag_weights(ks, xs) @ amps).real
+        values = lag_sum(alg, f, xs)
     return float(values[0]) if np.isscalar(x) or np.ndim(x) == 0 else values
 
 

@@ -146,10 +146,10 @@ def hs_decay_source(p: float, c: float = 1.0) -> OperatorSource:
 def toeplitz_source(f: Symbol, label: str = "") -> OperatorSource:
     def entry(j, k, _f=f):
         m = np.asarray(j) - np.asarray(k)
-        out = np.zeros(m.shape, dtype=np.complex128)
-        for freq, amp in _f.coefficients.items():
-            out[m == freq] = amp
-        return out
+        if m.size == 0:
+            return np.zeros(m.shape, dtype=np.complex128)
+        lo = int(m.min())
+        return _f.coefficient_array(lo, int(m.max()) + 1)[m - lo]
 
     return OperatorSource(
         entry=entry,

@@ -10,7 +10,7 @@ applied by transform, diagonal (or block) solve and inverse transform.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -20,10 +20,11 @@ from .algebras import (
     PinchingPartition,
     TransformAlgebra,
     algebra_diagonal,
+    check_transform,
     eigenbasis,
-    optimal_circulant_column,
     pinch,
     resolve_algebra_factory,
+    toeplitz_diagonal,
 )
 from .errors import (
     DimensionMismatchError,
@@ -56,18 +57,6 @@ class SolveTrace:
     error_history: Optional[list[float]] = None
 
 
-def _fourier_toeplitz_inverse(symbol: Symbol, n: int) -> Callable:
-    """Fast inverse of the optimal circulant of a Toeplitz section."""
-    d = np.fft.fft(optimal_circulant_column(symbol, n))
-    _check_diagonal(d.real, np.max(np.abs(d.real)))
-    dr = d.real
-
-    def apply(r):
-        return np.fft.ifft(np.fft.fft(r) / dr)
-
-    return apply
-
-
 def _check_diagonal(d: np.ndarray, scale: float) -> None:
     if np.min(d) <= DIAGONAL_CLAMP_RTOL * scale:
         raise NotPositiveDefiniteError(
@@ -77,27 +66,40 @@ def _check_diagonal(d: np.ndarray, scale: float) -> None:
 
 
 def _unitary_maps(alg: TransformAlgebra) -> tuple[Callable, Callable]:
-    """(x -> U* x, x -> U x): the fast transform when the algebra has one.
+    """(x -> U* x, z -> U z): the fast transform when the algebra has one.
 
-    The built-in unitaries are symmetric, so U x = conj(U* conj x).
+    ``U z`` may overwrite z.  A fast transform is checked for unitarity on
+    one vector first.  The Fourier U is the orthonormal inverse DFT; the
+    other built-in unitaries are symmetric, so U z = conj(U* conj z).
     """
     if alg.transform is None:
         u = alg.unitary
-        return (lambda x: u.conj().T @ x), (lambda x: u @ x)
+        return (lambda x: u.conj().T @ x), (lambda z: u @ z)
+    check_transform(alg)
     forward = alg.transform
-    return forward, lambda x: np.conj(forward(np.conj(x)))
+    if alg.kind == "fourier":
+        return forward, lambda z: np.fft.ifft(z, norm="ortho", out=z)
+
+    def back(z):
+        np.conjugate(z, out=z)
+        forward(z, out=z)
+        return np.conjugate(z, out=z)
+
+    return forward, back
 
 
-def _diagonal_inverse(alg: TransformAlgebra, a_dense: np.ndarray) -> Callable:
-    d = algebra_diagonal(alg, a_dense)
+def _diagonal_inverse(alg: TransformAlgebra, d: np.ndarray) -> Callable:
+    """x -> U diag(d)^{-1} U* x for the diagonal d of U* A U."""
     if np.max(np.abs(d.imag)) > 1e-8 * (1.0 + np.max(np.abs(d.real))):
         raise NotPositiveDefiniteError("projected diagonal is not real")
-    dr = d.real
+    dr = np.ascontiguousarray(d.real)
     _check_diagonal(dr, float(np.max(np.abs(dr))))
     forward, back = _unitary_maps(alg)
 
     def apply(r):
-        return back(forward(r) / dr)
+        z = forward(r)
+        z /= dr
+        return back(z)
 
     return apply
 
@@ -136,19 +138,21 @@ def build_preconditioner(
     """Return (label, apply_inverse) for the requested preconditioner.
 
     The preconditioner is built once from A (dense or ToeplitzOperator) and
-    can be reused across solves of the same system.
+    can be reused across solves of the same system.  A ToeplitzOperator on
+    a built-in algebra takes its diagonal from ``toeplitz_diagonal`` in
+    O(n log n); dense input and custom algebras take diag(U* A U).
     """
     order, _, dense = as_linear_operator(a)
     if precond == "none":
         return "none", lambda r: r
     label, factory = resolve_algebra_factory(alg_kind, seed=seed)
     if precond == "algebra_projection":
-        if isinstance(a, ToeplitzOperator) and label == "fourier":
-            return (
-                f"algebra_projection[{label}]",
-                _fourier_toeplitz_inverse(a.symbol, order),
-            )
-        return f"algebra_projection[{label}]", _diagonal_inverse(factory(order), dense())
+        alg = factory(order)
+        if isinstance(a, ToeplitzOperator) and alg.lag_weights is not None:
+            d = toeplitz_diagonal(alg, a.symbol)
+        else:
+            d = algebra_diagonal(alg, dense())
+        return f"algebra_projection[{label}]", _diagonal_inverse(alg, d)
     if precond == "pinched":
         if partition is None:
             raise ValueError("pinched preconditioner needs a partition")

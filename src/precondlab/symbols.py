@@ -8,7 +8,7 @@ a_{-k} = conj(a_k).  The interval convention is [0, 2pi) throughout.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -45,6 +45,18 @@ class Symbol:
 
     def coefficient(self, k: int) -> complex:
         return self.coefficients.get(int(k), 0.0 + 0.0j)
+
+    def coefficient_array(self, lo: int, hi: int) -> np.ndarray:
+        """[a_lo, ..., a_{hi-1}] as a complex array, zero off the table.
+
+        The stored coefficients are scattered into a zero array, so a
+        window of any width costs O(degree) Python work.
+        """
+        out = np.zeros(max(hi - lo, 0), dtype=np.complex128)
+        for k, v in self.coefficients.items():
+            if lo <= k < hi:
+                out[k - lo] = v
+        return out
 
     def eval(self, x):
         """Evaluate sum_k a_k exp(i k x); accepts scalars or arrays."""

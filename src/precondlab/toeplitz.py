@@ -23,18 +23,15 @@ def toeplitz_section(f: Symbol, n: int) -> np.ndarray:
     """Dense n x n section with entries a_{j-k}; Hermitian iff f is real."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    col = np.array([f.coefficient(m) for m in range(n)], dtype=np.complex128)
-    row = np.array([f.coefficient(-m) for m in range(n)], dtype=np.complex128)
-    return scipy.linalg.toeplitz(col, row)
+    a = f.coefficient_array(1 - n, n)  # a_{1-n}, ..., a_{n-1}
+    return scipy.linalg.toeplitz(a[n - 1 :], a[n - 1 :: -1])
 
 
 def hankel_section(f: Symbol, n: int) -> np.ndarray:
     """Dense n x n section with entries a_{j+k+1}; rank <= degree(f)."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    vals = np.array(
-        [f.coefficient(m + 1) for m in range(2 * n - 1)], dtype=np.complex128
-    )
+    vals = f.coefficient_array(1, 2 * n)  # a_1, ..., a_{2n-1}
     return scipy.linalg.hankel(vals[:n], vals[n - 1 :])
 
 
@@ -109,11 +106,11 @@ class ToeplitzOperator:
         self.symbol = symbol
         self.order = int(order)
         n = self.order
+        # first column of the circulant: a_0, ..., a_{n-1}, 0, a_{1-n}, ..., a_{-1}
+        a = symbol.coefficient_array(1 - n, n)
         ext = np.zeros(2 * n, dtype=np.complex128)
-        for m in range(n):
-            ext[m] = symbol.coefficient(m)
-        for m in range(1, n):
-            ext[2 * n - m] = symbol.coefficient(-m)
+        ext[:n] = a[n - 1 :]
+        ext[n + 1 :] = a[: n - 1]
         self._circ_fft = np.fft.fft(ext)
 
     @property

@@ -132,6 +132,13 @@ def test_criterion_3_fast_path():
             generic = pl.project(alg, pl.toeplitz_section(f, n))
             fast = pl.project_toeplitz_fast(f, n)
             assert np.max(np.abs(generic - fast)) <= 1e-10, (f.label, n)
+            # sine and Hartley: the closed-form eigenvalues of the projection.
+            # max |U diag(e) U*| <= max |e|, so this bounds the projections too.
+            for kind in ("sine", "hartley"):
+                other = pl.make_algebra(kind, n)
+                generic_d = pl.algebra_diagonal(other, pl.toeplitz_section(f, n))
+                fast_d = pl.toeplitz_diagonal(other, f)
+                assert np.max(np.abs(generic_d - fast_d)) <= 1e-10, (kind, f.label, n)
 
     # timing: fast path at 4096 vs the dense projection at 1024
     # extrapolated cubically, medians of three runs

@@ -11,9 +11,11 @@ from precondlab.algebras import (
     ALGEBRA_KINDS,
     PinchingPartition,
     algebra_diagonal,
+    check_transform,
     contiguous_partition,
     custom_algebra,
     eigenbasis,
+    lag_sum,
     make_algebra,
     pinch,
     project,
@@ -22,10 +24,12 @@ from precondlab.algebras import (
     random_unitary_algebra,
     single_block_partition,
     singleton_partition,
+    toeplitz_diagonal,
 )
 from precondlab.errors import (
     BadPartitionError,
     DimensionMismatchError,
+    InvariantViolationError,
     NotUnitaryError,
 )
 from precondlab.linalg import (
@@ -294,6 +298,86 @@ def test_fast_path_matches_generic_for_complex_symbol():
     n = 32
     generic = project(make_algebra("fourier", n), toeplitz_section(f, n))
     assert np.max(np.abs(generic - project_toeplitz_fast(f, n))) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# closed-form Toeplitz diagonal
+
+
+def degree_six_symbol(seed, real):
+    rng = np.random.default_rng(seed)
+    coeffs = {0: complex(rng.standard_normal())}
+    for k in range(1, 7):
+        a = complex(rng.standard_normal(), rng.standard_normal())
+        coeffs[k] = a
+        coeffs[-k] = a.conjugate() if real else complex(
+            rng.standard_normal(), rng.standard_normal()
+        )
+    return Symbol(coeffs)
+
+
+@pytest.mark.parametrize("kind", ALGEBRA_KINDS)
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 64, 129, 1024])
+@pytest.mark.parametrize("real", [True, False])
+def test_toeplitz_diagonal_matches_dense_definition(kind, n, real):
+    # degree 6 >= n for the small orders: lags |k| >= n must drop out
+    f = degree_six_symbol(seed=n, real=real)
+    alg = make_algebra(kind, n)
+    dense = algebra_diagonal(alg, toeplitz_section(f, n))
+    fast = toeplitz_diagonal(alg, f)
+    scale = sum(abs(a) for a in f.coefficients.values())
+    assert fast.shape == (n,)
+    assert np.max(np.abs(fast - dense)) <= 1e-12 * n * scale, (kind, n, real)
+
+
+@pytest.mark.parametrize("kind", ALGEBRA_KINDS)
+def test_lag_sum_of_real_symbol_is_the_two_sided_sum(kind):
+    # the real-symbol path evaluates k >= 0 only, doubling k > 0
+    f = degree_six_symbol(seed=3, real=True)
+    alg = make_algebra(kind, 16)
+    xs = np.random.default_rng(4).uniform(0.0, 2.0 * np.pi, 50)
+    ks = np.array(sorted(f.coefficients))
+    two_sided = alg.lag_weights(ks, xs) @ np.array([f.coefficient(k) for k in ks])
+    half = lag_sum(alg, f, xs)
+    assert half.dtype == np.float64
+    np.testing.assert_allclose(half, two_sided.real, atol=1e-13)
+    assert np.max(np.abs(two_sided.imag)) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", ALGEBRA_KINDS)
+def test_toeplitz_diagonal_of_the_identity_is_one(kind):
+    np.testing.assert_allclose(
+        toeplitz_diagonal(make_algebra(kind, 7), constant(1.0)), np.ones(7), atol=1e-15
+    )
+
+
+@pytest.mark.parametrize("kind", ("sine", "hartley"))
+def test_toeplitz_diagonal_checks_the_trace(kind):
+    alg = make_algebra(kind, 16)
+    bad = dataclasses.replace(
+        alg, lag_weights=lambda ks, xs: 1.01 * alg.lag_weights(ks, xs)
+    )
+    f = parse_trig_expression("2+cos")
+    with pytest.raises(InvariantViolationError, match="trace"):
+        toeplitz_diagonal(bad, f)
+    toeplitz_diagonal(alg, f)  # the true lag weights pass
+
+
+def test_toeplitz_diagonal_needs_closed_forms():
+    with pytest.raises(ValueError):
+        toeplitz_diagonal(random_unitary_algebra(8), constant(1.0))
+
+
+@pytest.mark.parametrize("kind", ALGEBRA_KINDS)
+def test_check_transform(kind):
+    alg = make_algebra(kind, 33)
+    check_transform(alg)
+
+    def scaled(x, out=None):
+        return np.multiply(alg.transform(x), 1 + 1e-6, out=out)
+
+    with pytest.raises(NotUnitaryError, match=kind):
+        check_transform(dataclasses.replace(alg, transform=scaled))
 
 
 # ---------------------------------------------------------------------------

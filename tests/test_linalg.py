@@ -13,7 +13,9 @@ from precondlab.errors import (
     SingularMatrixError,
 )
 from precondlab.linalg import (
+    HERMITIAN_BLOCK_ROWS,
     frobenius_norm_sq,
+    hermitian_defect,
     hermitian_eig,
     hermitian_eigvalues,
     is_hermitian,
@@ -202,3 +204,21 @@ def test_is_hermitian_tolerance():
     a = np.array([[1.0, 1.0 + 1e-14j], [1.0 - 1e-14j, 2.0]])
     assert is_hermitian(a)
     assert not is_hermitian([[0.0, 1.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, HERMITIAN_BLOCK_ROWS, 2 * HERMITIAN_BLOCK_ROWS + 3])
+def test_hermitian_defect_is_the_whole_matrix_maximum(n):
+    # row blocks take the max of the same per-entry values: bit-identical
+    def whole(m):
+        return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+
+    general = seeded_matrix(n, seed=n)
+    hermitian = seeded_matrix(n, seed=n, hermitian=True)
+    nearly = hermitian.copy()
+    if n:
+        nearly[n - 1, n - 2] += 1e-13j  # both rows of the deviation in the last block
+    for m in (general, hermitian, nearly, np.asfortranarray(general), general.real.copy()):
+        assert hermitian_defect(m) == whole(m)
+    if n:
+        general[0, n - 1] = np.nan
+        assert np.isnan(hermitian_defect(general))

@@ -37,6 +37,14 @@ def test_truncate_toeplitz_consistency():
     assert src.self_adjoint
 
 
+def test_toeplitz_source_entries_at_any_degree():
+    f = parse_trig_expression("1+0.5cos7x+0.25sin3x")  # degree 7 > order 5
+    src = toeplitz_source(f)
+    for n in (1, 5, 16):
+        assert np.array_equal(truncate(src, n), toeplitz_section(f, n))
+    assert src.entry(np.array([], dtype=int), np.array([], dtype=int)).shape == (0,)
+
+
 def test_truncate_separable_kernel_rank_one():
     assert numerical_rank(truncate(hs_decay_source(1.0), 8)) == 1
 

@@ -1,7 +1,13 @@
 """Tests for the preconditioned conjugate gradient harness."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+
+import precondlab.algebras
+import precondlab.solver
+import precondlab.toeplitz
 
 from precondlab.algebras import (
     ALGEBRA_KINDS,
@@ -9,11 +15,13 @@ from precondlab.algebras import (
     contiguous_partition,
     custom_algebra,
     make_algebra,
+    project,
     project_toeplitz_fast,
 )
 from precondlab.errors import (
     MaxIterationsError,
     NotPositiveDefiniteError,
+    NotUnitaryError,
 )
 from precondlab.solver import build_preconditioner, pcg, scaling_study
 from precondlab.symbols import constant, parse_trig_expression
@@ -189,3 +197,81 @@ def test_transform_preconditioners_never_build_the_unitary(kind, monkeypatch):
                                ("pinched", contiguous_partition(64, 4))):
         trace = pcg(a, b, precond=precond, alg_kind=kind, partition=partition, tol=1e-10)
         assert trace.converged
+
+
+# ---------------------------------------------------------------------------
+# closed-form diagonal of a ToeplitzOperator
+
+
+@pytest.mark.parametrize("kind", ALGEBRA_KINDS)
+def test_toeplitz_operator_preconditioner_matches_dense_section(kind):
+    f = parse_trig_expression("3+cos+0.4sin2x")
+    n = 96
+    b = np.random.default_rng(6).standard_normal(n).astype(complex)
+    fast = pcg(ToeplitzOperator(f, n), b, precond="algebra_projection",
+               alg_kind=kind, tol=1e-12)
+    dense = pcg(toeplitz_section(f, n), b, precond="algebra_projection",
+                alg_kind=kind, tol=1e-12)
+    assert fast.iterations == dense.iterations
+    np.testing.assert_allclose(fast.residual_history, dense.residual_history,
+                               rtol=1e-6, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", ALGEBRA_KINDS)
+def test_toeplitz_operator_preconditioner_inverts_the_projection(kind):
+    f = parse_trig_expression("3+cos+0.4sin2x")
+    n = 48
+    _, apply = build_preconditioner(ToeplitzOperator(f, n), "algebra_projection",
+                                    alg_kind=kind)
+    p = project(make_algebra(kind, n), toeplitz_section(f, n))
+    r = np.random.default_rng(7).standard_normal(n) + 1j
+    np.testing.assert_allclose(apply(r), np.linalg.solve(p, r), atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ALGEBRA_KINDS)
+def test_toeplitz_operator_preconditioner_skips_dense_work(kind, monkeypatch):
+    def refuse(name):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{name} was called")
+        return fail
+
+    monkeypatch.setattr(ToeplitzOperator, "dense", refuse("ToeplitzOperator.dense"))
+    monkeypatch.setattr(precondlab.toeplitz, "toeplitz_section", refuse("toeplitz_section"))
+    for module in (precondlab.algebras, precondlab.solver):
+        monkeypatch.setattr(module, "eigenbasis", refuse("eigenbasis"))
+        monkeypatch.setattr(module, "algebra_diagonal", refuse("algebra_diagonal"))
+    monkeypatch.setattr(TransformAlgebra, "unitary",
+                        property(lambda alg: refuse("unitary")()))
+    op = ToeplitzOperator(parse_trig_expression("2-2cos+delta(0.01)"), 256)
+    trace = pcg(op, np.ones(256, dtype=complex), precond="algebra_projection",
+                alg_kind=kind, tol=1e-10)
+    assert trace.converged
+    if kind == "sine":
+        assert trace.iterations == 1
+
+
+@pytest.mark.parametrize("kind", ALGEBRA_KINDS)
+def test_scaled_transform_fails_at_build(kind):
+    def factory(n):
+        alg = make_algebra(kind, n)
+
+        def scaled(x, out=None):
+            return np.multiply(alg.transform(x), 1 + 1e-6, out=out)
+
+        return dataclasses.replace(alg, transform=scaled)
+
+    op = ToeplitzOperator(parse_trig_expression("3+cos"), 64)
+    with pytest.raises(NotUnitaryError, match=kind):
+        build_preconditioner(op, "algebra_projection", alg_kind=factory)
+    build_preconditioner(op, "algebra_projection", alg_kind=kind)
+
+
+@pytest.mark.parametrize("kind", ALGEBRA_KINDS)
+def test_indefinite_symbol_fails_before_the_first_iteration(kind, monkeypatch):
+    def refuse(self, x):
+        raise AssertionError("an iteration started")
+
+    monkeypatch.setattr(ToeplitzOperator, "matvec", refuse)
+    op = ToeplitzOperator(parse_trig_expression("cos"), 64)
+    with pytest.raises(NotPositiveDefiniteError, match="clamp"):
+        pcg(op, np.ones(64, dtype=complex), precond="algebra_projection", alg_kind=kind)

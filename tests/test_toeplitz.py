@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from precondlab.linalg import hermitian_eigvalues, is_hermitian, singular_values
 from precondlab.symbols import Symbol, constant, cosine, parse_trig_expression, product
@@ -123,3 +124,47 @@ def test_operator_complex_symbol():
     op = ToeplitzOperator(f, 33)
     x = np.arange(33, dtype=np.complex128)
     assert np.max(np.abs(op.matvec(x) - op.dense() @ x)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# coefficient arrays
+
+
+def per_index_section(f, n):
+    """The section from one coefficient look-up per entry of its first row and column."""
+    col = np.array([f.coefficient(m) for m in range(n)], dtype=np.complex128)
+    row = np.array([f.coefficient(-m) for m in range(n)], dtype=np.complex128)
+    return scipy.linalg.toeplitz(col, row)
+
+
+COMPLEX_DEGREE_SIX = Symbol(
+    {0: 1.5, 1: 0.3 - 0.2j, -1: 0.1j, 2: -0.4, -3: 0.25 + 0.5j, 6: 0.2j, -6: -0.7}
+)
+
+
+def test_coefficient_array_window():
+    f = COMPLEX_DEGREE_SIX
+    window = f.coefficient_array(-7, 8)
+    assert window.dtype == np.complex128
+    assert list(window) == [f.coefficient(k) for k in range(-7, 8)]
+    assert list(f.coefficient_array(1, 3)) == [f.coefficient(1), f.coefficient(2)]
+    assert f.coefficient_array(4, 4).shape == (0,)
+    assert f.coefficient_array(5, 2).shape == (0,)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 16])
+def test_sections_match_per_index_construction(n):
+    f = COMPLEX_DEGREE_SIX
+    assert np.array_equal(toeplitz_section(f, n), per_index_section(f, n))
+    vals = np.array([f.coefficient(m + 1) for m in range(2 * n - 1)], dtype=np.complex128)
+    assert np.array_equal(hankel_section(f, n), scipy.linalg.hankel(vals[:n], vals[n - 1 :]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 64])
+def test_operator_matvec_matches_section_at_any_degree(n):
+    # degree 6 >= n for the small orders: lags |k| >= n must drop out
+    f = COMPLEX_DEGREE_SIX
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    op = ToeplitzOperator(f, n)
+    np.testing.assert_allclose(op.matvec(x), toeplitz_section(f, n) @ x, atol=1e-13)
