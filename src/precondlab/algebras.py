@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BadPartitionError,
@@ -36,6 +35,7 @@ from .errors import (
 )
 from .linalg import as_square, frobenius_norm_sq
 from .symbols import Symbol
+from .toeplitz import toeplitz_from_lags
 
 UNITARITY_RTOL = 1e-10
 TRACE_RTOL = 1e-10
@@ -390,7 +390,9 @@ def project_toeplitz_fast(f: Symbol, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("order must be >= 1")
-    return scipy.linalg.circulant(optimal_circulant_column(f, n))
+    c = optimal_circulant_column(f, n)
+    # entry c_{(j-k) mod n} is Toeplitz lag j-k of (c_1, ..., c_{n-1}, c_0, ..., c_{n-1})
+    return toeplitz_from_lags(np.concatenate((c[1:], c)))
 
 
 @dataclass(frozen=True)
@@ -468,8 +470,3 @@ def project_pinched(alg: TransformAlgebra, partition: PinchingPartition, a) -> n
     u = alg.unitary
     return u @ pinch(partition, transformed) @ u.conj().T
 
-
-def projection_defect_sq(alg: TransformAlgebra, a) -> float:
-    """Squared Frobenius distance from A to its algebra projection."""
-    m = as_square(a)
-    return frobenius_norm_sq(m - project(alg, m))

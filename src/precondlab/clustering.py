@@ -29,10 +29,10 @@ from .linalg import (
     frobenius_norm_sq,
     hermitian_eig,
     hermitian_eigvalues,
-    hermitian_eigvalues_overwrite,
+    hermitian_eigvalues_unchecked,
     is_hermitian,
     singular_values,
-    singular_values_overwrite,
+    singular_values_unchecked,
 )
 
 DEFAULT_LADDER = (64, 128, 256, 512)
@@ -239,7 +239,7 @@ def _algebra_deviations(a, alg: TransformAlgebra, mode: str) -> tuple[float, np.
     """The same for B = U diag(d) U*, the projection of A, read off W = U* A U.
 
     With d = diag W: A - B = U offdiag(W) U*, and B^{-1/2} A B^{-1/2} is
-    unitarily similar to D^{-1/2} W D^{-1/2}.  W is factorized in place.
+    unitarily similar to D^{-1/2} W D^{-1/2}, which is scaled in W's memory.
     """
     ma = as_square(a)
     hermitian = is_hermitian(ma, tol=HERMITIAN_EIG_TOL)
@@ -253,14 +253,14 @@ def _algebra_deviations(a, alg: TransformAlgebra, mode: str) -> tuple[float, np.
     fro = frobenius_norm_sq(w)
     if mode == "difference":
         if hermitian:
-            return fro, np.abs(hermitian_eigvalues_overwrite(w))
-        return fro, singular_values_overwrite(w)
+            return fro, np.abs(hermitian_eigvalues_unchecked(w))
+        return fro, singular_values_unchecked(w)
     _check_positive(d)
     np.fill_diagonal(w, d)
     scale = 1.0 / np.sqrt(d)
     w *= scale[:, None]
     w *= scale[None, :]
-    return fro, np.abs(hermitian_eigvalues_overwrite(w) - 1.0)
+    return fro, np.abs(hermitian_eigvalues_unchecked(w) - 1.0)
 
 
 def build_cluster_report(

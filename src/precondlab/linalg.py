@@ -8,7 +8,6 @@ Every other module builds on these routines.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -39,30 +38,33 @@ def as_square(a) -> np.ndarray:
     return m
 
 
-def hermitian_defect(a) -> float:
-    """Max entrywise deviation |A - A*|, scaled check left to callers.
+def _defect_and_peak(m: np.ndarray) -> tuple[float, float]:
+    """(max |A[j,k] - conj(A[k,j])|, max |A[j,k]|) of a square matrix.
 
     Taken over blocks of HERMITIAN_BLOCK_ROWS rows, so the temporaries are
     a few rows wide instead of n x n.
     """
-    m = as_square(a)
-    n = m.shape[0]
     if not m.size:
-        return 0.0
-    block_max = []
-    for lo in range(0, n, HERMITIAN_BLOCK_ROWS):
+        return 0.0, 0.0
+    defects, peaks = [], []
+    for lo in range(0, m.shape[0], HERMITIAN_BLOCK_ROWS):
         rows = m[lo : lo + HERMITIAN_BLOCK_ROWS]
+        peaks.append(np.max(np.abs(rows)))
         diff = m[:, lo : lo + HERMITIAN_BLOCK_ROWS].conj().T  # rows of A*
         np.subtract(rows, diff, out=diff)
-        block_max.append(np.max(np.abs(diff)))
-    return float(np.max(block_max))
+        defects.append(np.max(np.abs(diff)))
+    return float(np.max(defects)), float(np.max(peaks))
+
+
+def hermitian_defect(a) -> float:
+    """Max entrywise deviation |A - A*|, scaled check left to callers."""
+    return _defect_and_peak(as_square(a))[0]
 
 
 def is_hermitian(a, tol: float = 1e-12) -> bool:
     """True when max|A[j,k] - conj(A[k,j])| <= tol * (1 + max|entry|)."""
-    m = as_square(a)
-    scale = 1.0 + (float(np.max(np.abs(m))) if m.size else 0.0)
-    return hermitian_defect(m) <= tol * scale
+    defect, peak = _defect_and_peak(as_square(a))
+    return defect <= tol * (1.0 + peak)
 
 
 def frobenius_norm_sq(a) -> float:
@@ -126,30 +128,34 @@ def singular_values(a) -> np.ndarray:
 def _lapack_view(m: np.ndarray) -> np.ndarray:
     """m, or for a C-ordered m its Fortran-ordered transpose view.
 
-    LAPACK can then work in m's memory.  The transpose has the same
-    singular values and, for Hermitian m, the same eigenvalues.
+    NumPy hands LAPACK a Fortran-ordered working copy, which is then a
+    plain memory copy.  The transpose has the same singular values and,
+    for Hermitian m, the same eigenvalues.
     """
     return m.T if m.flags.c_contiguous else m
 
 
-def hermitian_eigvalues_overwrite(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian complex128 matrix, ascending; A is destroyed.
+def hermitian_eigvalues_unchecked(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian complex128 matrix, ascending; A is left as is.
 
     Unlike `hermitian_eigvalues` it makes neither a symmetry check nor a
-    symmetrized copy: LAPACK reads one triangle, in A's own memory.
+    symmetrized copy: the caller vouches that A is Hermitian, and LAPACK
+    reads one triangle of NumPy's working copy.
     """
     try:
-        return scipy.linalg.eigvalsh(
-            _lapack_view(a), overwrite_a=True, check_finite=False
-        )
+        return np.linalg.eigvalsh(_lapack_view(a))
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eigvalsh failed to converge: {exc}") from exc
 
 
-def singular_values_overwrite(a: np.ndarray) -> np.ndarray:
-    """Singular values of a complex128 matrix, ascending; A is destroyed."""
+def singular_values_unchecked(a: np.ndarray) -> np.ndarray:
+    """Singular values of a complex128 matrix, ascending; A is left as is.
+
+    Unlike `singular_values` it takes A's dtype as given and lets LAPACK
+    factor the transpose of a C-ordered A.
+    """
     try:
-        s = scipy.linalg.svdvals(_lapack_view(a), overwrite_a=True, check_finite=False)
+        s = np.linalg.svd(_lapack_view(a), compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"svd failed to converge: {exc}") from exc
     return s[::-1].copy()

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .algebras import (
     PinchingPartition,
@@ -107,22 +106,28 @@ def _diagonal_inverse(alg: TransformAlgebra, d: np.ndarray) -> Callable:
 def _pinched_inverse(
     alg: TransformAlgebra, partition: PinchingPartition, a_dense: np.ndarray
 ) -> Callable:
+    """x -> U pinch(U* A U)^{-1} U* x, each block factored once by Cholesky.
+
+    With sub = L L*, sub^{-1} r = L^{-*} (L^{-1} r); L^{-1} is kept per block.
+    """
     forward, back = _unitary_maps(alg)
     blocked = pinch(partition, eigenbasis(alg, a_dense))
     factors = []
     for block in partition.blocks:
-        sub = blocked[np.ix_(block, block)]
+        idx = np.array(block)
+        sub = blocked[np.ix_(idx, idx)]
         sub = 0.5 * (sub + sub.conj().T)
         try:
-            factors.append((block, scipy.linalg.cho_factor(sub)))
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+            l_inv = np.linalg.inv(np.linalg.cholesky(sub))
+        except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError(f"pinched block is not HPD: {exc}") from exc
+        factors.append((idx, l_inv))
 
     def apply(r):
         rt = forward(r)
         zt = np.empty_like(rt)
-        for block, factor in factors:
-            zt[list(block)] = scipy.linalg.cho_solve(factor, rt[list(block)])
+        for idx, l_inv in factors:
+            zt[idx] = l_inv.conj().T @ (l_inv @ rt[idx])
         return back(zt)
 
     return apply

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatchError
 from .linalg import as_square, operator_norm, singular_values
@@ -19,12 +19,21 @@ from .symbols import Symbol, product
 RANK_CUTOFF = 1e-10
 
 
+def toeplitz_from_lags(a: np.ndarray) -> np.ndarray:
+    """The n x n matrix with entries a[n-1 + j-k], from a of length 2n-1.
+
+    Row j is the window a[j : j+n] read backwards.  The reversed array is
+    copied first, so that the final copy reads every row forward.
+    """
+    n = (len(a) + 1) // 2
+    return sliding_window_view(a[::-1].copy(), n)[::-1].copy()
+
+
 def toeplitz_section(f: Symbol, n: int) -> np.ndarray:
     """Dense n x n section with entries a_{j-k}; Hermitian iff f is real."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    a = f.coefficient_array(1 - n, n)  # a_{1-n}, ..., a_{n-1}
-    return scipy.linalg.toeplitz(a[n - 1 :], a[n - 1 :: -1])
+    return toeplitz_from_lags(f.coefficient_array(1 - n, n))  # a_{1-n}, ..., a_{n-1}
 
 
 def hankel_section(f: Symbol, n: int) -> np.ndarray:
@@ -32,7 +41,7 @@ def hankel_section(f: Symbol, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("order must be >= 1")
     vals = f.coefficient_array(1, 2 * n)  # a_1, ..., a_{2n-1}
-    return scipy.linalg.hankel(vals[:n], vals[n - 1 :])
+    return sliding_window_view(vals, n).copy()
 
 
 def product_correction(g: Symbol, n: int) -> np.ndarray:

@@ -17,6 +17,7 @@ from precondlab.algebras import (
     eigenbasis,
     lag_sum,
     make_algebra,
+    optimal_circulant_column,
     pinch,
     project,
     project_pinched,
@@ -298,6 +299,18 @@ def test_fast_path_matches_generic_for_complex_symbol():
     n = 32
     generic = project(make_algebra("fourier", n), toeplitz_section(f, n))
     assert np.max(np.abs(generic - project_toeplitz_fast(f, n))) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 64, 129])
+def test_fast_path_matches_entrywise_circulant(n):
+    rng = np.random.default_rng(n)
+    degree = n + 2  # lags |k| >= n fall outside the section
+    f = Symbol({k: complex(*rng.standard_normal(2)) for k in range(-degree, degree + 1)})
+    c = optimal_circulant_column(f, n)
+    fast = project_toeplitz_fast(f, n)
+    assert fast.shape == (n, n) and fast.dtype == np.complex128
+    assert fast.flags.c_contiguous and fast.flags.writeable and fast.flags.owndata
+    assert np.array_equal(fast, [[c[(j - k) % n] for k in range(n)] for j in range(n)])
 
 
 # ---------------------------------------------------------------------------

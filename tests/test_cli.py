@@ -1,9 +1,15 @@
 """Tests for the experiment runner CLI."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import precondlab
 from precondlab.algebras import ALGEBRA_KINDS, TransformAlgebra
 from precondlab.cli import SUBCOMMANDS, load_config, main, resolve_symbol
 from precondlab.errors import ParseError
@@ -334,3 +340,54 @@ def test_cluster_scan_byte_identical(tmp_path, capsys):
         dirs.append(out_dir)
     for fname in ("cluster_scan.csv", "cluster_scan.json"):
         assert (dirs[0] / fname).read_bytes() == (dirs[1] / fname).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the runtime needs NumPy only
+
+SRC = Path(precondlab.__file__).resolve().parents[1]
+
+IMPORT_GUARD = """
+import json, sys
+import numpy as np
+import precondlab
+from precondlab import cli, solver
+from precondlab.algebras import contiguous_partition
+from precondlab.symbols import parse_trig_expression
+from precondlab.toeplitz import toeplitz_section
+
+outdir, commands = sys.argv[1], json.loads(sys.argv[2])
+for i, argv in enumerate(commands):
+    assert cli.main(argv + ["--outdir", f"{outdir}/{i}"]) == 0, argv
+a = toeplitz_section(parse_trig_expression("3+cos"), 16)
+solver.pcg(a, np.ones(16, dtype=complex), precond="pinched", alg_kind="sine",
+           partition=contiguous_partition(16, 4))
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("scipy"))))
+"""
+
+
+def test_commands_and_solves_never_import_scipy(tmp_path):
+    ladder = ["--ladder", "8,16,32,64"]
+    commands = [
+        ["cluster-scan", "--symbol", "preset:2+cos+0.5sin2x", *ladder],
+        ["cluster-scan", "--symbol", "preset:2+cos", "--algebra", "sine", *ladder,
+         "--preconditioned"],
+        ["operator-scan", "--source", "rank1(0.5)", "--algebra", "hartley", *ladder],
+        ["lpo-rates", "--testset", "classical", *ladder],
+        ["korovkin-test", "--generators", "cos;sin", "--holdout", "2+cos", *ladder],
+        ["pcg-bench", "--symbol", "preset:2+cos", "--ladder", "16,32"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, str(tmp_path), json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
+def test_sources_do_not_import_scipy():
+    sources = sorted((SRC / "precondlab").rglob("*.py"))
+    assert sources
+    imports = re.compile(r"^\s*(import|from)\s+scipy\b", re.MULTILINE)
+    assert [p.name for p in sources if imports.search(p.read_text())] == []

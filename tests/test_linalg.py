@@ -222,3 +222,14 @@ def test_hermitian_defect_is_the_whole_matrix_maximum(n):
     if n:
         general[0, n - 1] = np.nan
         assert np.isnan(hermitian_defect(general))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, HERMITIAN_BLOCK_ROWS, 2 * HERMITIAN_BLOCK_ROWS + 3])
+def test_is_hermitian_scales_by_the_whole_matrix_maximum(n):
+    m = seeded_matrix(n, seed=n, hermitian=True)
+    m[n - 1, n - 1] = 1e3  # the largest entry sits in the last row block
+    m[0, n - 1] += 1e-9
+    defect = float(np.max(np.abs(m - m.conj().T)))
+    threshold = defect / (1.0 + float(np.max(np.abs(m))))
+    for tol in (threshold * 0.999, threshold * 1.001):
+        assert is_hermitian(m, tol=tol) == (tol >= threshold)

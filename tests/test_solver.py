@@ -120,6 +120,25 @@ def test_pinched_preconditioner_converges():
     assert trace.iterations <= plain.iterations
 
 
+@pytest.mark.parametrize("kind, iterations", [("fourier", 14), ("sine", 1), ("hartley", 15)])
+def test_pinched_cholesky_blocks_keep_iteration_counts(kind, iterations):
+    # counts of the LAPACK cho_factor/cho_solve blocks this path replaced
+    f = parse_trig_expression("2-2cos+delta(0.01)")
+    n = 128
+    trace = pcg(
+        toeplitz_section(f, n), np.ones(n, dtype=complex), precond="pinched",
+        alg_kind=kind, partition=contiguous_partition(n, 4), tol=1e-10,
+    )
+    assert trace.converged
+    assert trace.iterations == iterations
+
+
+def test_pinched_rejects_indefinite_block():
+    a = toeplitz_section(parse_trig_expression("cos"), 32)  # eigenvalues of both signs
+    with pytest.raises(NotPositiveDefiniteError, match="pinched block is not HPD"):
+        build_preconditioner(a, "pinched", partition=contiguous_partition(32, 4))
+
+
 def test_pinched_requires_partition():
     with pytest.raises(ValueError):
         build_preconditioner(np.eye(8, dtype=complex), "pinched")

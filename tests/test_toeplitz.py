@@ -160,6 +160,20 @@ def test_sections_match_per_index_construction(n):
     assert np.array_equal(hankel_section(f, n), scipy.linalg.hankel(vals[:n], vals[n - 1 :]))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 64, 129])
+def test_sections_match_entrywise_definition(n):
+    # complex, non-Hermitian, degree >= 2n: every lag of both sections is distinct
+    rng = np.random.default_rng(n)
+    a = {k: complex(*rng.standard_normal(2)) for k in range(-2 * n - 1, 2 * n + 2)}
+    f = Symbol(a)
+    t, h = toeplitz_section(f, n), hankel_section(f, n)
+    for m in (t, h):
+        assert m.shape == (n, n) and m.dtype == np.complex128
+        assert m.flags.c_contiguous and m.flags.writeable and m.flags.owndata
+    assert np.array_equal(t, [[a[j - k] for k in range(n)] for j in range(n)])
+    assert np.array_equal(h, [[a[j + k + 1] for k in range(n)] for j in range(n)])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 64])
 def test_operator_matvec_matches_section_at_any_degree(n):
     # degree 6 >= n for the small orders: lags |k| >= n must drop out
