@@ -15,6 +15,7 @@ from .algebras import (
     contiguous_partition,
     custom_algebra,
     eigenbasis,
+    from_eigenbasis,
     make_algebra,
     pinch,
     project,

@@ -13,11 +13,13 @@ plus custom Vandermonde algebras from any user-supplied unitary.
 
 The Frobenius-optimal projection of A onto the algebra keeps only the
 diagonal of U* A U:  project(A) = U diag(U* A U) U*.  The pinched variant
-keeps whole diagonal blocks instead of single entries.  For the built-in
-kinds, U* A U (``eigenbasis``) comes from fast transforms along both axes
-(FFT, DST-I, DHT) in O(n^2 log n), without forming U, and the diagonal of
-U* T_n(f) U of a Toeplitz section (``toeplitz_diagonal``) from closed
-forms in O(n log n) or O(n deg f), without forming the section.
+keeps whole diagonal blocks instead of single entries.  Every algebra
+carries x -> U* x (``transform``) and z -> U z (``inverse``).  For the
+built-in kinds these are fast transforms (FFT, DST-I, DHT), so U* A U
+(``eigenbasis``) and U W U* (``from_eigenbasis``) cost O(n^2 log n)
+without forming U, and the diagonal of U* T_n(f) U of a Toeplitz section
+(``toeplitz_diagonal``) comes from closed forms in O(n log n) or
+O(n deg f), without forming the section.
 """
 
 from __future__ import annotations
@@ -60,11 +62,10 @@ class TransformAlgebra:
     for integer lags |k| < n, in closed form.  Only ``make_algebra`` sets
     it; custom algebras fall back to the dense basis block.
 
-    ``transform(x, out=None)`` returns U* x along axis 0 in O(n log n) per
-    column, written to ``out`` when given (``out`` may be ``x``).  Only
-    ``make_algebra`` sets it.  The three built-in unitaries are symmetric,
-    so U x = conj(transform(conj x)).  Custom algebras multiply by their
-    dense unitary instead.
+    ``transform(x, out=None)`` returns U* x and ``inverse(z, out=None)``
+    returns U z, along axis 0, written to ``out`` when given (``out`` may be
+    the input).  A built-in algebra applies its fast transform in O(n log n)
+    per column; a custom algebra multiplies by its dense unitary.
     """
 
     kind: str
@@ -73,6 +74,7 @@ class TransformAlgebra:
     basis: Optional[Callable[[np.ndarray], np.ndarray]] = None
     lag_weights: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     transform: Optional[Callable[..., np.ndarray]] = None
+    inverse: Optional[Callable[..., np.ndarray]] = None
     # The checked unitary: passed in by custom_algebra, or set on first read.
     _unitary: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -119,6 +121,22 @@ def _dirichlet_ratio(m, xs) -> np.ndarray:
 def _fourier_transform(x, out=None) -> np.ndarray:
     """Orthonormal DFT along axis 0: the Fourier U* x."""
     return np.fft.fft(x, axis=0, norm="ortho", out=out)
+
+
+def _fourier_inverse(z, out=None) -> np.ndarray:
+    """Orthonormal inverse DFT along axis 0: the Fourier U z."""
+    return np.fft.ifft(z, axis=0, norm="ortho", out=out)
+
+
+def _conjugated(transform: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
+    """U z = conj(U* conj z), the inverse of a transform whose U is symmetric."""
+
+    def inverse(z, out=None):
+        y = np.conjugate(z, out=out, dtype=np.complex128)
+        transform(y, out=y)
+        return np.conjugate(y, out=y)
+
+    return inverse
 
 
 def _sine_transform(x, out=None) -> np.ndarray:
@@ -178,7 +196,7 @@ def make_algebra(kind: str, n: int) -> TransformAlgebra:
         def lag_weights(ks, xs, _n=n):
             return (_n - np.abs(ks)) / _n * np.exp(1j * np.outer(xs, ks))
 
-        transform = _fourier_transform
+        transform, inverse = _fourier_transform, _fourier_inverse
 
     elif kind == "sine":
         grid = np.pi * np.arange(1, n + 1) / (n + 1)
@@ -194,6 +212,7 @@ def make_algebra(kind: str, n: int) -> TransformAlgebra:
             return (m * np.cos(ks * x) - edge) / (_n + 1)
 
         transform = _sine_transform
+        inverse = _conjugated(transform)
 
     elif kind == "hartley":
         grid = 2.0 * np.pi * np.arange(n) / n
@@ -211,6 +230,7 @@ def make_algebra(kind: str, n: int) -> TransformAlgebra:
             return (m * np.cos(ks * x) + edge) / _n
 
         transform = _hartley_transform
+        inverse = _conjugated(transform)
 
     else:
         raise ValueError(
@@ -218,7 +238,7 @@ def make_algebra(kind: str, n: int) -> TransformAlgebra:
         )
     return TransformAlgebra(
         kind=kind, order=n, grid=grid, basis=basis, lag_weights=lag_weights,
-        transform=transform,
+        transform=transform, inverse=inverse,
     )
 
 
@@ -231,9 +251,13 @@ def custom_algebra(
     """Wrap an arbitrary unitary as a CustomVandermonde algebra."""
     u = as_square(np.asarray(unitary, dtype=np.complex128))
     _check_unitary(u, kind)
+    uh = u.conj().T
     g = None if grid is None else np.asarray(grid, dtype=np.float64)
     return TransformAlgebra(
-        kind=kind, order=u.shape[0], grid=g, basis=basis, _unitary=u
+        kind=kind, order=u.shape[0], grid=g, basis=basis,
+        transform=lambda x, out=None: np.matmul(uh, x, out=out),
+        inverse=lambda z, out=None: np.matmul(u, z, out=out),
+        _unitary=u,
     )
 
 
@@ -260,13 +284,12 @@ def resolve_algebra_factory(kind, seed: int = 42) -> tuple[str, AlgebraFactory]:
     return name, lambda n: make_algebra(name, n)
 
 
-def eigenbasis(alg: TransformAlgebra, a) -> np.ndarray:
-    """W = U* A U, the matrix A in the algebra's eigenbasis, as a new array.
+def _two_sided(alg: TransformAlgebra, apply: Callable[..., np.ndarray], a) -> np.ndarray:
+    """M A M* for the map apply(x) = M x along axis 0, as a new array.
 
-    A built-in algebra applies its transform along both axes in place,
-    W = (U* (U* A)*)*, in O(n^2 log n) without forming U.  Its unitary
-    check is ||W||_F^2 = ||A||_F^2 to UNITARITY_RTOL * sqrt(n), relative.
-    A custom algebra multiplies by its dense, already checked unitary.
+    Computed in place as (apply (apply A)*)*, then checked against the
+    unitary invariant ||M A M*||_F^2 = ||A||_F^2 to UNITARITY_RTOL * sqrt(n),
+    relative.
     """
     m = as_square(a)
     n = m.shape[0]
@@ -274,19 +297,26 @@ def eigenbasis(alg: TransformAlgebra, a) -> np.ndarray:
         raise DimensionMismatchError(
             f"matrix order {n} does not match algebra order {alg.order}"
         )
-    if alg.transform is None:
-        u = alg.unitary
-        return u.conj().T @ m @ u
-    w = alg.transform(m)
-    np.conjugate(w, out=w)  # now w.T = (U* A)*
-    alg.transform(w.T, out=w.T)  # now w.T = U* A* U = W*
+    w = apply(m)
+    np.conjugate(w, out=w)  # now w.T = (M A)*
+    apply(w.T, out=w.T)  # now w.T = M A* M* = (M A M*)*
     np.conjugate(w, out=w)
     _check_norm_kept(alg, frobenius_norm_sq(m), frobenius_norm_sq(w))
     return w
 
 
+def eigenbasis(alg: TransformAlgebra, a) -> np.ndarray:
+    """W = U* A U, the matrix A in the algebra's eigenbasis, as a new array."""
+    return _two_sided(alg, alg.transform, a)
+
+
+def from_eigenbasis(alg: TransformAlgebra, w) -> np.ndarray:
+    """U W U*, the matrix with eigenbasis coordinates W, as a new array."""
+    return _two_sided(alg, alg.inverse, w)
+
+
 def _check_norm_kept(alg: TransformAlgebra, before: float, after: float) -> None:
-    """Squared norms before and after U* agree to UNITARITY_RTOL * sqrt(n)."""
+    """Squared norms before and after a map agree to UNITARITY_RTOL * sqrt(n)."""
     defect = abs(after - before)
     if defect > UNITARITY_RTOL * np.sqrt(alg.order) * before:
         raise NotUnitaryError(
@@ -298,8 +328,8 @@ def _check_norm_kept(alg: TransformAlgebra, before: float, after: float) -> None
 def check_transform(alg: TransformAlgebra) -> None:
     """Check that ``alg.transform`` keeps the norm of one fixed vector.
 
-    O(n log n): the per-build unitarity check of a built-in algebra whose
-    unitary is never formed.
+    The per-build unitarity check of a preconditioner, O(n log n) on a
+    built-in algebra, whose unitary is never formed.
     """
     x = np.arange(1.0, alg.order + 1.0)
     y = alg.transform(x)
@@ -312,10 +342,8 @@ def algebra_diagonal(alg: TransformAlgebra, a) -> np.ndarray:
 
 
 def project(alg: TransformAlgebra, a) -> np.ndarray:
-    """Frobenius-optimal approximant of A inside the algebra."""
-    u = alg.unitary
-    d = algebra_diagonal(alg, a)
-    return (u * d) @ u.conj().T
+    """Frobenius-optimal approximant U diag(U* A U) U* of A inside the algebra."""
+    return from_eigenbasis(alg, np.diag(algebra_diagonal(alg, a)))
 
 
 def optimal_circulant_column(f: Symbol, n: int) -> np.ndarray:
@@ -466,7 +494,5 @@ def project_pinched(alg: TransformAlgebra, partition: PinchingPartition, a) -> n
     adjoint, trace and Frobenius-Pythagoras identities and is never farther
     from A than the plain projection.
     """
-    transformed = eigenbasis(alg, a)
-    u = alg.unitary
-    return u @ pinch(partition, transformed) @ u.conj().T
+    return from_eigenbasis(alg, pinch(partition, eigenbasis(alg, a)))
 

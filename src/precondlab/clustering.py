@@ -5,8 +5,8 @@ Whether a sequence clusters uniformly, strongly, weakly or not at all is
 undecidable from finite data, so the classifier applies fixed desk-scale
 decision rules: plateaus of the last three ladder counts (within +-1),
 log-log growth slopes (weak iff <= 0.8 for every eps), and a bounded
-Frobenius trend (within 1.2x of the second ladder value).  All thresholds
-are keyword-configurable with these defaults.
+Frobenius trend (within 1.2x of the second ladder value).  The thresholds
+are the module constants PLATEAU_TOL, SLOPE_THRESHOLD and BOUNDED_RATIO.
 """
 
 from __future__ import annotations
@@ -75,13 +75,7 @@ def _fit_slope(ns, counts) -> Optional[float]:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def classify(
-    counts: dict,
-    ladder,
-    epsilons,
-    plateau_tol: int = PLATEAU_TOL,
-    slope_threshold: float = SLOPE_THRESHOLD,
-) -> tuple[str, dict]:
+def classify(counts: dict, ladder, epsilons) -> tuple[str, dict]:
     """Classify a table N(n, eps) of outlier counts.
 
     Returns ``(classification, slopes)`` where classification is one of
@@ -97,25 +91,23 @@ def classify(
     for eps in epsilons:
         per_eps = [int(counts[(n, eps)]) for n in ladder]
         tail = [int(counts[(n, eps)]) for n in last3]
-        plateau[eps] = (max(tail) - min(tail)) <= plateau_tol
+        plateau[eps] = (max(tail) - min(tail)) <= PLATEAU_TOL
         slopes[eps] = _fit_slope(ladder, per_eps)
 
     if all(plateau.values()):
         tail_all = [int(counts[(n, eps)]) for n in last3 for eps in epsilons]
-        if max(tail_all) - min(tail_all) <= plateau_tol:
+        if max(tail_all) - min(tail_all) <= PLATEAU_TOL:
             return "uniform", slopes
         return "strong", slopes
-    if all(s is None or s <= slope_threshold for s in slopes.values()):
+    if all(s is None or s <= SLOPE_THRESHOLD for s in slopes.values()):
         return "weak", slopes
     return "none", slopes
 
 
-def classify_frobenius(
-    ladder, dsq, bounded_ratio: float = BOUNDED_RATIO
-) -> str:
+def classify_frobenius(ladder, dsq) -> str:
     """Cluster verdict from d(n) = ||A_n - B_n||_F^2 alone.
 
-    'strong' when d stays within bounded_ratio of its value at the second
+    'strong' when d stays within BOUNDED_RATIO of its value at the second
     ladder size (a bounded sequence certifies a strong cluster); 'weak'
     when d(n)/n decreases monotonically and ends at most half its starting
     value; 'inconclusive' otherwise.
@@ -125,7 +117,7 @@ def classify_frobenius(
     if len(d) != len(ladder) or len(d) < 2:
         raise InsufficientLadderError("need one d value per ladder size, >= 2 sizes")
     anchor = d[1]
-    if max(d) <= bounded_ratio * anchor or max(d) == 0.0:
+    if max(d) <= BOUNDED_RATIO * anchor or max(d) == 0.0:
         return "strong"
     ratios = [v / n for v, n in zip(d, ladder)]
     decreasing = all(b <= a for a, b in zip(ratios, ratios[1:]))
@@ -134,13 +126,13 @@ def classify_frobenius(
     return "inconclusive"
 
 
-def frobenius_criterion(seq_a: dict, seq_b: dict, bounded_ratio: float = BOUNDED_RATIO) -> str:
+def frobenius_criterion(seq_a: dict, seq_b: dict) -> str:
     """Apply `classify_frobenius` to two ladders of matrices (maps n -> matrix)."""
     ladder = sorted(seq_a)
     if sorted(seq_b) != ladder:
         raise DimensionMismatchError("sequences must share the same ladder")
     dsq = [frobenius_norm_sq(as_square(seq_a[n]) - as_square(seq_b[n])) for n in ladder]
-    return classify_frobenius(ladder, dsq, bounded_ratio=bounded_ratio)
+    return classify_frobenius(ladder, dsq)
 
 
 @dataclass(frozen=True)

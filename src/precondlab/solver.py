@@ -64,41 +64,20 @@ def _check_diagonal(d: np.ndarray, scale: float) -> None:
         )
 
 
-def _unitary_maps(alg: TransformAlgebra) -> tuple[Callable, Callable]:
-    """(x -> U* x, z -> U z): the fast transform when the algebra has one.
-
-    ``U z`` may overwrite z.  A fast transform is checked for unitarity on
-    one vector first.  The Fourier U is the orthonormal inverse DFT; the
-    other built-in unitaries are symmetric, so U z = conj(U* conj z).
-    """
-    if alg.transform is None:
-        u = alg.unitary
-        return (lambda x: u.conj().T @ x), (lambda z: u @ z)
-    check_transform(alg)
-    forward = alg.transform
-    if alg.kind == "fourier":
-        return forward, lambda z: np.fft.ifft(z, norm="ortho", out=z)
-
-    def back(z):
-        np.conjugate(z, out=z)
-        forward(z, out=z)
-        return np.conjugate(z, out=z)
-
-    return forward, back
-
-
 def _diagonal_inverse(alg: TransformAlgebra, d: np.ndarray) -> Callable:
     """x -> U diag(d)^{-1} U* x for the diagonal d of U* A U."""
     if np.max(np.abs(d.imag)) > 1e-8 * (1.0 + np.max(np.abs(d.real))):
         raise NotPositiveDefiniteError("projected diagonal is not real")
     dr = np.ascontiguousarray(d.real)
     _check_diagonal(dr, float(np.max(np.abs(dr))))
-    forward, back = _unitary_maps(alg)
+    check_transform(alg)
+    # Bind the maps, not alg: the closure would keep the algebra's grid alive.
+    transform, inverse = alg.transform, alg.inverse
 
     def apply(r):
-        z = forward(r)
+        z = transform(r)
         z /= dr
-        return back(z)
+        return inverse(z, out=z)
 
     return apply
 
@@ -110,7 +89,8 @@ def _pinched_inverse(
 
     With sub = L L*, sub^{-1} r = L^{-*} (L^{-1} r); L^{-1} is kept per block.
     """
-    forward, back = _unitary_maps(alg)
+    check_transform(alg)
+    transform, inverse = alg.transform, alg.inverse
     blocked = pinch(partition, eigenbasis(alg, a_dense))
     factors = []
     for block in partition.blocks:
@@ -124,11 +104,11 @@ def _pinched_inverse(
         factors.append((idx, l_inv))
 
     def apply(r):
-        rt = forward(r)
+        rt = transform(r)
         zt = np.empty_like(rt)
         for idx, l_inv in factors:
             zt[idx] = l_inv.conj().T @ (l_inv @ rt[idx])
-        return back(zt)
+        return inverse(zt, out=zt)
 
     return apply
 

@@ -17,6 +17,7 @@ from .linalg import as_square, operator_norm, singular_values
 from .symbols import Symbol, product
 
 RANK_CUTOFF = 1e-10
+NORM_SPREAD_TOL = 1e-9
 
 
 def toeplitz_from_lags(a: np.ndarray) -> np.ndarray:
@@ -57,9 +58,9 @@ def product_correction(g: Symbol, n: int) -> np.ndarray:
     return toeplitz_section(product(g, g), n) - t @ t
 
 
-def numerical_rank(a, cutoff: float = RANK_CUTOFF) -> int:
-    """Number of singular values above the cutoff."""
-    return int(np.count_nonzero(singular_values(a) > cutoff))
+def numerical_rank(a) -> int:
+    """Number of singular values above RANK_CUTOFF."""
+    return int(np.count_nonzero(singular_values(a) > RANK_CUTOFF))
 
 
 @dataclass(frozen=True)
@@ -75,19 +76,14 @@ class WidomReport:
     norm_constant_ok: bool
 
 
-def widom_correction_report(
-    g: Symbol,
-    ladder,
-    rank_cutoff: float = RANK_CUTOFF,
-    norm_spread_tol: float = 1e-9,
-) -> WidomReport:
-    """Check rank(R_n) <= 2 deg(g) and norm constancy across the ladder."""
+def widom_correction_report(g: Symbol, ladder) -> WidomReport:
+    """Check rank(R_n) <= 2 deg(g) and a norm spread <= NORM_SPREAD_TOL on the ladder."""
     ladder = tuple(int(n) for n in ladder)
     ranks: dict[int, int] = {}
     norms: dict[int, float] = {}
     for n in ladder:
         r = product_correction(g, n)
-        ranks[n] = numerical_rank(r, cutoff=rank_cutoff)
+        ranks[n] = numerical_rank(r)
         norms[n] = operator_norm(r)
     bound = 2 * g.degree
     vals = list(norms.values())
@@ -98,7 +94,7 @@ def widom_correction_report(
         ranks=ranks,
         norms=norms,
         rank_bound_ok=all(r <= bound for r in ranks.values()),
-        norm_constant_ok=(max(vals) - min(vals)) <= norm_spread_tol,
+        norm_constant_ok=(max(vals) - min(vals)) <= NORM_SPREAD_TOL,
     )
 
 

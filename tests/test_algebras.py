@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from precondlab.algebras import (
     ALGEBRA_KINDS,
     PinchingPartition,
+    TransformAlgebra,
     algebra_diagonal,
     check_transform,
     contiguous_partition,
     custom_algebra,
     eigenbasis,
+    from_eigenbasis,
     lag_sum,
     make_algebra,
     optimal_circulant_column,
@@ -140,6 +142,11 @@ def test_transform_is_the_adjoint_unitary(kind, n):
     out = x.copy()
     assert alg.transform(out, out=out) is out
     np.testing.assert_allclose(out, alg.transform(x), rtol=0, atol=1e-15 * n)
+    # inverse is U along axis 0 (a transform along the last axis fails on n x 3)
+    np.testing.assert_allclose(alg.inverse(x), u @ x, rtol=0, atol=1e-12 * n)
+    out = x.copy()
+    assert alg.inverse(out, out=out) is out
+    np.testing.assert_allclose(out, alg.inverse(x), rtol=0, atol=1e-15 * n)
 
 
 def test_eigenbasis_custom_is_dense_product():
@@ -156,13 +163,55 @@ def test_scaled_transform_is_not_unitary(kind):
     def scaled(x, out=None):
         return np.multiply(alg.transform(x), 1 + 1e-6, out=out)
 
+    def scaled_inverse(z, out=None):
+        return np.multiply(alg.inverse(z), 1 + 1e-6, out=out)
+
     bad = dataclasses.replace(alg, transform=scaled)
     a = seeded_matrix(16, seed=5)
     with pytest.raises(NotUnitaryError, match=kind):
         eigenbasis(bad, a)
     with pytest.raises(NotUnitaryError):
         algebra_diagonal(bad, a)
-    eigenbasis(alg, a)  # the unscaled transform passes the same check
+    # only U is wrong here, so the check after U W U* must be the one that fires
+    bad = dataclasses.replace(alg, inverse=scaled_inverse)
+    with pytest.raises(NotUnitaryError, match=kind):
+        from_eigenbasis(bad, a)
+    with pytest.raises(NotUnitaryError, match=kind):
+        project(bad, a)
+    eigenbasis(alg, a)  # the unscaled maps pass the same checks
+    from_eigenbasis(alg, a)
+
+
+@pytest.mark.parametrize("kind", [*ALGEBRA_KINDS, "custom"])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 64, 129])
+def test_from_eigenbasis_matches_dense_definition(kind, n):
+    alg = random_unitary_algebra(n, seed=n) if kind == "custom" else make_algebra(kind, n)
+    u = alg.unitary
+    w = seeded_matrix(n, seed=n + 1)
+    before = w.copy()
+    np.testing.assert_allclose(
+        from_eigenbasis(alg, w), u @ w @ u.conj().T, rtol=0, atol=1e-12 * n
+    )
+    assert np.array_equal(w, before), "from_eigenbasis must not write to its input"
+    np.testing.assert_allclose(
+        from_eigenbasis(alg, eigenbasis(alg, w)), w, rtol=0, atol=1e-12 * n
+    )
+
+
+@pytest.mark.parametrize("kind", ALGEBRA_KINDS)
+def test_projections_never_build_the_unitary(kind, monkeypatch):
+    def refuse(alg):
+        raise AssertionError(f"{alg.kind} unitary of order {alg.order} was built")
+
+    monkeypatch.setattr(TransformAlgebra, "unitary", property(refuse))
+    alg = make_algebra(kind, 33)
+    a = seeded_matrix(33, seed=6)
+    p = project(alg, a)
+    np.testing.assert_allclose(project(alg, p), p, atol=1e-12)
+    blocks = contiguous_partition(33, 4)
+    pinched = project_pinched(alg, blocks, a)
+    np.testing.assert_allclose(project_pinched(alg, blocks, pinched), pinched, atol=1e-12)
+    np.testing.assert_allclose(from_eigenbasis(alg, eigenbasis(alg, a)), a, atol=1e-12)
 
 
 def test_eigenbasis_dimension_mismatch():

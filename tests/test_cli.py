@@ -1,5 +1,6 @@
 """Tests for the experiment runner CLI."""
 
+import ast
 import json
 import os
 import re
@@ -11,7 +12,7 @@ import pytest
 
 import precondlab
 from precondlab.algebras import ALGEBRA_KINDS, TransformAlgebra
-from precondlab.cli import SUBCOMMANDS, load_config, main, resolve_symbol
+from precondlab.cli import SELFTEST_CHECKS, SUBCOMMANDS, load_config, main, resolve_symbol
 from precondlab.errors import ParseError
 
 
@@ -316,6 +317,7 @@ def test_spectral_commands_never_build_the_unitary(kind, tmp_path, capsys, monke
     monkeypatch.setattr(TransformAlgebra, "unitary", property(refuse))
     ladder = ["--ladder", "16,32,64,128", "--algebra", kind]
     commands = [
+        ["project", "--symbol", "preset:2+cos+0.5sin2x", "--n", "64", "--algebra", kind],
         ["cluster-scan", "--symbol", "preset:2+cos+0.5sin2x", *ladder],
         ["cluster-scan", "--symbol", "preset:2+cos+0.5sin2x", *ladder, "--preconditioned"],
         ["operator-scan", "--source", "hs_decay(1.5)", *ladder],
@@ -391,3 +393,46 @@ def test_sources_do_not_import_scipy():
     assert sources
     imports = re.compile(r"^\s*(import|from)\s+scipy\b", re.MULTILINE)
     assert [p.name for p in sources if imports.search(p.read_text())] == []
+
+
+def _names_kind(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "kind") or (
+        isinstance(node, ast.Name) and node.id.endswith("kind")
+    )
+
+
+def _kind_tests_and_unitary_reads(path: Path, exempt: set) -> list[str]:
+    """Each comparison of an algebra kind and each read of ``.unitary``.
+
+    Module-level functions named in ``exempt`` are skipped.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    skipped = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in exempt:
+            skipped.update(id(inner) for inner in ast.walk(node))
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Attribute) and node.attr == "unitary":
+            found.append(f"{path.name}:{node.lineno} reads .unitary")
+        if isinstance(node, ast.Compare) and any(
+            _names_kind(side) for side in (node.left, *node.comparators)
+        ):
+            found.append(f"{path.name}:{node.lineno} compares a kind")
+    return found
+
+
+def test_only_algebras_chooses_how_u_is_applied():
+    # Every other module applies U and U* through the algebra's own maps;
+    # the selftest oracles in cli.py check those maps against the dense U.
+    oracles = {check.__name__ for _, check in SELFTEST_CHECKS}
+    found = []
+    for path in sorted((SRC / "precondlab").rglob("*.py")):
+        if path.name != "algebras.py":
+            exempt = oracles if path.name == "cli.py" else set()
+            found += _kind_tests_and_unitary_reads(path, exempt)
+    assert found == []
+    # the guard itself sees what it forbids
+    assert _kind_tests_and_unitary_reads(SRC / "precondlab" / "cli.py", set()) != []

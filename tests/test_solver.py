@@ -204,7 +204,7 @@ def test_transform_preconditioner_matches_dense_unitary(kind):
                                rtol=1e-6, atol=1e-14)
 
 
-@pytest.mark.parametrize("kind", ("sine", "hartley"))
+@pytest.mark.parametrize("kind", ALGEBRA_KINDS)
 def test_transform_preconditioners_never_build_the_unitary(kind, monkeypatch):
     def refuse(alg):
         raise AssertionError(f"{alg.kind} unitary of order {alg.order} was built")
