@@ -326,14 +326,22 @@ def _check_norm_kept(alg: TransformAlgebra, before: float, after: float) -> None
 
 
 def check_transform(alg: TransformAlgebra) -> None:
-    """Check that ``alg.transform`` keeps the norm of one fixed vector.
+    """Check ``alg.transform`` and ``alg.inverse`` on one fixed vector x.
 
-    The per-build unitarity check of a preconditioner, O(n log n) on a
-    built-in algebra, whose unitary is never formed.
+    U* x must keep the norm of x, and U U* x must give back x within
+    UNITARITY_RTOL * sqrt(n) * ||x||.  The per-build unitarity check of a
+    preconditioner, O(n log n) on a built-in algebra, whose unitary is
+    never formed.
     """
     x = np.arange(1.0, alg.order + 1.0)
     y = alg.transform(x)
     _check_norm_kept(alg, float(np.vdot(x, x).real), float(np.vdot(y, y).real))
+    error, norm = np.linalg.norm(alg.inverse(y) - x), np.linalg.norm(x)
+    if error > UNITARITY_RTOL * np.sqrt(alg.order) * norm:
+        raise NotUnitaryError(
+            f"{alg.kind} inverse of order {alg.order} does not undo its transform: "
+            f"round-trip error {error:.3e} of {norm:.3e}"
+        )
 
 
 def algebra_diagonal(alg: TransformAlgebra, a) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Experiment runner.
 
-Every pipeline is a subcommand writing plot-ready CSV plus a JSON summary
-sidecar.  Given the same configuration and seed, output files are
-byte-identical across runs; wall-clock timings are only written when
---timings is passed since they would break that guarantee.
+Every pipeline is a subcommand writing plot-ready CSV, all but project and
+selftest with a JSON summary sidecar.  Given the same configuration and
+seed, output files are byte-identical across runs; wall-clock timings are
+only written when --timings is passed since they would break that
+guarantee.
 
 Subcommands: project, cluster-scan, korovkin-test, lpo-rates,
 operator-scan, pcg-bench, selftest.
@@ -57,11 +58,32 @@ def _parse_cluster_ladder(text: str) -> tuple[int, ...]:
     return clustering._validate_ladder(_parse_ladder(text))
 
 
-def _parse_eps(text: str) -> tuple[float, ...]:
+def _positive_float(text: str, what: str) -> float:
     try:
-        return tuple(float(part) for part in text.split(","))
+        value = float(text)
     except ValueError as exc:
-        raise ParseError(f"bad eps grid {text!r}: {exc}") from exc
+        raise ParseError(f"bad {what} {text!r}: {exc}") from exc
+    if not (np.isfinite(value) and value > 0):
+        raise ParseError(f"{what} must be positive and finite, got {text!r}")
+    return value
+
+
+def _parse_eps(text: str) -> tuple[float, ...]:
+    return tuple(_positive_float(part, "eps") for part in text.split(","))
+
+
+def _parse_tol(text: str) -> float:
+    return _positive_float(text, "tol")
+
+
+def _parse_max_iter(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise ParseError(f"bad max-iter {text!r}: {exc}") from exc
+    if value < 1:
+        raise ParseError(f"max-iter must be >= 1, got {text!r}")
+    return value
 
 
 def load_config(path) -> list[str]:
@@ -108,7 +130,10 @@ def resolve_symbol(spec: str) -> symbols.Symbol:
 
 
 def resolve_symbol_list(spec: str) -> list[symbols.Symbol]:
-    return [resolve_symbol(part) for part in spec.split(";") if part]
+    resolved = [resolve_symbol(part) for part in spec.split(";") if part]
+    if not resolved:
+        raise ParseError(f"symbol list {spec!r} names no symbol")
+    return resolved
 
 
 # ---------------------------------------------------------------------------
@@ -595,10 +620,10 @@ def build_parser() -> _Parser:
     p.add_argument("--symbol", default="preset:2-2cos+delta(0.01)")
     p.add_argument("--algebra", default="fourier")
     p.add_argument("--ladder", type=_parse_ladder, default=(128, 256, 512, 1024))
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
     p.add_argument("--precond", default="both",
                    choices=("both", "none", "algebra_projection"))
-    p.add_argument("--max-iter", type=int, default=None, dest="max_iter")
+    p.add_argument("--max-iter", type=_parse_max_iter, default=None, dest="max_iter")
     p.add_argument("--timings", action="store_true",
                    help="record wall times in the CSV (breaks byte determinism)")
     _add_common(p)

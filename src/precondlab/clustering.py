@@ -11,7 +11,6 @@ are the module constants PLATEAU_TOL, SLOPE_THRESHOLD and BOUNDED_RATIO.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -43,10 +42,16 @@ SLOPE_THRESHOLD = 0.8
 BOUNDED_RATIO = 1.2
 
 
+def _check_eps(eps) -> float:
+    eps = float(eps)
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    return eps
+
+
 def outlier_count(a, b, eps: float) -> int:
     """Number of singular values of A - B that are >= eps."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     ma, mb = as_square(a), as_square(b)
     if ma.shape != mb.shape:
         raise DimensionMismatchError(f"shapes {ma.shape} and {mb.shape} differ")
@@ -167,8 +172,7 @@ def preconditioned_eigenvalues(a, b) -> tuple[np.ndarray, float]:
 
 def preconditioned_spectrum(a, b, eps: float) -> PreconditionedSpectrum:
     """Spectrum of the preconditioned matrix and its outliers off (1-eps, 1+eps)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     values, delta = preconditioned_eigenvalues(a, b)
     outliers = int(np.count_nonzero(np.abs(values - 1.0) >= eps))
     return PreconditionedSpectrum(values=values, outliers=outliers, delta=delta)
@@ -211,9 +215,6 @@ class ClusterReport:
             "slopes": {repr(e): s for e, s in self.slopes.items()},
             "frobenius_sq": {str(n): self.frobenius_sq[n] for n in self.ladder},
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.summary(), sort_keys=True, indent=2)
 
 
 def _dense_deviations(a, b, mode: str) -> tuple[float, np.ndarray]:
@@ -270,7 +271,7 @@ def build_cluster_report(
     read off W = U* A_n U without forming B_n.
     """
     ladder = _validate_ladder(sorted(pairs))
-    epsilons = tuple(float(e) for e in epsilons)
+    epsilons = tuple(_check_eps(e) for e in epsilons)
     if mode not in ("difference", "preconditioned"):
         raise ValueError(f"unknown mode {mode!r}")
     counts: dict = {}

@@ -24,7 +24,6 @@ each function over a size ladder.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -42,6 +41,7 @@ from .toeplitz import toeplitz_section
 
 EVAL_GRID_POINTS = 4096
 RATE_FIT_POINTS = 4
+PROPAGATION_FACTOR = 10.0
 
 
 def lpo_eval(alg: TransformAlgebra, f: Symbol, x):
@@ -78,14 +78,14 @@ def sup_error(alg: TransformAlgebra, f: Symbol, grid=None) -> float:
     return float(np.max(np.abs(lpo_eval(alg, f, xs) - f.eval_real(xs))))
 
 
-def fit_rate(ladder, values, points: int = RATE_FIT_POINTS) -> Optional[float]:
-    """Least-squares slope of log error vs log n on the last `points` entries.
+def fit_rate(ladder, values) -> Optional[float]:
+    """Least-squares slope of log error vs log n on the last RATE_FIT_POINTS entries.
 
     Exact zeros are excluded; returns None when fewer than two usable points
     remain (e.g. the error vanishes identically).
     """
     pairs = [(n, v) for n, v in zip(ladder, values) if v > 0.0]
-    pairs = pairs[-points:]
+    pairs = pairs[-RATE_FIT_POINTS:]
     if len(pairs) < 2:
         return None
     xs = np.log([p[0] for p in pairs])
@@ -179,9 +179,6 @@ class KorovkinReport:
             },
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.summary(), sort_keys=True, indent=2)
-
 
 def _verdict_for(factory, f: Symbol, ladder, epsilons) -> FunctionVerdict:
     pairs = {n: (toeplitz_section(f, n), factory(n)) for n in ladder}
@@ -192,6 +189,23 @@ def _verdict_for(factory, f: Symbol, ladder, epsilons) -> FunctionVerdict:
         classification=report.classification,
         frobenius_sq=report.frobenius_sq,
     )
+
+
+def _korovkin_family(gens: Sequence[Symbol], squares: str):
+    """(squares, products): each g_k^2 or their sum ``sum_sq``, and g_k g_l for k < l."""
+    if not gens:
+        raise ValueError("need at least one generator")
+    if squares == "each":
+        sq = [product(g, g, label=f"({g.label})^2" if g.label else "g^2") for g in gens]
+    elif squares == "sum":
+        total = Symbol({})
+        for g in gens:
+            total = total.plus(product(g, g))
+        sq = [Symbol(total.coefficients, label="sum_sq")]
+    else:
+        raise ValueError(f"unknown squares variant {squares!r}")
+    prods = [product(g, h) for i, g in enumerate(gens) for h in gens[i + 1:]]
+    return sq, prods
 
 
 def korovkin_test(
@@ -218,8 +232,8 @@ def korovkin_test(
     for g in generators:
         if not g.is_real:
             raise ValueError("generators must be real symbols")
-    if squares not in ("each", "sum"):
-        raise ValueError(f"unknown squares variant {squares!r}")
+    gens = list(generators)
+    squares_set, product_set = _korovkin_family(gens, squares)
     label, factory = resolve_algebra_factory(kind, seed=seed)
     ladder = tuple(int(n) for n in ladder)
     epsilons = tuple(float(e) for e in eps_grid)
@@ -227,29 +241,10 @@ def korovkin_test(
     cache = {n: factory(n) for n in ladder}
     cached_factory = cache.__getitem__
 
-    gens = list(generators)
-    if squares == "each":
-        squares_set = [
-            product(g, g, label=f"({g.label})^2" if g.label else "g^2") for g in gens
-        ]
-    else:
-        total = Symbol({})
-        for g in gens:
-            total = total.plus(product(g, g))
-        squares_set = [Symbol(total.coefficients, label="sum_sq")]
     test_set = [
         _verdict_for(cached_factory, f, ladder, epsilons) for f in gens + squares_set
     ]
-    prods = [
-        _verdict_for(
-            cached_factory,
-            product(gens[i], gens[j]),
-            ladder,
-            epsilons,
-        )
-        for i in range(len(gens))
-        for j in range(i + 1, len(gens))
-    ]
+    prods = [_verdict_for(cached_factory, f, ladder, epsilons) for f in product_set]
     hold = [_verdict_for(cached_factory, f, ladder, epsilons) for f in holdout]
 
     test_strong = all(v.strong for v in test_set)
@@ -278,72 +273,41 @@ class PropagationReport:
     generator_errors: dict  # label -> {n: sup_error}
     derived_errors: dict  # label -> {n: sup_error}, squares-sum and products
     rates: dict  # label -> fitted rate or None
-    factor: float
     propagation_ok: bool
-
-    def summary(self) -> dict:
-        return {
-            "algebra": self.algebra_kind,
-            "ladder": list(self.ladder),
-            "rates": self.rates,
-            "factor": self.factor,
-            "propagation_ok": self.propagation_ok,
-        }
 
 
 def remainder_propagation(
     kind,
     generators: Sequence[Symbol],
     ladder=DEFAULT_LADDER,
-    factor: float = 10.0,
     seed: int = 42,
 ) -> PropagationReport:
     """Check that product errors track the generator error scale theta_n.
 
-    Measures sup errors for each generator, for the sum of squares and for
-    every pairwise product; `propagation_ok` requires each derived error to
-    stay within `factor` times the worst generator error at every ladder
-    size (trivially satisfied wherever the generator errors vanish but the
-    derived ones do too).
+    Measures sup errors (``lpo_rates``) for each generator, for the sum of
+    squares and for every pairwise product; `propagation_ok` requires each
+    derived error to stay within PROPAGATION_FACTOR times the worst
+    generator error at every ladder size, or at round-off (1e-14).
+    Unlabelled generators are labelled g0, g1, ... by position.
     """
-    label, factory = resolve_algebra_factory(kind, seed=seed)
-    ladder = tuple(int(n) for n in ladder)
-    algebras = {n: factory(n) for n in ladder}
-    gens = list(generators)
-
-    def ladder_errors(f: Symbol) -> dict:
-        return {n: sup_error(algebras[n], f) for n in ladder}
-
-    gen_errors = {g.label or f"g{i}": ladder_errors(g) for i, g in enumerate(gens)}
-
-    derived: dict[str, Symbol] = {}
-    sum_sq = Symbol({}, label="sum_sq")
-    for g in gens:
-        sum_sq = sum_sq.plus(product(g, g))
-    derived["sum_sq"] = Symbol(sum_sq.coefficients, label="sum_sq")
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            p = product(gens[i], gens[j])
-            derived[p.label or f"g{i}*g{j}"] = p
-    derived_errors = {name: ladder_errors(f) for name, f in derived.items()}
-
-    rates: dict[str, Optional[float]] = {}
-    for name, errs in {**gen_errors, **derived_errors}.items():
-        rates[name] = fit_rate(ladder, [errs[n] for n in ladder])
-
-    ok = True
-    for n in ladder:
-        theta = max(errs[n] for errs in gen_errors.values())
-        for errs in derived_errors.values():
-            if errs[n] > factor * theta and errs[n] > 1e-14:
-                ok = False
+    gens = [g if g.label else Symbol(g.coefficients, f"g{i}") for i, g in enumerate(generators)]
+    squares, prods = _korovkin_family(gens, "sum")
+    reports = lpo_rates(kind, gens + squares + prods, ladder=ladder, seed=seed)
+    gen_errors = {r.symbol_label: r.sup_error for r in reports[: len(gens)]}
+    derived_errors = {r.symbol_label: r.sup_error for r in reports[len(gens):]}
+    ladder = reports[0].ladder
+    theta = {n: max(errs[n] for errs in gen_errors.values()) for n in ladder}
+    ok = all(
+        errs[n] <= PROPAGATION_FACTOR * theta[n] or errs[n] <= 1e-14
+        for errs in derived_errors.values()
+        for n in ladder
+    )
     return PropagationReport(
-        algebra_kind=label,
+        algebra_kind=reports[0].algebra_kind,
         ladder=ladder,
         generator_errors=gen_errors,
         derived_errors=derived_errors,
-        rates=rates,
-        factor=factor,
+        rates={r.symbol_label: r.rate_fit for r in reports},
         propagation_ok=ok,
     )
 

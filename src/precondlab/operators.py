@@ -127,13 +127,13 @@ def rank1_source(p: float) -> OperatorSource:
     )
 
 
-def hs_decay_source(p: float, c: float = 1.0) -> OperatorSource:
-    """Kernel c / ((1+j)(1+k))^p, Hilbert-Schmidt for p > 1/2."""
+def hs_decay_source(p: float) -> OperatorSource:
+    """Kernel 1 / ((1+j)(1+k))^p, Hilbert-Schmidt for p > 1/2."""
     if p <= 0.5:
         raise ValueError("hs_decay parameter must be > 1/2 for square summability")
 
-    def entry(j, k, _p=float(p), _c=float(c)):
-        return (_c / ((1.0 + j) * (1.0 + k)) ** _p).astype(np.complex128)
+    def entry(j, k, _p=float(p)):
+        return (1.0 / ((1.0 + j) * (1.0 + k)) ** _p).astype(np.complex128)
 
     return OperatorSource(
         entry=entry,

@@ -166,8 +166,8 @@ def pcg(
     rhs = np.asarray(b, dtype=np.complex128)
     if rhs.shape != (order,):
         raise DimensionMismatchError(f"rhs shape {rhs.shape} does not match order {order}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     cap = max_iter if max_iter is not None else max(1000, 4 * order)
 
     label, apply_inv = build_preconditioner(

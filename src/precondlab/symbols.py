@@ -71,12 +71,6 @@ class Symbol:
         val = self.eval(x)
         return val.real if isinstance(val, np.ndarray) else float(val.real)
 
-    def trimmed(self, tol: float = 0.0) -> "Symbol":
-        """Drop coefficients with |a_k| <= tol."""
-        return Symbol(
-            {k: v for k, v in self.coefficients.items() if abs(v) > tol}, self.label
-        )
-
     def scaled(self, alpha: complex) -> "Symbol":
         return Symbol({k: alpha * v for k, v in self.coefficients.items()}, self.label)
 
@@ -103,13 +97,12 @@ def constant(c: float | complex = 1.0, label: str = "") -> Symbol:
     return Symbol({0: complex(c)}, label or f"{c}")
 
 
-def cosine(k: int = 1, amplitude: float = 1.0, label: str = "") -> Symbol:
-    a = amplitude / 2.0
-    return Symbol({k: a, -k: a}, label or (f"cos{k}x" if k != 1 else "cos"))
+def cosine(k: int = 1, label: str = "") -> Symbol:
+    return Symbol({k: 0.5, -k: 0.5}, label or (f"cos{k}x" if k != 1 else "cos"))
 
 
-def sine(k: int = 1, amplitude: float = 1.0, label: str = "") -> Symbol:
-    a = amplitude / (2.0j)
+def sine(k: int = 1, label: str = "") -> Symbol:
+    a = 1.0 / 2.0j
     return Symbol({k: a, -k: -a}, label or (f"sin{k}x" if k != 1 else "sin"))
 
 
@@ -217,6 +210,8 @@ def symbol_from_lines(lines, label: str = "") -> Symbol:
             value = complex(float(parts[1]), float(parts[2]))
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
+        if not np.isfinite(value):
+            raise ParseError(f"line {lineno}: non-finite coefficient in {text!r}")
         if k in coeffs:
             raise ParseError(f"line {lineno}: duplicate frequency {k}")
         coeffs[k] = value
@@ -229,8 +224,12 @@ def save_symbol(s: Symbol, path) -> None:
 
 
 def load_symbol(path) -> Symbol:
-    with open(path, "r", encoding="utf-8") as fh:
-        return symbol_from_lines(fh, label=str(path))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ParseError(f"cannot read symbol file: {exc}") from exc
+    return symbol_from_lines(lines, label=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +283,16 @@ def parse_trig_expression(text: str) -> Symbol:
             freq = int(m.group("freq") or 1)
             if freq < 1:
                 raise ParseError(f"bad frequency in term {term!r}")
-            part = cosine(freq) if m.group("fn") == "cos" else sine(freq)
-            total = total.plus(part.scaled(coef))
+            part = (cosine(freq) if m.group("fn") == "cos" else sine(freq)).scaled(coef)
         elif m.group("delta"):
             try:
                 shift = float(m.group("dval"))
             except ValueError as exc:
                 raise ParseError(f"bad delta value in term {term!r}") from exc
-            total = total.plus(constant(coef * shift))
+            part = constant(coef * shift)
         else:
-            total = total.plus(constant(coef))
+            part = constant(coef)
+        total = total.plus(part)
+        if not all(np.isfinite(v) for v in total.coefficients.values()):
+            raise ParseError(f"non-finite coefficient from term {term!r} in {text!r}")
     return Symbol(total.coefficients, label=text)

@@ -40,8 +40,9 @@ from precondlab.linalg import (
     hermitian_eigvalues,
     operator_norm,
 )
+from precondlab.solver import build_preconditioner
 from precondlab.symbols import Symbol, constant, parse_trig_expression
-from precondlab.toeplitz import toeplitz_section
+from precondlab.toeplitz import ToeplitzOperator, toeplitz_section
 
 
 def seeded_matrix(n, seed, hermitian=False):
@@ -178,8 +179,19 @@ def test_scaled_transform_is_not_unitary(kind):
         from_eigenbasis(bad, a)
     with pytest.raises(NotUnitaryError, match=kind):
         project(bad, a)
+    # a preconditioner build checks inverse too: scaled, or norm-keeping but wrong
+    op = ToeplitzOperator(parse_trig_expression("3+cos"), 16)
+    for inverse in (scaled_inverse, make_algebra("fourier", 16).transform):
+        bad = dataclasses.replace(alg, inverse=inverse)
+        for precond in ("algebra_projection", "pinched"):
+            with pytest.raises(NotUnitaryError, match=kind):
+                build_preconditioner(op, precond, alg_kind=lambda n: bad,
+                                     partition=contiguous_partition(16, 4))
     eigenbasis(alg, a)  # the unscaled maps pass the same checks
     from_eigenbasis(alg, a)
+    for precond in ("algebra_projection", "pinched"):
+        build_preconditioner(op, precond, alg_kind=lambda n: alg,
+                             partition=contiguous_partition(16, 4))
 
 
 @pytest.mark.parametrize("kind", [*ALGEBRA_KINDS, "custom"])

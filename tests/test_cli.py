@@ -212,6 +212,49 @@ def test_indefinite_sine_projection_exit_two(tmp_path, capsys):
     assert code == 2 and "B is not positive definite" in err and not out
 
 
+# Bad input, one row each: (argv, exit code, message fragment).  Options are
+# written --key=value so the config-file run can move them into the file;
+# {tmp} is the test's directory, holding inf.txt ("0 inf 0") and nan.txt
+# ("0 nan 0").
+BAD_INPUTS = [
+    (["cluster-scan", "--eps=0"], 1, "eps must be positive and finite"),
+    (["cluster-scan", "--eps=0.1,inf"], 1, "eps must be positive and finite"),
+    (["korovkin-test", "--eps=nan"], 1, "eps must be positive and finite"),
+    (["operator-scan", "--eps=-0.1"], 1, "eps must be positive and finite"),
+    (["pcg-bench", "--tol=nan"], 1, "tol must be positive and finite"),
+    (["pcg-bench", "--tol=inf"], 1, "tol must be positive and finite"),
+    (["pcg-bench", "--max-iter=0"], 1, "max-iter must be >= 1"),
+    (["project", "--symbol=file:{tmp}/missing.txt"], 1, "cannot read symbol file"),
+    (["operator-scan", "--source=toeplitz:file:{tmp}/missing.txt"], 1,
+     "cannot read symbol file"),
+    (["project", "--symbol=preset:1e400"], 1, "non-finite coefficient from term '1e400'"),
+    (["pcg-bench", "--symbol=file:{tmp}/inf.txt"], 1, "line 1: non-finite coefficient"),
+    (["pcg-bench", "--symbol=file:{tmp}/nan.txt"], 1, "line 1: non-finite coefficient"),
+    (["korovkin-test", "--generators=;"], 1, "names no symbol"),
+    (["lpo-rates", "--symbols=;"], 1, "names no symbol"),
+]
+
+
+@pytest.mark.parametrize("mode", ["plain", "dry-run", "config"])
+@pytest.mark.parametrize("argv, code, fragment", BAD_INPUTS)
+def test_bad_input_exits_with_error_line(argv, code, fragment, mode, tmp_path, capsys):
+    (tmp_path / "inf.txt").write_text("0 inf 0\n")
+    (tmp_path / "nan.txt").write_text("0 nan 0\n")
+    command, *options = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    if mode == "dry-run":
+        options.append("--dry-run")
+    elif mode == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(opt[2:].replace("=", " = ", 1) + "\n" for opt in options))
+        options = ["--config", str(cfg)]
+    out_dir = tmp_path / "out"
+    got, _, err = run(capsys, command, *options, "--outdir", str(out_dir))
+    assert got == code, err
+    assert "error:" in err and fragment in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # dry runs
 

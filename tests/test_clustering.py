@@ -64,8 +64,11 @@ def test_outliers_toeplitz_vs_circulant_matches_svd_oracle():
 def test_outliers_validation():
     with pytest.raises(DimensionMismatchError):
         outlier_count(np.eye(3), np.eye(4), 0.1)
-    with pytest.raises(ValueError):
-        outlier_count(np.eye(3), np.eye(3), 0.0)
+    for eps in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            outlier_count(np.eye(3), np.eye(3), eps)
+        with pytest.raises(ValueError, match="positive and finite"):
+            build_cluster_report({n: (np.eye(n), np.eye(n)) for n in (4, 8, 16, 32)}, (0.1, eps))
 
 
 def test_outliers_match_eigenvalue_interval_count_for_hermitian():

@@ -283,6 +283,8 @@ def test_korovkin_sum_of_squares_variant():
     assert report.test_set_strong  # cos^2 + sin^2 = 1: zero difference
     with pytest.raises(ValueError):
         korovkin_test("fourier", [cosine()], [], squares="geometric")
+    with pytest.raises(ValueError, match="at least one generator"):
+        korovkin_test("fourier", [], [])
 
 
 # ---------------------------------------------------------------------------

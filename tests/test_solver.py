@@ -139,6 +139,12 @@ def test_pinched_rejects_indefinite_block():
         build_preconditioner(a, "pinched", partition=contiguous_partition(32, 4))
 
 
+@pytest.mark.parametrize("tol", [0.0, float("nan"), float("inf")])
+def test_pcg_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        pcg(np.eye(4, dtype=complex), np.ones(4), tol=tol)
+
+
 def test_pinched_requires_partition():
     with pytest.raises(ValueError):
         build_preconditioner(np.eye(8, dtype=complex), "pinched")

@@ -218,6 +218,9 @@ def test_serialization_rejects_garbage():
         symbol_from_lines(["0 1.0"])
     with pytest.raises(ParseError):
         symbol_from_lines(["0 1.0 0.0", "0 2.0 0.0"])
+    for line in ("0 inf 0", "0 nan 0", "1 0.0 1e999"):
+        with pytest.raises(ParseError, match="line 2: non-finite"):
+            symbol_from_lines(["0 1.0 0.0", line])
 
 
 @pytest.mark.parametrize(
@@ -242,6 +245,6 @@ def test_parse_trig_expression(expr, expected):
 
 def test_parse_rejects_garbage():
     for bad in ("", "2**cos", "cosx+", "tan", "2+-cos", "1e", "delta(0.01", "2+*", "-*",
-                "2*", "2*+cos"):
+                "2*", "2*+cos", "1e400", "2+delta(nan)", "1e308+1e308"):
         with pytest.raises(ParseError):
             parse_trig_expression(bad)
