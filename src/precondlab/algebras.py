@@ -274,14 +274,17 @@ def random_unitary_algebra(n: int, seed: int = 42) -> TransformAlgebra:
 AlgebraFactory = Callable[[int], TransformAlgebra]
 
 
-def resolve_algebra_factory(kind, seed: int = 42) -> tuple[str, AlgebraFactory]:
-    """Normalize an algebra kind name or factory callable to (label, factory)."""
+def resolve_algebra_factory(kind, seed: int = 42) -> AlgebraFactory:
+    """Normalize an algebra kind name or factory callable to a factory n -> algebra.
+
+    A callable passes through; only 'custom' (``random_unitary_algebra``) reads seed.
+    """
     if callable(kind):
-        return getattr(kind, "__name__", "custom"), kind
+        return kind
     name = str(kind).lower()
     if name == "custom":
-        return "custom", lambda n: random_unitary_algebra(n, seed=seed)
-    return name, lambda n: make_algebra(name, n)
+        return lambda n: random_unitary_algebra(n, seed=seed)
+    return lambda n: make_algebra(name, n)
 
 
 def _two_sided(alg: TransformAlgebra, apply: Callable[..., np.ndarray], a) -> np.ndarray:

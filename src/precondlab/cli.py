@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -43,11 +44,25 @@ SUBCOMMANDS = (
 # option types and configuration files
 
 
-def _parse_ladder(text: str) -> tuple[int, ...]:
+def _bounded_int(text: str, what: str, least: int) -> int:
     try:
-        ladder = tuple(int(part) for part in text.split(","))
+        value = int(text)
     except ValueError as exc:
-        raise ParseError(f"bad ladder {text!r}: {exc}") from exc
+        raise ParseError(f"bad {what} {text!r}: {exc}") from exc
+    if value < least:
+        raise ParseError(f"{what} must be >= {least}, got {text!r}")
+    return value
+
+
+def _algebra_name(text: str, choices: tuple[str, ...]) -> str:
+    """A name in `choices`, in any case; kept as typed, since the outputs print it."""
+    if text.lower() not in choices:
+        raise ParseError(f"algebra must be one of {', '.join(choices)}, got {text!r}")
+    return text
+
+
+def _parse_ladder(text: str) -> tuple[int, ...]:
+    ladder = tuple(_parse_size(part) for part in text.split(","))
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ParseError(f"ladder must be strictly increasing, got {text!r}")
     return ladder
@@ -72,18 +87,13 @@ def _parse_eps(text: str) -> tuple[float, ...]:
     return tuple(_positive_float(part, "eps") for part in text.split(","))
 
 
-def _parse_tol(text: str) -> float:
-    return _positive_float(text, "tol")
-
-
-def _parse_max_iter(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise ParseError(f"bad max-iter {text!r}: {exc}") from exc
-    if value < 1:
-        raise ParseError(f"max-iter must be >= 1, got {text!r}")
-    return value
+# Algebras need order >= 2, and every command builds one per size (pcg-bench: unless none).
+_parse_size = partial(_bounded_int, what="size", least=2)
+_parse_max_iter = partial(_bounded_int, what="max-iter", least=1)
+_parse_tol = partial(_positive_float, what="tol")
+_parse_algebra = partial(_algebra_name, choices=(*algebras.ALGEBRA_KINDS, "custom"))
+# lpo-rates evaluates basis functions off the grid, and the custom algebra has none.
+_parse_basis_algebra = partial(_algebra_name, choices=algebras.ALGEBRA_KINDS)
 
 
 def load_config(path) -> list[str]:
@@ -133,6 +143,9 @@ def resolve_symbol_list(spec: str) -> list[symbols.Symbol]:
     resolved = [resolve_symbol(part) for part in spec.split(";") if part]
     if not resolved:
         raise ParseError(f"symbol list {spec!r} names no symbol")
+    labels = [s.label for s in resolved]
+    if len(set(labels)) < len(labels):
+        raise ParseError(f"labels in a symbol list key the outputs and must differ: {labels}")
     return resolved
 
 
@@ -172,6 +185,11 @@ def _outdir(args) -> Path:
     return out
 
 
+def _algebra_factory(args):
+    """The --algebra choice as a factory n -> algebra; only custom reads --seed."""
+    return algebras.resolve_algebra_factory(args.algebra, seed=args.seed)
+
+
 def _plan(args, extra: dict) -> dict:
     plan = {"command": args.command, "outdir": str(args.outdir), "seed": args.seed}
     plan.update(extra)
@@ -188,8 +206,7 @@ def cmd_project(args) -> int:
     plan = _plan(args, {"algebra": args.algebra, "symbol": sym.label, "n": args.n})
     if args.dry_run:
         return _emit_plan(plan)
-    _, factory = algebras.resolve_algebra_factory(args.algebra, seed=args.seed)
-    alg = factory(args.n)
+    alg = _algebra_factory(args)(args.n)
     a = toeplitz.toeplitz_section(sym, args.n)
     p = algebras.project(alg, a)
     fro_a = frobenius_norm_sq(a)
@@ -214,14 +231,6 @@ def cmd_project(args) -> int:
     return 0
 
 
-def _cluster_pairs(sym, alg_kind, ladder, seed):
-    _, factory = algebras.resolve_algebra_factory(alg_kind, seed=seed)
-    pairs = {}
-    for n in ladder:
-        pairs[n] = (toeplitz.toeplitz_section(sym, n), factory(n))
-    return pairs
-
-
 def cmd_cluster_scan(args) -> int:
     sym = resolve_symbol(args.symbol)
     mode = "preconditioned" if args.preconditioned else "difference"
@@ -231,7 +240,8 @@ def cmd_cluster_scan(args) -> int:
     })
     if args.dry_run:
         return _emit_plan(plan)
-    pairs = _cluster_pairs(sym, args.algebra, args.ladder, args.seed)
+    factory = _algebra_factory(args)
+    pairs = {n: (toeplitz.toeplitz_section(sym, n), factory(n)) for n in args.ladder}
     report = clustering.build_cluster_report(
         pairs, args.eps, label=f"{sym.label} vs {args.algebra} projection", mode=mode
     )
@@ -258,8 +268,7 @@ def cmd_korovkin_test(args) -> int:
     if args.dry_run:
         return _emit_plan(plan)
     report = korovkin.korovkin_test(
-        args.algebra, generators, holdout,
-        ladder=args.ladder, eps_grid=args.eps, seed=args.seed,
+        _algebra_factory(args), generators, holdout, ladder=args.ladder, eps_grid=args.eps
     )
     out = _outdir(args)
     rows = []
@@ -292,7 +301,7 @@ def cmd_lpo_rates(args) -> int:
     })
     if args.dry_run:
         return _emit_plan(plan)
-    reports = korovkin.lpo_rates(args.algebra, test_set, ladder=args.ladder, seed=args.seed)
+    reports = korovkin.lpo_rates(_algebra_factory(args), test_set, ladder=args.ladder)
     out = _outdir(args)
     rows = []
     for rep in reports:
@@ -317,7 +326,7 @@ def cmd_operator_scan(args) -> int:
     if args.dry_run:
         return _emit_plan(plan)
     report = operators.distribution_convergence(
-        src, args.algebra, ladder=args.ladder, eps_grid=args.eps, seed=args.seed
+        src, _algebra_factory(args), ladder=args.ladder, eps_grid=args.eps
     )
     out = _outdir(args)
     write_csv(out / "operator_scan.csv", ["n", "eps", "outliers", "frobenius_sq"],
@@ -340,8 +349,8 @@ def cmd_pcg_bench(args) -> int:
     if args.dry_run:
         return _emit_plan(plan)
     cells = solver.scaling_study(
-        sym, args.ladder, tol=args.tol, alg_kind=args.algebra,
-        preconds=preconds, seed=args.seed, max_iter=args.max_iter,
+        sym, args.ladder, tol=args.tol, alg_kind=_algebra_factory(args),
+        preconds=preconds, max_iter=args.max_iter,
     )
     out = _outdir(args)
     rows = [
@@ -560,7 +569,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(p: _Parser) -> None:
+def _add_common(p: _Parser, algebra=_parse_algebra) -> None:
+    """Options every subcommand takes; --algebra parsed by `algebra`, unless None."""
+    if algebra is not None:
+        p.add_argument("--algebra", type=algebra, default="fourier")
     p.add_argument("--outdir", default=".", help="output directory (default: .)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--config", default=None, help="key = value config file")
@@ -573,13 +585,11 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("project", parents=[], help="project one Toeplitz section")
-    p.add_argument("--algebra", default="fourier")
     p.add_argument("--symbol", default="preset:2+cos")
-    p.add_argument("--n", type=int, default=64)
+    p.add_argument("--n", type=_parse_size, default=64)
     _add_common(p)
 
     p = sub.add_parser("cluster-scan", help="outlier counts over a size ladder")
-    p.add_argument("--algebra", default="fourier")
     p.add_argument("--symbol", default="preset:2+cos")
     p.add_argument("--ladder", type=_parse_cluster_ladder,
                    default=clustering.DEFAULT_LADDER)
@@ -590,7 +600,6 @@ def build_parser() -> _Parser:
     _add_common(p)
 
     p = sub.add_parser("korovkin-test", help="test-set implies holdout experiment")
-    p.add_argument("--algebra", default="fourier")
     p.add_argument("--generators", default="cos;sin",
                    help="semicolon-separated symbol specs")
     p.add_argument("--holdout", default="2+cos+0.5cos2x")
@@ -600,17 +609,15 @@ def build_parser() -> _Parser:
     _add_common(p)
 
     p = sub.add_parser("lpo-rates", help="sup-error decay of the positive operator")
-    p.add_argument("--algebra", default="fourier")
     p.add_argument("--testset", default=None, choices=("classical", "fourier_basic"))
     p.add_argument("--symbols", default="cos",
                    help="semicolon-separated symbol specs (ignored with --testset)")
     p.add_argument("--ladder", type=_parse_ladder,
                    default=(8, 16, 32, 64, 128, 256, 512, 1024))
-    _add_common(p)
+    _add_common(p, algebra=_parse_basis_algebra)
 
     p = sub.add_parser("operator-scan", help="distribution convergence of a source")
     p.add_argument("--source", default="hs_decay(1.5)")
-    p.add_argument("--algebra", default="fourier")
     p.add_argument("--ladder", type=_parse_cluster_ladder,
                    default=clustering.DEFAULT_LADDER)
     p.add_argument("--eps", type=_parse_eps, default=clustering.DEFAULT_EPS_GRID)
@@ -618,7 +625,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("pcg-bench", help="iteration scaling with and without preconditioning")
     p.add_argument("--symbol", default="preset:2-2cos+delta(0.01)")
-    p.add_argument("--algebra", default="fourier")
     p.add_argument("--ladder", type=_parse_ladder, default=(128, 256, 512, 1024))
     p.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
     p.add_argument("--precond", default="both",
@@ -629,7 +635,7 @@ def build_parser() -> _Parser:
     _add_common(p)
 
     p = sub.add_parser("selftest", help="run the invariant battery")
-    _add_common(p)
+    _add_common(p, algebra=None)
 
     return parser
 

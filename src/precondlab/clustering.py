@@ -70,13 +70,13 @@ def _validate_ladder(ladder) -> tuple[int, ...]:
     return ladder
 
 
-def _fit_slope(ns, counts) -> Optional[float]:
-    """Least-squares slope of log N vs log n over entries with N >= 1."""
-    pts = [(np.log(n), np.log(c)) for n, c in zip(ns, counts) if c >= 1]
+def _fit_slope(ns, values, last: Optional[int] = None) -> Optional[float]:
+    """Least-squares slope of log value vs log n over the (last) positive entries, or None."""
+    pts = [(n, v) for n, v in zip(ns, values) if v > 0]
+    pts = pts[-last:] if last else pts
     if len(pts) < 2:
         return None
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
+    xs, ys = np.log([p[0] for p in pts]), np.log([p[1] for p in pts])
     return float(np.polyfit(xs, ys, 1)[0])
 
 

@@ -33,6 +33,7 @@ from .algebras import TransformAlgebra, lag_sum, resolve_algebra_factory
 from .clustering import (
     DEFAULT_EPS_GRID,
     DEFAULT_LADDER,
+    _fit_slope,
     build_cluster_report,
 )
 from .linalg import frobenius_norm_sq
@@ -84,18 +85,11 @@ def fit_rate(ladder, values) -> Optional[float]:
     Exact zeros are excluded; returns None when fewer than two usable points
     remain (e.g. the error vanishes identically).
     """
-    pairs = [(n, v) for n, v in zip(ladder, values) if v > 0.0]
-    pairs = pairs[-RATE_FIT_POINTS:]
-    if len(pairs) < 2:
-        return None
-    xs = np.log([p[0] for p in pairs])
-    ys = np.log([p[1] for p in pairs])
-    return float(np.polyfit(xs, ys, 1)[0])
+    return _fit_slope(ladder, values, last=RATE_FIT_POINTS)
 
 
 @dataclass(frozen=True)
 class LpoReport:
-    algebra_kind: str
     symbol_label: str
     ladder: tuple[int, ...]
     sup_error: dict  # n -> float
@@ -109,10 +103,9 @@ def lpo_rates(
     kind,
     test_set: Sequence[Symbol],
     ladder=DEFAULT_LADDER,
-    seed: int = 42,
 ) -> list[LpoReport]:
     """Sup-norm decay of the positive operator on each test symbol."""
-    label, factory = resolve_algebra_factory(kind, seed=seed)
+    factory = resolve_algebra_factory(kind)
     ladder = tuple(int(n) for n in ladder)
     algebras = {n: factory(n) for n in ladder}
     reports = []
@@ -121,7 +114,6 @@ def lpo_rates(
         rate = fit_rate(ladder, [errs[n] for n in ladder])
         reports.append(
             LpoReport(
-                algebra_kind=label,
                 symbol_label=f.label or "symbol",
                 ladder=ladder,
                 sup_error=errs,
@@ -180,8 +172,8 @@ class KorovkinReport:
         }
 
 
-def _verdict_for(factory, f: Symbol, ladder, epsilons) -> FunctionVerdict:
-    pairs = {n: (toeplitz_section(f, n), factory(n)) for n in ladder}
+def _verdict_for(algs: dict, f: Symbol, epsilons) -> FunctionVerdict:
+    pairs = {n: (toeplitz_section(f, n), alg) for n, alg in algs.items()}
     report = build_cluster_report(pairs, epsilons, label=f.label)
     return FunctionVerdict(
         label=f.label or "symbol",
@@ -214,7 +206,6 @@ def korovkin_test(
     holdout: Sequence[Symbol],
     ladder=DEFAULT_LADDER,
     eps_grid=DEFAULT_EPS_GRID,
-    seed: int = 42,
     squares: str = "each",
 ) -> KorovkinReport:
     """Run the test-set-implies-holdout clustering experiment.
@@ -234,23 +225,19 @@ def korovkin_test(
             raise ValueError("generators must be real symbols")
     gens = list(generators)
     squares_set, product_set = _korovkin_family(gens, squares)
-    label, factory = resolve_algebra_factory(kind, seed=seed)
+    factory = resolve_algebra_factory(kind)
     ladder = tuple(int(n) for n in ladder)
     epsilons = tuple(float(e) for e in eps_grid)
     # Reuse one algebra per ladder size across all functions.
-    cache = {n: factory(n) for n in ladder}
-    cached_factory = cache.__getitem__
-
-    test_set = [
-        _verdict_for(cached_factory, f, ladder, epsilons) for f in gens + squares_set
-    ]
-    prods = [_verdict_for(cached_factory, f, ladder, epsilons) for f in product_set]
-    hold = [_verdict_for(cached_factory, f, ladder, epsilons) for f in holdout]
+    algs = {n: factory(n) for n in ladder}
+    test_set = [_verdict_for(algs, f, epsilons) for f in gens + squares_set]
+    prods = [_verdict_for(algs, f, epsilons) for f in product_set]
+    hold = [_verdict_for(algs, f, epsilons) for f in holdout]
 
     test_strong = all(v.strong for v in test_set)
     hold_strong = all(v.strong for v in prods + hold)
     return KorovkinReport(
-        algebra_kind=label,
+        algebra_kind=algs[ladder[0]].kind,
         ladder=ladder,
         epsilons=epsilons,
         test_set=tuple(test_set),
@@ -268,7 +255,6 @@ def korovkin_test(
 
 @dataclass(frozen=True)
 class PropagationReport:
-    algebra_kind: str
     ladder: tuple[int, ...]
     generator_errors: dict  # label -> {n: sup_error}
     derived_errors: dict  # label -> {n: sup_error}, squares-sum and products
@@ -280,7 +266,6 @@ def remainder_propagation(
     kind,
     generators: Sequence[Symbol],
     ladder=DEFAULT_LADDER,
-    seed: int = 42,
 ) -> PropagationReport:
     """Check that product errors track the generator error scale theta_n.
 
@@ -288,11 +273,14 @@ def remainder_propagation(
     squares and for every pairwise product; `propagation_ok` requires each
     derived error to stay within PROPAGATION_FACTOR times the worst
     generator error at every ladder size, or at round-off (1e-14).
-    Unlabelled generators are labelled g0, g1, ... by position.
+    Unlabelled generators are labelled g0, g1, ... by position; labels must differ.
     """
     gens = [g if g.label else Symbol(g.coefficients, f"g{i}") for i, g in enumerate(generators)]
     squares, prods = _korovkin_family(gens, "sum")
-    reports = lpo_rates(kind, gens + squares + prods, ladder=ladder, seed=seed)
+    labels = [f.label for f in gens + squares + prods]
+    if len(set(labels)) < len(labels):
+        raise ValueError(f"duplicate labels among generators and derived functions: {labels}")
+    reports = lpo_rates(kind, gens + squares + prods, ladder=ladder)
     gen_errors = {r.symbol_label: r.sup_error for r in reports[: len(gens)]}
     derived_errors = {r.symbol_label: r.sup_error for r in reports[len(gens):]}
     ladder = reports[0].ladder
@@ -303,7 +291,6 @@ def remainder_propagation(
         for n in ladder
     )
     return PropagationReport(
-        algebra_kind=reports[0].algebra_kind,
         ladder=ladder,
         generator_errors=gen_errors,
         derived_errors=derived_errors,
@@ -314,7 +301,6 @@ def remainder_propagation(
 
 @dataclass(frozen=True)
 class QuadratureReport:
-    algebra_kind: str
     symbol_label: str
     ladder: tuple[int, ...]
     grid_gap_ratio: dict  # n -> |sum g^2(x_i) - (n/2pi) int g^2| / n
@@ -323,11 +309,11 @@ class QuadratureReport:
     frobenius_gap_decreasing: bool
 
 
-def grid_quadrature_check(kind, g: Symbol, ladder=DEFAULT_LADDER, seed: int = 42) -> QuadratureReport:
+def grid_quadrature_check(kind, g: Symbol, ladder=DEFAULT_LADDER) -> QuadratureReport:
     """Check the o(n) gaps between grid sums, Frobenius mass and (n/2pi) int g^2."""
     if not g.is_real:
         raise ValueError("grid_quadrature_check requires a real symbol")
-    label, factory = resolve_algebra_factory(kind, seed=seed)
+    factory = resolve_algebra_factory(kind)
     ladder = tuple(int(n) for n in ladder)
     mean_sq = g.parseval_mean_square()  # (1/2pi) int g^2
     grid_ratio: dict[int, float] = {}
@@ -351,7 +337,6 @@ def grid_quadrature_check(kind, g: Symbol, ladder=DEFAULT_LADDER, seed: int = 42
         return all(b <= a or b <= floor for a, b in zip(seq, seq[1:]))
 
     return QuadratureReport(
-        algebra_kind=label,
         symbol_label=g.label or "symbol",
         ladder=ladder,
         grid_gap_ratio=grid_ratio,

@@ -17,7 +17,9 @@ from typing import Callable
 import numpy as np
 
 from .algebras import project, resolve_algebra_factory
-from .clustering import DEFAULT_EPS_GRID, DEFAULT_LADDER, ClusterReport, build_cluster_report
+from .clustering import (
+    DEFAULT_EPS_GRID, DEFAULT_LADDER, ClusterReport, _validate_ladder, build_cluster_report,
+)
 from .errors import InvariantViolationError
 from .symbols import Symbol
 
@@ -51,10 +53,9 @@ def truncate(src: OperatorSource, n: int) -> np.ndarray:
     return vals
 
 
-def preconditioner_of(src: OperatorSource, alg_kind, n: int, seed: int = 42) -> np.ndarray:
+def preconditioner_of(src: OperatorSource, alg_kind, n: int) -> np.ndarray:
     """Algebra projection of the order-n truncation."""
-    _, factory = resolve_algebra_factory(alg_kind, seed=seed)
-    return project(factory(n), truncate(src, n))
+    return project(resolve_algebra_factory(alg_kind)(n), truncate(src, n))
 
 
 def hs_tail_fraction(src: OperatorSource, n: int) -> float:
@@ -78,13 +79,12 @@ def distribution_convergence(
     alg_kind,
     ladder=DEFAULT_LADDER,
     eps_grid=DEFAULT_EPS_GRID,
-    seed: int = 42,
 ) -> ClusterReport:
     """Cluster analysis of the projected truncations against the truncations."""
     if not src.self_adjoint:
         raise ValueError("distribution convergence is defined for self-adjoint sources")
-    label, factory = resolve_algebra_factory(alg_kind, seed=seed)
-    ladder = tuple(int(n) for n in ladder)
+    factory = resolve_algebra_factory(alg_kind)
+    ladder = _validate_ladder(sorted(ladder))
     if src.decay_class == "hilbert_schmidt":
         frac = hs_tail_fraction(src, max(ladder))
         if frac > HS_TAIL_FRACTION_MAX:
@@ -93,9 +93,8 @@ def distribution_convergence(
                 f"border mass fraction is {frac:.3%} (> {HS_TAIL_FRACTION_MAX:.0%})"
             )
     pairs = {n: (truncate(src, n), factory(n)) for n in ladder}
-    return build_cluster_report(
-        pairs, eps_grid, label=f"{src.label} vs {label} projection"
-    )
+    kind = pairs[ladder[0]][1].kind
+    return build_cluster_report(pairs, eps_grid, label=f"{src.label} vs {kind} projection")
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +196,8 @@ def source_from_spec(text: str, symbol_resolver=None) -> OperatorSource:
     m = _PARAM_RE.match(spec)
     if m:
         arg = float(m.group("arg"))
+        if not np.isfinite(arg):
+            raise ValueError(f"operator source parameter must be finite, got {text!r}")
         if m.group("name") == "rank1":
             return rank1_source(arg)
         if m.group("name") == "hs_decay":

@@ -118,7 +118,6 @@ def build_preconditioner(
     precond: str,
     alg_kind="fourier",
     partition: Optional[PinchingPartition] = None,
-    seed: int = 42,
 ) -> tuple[str, Callable]:
     """Return (label, apply_inverse) for the requested preconditioner.
 
@@ -130,19 +129,19 @@ def build_preconditioner(
     order, _, dense = as_linear_operator(a)
     if precond == "none":
         return "none", lambda r: r
-    label, factory = resolve_algebra_factory(alg_kind, seed=seed)
-    if precond == "algebra_projection":
-        alg = factory(order)
-        if isinstance(a, ToeplitzOperator) and alg.lag_weights is not None:
-            d = toeplitz_diagonal(alg, a.symbol)
-        else:
-            d = algebra_diagonal(alg, dense())
-        return f"algebra_projection[{label}]", _diagonal_inverse(alg, d)
+    if precond not in PRECONDITIONER_CHOICES:
+        raise ValueError(f"unknown preconditioner {precond!r}")
+    if precond == "pinched" and partition is None:
+        raise ValueError("pinched preconditioner needs a partition")
+    alg = resolve_algebra_factory(alg_kind)(order)
+    label = f"{precond}[{alg.kind}]"
     if precond == "pinched":
-        if partition is None:
-            raise ValueError("pinched preconditioner needs a partition")
-        return f"pinched[{label}]", _pinched_inverse(factory(order), partition, dense())
-    raise ValueError(f"unknown preconditioner {precond!r}")
+        return label, _pinched_inverse(alg, partition, dense())
+    if isinstance(a, ToeplitzOperator) and alg.lag_weights is not None:
+        d = toeplitz_diagonal(alg, a.symbol)
+    else:
+        d = algebra_diagonal(alg, dense())
+    return label, _diagonal_inverse(alg, d)
 
 
 def pcg(
@@ -153,7 +152,6 @@ def pcg(
     tol: float = 1e-10,
     max_iter: Optional[int] = None,
     partition: Optional[PinchingPartition] = None,
-    seed: int = 42,
     x_true=None,
 ) -> SolveTrace:
     """Preconditioned conjugate gradient for Hermitian positive definite A.
@@ -170,9 +168,7 @@ def pcg(
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     cap = max_iter if max_iter is not None else max(1000, 4 * order)
 
-    label, apply_inv = build_preconditioner(
-        a, precond, alg_kind=alg_kind, partition=partition, seed=seed
-    )
+    label, apply_inv = build_preconditioner(a, precond, alg_kind=alg_kind, partition=partition)
 
     start = time.perf_counter()
     norm_b = float(np.linalg.norm(rhs))
@@ -250,32 +246,21 @@ def scaling_study(
     tol: float = 1e-10,
     alg_kind="fourier",
     preconds: Sequence[str] = ("none", "algebra_projection"),
-    rhs: str = "ones",
-    seed: int = 42,
     max_iter: Optional[int] = None,
 ) -> list[ScalingCell]:
     """Iteration counts per order for each preconditioner choice.
 
-    The right-hand side is the all-ones vector by default ('seeded' draws a
-    reproducible standard-normal vector instead).  The symbol must be real
-    so the sections are Hermitian.
+    The right-hand side is the all-ones vector.  The symbol must be real so
+    the sections are Hermitian.
     """
     if not f.is_real:
         raise ValueError("scaling_study requires a real symbol")
     cells = []
     for n in (int(n) for n in ladder):
         op = ToeplitzOperator(f, n)
-        if rhs == "ones":
-            b = np.ones(n, dtype=np.complex128)
-        elif rhs == "seeded":
-            b = np.random.default_rng(seed + n).standard_normal(n).astype(np.complex128)
-        else:
-            raise ValueError(f"unknown rhs choice {rhs!r}")
+        b = np.ones(n, dtype=np.complex128)
         for pc in preconds:
-            trace = pcg(
-                op, b, precond=pc, alg_kind=alg_kind, tol=tol,
-                max_iter=max_iter, seed=seed,
-            )
+            trace = pcg(op, b, precond=pc, alg_kind=alg_kind, tol=tol, max_iter=max_iter)
             cells.append(
                 ScalingCell(
                     order=n,

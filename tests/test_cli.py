@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import precondlab
-from precondlab.algebras import ALGEBRA_KINDS, TransformAlgebra
+from precondlab import cli
+from precondlab.algebras import ALGEBRA_KINDS, TransformAlgebra, resolve_algebra_factory
 from precondlab.cli import SELFTEST_CHECKS, SUBCOMMANDS, load_config, main, resolve_symbol
 from precondlab.errors import ParseError
 
@@ -232,6 +233,14 @@ BAD_INPUTS = [
     (["pcg-bench", "--symbol=file:{tmp}/nan.txt"], 1, "line 1: non-finite coefficient"),
     (["korovkin-test", "--generators=;"], 1, "names no symbol"),
     (["lpo-rates", "--symbols=;"], 1, "names no symbol"),
+    (["lpo-rates", "--symbols=cos;cos"], 1, "key the outputs and must differ"),
+    (["project", "--algebra=bogus"], 1, "algebra must be one of fourier, sine, hartley, custom"),
+    (["lpo-rates", "--algebra=custom"], 1, "algebra must be one of fourier, sine, hartley, got"),
+    (["project", "--n=0"], 1, "size must be >= 2"),
+    (["lpo-rates", "--ladder=0,8"], 1, "size must be >= 2"),
+    (["pcg-bench", "--ladder=1,4"], 1, "size must be >= 2"),
+    (["operator-scan", "--source=hs_decay(inf)"], 1, "parameter must be finite"),
+    (["operator-scan", "--source=hs_decay(nan)"], 1, "parameter must be finite"),
 ]
 
 
@@ -281,6 +290,13 @@ def test_project_writes_csv(tmp_path, capsys):
     assert lines[0].startswith("n,algebra,symbol")
     assert len(lines) == 2
     assert "project:" in out
+
+
+def test_algebra_in_any_case_printed_as_typed(tmp_path, capsys):
+    code, _, err = run(capsys, "project", "--algebra", "Sine", "--n", "8",
+                       "--outdir", str(tmp_path))
+    assert code == 0, err
+    assert (tmp_path / "project.csv").read_text().splitlines()[1].startswith("8,Sine,2+cos,")
 
 
 def test_cluster_scan_small(tmp_path, capsys):
@@ -385,6 +401,38 @@ def test_cluster_scan_byte_identical(tmp_path, capsys):
         dirs.append(out_dir)
     for fname in ("cluster_scan.csv", "cluster_scan.json"):
         assert (dirs[0] / fname).read_bytes() == (dirs[1] / fname).read_bytes()
+
+
+# --seed draws the custom algebra, the one algebra it reaches.  korovkin-test
+# writes verdicts only, and at 16..128 they agree across seeds.
+CUSTOM_RUNS = [
+    ["project", "--n", "16"],
+    ["cluster-scan", "--ladder", "8,16,32,64"],
+    ["operator-scan", "--ladder", "8,16,32,64"],
+    ["pcg-bench", "--ladder", "16,32"],
+    ["korovkin-test", "--ladder", "16,32,64,128"],
+]
+
+
+@pytest.mark.parametrize("argv", CUSTOM_RUNS, ids=lambda argv: argv[0])
+def test_seed_reaches_custom_algebra(argv, tmp_path, capsys, monkeypatch):
+    def outputs(name, seed):
+        out_dir = tmp_path / name
+        code, _, err = run(capsys, *argv, "--algebra", "custom", "--seed", seed,
+                           "--outdir", str(out_dir))
+        assert code == 0, err
+        return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+
+    one = outputs("one", "1")
+    assert outputs("one-again", "1") == one
+    if argv[0] != "korovkin-test":
+        assert outputs("two", "2") != one
+    at_default = outputs("42", "42")
+    # the library's default seed: resolve --algebra without passing --seed on
+    monkeypatch.setattr(
+        cli, "_algebra_factory", lambda args: resolve_algebra_factory(args.algebra)
+    )
+    assert outputs("library", "1") == at_default
 
 
 # ---------------------------------------------------------------------------

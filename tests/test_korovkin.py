@@ -231,6 +231,13 @@ def test_fit_rate_excludes_zeros():
     assert fit_rate((8, 16, 32, 64), [1 / 8, 1 / 16, 1 / 32, 1 / 64]) == pytest.approx(-1.0)
 
 
+def test_fit_rate_takes_the_last_positive_entries():
+    # the window is the last RATE_FIT_POINTS entries left after the zeros go
+    ladder = (8, 16, 32, 64, 128, 256, 512)
+    assert fit_rate(ladder[:5], [5.0, 1 / 16, 1 / 32, 1 / 64, 1 / 128]) == pytest.approx(-1.0)
+    assert fit_rate(ladder, [1 / 8, 1 / 16, 1 / 32, 1 / 64, 0, 0, 0]) == pytest.approx(-1.0)
+
+
 # ---------------------------------------------------------------------------
 # korovkin harness
 
@@ -301,6 +308,17 @@ def test_propagation_trivial_generator():
     rep = remainder_propagation("fourier", [constant(1.0)], ladder=(8, 16, 32, 64))
     assert rep.propagation_ok
     assert max(rep.derived_errors["sum_sq"].values()) < 1e-13
+
+
+def test_propagation_rejects_shared_labels():
+    # the errors are keyed by label, so a repeated label would lose an entry
+    with pytest.raises(ValueError, match="duplicate labels"):
+        remainder_propagation("fourier", [cosine(), cosine()], ladder=(8, 16))
+    with pytest.raises(ValueError, match="duplicate labels"):
+        remainder_propagation(
+            "fourier", [Symbol(cosine().coefficients, "g1"), Symbol(sine().coefficients)],
+            ladder=(8, 16),
+        )
 
 
 def test_propagation_single_cos():

@@ -120,7 +120,7 @@ def test_hs_source_strong_for_all_builtin_algebras():
 
 def test_pythagoras_for_truncations():
     src = diag_plus_compact_source()
-    _, factory = resolve_algebra_factory("hartley")
+    factory = resolve_algebra_factory("hartley")
     for n in (16, 32, 64):
         a = truncate(src, n)
         p = project(factory(n), a)
@@ -170,3 +170,6 @@ def test_source_spec_rejects_unknown():
         source_from_spec("rank1(2.0)")
     with pytest.raises(ValueError):
         source_from_spec("toeplitz:2+cos")  # no resolver supplied
+    for spec in ("hs_decay(inf)", "hs_decay(nan)", "rank1(nan)"):
+        with pytest.raises(ValueError, match="must be finite"):
+            source_from_spec(spec)

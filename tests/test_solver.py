@@ -173,11 +173,20 @@ def test_scaling_study_shapes_and_labels():
         assert cell.final_residual <= 1e-8
 
 
-def test_scaling_study_seeded_rhs_deterministic():
-    f = parse_trig_expression("2+cos")
-    a = scaling_study(f, (32, 64), tol=1e-10, rhs="seeded", seed=11)
-    b = scaling_study(f, (32, 64), tol=1e-10, rhs="seeded", seed=11)
-    assert [c.iterations for c in a] == [c.iterations for c in b]
+def test_preconditioner_label_names_the_built_algebra():
+    # a factory is labelled by the kind of what it builds, not by its function name
+    a = toeplitz_section(parse_trig_expression("3+cos"), 16)
+    factories = {
+        "sine": lambda n: make_algebra("sine", n),
+        "custom": lambda n: precondlab.algebras.random_unitary_algebra(n, seed=5),
+    }
+    for kind, factory in factories.items():
+        label, _ = build_preconditioner(a, "algebra_projection", alg_kind=factory)
+        assert label == f"algebra_projection[{kind}]"
+        label, _ = build_preconditioner(
+            a, "pinched", alg_kind=factory, partition=contiguous_partition(16, 4)
+        )
+        assert label == f"pinched[{kind}]"
 
 
 # ---------------------------------------------------------------------------
