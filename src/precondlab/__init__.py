@@ -24,12 +24,14 @@ from .algebras import (
     random_unitary_algebra,
     single_block_partition,
     singleton_partition,
+    toeplitz_corner_form,
     toeplitz_diagonal,
 )
 from .clustering import (
     DEFAULT_EPS_GRID,
     DEFAULT_LADDER,
     ClusterReport,
+    LowRank,
     PreconditionedSpectrum,
     build_cluster_report,
     classify,

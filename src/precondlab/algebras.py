@@ -19,7 +19,9 @@ built-in kinds these are fast transforms (FFT, DST-I, DHT), so U* A U
 (``eigenbasis``) and U W U* (``from_eigenbasis``) cost O(n^2 log n)
 without forming U, and the diagonal of U* T_n(f) U of a Toeplitz section
 (``toeplitz_diagonal``) comes from closed forms in O(n log n) or
-O(n deg f), without forming the section.
+O(n deg f), without forming the section.  Where T_n(f) differs from an
+algebra matrix only in its corners, ``toeplitz_corner_form`` gives
+U* T_n(f) U as a diagonal plus a rank-2 deg f term.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .errors import (
 )
 from .linalg import as_square, frobenius_norm_sq
 from .symbols import Symbol
-from .toeplitz import toeplitz_from_lags
+from .toeplitz import ToeplitzOperator, toeplitz_from_lags
 
 UNITARITY_RTOL = 1e-10
 TRACE_RTOL = 1e-10
@@ -417,6 +419,46 @@ def toeplitz_diagonal(alg: TransformAlgebra, f: Symbol) -> np.ndarray:
             f"identity: defect {defect:.3e} of {scale:.3e}"
         )
     return d
+
+
+def toeplitz_corner_form(
+    alg: TransformAlgebra, f: Symbol
+) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(g, L, S) with U* T_n(f) U = diag(g) + L S L*, or None.
+
+    For a real f of degree d and n >= 2d + 1, T_n(f) - B with
+    B = U diag(g) U*, g = f sampled on the grid, lives on the corner block
+    I = {0..d-1} u {n-d..n-1} for every f in the Fourier algebra (Strang's
+    circulant; with this U, g_j = f(-x_j)), and for even f in the sine
+    (tau plus a Hankel corner) and Hartley algebras (g_j = f(x_j)).  Then
+    L = U* E_I (2d transforms) and S = T_II - L* diag(g) L, read from the
+    coefficients without a section.  The form is verified per n on one
+    fixed vector x: ||T x - U (g U* x) - E_I S x_I|| must stay within
+    TRACE_RTOL ||T x||, with a matrix-free Toeplitz product.  x is the Weyl
+    sequence frac(j phi) - 1/2; a random x would import numpy.random, which
+    costs a command ~25 ms.  None for a complex f, n < 2d + 1, a custom
+    algebra, or a failed probe (an odd part of f in the sine or Hartley
+    algebra).
+    """
+    n, d = alg.order, f.degree
+    if alg.lag_weights is None or not f.is_real or n < 2 * d + 1:
+        return None
+    g = f.eval_real(-alg.grid if alg.kind == "fourier" else alg.grid)
+    idx = np.concatenate((np.arange(d), np.arange(n - d, n)))
+    corner = np.zeros((n, idx.size), dtype=np.complex128)
+    corner[idx, np.arange(idx.size)] = 1.0
+    low = alg.transform(corner)
+    lags = idx[:, None] - idx[None, :]
+    coeffs = f.coefficient_array(-d, d + 1)
+    t_ii = np.where(np.abs(lags) <= d, coeffs[np.clip(lags, -d, d) + d], 0.0)
+    s = t_ii - (low.conj().T * g) @ low
+    x = np.arange(n) * 0.6180339887498949 % 1.0 - 0.5
+    tx = ToeplitzOperator(f, n).matvec(x)
+    defect = tx - alg.inverse(g * alg.transform(x))
+    defect[idx] -= s @ x[idx]
+    if np.linalg.norm(defect) > TRACE_RTOL * np.linalg.norm(tx):
+        return None
+    return g, low, s
 
 
 def project_toeplitz_fast(f: Symbol, n: int) -> np.ndarray:

@@ -241,7 +241,7 @@ def cmd_cluster_scan(args) -> int:
     if args.dry_run:
         return _emit_plan(plan)
     factory = _algebra_factory(args)
-    pairs = {n: (toeplitz.toeplitz_section(sym, n), factory(n)) for n in args.ladder}
+    pairs = {n: (sym, factory(n)) for n in args.ladder}
     report = clustering.build_cluster_report(
         pairs, args.eps, label=f"{sym.label} vs {args.algebra} projection", mode=mode
     )
@@ -259,6 +259,10 @@ def cmd_cluster_scan(args) -> int:
 def cmd_korovkin_test(args) -> int:
     generators = resolve_symbol_list(args.generators)
     holdout = resolve_symbol_list(args.holdout) if args.holdout else []
+    try:
+        korovkin.check_holdout_labels(generators, holdout)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
     plan = _plan(args, {
         "algebra": args.algebra,
         "generators": [g.label for g in generators],

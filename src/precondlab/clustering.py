@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebras import TransformAlgebra, eigenbasis
+from .algebras import TransformAlgebra, eigenbasis, toeplitz_corner_form
 from .errors import (
     DimensionMismatchError,
     InsufficientLadderError,
@@ -33,6 +33,8 @@ from .linalg import (
     singular_values,
     singular_values_unchecked,
 )
+from .symbols import Symbol
+from .toeplitz import toeplitz_section
 
 DEFAULT_LADDER = (64, 128, 256, 512)
 DEFAULT_EPS_GRID = (0.2, 0.1, 0.05, 0.01)
@@ -40,6 +42,10 @@ DEFAULT_EPS_GRID = (0.2, 0.1, 0.05, 0.01)
 PLATEAU_TOL = 1
 SLOPE_THRESHOLD = 0.8
 BOUNDED_RATIO = 1.2
+# Round-off band of the structured counts: eigenvalues of S below it
+# (relative to the scale of A) are dropped, and a count whose Haynsworth
+# terms come this close to zero (relative) is a tie at eps and falls back.
+STRUCTURE_RTOL = 1e-10
 
 
 def _check_eps(eps) -> float:
@@ -256,6 +262,113 @@ def _algebra_deviations(a, alg: TransformAlgebra, mode: str) -> tuple[float, np.
     return fro, np.abs(hermitian_eigvalues_unchecked(w) - 1.0)
 
 
+@dataclass(frozen=True)
+class LowRank:
+    """A = V V* given by its n x r factor V, never formed unless a count falls back."""
+
+    factor: np.ndarray
+
+
+def _as_matrix(a, n: int) -> np.ndarray:
+    """The dense A_n of a pair's first item: a matrix, a Symbol or a LowRank."""
+    if isinstance(a, Symbol):
+        return toeplitz_section(a, n)
+    if isinstance(a, LowRank):
+        return a.factor @ a.factor.conj().T
+    return a
+
+
+def _structured_form(a, alg: TransformAlgebra):
+    """(g, L, S, scale) with U* A U = diag(g) + L S L*, or None.
+
+    A Toeplitz symbol takes ``toeplitz_corner_form``, scale sum |a_k|; a
+    LowRank V V* takes g = 0, L = U* V, S = I in any algebra, scale ||V||_F^2.
+    """
+    if isinstance(a, Symbol):
+        form = toeplitz_corner_form(alg, a)
+        if form is None:
+            return None
+        return (*form, sum(abs(c) for c in a.coefficients.values()))
+    if isinstance(a, LowRank):
+        v = np.asarray(a.factor, dtype=np.complex128)
+        if v.shape[0] != alg.order:
+            raise DimensionMismatchError(
+                f"factor order {v.shape[0]} does not match algebra order {alg.order}"
+            )
+        low = alg.transform(v)
+        return np.zeros(alg.order), low, np.eye(v.shape[1]), frobenius_norm_sq(v)
+    return None
+
+
+def _inertia(g, low, s, tie: float):
+    """(negatives, positives) among the eigenvalues of diag(g) + L diag(s) L*.
+
+    Haynsworth: In(G + L S L*) = In(G) + In(Z) - In(-S^-1) with
+    Z = -S^-1 - L* G^-1 L, r x r, so O(n r^2).  None when an eigenvalue is
+    at round-off from 0: some |g_i| <= tie, or an eigenvalue of Z within
+    STRUCTURE_RTOL of its largest.
+    """
+    if np.min(np.abs(g)) <= tie:
+        return None
+    z = np.linalg.eigvalsh(np.diag(-1.0 / s) - (low.conj().T / g) @ low)
+    if np.min(np.abs(z)) <= STRUCTURE_RTOL * np.max(np.abs(z)):
+        return None
+    return (
+        int(np.sum(g < 0) + np.sum(z < 0) - np.sum(s > 0)),
+        int(np.sum(g > 0) + np.sum(z > 0) - np.sum(s < 0)),
+    )
+
+
+def _inertia_counts(low, s, delta, epsilons) -> Optional[dict]:
+    """Eigenvalues of L diag(s) L* - diag(delta) with |lambda| >= eps, per eps, or None at a tie.
+
+    lambda >= eps are the eigenvalues of G + L S L*, G = -delta - eps, that
+    are not negative; lambda <= -eps those of G = -delta + eps that are not
+    positive.
+    """
+    n = delta.size
+    counts = {}
+    for eps in epsilons:
+        lower = _inertia(-delta - eps, low, s, STRUCTURE_RTOL * eps)
+        upper = _inertia(-delta + eps, low, s, STRUCTURE_RTOL * eps)
+        if lower is None or upper is None:
+            return None
+        counts[eps] = (n - lower[0]) + (n - upper[1])
+    return counts
+
+
+def _structured_counts(a, alg: TransformAlgebra, mode: str, epsilons):
+    """(||A - B||_F^2, {eps: count}) from W = diag(g) + L S L*, or None.
+
+    S is compressed to its eigenvalues above STRUCTURE_RTOL * scale; with
+    Delta = diag(L S L*), A - B = U (L S L* - Delta) U* and
+    ||A - B||_F^2 = tr(M S M S) - ||Delta||^2, M = L* L.  With nothing
+    left, A lies in the algebra: the counts and the mass are exactly 0.
+    Preconditioned mode scales L and Delta by D^-1/2, D = g + Delta.
+    None where the form is unavailable or a count is a tie.
+    """
+    form = _structured_form(a, alg)
+    if form is None:
+        return None
+    g, low, s, scale = form
+    w, q = np.linalg.eigh(0.5 * (s + s.conj().T))
+    keep = np.abs(w) > STRUCTURE_RTOL * scale
+    w, low = w[keep], low @ q[:, keep]
+    delta = np.einsum("ij,j,ij->i", low, w, low.conj()).real
+    if mode == "preconditioned":
+        d = g + delta
+        _check_positive(d)
+    if not w.size:
+        return 0.0, dict.fromkeys(epsilons, 0)
+    ms = (low.conj().T @ low) * w
+    fro = max(float(np.sum(ms * ms.T).real - delta @ delta), 0.0)
+    if mode == "preconditioned":
+        low = low / np.sqrt(d)[:, None]
+        delta = delta / d
+    counts = _inertia_counts(low, w, delta, epsilons)
+    return None if counts is None else (fro, counts)
+
+
 def build_cluster_report(
     pairs: dict,
     epsilons=DEFAULT_EPS_GRID,
@@ -268,7 +381,10 @@ def build_cluster_report(
     mode 'preconditioned' counts eigenvalues of B_n^{-1/2} A_n B_n^{-1/2}
     outside (1 - eps, 1 + eps).  When the second item is a TransformAlgebra,
     B_n is its projection of A_n, and both counts and ||A_n - B_n||_F^2 are
-    read off W = U* A_n U without forming B_n.
+    read off W = U* A_n U without forming B_n.  A_n may then also be a
+    Symbol f (A_n = T_n(f)) or a LowRank factor: where W = diag(g) + L S L*
+    is available and verified, the counts come from that form in
+    O(n r^2) (``_structured_counts``), else from the dense W.
     """
     ladder = _validate_ladder(sorted(pairs))
     epsilons = tuple(_check_eps(e) for e in epsilons)
@@ -278,12 +394,17 @@ def build_cluster_report(
     fro: dict = {}
     for n in ladder:
         a, b = pairs[n]
-        if isinstance(b, TransformAlgebra):
-            fro[n], deviations = _algebra_deviations(a, b, mode)
-        else:
-            fro[n], deviations = _dense_deviations(a, b, mode)
+        algebra = isinstance(b, TransformAlgebra)
+        if algebra and b.order != n:
+            raise DimensionMismatchError(f"algebra of order {b.order} at ladder size {n}")
+        structured = _structured_counts(a, b, mode, epsilons) if algebra else None
+        if structured is None:
+            deviate = _algebra_deviations if algebra else _dense_deviations
+            mass, deviations = deviate(_as_matrix(a, n), b, mode)
+            structured = mass, {e: int(np.count_nonzero(deviations >= e)) for e in epsilons}
+        fro[n], by_eps = structured
         for eps in epsilons:
-            counts[(n, eps)] = int(np.count_nonzero(deviations >= eps))
+            counts[(n, eps)] = by_eps[eps]
     classification, slopes = classify(counts, ladder, epsilons)
     verdict = classify_frobenius(ladder, [fro[n] for n in ladder])
     return ClusterReport(

@@ -173,7 +173,7 @@ class KorovkinReport:
 
 
 def _verdict_for(algs: dict, f: Symbol, epsilons) -> FunctionVerdict:
-    pairs = {n: (toeplitz_section(f, n), alg) for n, alg in algs.items()}
+    pairs = {n: (f, alg) for n, alg in algs.items()}
     report = build_cluster_report(pairs, epsilons, label=f.label)
     return FunctionVerdict(
         label=f.label or "symbol",
@@ -200,6 +200,22 @@ def _korovkin_family(gens: Sequence[Symbol], squares: str):
     return sq, prods
 
 
+def check_holdout_labels(generators: Sequence[Symbol], holdout: Sequence[Symbol],
+                         squares: str = "each") -> None:
+    """Reject a holdout labelled like a generator, square or product (ValueError).
+
+    A report keys its verdicts by label, so such a holdout would hide one.
+    """
+    squares_set, product_set = _korovkin_family(list(generators), squares)
+    taken = {f.label or "symbol" for f in [*generators, *squares_set, *product_set]}
+    clash = sorted({h.label or "symbol" for h in holdout} & taken)
+    if clash:
+        raise ValueError(
+            f"holdout labels {clash} repeat a generator, square or product label; "
+            "labels key the outputs and must differ"
+        )
+
+
 def korovkin_test(
     kind,
     generators: Sequence[Symbol],
@@ -218,12 +234,14 @@ def korovkin_test(
     squares='each' puts every g_k^2 in the test set (the theorems'
     hypothesis); squares='sum' replaces them with the single function
     sum_k g_k^2.  Whether the weaker 'sum' variant suffices is an open
-    question, so both are exposed and neither is asserted.
+    question, so both are exposed and neither is asserted.  A holdout
+    labelled like a generator, square or product is a ValueError.
     """
     for g in generators:
         if not g.is_real:
             raise ValueError("generators must be real symbols")
     gens = list(generators)
+    check_holdout_labels(gens, holdout, squares)
     squares_set, product_set = _korovkin_family(gens, squares)
     factory = resolve_algebra_factory(kind)
     ladder = tuple(int(n) for n in ladder)

@@ -12,15 +12,17 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from .algebras import project, resolve_algebra_factory
 from .clustering import (
-    DEFAULT_EPS_GRID, DEFAULT_LADDER, ClusterReport, _validate_ladder, build_cluster_report,
+    DEFAULT_EPS_GRID, DEFAULT_LADDER, ClusterReport, LowRank, _validate_ladder,
+    build_cluster_report,
 )
 from .errors import InvariantViolationError
+from .linalg import frobenius_norm_sq
 from .symbols import Symbol
 
 HS_TAIL_FRACTION_MAX = 0.01
@@ -30,12 +32,20 @@ DECAY_CLASSES = ("hilbert_schmidt", "compact", "bounded")
 
 @dataclass(frozen=True)
 class OperatorSource:
-    """Deterministic entry generator (j, k) -> complex, vectorized over arrays."""
+    """Deterministic entry generator (j, k) -> complex, vectorized over arrays.
+
+    A source may also carry its structure, which the cluster reports use
+    instead of the dense truncation: the ``symbol`` f of a Toeplitz
+    operator (truncations T_n(f)), or a ``factor`` n -> V (n x r) with
+    truncations V V*.
+    """
 
     entry: Callable[[np.ndarray, np.ndarray], np.ndarray]
     decay_class: str
     label: str
     self_adjoint: bool = False
+    symbol: Optional[Symbol] = None
+    factor: Optional[Callable[[int], np.ndarray]] = None
 
     def __post_init__(self):
         if self.decay_class not in DECAY_CLASSES:
@@ -63,12 +73,18 @@ def hs_tail_fraction(src: OperatorSource, n: int) -> float:
 
     Fraction of the total squared mass of the n x n section carried by the
     entries outside the n/2 x n/2 leading subsection; small values back up
-    a declared Hilbert-Schmidt decay class.
+    a declared Hilbert-Schmidt decay class.  A source with a ``factor`` V
+    takes both masses from the r x r Gram matrices, ||V V*||_F = ||V* V||_F.
     """
-    full = truncate(src, n)
     half = n // 2
-    total = float(np.sum(np.abs(full) ** 2))
-    inner = float(np.sum(np.abs(full[:half, :half]) ** 2))
+    if src.factor is not None:
+        v = src.factor(n)
+        total = frobenius_norm_sq(v.conj().T @ v)
+        inner = frobenius_norm_sq(v[:half].conj().T @ v[:half])
+    else:
+        full = truncate(src, n)
+        total = frobenius_norm_sq(full)
+        inner = frobenius_norm_sq(full[:half, :half])
     if total == 0.0:
         return 0.0
     return (total - inner) / total
@@ -92,9 +108,18 @@ def distribution_convergence(
                 f"source {src.label!r} declares hilbert_schmidt decay but its "
                 f"border mass fraction is {frac:.3%} (> {HS_TAIL_FRACTION_MAX:.0%})"
             )
-    pairs = {n: (truncate(src, n), factory(n)) for n in ladder}
+    pairs = {n: (_truncation(src, n), factory(n)) for n in ladder}
     kind = pairs[ladder[0]][1].kind
     return build_cluster_report(pairs, eps_grid, label=f"{src.label} vs {kind} projection")
+
+
+def _truncation(src: OperatorSource, n: int):
+    """The order-n truncation as a cluster report takes it: symbol, factor or matrix."""
+    if src.symbol is not None:
+        return src.symbol
+    if src.factor is not None:
+        return LowRank(src.factor(n))
+    return truncate(src, n)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +148,7 @@ def rank1_source(p: float) -> OperatorSource:
         decay_class="hilbert_schmidt",
         label=f"rank1({p})",
         self_adjoint=True,
+        factor=lambda n, _p=float(p): (_p ** np.arange(n, dtype=np.float64))[:, None],
     )
 
 
@@ -139,6 +165,7 @@ def hs_decay_source(p: float) -> OperatorSource:
         decay_class="hilbert_schmidt",
         label=f"hs_decay({p})",
         self_adjoint=True,
+        factor=lambda n, _p=float(p): (1.0 / (1.0 + np.arange(n)) ** _p)[:, None],
     )
 
 
@@ -155,6 +182,7 @@ def toeplitz_source(f: Symbol, label: str = "") -> OperatorSource:
         decay_class="bounded",
         label=label or f"toeplitz:{f.label}",
         self_adjoint=f.is_real,
+        symbol=f,
     )
 
 

@@ -225,9 +225,12 @@ def test_criterion_7_hilbert_schmidt():
         d = [report.frobenius_sq[n] for n in report.ladder]
         assert d[-1] / d[0] <= 1.1, (kind, d)
         # bounded Frobenius mass certifies the strong cluster (the
-        # Tyrtyshnikov route); the raw count classifier is still draining
-        # toward its plateau at the smallest eps at these orders.
+        # Tyrtyshnikov route); at 64..512 the count classifier is still
+        # draining toward its plateau at the smallest eps ...
         assert report.frobenius_verdict == "strong", (kind, report.frobenius_verdict)
+        # ... and reaches it on a ladder the structured counts make cheap
+        large = pl.distribution_convergence(src, kind, ladder=(1024, 2048, 4096, 8192))
+        assert large.classification in ("strong", "uniform"), (kind, large.counts)
 
 
 @criterion(8, "PCG payoff: flat preconditioned iterations, 3x gap at n=1024")
@@ -304,6 +307,10 @@ DOCUMENTED_COMMANDS = [
     [
         "cluster-scan", "--algebra", "sine", "--symbol", "preset:2-2cos+delta(0.01)",
         "--ladder", "32,64,128,256", "--preconditioned",
+    ],
+    [
+        "cluster-scan", "--algebra", "fourier", "--symbol", "preset:2+cos",
+        "--ladder", "4096,8192,16384,32768",
     ],
 ]
 

@@ -532,3 +532,39 @@ def test_pinched_identities():
         project_pinched(alg, part, a.conj().T), pa.conj().T, atol=1e-11
     )
     assert abs(np.trace(pa) - np.trace(a)) < 1e-10 * (1 + abs(np.trace(a)))
+
+
+# ---------------------------------------------------------------------------
+# complete positivity: the Choi matrix sum_jk E_jk (x) Phi(E_jk) is PSD
+
+
+def _choi(phi, n):
+    choi = np.zeros((n * n, n * n), dtype=np.complex128)
+    for j in range(n):
+        for k in range(n):
+            unit = np.zeros((n, n), dtype=np.complex128)
+            unit[j, k] = 1.0
+            choi[j * n:(j + 1) * n, k * n:(k + 1) * n] = phi(unit)
+    return choi
+
+
+def _smallest_choi_eigenvalue(phi, n):
+    choi = _choi(phi, n)
+    assert np.max(np.abs(choi - choi.conj().T)) <= 1e-12
+    return np.linalg.eigvalsh(choi)[0]
+
+
+@pytest.mark.parametrize("kind", ALGEBRA_KINDS + ("custom",))
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_projections_are_completely_positive(kind, n):
+    # A -> U diag(U* A U) U* has Kraus operators u_i u_i*, the pinched map one
+    # projection U P_k U* per block
+    alg = random_unitary_algebra(n, seed=n) if kind == "custom" else make_algebra(kind, n)
+    maps = [lambda m: project(alg, m)] + [
+        lambda m, part=part: project_pinched(alg, part, m)
+        for part in (singleton_partition(n), contiguous_partition(n, 2), single_block_partition(n))
+    ]
+    for phi in maps:
+        assert _smallest_choi_eigenvalue(phi, n) >= -1e-12
+    # the transpose is positive but not completely positive: the check sees it
+    assert _smallest_choi_eigenvalue(lambda m: m.T, n) <= -1.0 + 1e-12

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import precondlab
-from precondlab import cli
+from precondlab import algebras, cli, operators, toeplitz
 from precondlab.algebras import ALGEBRA_KINDS, TransformAlgebra, resolve_algebra_factory
 from precondlab.cli import SELFTEST_CHECKS, SUBCOMMANDS, load_config, main, resolve_symbol
 from precondlab.errors import ParseError
@@ -241,6 +241,7 @@ BAD_INPUTS = [
     (["pcg-bench", "--ladder=1,4"], 1, "size must be >= 2"),
     (["operator-scan", "--source=hs_decay(inf)"], 1, "parameter must be finite"),
     (["operator-scan", "--source=hs_decay(nan)"], 1, "parameter must be finite"),
+    (["korovkin-test", "--holdout=cos"], 1, "repeat a generator, square or product label"),
 ]
 
 
@@ -385,6 +386,38 @@ def test_spectral_commands_never_build_the_unitary(kind, tmp_path, capsys, monke
     for i, argv in enumerate(commands):
         code, _, err = run(capsys, *argv, "--outdir", str(tmp_path / str(i)))
         assert code == 0, (argv, err)
+
+
+LARGE_LADDER_SCAN = [
+    "cluster-scan", "--algebra", "fourier", "--symbol", "preset:2+cos",
+    "--ladder", "4096,8192,16384,32768",
+]
+
+
+@pytest.mark.parametrize("argv", [
+    LARGE_LADDER_SCAN,
+    ["operator-scan", "--source", "rank1(0.6)", "--algebra", "hartley",
+     "--ladder", "256,512,1024,2048"],
+    ["operator-scan", "--source", "hs_decay(1.5)", "--algebra", "sine",
+     "--ladder", "1024,2048,4096,8192"],
+    ["operator-scan", "--source", "hs_decay(1.5)", "--algebra", "fourier",
+     "--ladder", "1024,2048,4096,8192"],
+], ids=lambda argv: argv[0] + ":" + argv[2])
+def test_structured_commands_never_form_a_section(argv, tmp_path, capsys, monkeypatch):
+    # no dense W, Toeplitz section or truncation: the counts, the mass and
+    # the Hilbert-Schmidt tail come from the diagonal-plus-low-rank form
+    originals = (algebras.eigenbasis, toeplitz.toeplitz_section, operators.truncate)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense section or eigenbasis was formed")
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("precondlab"):
+            for name, value in list(vars(module).items()):
+                if any(value is original for original in originals):
+                    monkeypatch.setattr(module, name, refuse)
+    code, _, err = run(capsys, *argv, "--outdir", str(tmp_path))
+    assert code == 0, err
 
 
 # ---------------------------------------------------------------------------

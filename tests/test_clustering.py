@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from precondlab.algebras import (
     ALGEBRA_KINDS,
@@ -9,10 +11,15 @@ from precondlab.algebras import (
     project,
     project_toeplitz_fast,
     random_unitary_algebra,
+    toeplitz_corner_form,
+    toeplitz_diagonal,
 )
 from precondlab.clustering import (
     DEFAULT_EPS_GRID,
     DEFAULT_LADDER,
+    LowRank,
+    _algebra_deviations,
+    _structured_counts,
     build_cluster_report,
     classify,
     classify_frobenius,
@@ -316,3 +323,155 @@ def test_algebra_pairs_unknown_mode():
     pairs = {n: (np.eye(n), make_algebra("fourier", n)) for n in (4, 8, 16, 32)}
     with pytest.raises(ValueError, match="unknown mode"):
         build_cluster_report(pairs, mode="sideways")
+
+
+# ---------------------------------------------------------------------------
+# structured counts: W = diag(g) + L S L* against the dense W
+
+
+def _dense_counts(a, alg, mode, epsilons=DEFAULT_EPS_GRID):
+    fro, deviations = _algebra_deviations(a, alg, mode)
+    return fro, {e: int(np.count_nonzero(deviations >= e)) for e in epsilons}
+
+
+def _real_symbol(rng, degree, even, floor=0.2):
+    """A real symbol of the given degree with min f = floor * (max f - min f)."""
+    coeffs = {}
+    for k in range(1, degree + 1):
+        a = complex(rng.uniform(-1.0, 1.0), 0.0 if even else rng.uniform(-1.0, 1.0))
+        coeffs[k], coeffs[-k] = a, a.conjugate()
+    values = Symbol(coeffs).eval_real(np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False))
+    coeffs[0] = floor * (values.max() - values.min()) - values.min()
+    return Symbol(coeffs)
+
+
+def _assert_structured_matches_dense(a_dense, structured, alg, mode):
+    fro, counts = _dense_counts(a_dense, alg, mode)
+    assert structured[1] == counts, (alg.kind, alg.order, mode)
+    # relative, with a floor at round-off of ||A||_F^2 where A lies in the algebra
+    assert abs(structured[0] - fro) <= 1e-12 * max(fro, np.sum(np.abs(a_dense) ** 2) * 1e-12)
+
+
+@pytest.mark.parametrize("kind", ALGEBRA_KINDS)
+@pytest.mark.parametrize("mode", ["difference", "preconditioned"])
+@pytest.mark.parametrize("n", [3, 5, 8, 64, 129, 1024])
+def test_structured_counts_match_dense_for_even_symbols(kind, mode, n):
+    f = parse_trig_expression("3+cos+0.5cos2x+0.7cos3x")
+    alg = make_algebra(kind, n)
+    structured = _structured_counts(f, alg, mode, DEFAULT_EPS_GRID)
+    if n < 2 * f.degree + 1:
+        assert structured is None
+        return
+    assert structured is not None
+    _assert_structured_matches_dense(toeplitz_section(f, n), structured, alg, mode)
+
+
+@pytest.mark.parametrize("mode", ["difference", "preconditioned"])
+@pytest.mark.parametrize("n", [8, 64, 129])
+def test_structured_counts_take_any_real_fourier_symbol(mode, n):
+    alg = make_algebra("fourier", n)
+    structured = _structured_counts(HERMITIAN_SYMBOL, alg, mode, DEFAULT_EPS_GRID)
+    assert structured is not None
+    _assert_structured_matches_dense(toeplitz_section(HERMITIAN_SYMBOL, n), structured, alg, mode)
+
+
+def test_structured_diagonal_is_the_toeplitz_diagonal():
+    f = parse_trig_expression("3+cos+0.5cos2x+0.7cos3x")
+    for kind in ALGEBRA_KINDS:
+        alg = make_algebra(kind, 64)
+        g, low, s = toeplitz_corner_form(alg, f)
+        diagonal = g + np.einsum("ij,jk,ik->i", low, s, low.conj()).real
+        assert np.max(np.abs(diagonal - toeplitz_diagonal(alg, f))) <= 1e-12, kind
+
+
+def test_structured_counts_fall_back_where_the_form_fails():
+    odd = parse_trig_expression("3+cos+0.5sin2x")
+    for kind in ("sine", "hartley"):
+        assert toeplitz_corner_form(make_algebra(kind, 64), odd) is None
+    assert toeplitz_corner_form(make_algebra("fourier", 64), odd) is not None
+    assert toeplitz_corner_form(make_algebra("fourier", 64), NON_HERMITIAN_SYMBOL) is None
+    assert toeplitz_corner_form(random_unitary_algebra(16, seed=1), odd) is None
+    fourier = make_algebra("fourier", 16)
+    assert _structured_counts(np.eye(16), fourier, "difference", (0.1,)) is None
+
+
+def test_structured_counts_in_the_algebra_are_exactly_zero():
+    # the tau algebra contains T_n(2 - 2cos + 0.01): S is all round-off
+    f = parse_trig_expression("2-2cos+delta(0.01)")
+    for mode in ("difference", "preconditioned"):
+        fro, counts = _structured_counts(f, make_algebra("sine", 64), mode, DEFAULT_EPS_GRID)
+        assert fro == 0.0 and set(counts.values()) == {0}
+
+
+def test_structured_counts_fall_back_at_a_tie():
+    # U* e_0 e_0* U = J / n in the Fourier basis: offdiag(W) = (J - I) / n has
+    # the eigenvalue -1/n n - 1 times, a tie at eps = 1/n
+    n = 8
+    e0 = np.zeros((n, 1))
+    e0[0] = 1.0
+    alg = make_algebra("fourier", n)
+    assert _structured_counts(LowRank(e0), alg, "difference", (1.0 / n,)) is None
+    assert _structured_counts(LowRank(e0), alg, "difference", (0.5,))[1] == {0.5: 1}
+    # the report falls back to the dense W there, which round-off decides
+    ladder = (8, 16, 32, 64)
+    tie = build_cluster_report(
+        {m: (LowRank(np.eye(m, 1)), make_algebra("fourier", m)) for m in ladder}, (1.0 / n,)
+    )
+    dense = _dense_counts(e0 @ e0.T, alg, "difference", (1.0 / n,))[1]
+    assert tie.counts[(n, 1.0 / n)] == dense[1.0 / n]
+    assert [tie.counts[(m, 1.0 / n)] for m in ladder[1:]] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+@pytest.mark.parametrize("p", [0.3, 0.8])
+@pytest.mark.parametrize("n", [8, 64, 256])
+def test_low_rank_counts_match_dense(kind, p, n):
+    u = np.stack([p ** np.arange(n), 1.0 / (1.0 + np.arange(n)) ** 1.5], axis=1)
+    alg = _algebra(kind, n)
+    for mode in ("difference", "preconditioned"):
+        try:
+            dense = _dense_counts(u @ u.T, alg, mode)
+        except NotPositiveDefiniteError:
+            with pytest.raises(NotPositiveDefiniteError):
+                _structured_counts(LowRank(u), alg, mode, DEFAULT_EPS_GRID)
+            continue
+        structured = _structured_counts(LowRank(u), alg, mode, DEFAULT_EPS_GRID)
+        assert structured[1] == dense[1], mode
+        assert abs(structured[0] - dense[0]) <= 1e-12 * dense[0]
+
+
+def test_symbol_pairs_match_section_pairs():
+    ladder = (16, 32, 64, 128)
+    for f in (parse_trig_expression("2+cos+0.5cos2x"), parse_trig_expression("2+cos+0.5sin2x")):
+        for kind in ALGEBRA_KINDS:
+            algs = {n: make_algebra(kind, n) for n in ladder}
+            lazy = build_cluster_report({n: (f, algs[n]) for n in ladder})
+            dense = build_cluster_report({n: (toeplitz_section(f, n), algs[n]) for n in ladder})
+            assert lazy.counts == dense.counts and lazy.classification == dense.classification
+            for n in ladder:
+                gap = abs(lazy.frobenius_sq[n] - dense.frobenius_sq[n])
+                assert gap <= 1e-12 * dense.frobenius_sq[n]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    degree=st.integers(1, 4),
+    even=st.booleans(),
+    n=st.integers(5, 256),
+    kind=st.sampled_from(ALGEBRA_KINDS),
+    mode=st.sampled_from(["difference", "preconditioned"]),
+)
+def test_structured_counts_fuzz_against_dense(seed, degree, even, n, kind, mode):
+    f = _real_symbol(np.random.default_rng(seed), degree, even)
+    alg = make_algebra(kind, n)
+    form = toeplitz_corner_form(alg, f)
+    if 2 * degree >= n:
+        assert form is None
+    elif not even and kind != "fourier":
+        assert form is None  # the probe sees the odd part
+    else:
+        assert form is not None
+    structured = _structured_counts(f, alg, mode, DEFAULT_EPS_GRID)
+    if structured is not None:
+        _assert_structured_matches_dense(toeplitz_section(f, n), structured, alg, mode)

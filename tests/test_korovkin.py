@@ -255,7 +255,9 @@ def test_korovkin_fourier_implication_observed():
 
 
 def test_korovkin_trivial_generators():
-    report = korovkin_test("fourier", [constant(1.0)], [constant(1.0)], ladder=(8, 16, 32, 64))
+    report = korovkin_test(
+        "fourier", [constant(1.0)], [constant(1.0, label="one")], ladder=(8, 16, 32, 64)
+    )
     assert report.test_set_strong and report.holdout_strong
     for verdict in report.all_verdicts():
         assert max(verdict.frobenius_sq.values()) < 1e-20
@@ -270,6 +272,14 @@ def test_korovkin_random_unitary_negative_control():
     )
     assert not report.test_set_strong
     assert report.implication_observed is None
+
+
+@pytest.mark.parametrize("holdout", ["cos", "(sin)^2", "(cos)*(sin)"])
+def test_korovkin_rejects_a_holdout_labelled_like_the_family(holdout):
+    # verdicts are keyed by label: a clash would drop one from the summary
+    with pytest.raises(ValueError, match="repeat a generator, square or product label"):
+        korovkin_test("fourier", [cosine(), sine()], [Symbol({0: 2.0}, label=holdout)],
+                      ladder=(8, 16, 32, 64))
 
 
 def test_korovkin_rejects_complex_generators():

@@ -85,6 +85,31 @@ def test_hs_tail_fraction_small_for_fast_decay():
     assert hs_tail_fraction(hs_decay_source(1.5), 512) < 0.01
 
 
+@pytest.mark.parametrize("src", [rank1_source(0.7), hs_decay_source(0.75), hs_decay_source(1.5)],
+                         ids=lambda src: src.label)
+def test_factor_sources_are_their_truncations(src):
+    for n in (1, 2, 7, 64):
+        v = src.factor(n)
+        np.testing.assert_allclose(v @ v.conj().T, truncate(src, n), rtol=1e-14, atol=0)
+        entry_only = OperatorSource(src.entry, src.decay_class, src.label, src.self_adjoint)
+        assert hs_tail_fraction(src, n) == pytest.approx(
+            hs_tail_fraction(entry_only, n), rel=1e-12, abs=1e-15
+        )
+
+
+def test_factor_sources_take_the_structured_counts():
+    for src in (rank1_source(0.5), hs_decay_source(1.5)):
+        for kind in ("fourier", "sine", "hartley"):
+            ladder = (16, 32, 64, 128)
+            structured = distribution_convergence(src, kind, ladder=ladder)
+            entry_only = OperatorSource(src.entry, src.decay_class, src.label, src.self_adjoint)
+            dense = distribution_convergence(entry_only, kind, ladder=ladder)
+            assert structured.counts == dense.counts, (src.label, kind)
+            for n in ladder:
+                fro = dense.frobenius_sq[n]
+                assert structured.frobenius_sq[n] == pytest.approx(fro, rel=1e-12)
+
+
 def test_distribution_convergence_rejects_fake_hs_declaration():
     slow = OperatorSource(
         entry=lambda j, k: np.full(np.shape(j), 0.1, dtype=np.complex128),
