@@ -501,10 +501,6 @@ class PinchingPartition:
     def order(self) -> int:
         return self._order
 
-    @property
-    def count(self) -> int:
-        return len(self.blocks)
-
 
 def singleton_partition(n: int) -> PinchingPartition:
     return PinchingPartition(tuple((i,) for i in range(n)))

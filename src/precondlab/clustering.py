@@ -237,8 +237,9 @@ def _dense_deviations(a, b, mode: str) -> tuple[float, np.ndarray]:
 def _algebra_deviations(a, alg: TransformAlgebra, mode: str) -> tuple[float, np.ndarray]:
     """The same for B = U diag(d) U*, the projection of A, read off W = U* A U.
 
-    With d = diag W: A - B = U offdiag(W) U*, and B^{-1/2} A B^{-1/2} is
-    unitarily similar to D^{-1/2} W D^{-1/2}, which is scaled in W's memory.
+    With d = diag W and W0 = W - diag(d): A - B = U W0 U*, and the
+    eigenvalues of B^{-1/2} A B^{-1/2} minus 1 are those of D^{-1/2} W0 D^{-1/2},
+    which is scaled in W's memory.
     """
     ma = as_square(a)
     hermitian = is_hermitian(ma, tol=HERMITIAN_EIG_TOL)
@@ -250,16 +251,14 @@ def _algebra_deviations(a, alg: TransformAlgebra, mode: str) -> tuple[float, np.
     d = np.diagonal(w).real.copy()
     np.fill_diagonal(w, 0.0)
     fro = frobenius_norm_sq(w)
-    if mode == "difference":
-        if hermitian:
-            return fro, np.abs(hermitian_eigvalues_unchecked(w))
+    if mode == "preconditioned":
+        _check_positive(d)
+        scale = 1.0 / np.sqrt(d)
+        w *= scale[:, None]
+        w *= scale[None, :]
+    elif not hermitian:
         return fro, singular_values_unchecked(w)
-    _check_positive(d)
-    np.fill_diagonal(w, d)
-    scale = 1.0 / np.sqrt(d)
-    w *= scale[:, None]
-    w *= scale[None, :]
-    return fro, np.abs(hermitian_eigvalues_unchecked(w) - 1.0)
+    return fro, np.abs(hermitian_eigvalues_unchecked(w))
 
 
 @dataclass(frozen=True)
@@ -300,41 +299,35 @@ def _structured_form(a, alg: TransformAlgebra):
     return None
 
 
-def _inertia(g, low, s, tie: float):
-    """(negatives, positives) among the eigenvalues of diag(g) + L diag(s) L*.
+def _pencil_counts(low, s, delta, weight, epsilons) -> Optional[dict]:
+    """Pencil eigenvalues |lambda| >= eps of (L diag(s) L* - diag(delta), diag(weight)), or None.
 
-    Haynsworth: In(G + L S L*) = In(G) + In(Z) - In(-S^-1) with
-    Z = -S^-1 - L* G^-1 L, r x r, so O(n r^2).  None when an eigenvalue is
-    at round-off from 0: some |g_i| <= tie, or an eigenvalue of Z within
-    STRUCTURE_RTOL of its largest.
+    By Sylvester's law, lambda >= eps are the eigenvalues of G + L S L*,
+    G = -delta - eps weight, that are not negative; lambda <= -eps those of
+    G = -delta + eps weight that are not positive.  Haynsworth:
+    In(G + L S L*) = In(G) + In(Z) - In(-S^-1), Z = -S^-1 - L* G^-1 L, and
+    the Z of all 2|eps| shifts come from one batched eigvalsh, O(n r^2)
+    each.  A tie is some |G_i| <= STRUCTURE_RTOL eps weight_i, or an
+    eigenvalue of Z within STRUCTURE_RTOL of the terms that form it,
+    max |S^-1| + tr(L* |G|^-1 L): round-off then decides the count.
     """
-    if np.min(np.abs(g)) <= tie:
+    # row 2i shifts by -eps w, row 2i + 1 by +eps w
+    shifts = np.multiply.outer(np.asarray(epsilons), [1.0, -1.0]).reshape(-1, 1)
+    g = -delta - shifts * weight
+    if np.any(np.abs(g) <= STRUCTURE_RTOL * np.abs(shifts) * weight):
         return None
-    z = np.linalg.eigvalsh(np.diag(-1.0 / s) - (low.conj().T / g) @ low)
-    if np.min(np.abs(z)) <= STRUCTURE_RTOL * np.max(np.abs(z)):
+    inv = 1.0 / g
+    z = np.linalg.eigvalsh(np.diag(-1.0 / s) - low.conj().T @ (low * inv[:, :, None]))
+    size = np.max(np.abs(1.0 / s)) + np.abs(inv) @ np.sum(np.abs(low) ** 2, axis=1)
+    if np.any(np.min(np.abs(z), axis=1) <= STRUCTURE_RTOL * size):
         return None
-    return (
-        int(np.sum(g < 0) + np.sum(z < 0) - np.sum(s > 0)),
-        int(np.sum(g > 0) + np.sum(z > 0) - np.sum(s < 0)),
-    )
-
-
-def _inertia_counts(low, s, delta, epsilons) -> Optional[dict]:
-    """Eigenvalues of L diag(s) L* - diag(delta) with |lambda| >= eps, per eps, or None at a tie.
-
-    lambda >= eps are the eigenvalues of G + L S L*, G = -delta - eps, that
-    are not negative; lambda <= -eps those of G = -delta + eps that are not
-    positive.
-    """
     n = delta.size
-    counts = {}
-    for eps in epsilons:
-        lower = _inertia(-delta - eps, low, s, STRUCTURE_RTOL * eps)
-        upper = _inertia(-delta + eps, low, s, STRUCTURE_RTOL * eps)
-        if lower is None or upper is None:
-            return None
-        counts[eps] = (n - lower[0]) + (n - upper[1])
-    return counts
+    negatives = np.sum(g < 0, axis=1) + np.sum(z < 0, axis=1) - np.sum(s > 0)
+    positives = np.sum(g > 0, axis=1) + np.sum(z > 0, axis=1) - np.sum(s < 0)
+    return {
+        eps: int((n - negatives[2 * i]) + (n - positives[2 * i + 1]))
+        for i, eps in enumerate(epsilons)
+    }
 
 
 def _structured_counts(a, alg: TransformAlgebra, mode: str, epsilons):
@@ -344,8 +337,10 @@ def _structured_counts(a, alg: TransformAlgebra, mode: str, epsilons):
     Delta = diag(L S L*), A - B = U (L S L* - Delta) U* and
     ||A - B||_F^2 = tr(M S M S) - ||Delta||^2, M = L* L.  With nothing
     left, A lies in the algebra: the counts and the mass are exactly 0.
-    Preconditioned mode scales L and Delta by D^-1/2, D = g + Delta.
-    None where the form is unavailable or a count is a tie.
+    Both modes count the pencil (L S L* - Delta, w), with w = 1 in difference
+    mode and w = D = g + Delta, the projection's eigenvalues, in
+    preconditioned mode.  None where the form is unavailable or a count is
+    a tie.
     """
     form = _structured_form(a, alg)
     if form is None:
@@ -355,17 +350,15 @@ def _structured_counts(a, alg: TransformAlgebra, mode: str, epsilons):
     keep = np.abs(w) > STRUCTURE_RTOL * scale
     w, low = w[keep], low @ q[:, keep]
     delta = np.einsum("ij,j,ij->i", low, w, low.conj()).real
+    weight = 1.0
     if mode == "preconditioned":
-        d = g + delta
-        _check_positive(d)
+        weight = g + delta
+        _check_positive(weight)
     if not w.size:
         return 0.0, dict.fromkeys(epsilons, 0)
     ms = (low.conj().T @ low) * w
     fro = max(float(np.sum(ms * ms.T).real - delta @ delta), 0.0)
-    if mode == "preconditioned":
-        low = low / np.sqrt(d)[:, None]
-        delta = delta / d
-    counts = _inertia_counts(low, w, delta, epsilons)
+    counts = _pencil_counts(low, w, delta, weight, epsilons)
     return None if counts is None else (fro, counts)
 
 

@@ -36,7 +36,6 @@ from .clustering import (
     _fit_slope,
     build_cluster_report,
 )
-from .linalg import frobenius_norm_sq
 from .symbols import Symbol, product
 from .toeplitz import toeplitz_section
 
@@ -342,7 +341,8 @@ def grid_quadrature_check(kind, g: Symbol, ladder=DEFAULT_LADDER) -> QuadratureR
             raise ValueError("algebra has no grid")
         target = n * mean_sq
         grid_sum = float(np.sum(g.eval_real(alg.grid) ** 2))
-        fro = frobenius_norm_sq(toeplitz_section(g, n))
+        # ||T_n(g)||_F^2: a_k fills the n - |k| entries of its diagonal
+        fro = sum(abs(a) ** 2 * (n - abs(k)) for k, a in g.coefficients.items() if abs(k) < n)
         grid_ratio[n] = abs(grid_sum - target) / n
         fro_ratio[n] = abs(fro - target) / n
     ratios_g = [grid_ratio[n] for n in ladder]

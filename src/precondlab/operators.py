@@ -23,7 +23,7 @@ from .clustering import (
 )
 from .errors import InvariantViolationError
 from .linalg import frobenius_norm_sq
-from .symbols import Symbol
+from .symbols import Symbol, constant
 
 HS_TAIL_FRACTION_MAX = 0.01
 
@@ -132,6 +132,7 @@ def identity_source() -> OperatorSource:
         decay_class="bounded",
         label="identity",
         self_adjoint=True,
+        symbol=constant(1.0),
     )
 
 

@@ -118,10 +118,6 @@ class ToeplitzOperator:
         ext[n + 1 :] = a[: n - 1]
         self._circ_fft = np.fft.fft(ext)
 
-    @property
-    def shape(self):
-        return (self.order, self.order)
-
     def matvec(self, x) -> np.ndarray:
         v = np.asarray(x, dtype=np.complex128)
         if v.shape != (self.order,):

@@ -25,6 +25,7 @@ from precondlab.clustering import (
     classify_frobenius,
     frobenius_criterion,
     outlier_count,
+    preconditioned_eigenvalues,
     preconditioned_spectrum,
 )
 from precondlab.errors import (
@@ -197,6 +198,12 @@ def test_preconditioned_outliers_match_nonsymmetric_eig_oracle():
     assert np.max(np.abs(eig.imag)) < 1e-8
     oracle = int(np.count_nonzero(np.abs(eig.real - 1.0) >= 0.1))
     assert ps.outliers == oracle
+
+
+def test_preconditioned_rejects_non_hermitian():
+    a = np.triu(np.ones((4, 4)))
+    with pytest.raises(NotPositiveDefiniteError, match="A must be Hermitian"):
+        preconditioned_eigenvalues(a, np.eye(4))
 
 
 def test_preconditioned_rejects_indefinite():
@@ -420,6 +427,29 @@ def test_structured_counts_fall_back_at_a_tie():
     dense = _dense_counts(e0 @ e0.T, alg, "difference", (1.0 / n,))[1]
     assert tie.counts[(n, 1.0 / n)] == dense[1.0 / n]
     assert [tie.counts[(m, 1.0 / n)] for m in ladder[1:]] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("kind", ALGEBRA_KINDS)
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("mode", ["difference", "preconditioned"])
+def test_rank_one_ties_fall_back(kind, n, mode):
+    # eps at each of the six largest dense deviations: with r = 1 the Schur
+    # complement is one number, so a tie is measured against the terms that
+    # form it, never against itself
+    ladder = (n // 8, n // 4, n // 2, n)
+    factors = {m: (0.7 ** np.arange(m))[:, None] for m in ladder}
+    algs = {m: make_algebra(kind, m) for m in ladder}
+    _, deviations = _algebra_deviations(factors[n] @ factors[n].T, algs[n], mode)
+    epsilons = tuple(float(e) for e in np.sort(deviations)[-6:])
+    for eps in epsilons:
+        assert _structured_counts(LowRank(factors[n]), algs[n], mode, (eps,)) is None, eps
+    lazy = build_cluster_report(
+        {m: (LowRank(factors[m]), algs[m]) for m in ladder}, epsilons, mode=mode
+    )
+    dense = build_cluster_report(
+        {m: (factors[m] @ factors[m].T, algs[m]) for m in ladder}, epsilons, mode=mode
+    )
+    assert lazy.counts == dense.counts
 
 
 @pytest.mark.parametrize("kind", PAIR_KINDS)

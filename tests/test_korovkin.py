@@ -26,6 +26,7 @@ from precondlab.korovkin import (
     remainder_propagation,
     sup_error,
 )
+from precondlab.linalg import frobenius_norm_sq
 from precondlab.symbols import (
     Symbol,
     constant,
@@ -352,6 +353,15 @@ def test_quadrature_constant():
     rep = grid_quadrature_check("fourier", constant(1.0), (8, 16, 32, 64))
     assert max(rep.grid_gap_ratio.values()) < 1e-12
     assert max(rep.frobenius_gap_ratio.values()) < 1e-12
+
+
+def test_quadrature_frobenius_mass_matches_the_dense_section():
+    g = parse_trig_expression("2+cos+0.5sin2x+0.3cos3x")
+    ladder = (2, 3, 8, 64, 200)  # n <= deg g included: lags |k| >= n drop out
+    rep = grid_quadrature_check("sine", g, ladder)
+    for n in ladder:
+        dense = abs(frobenius_norm_sq(toeplitz_section(g, n)) - n * g.parseval_mean_square()) / n
+        assert abs(rep.frobenius_gap_ratio[n] - dense) <= 1e-12 * dense, n
 
 
 def test_quadrature_sine_grid_gap_decreases():

@@ -85,6 +85,12 @@ def test_hs_tail_fraction_small_for_fast_decay():
     assert hs_tail_fraction(hs_decay_source(1.5), 512) < 0.01
 
 
+def test_hs_tail_fraction_of_a_zero_source_is_zero():
+    zero = OperatorSource(lambda j, k: np.zeros(j.shape, dtype=np.complex128),
+                          "hilbert_schmidt", "zero", self_adjoint=True)
+    assert hs_tail_fraction(zero, 8) == 0.0
+
+
 @pytest.mark.parametrize("src", [rank1_source(0.7), hs_decay_source(0.75), hs_decay_source(1.5)],
                          ids=lambda src: src.label)
 def test_factor_sources_are_their_truncations(src):
@@ -126,9 +132,12 @@ def test_distribution_convergence_rejects_fake_hs_declaration():
 
 
 def test_identity_source_uniform_zero_difference():
-    report = distribution_convergence(identity_source(), "fourier", ladder=(8, 16, 32, 64))
-    assert report.classification == "uniform"
-    assert max(report.frobenius_sq.values()) < 1e-20
+    # the identity carries its symbol 1, which every built-in algebra contains
+    for kind in ("fourier", "sine", "hartley"):
+        report = distribution_convergence(identity_source(), kind, ladder=(8, 16, 32, 64))
+        assert report.classification == "uniform", kind
+        assert report.frobenius_verdict == "strong", kind
+        assert all(v == 0.0 for v in report.frobenius_sq.values()), kind
 
 
 def test_hs_source_strong_for_all_builtin_algebras():

@@ -150,6 +150,18 @@ def test_pinched_requires_partition():
         build_preconditioner(np.eye(8, dtype=complex), "pinched")
 
 
+def test_diagonal_inverse_rejects_a_complex_diagonal():
+    alg = make_algebra("fourier", 8)
+    with pytest.raises(NotPositiveDefiniteError, match="projected diagonal is not real"):
+        precondlab.solver._diagonal_inverse(alg, np.ones(8) + 1j)
+
+
+def test_zero_rhs_returns_without_iterating():
+    a, _ = spd_system(8, seed=3)
+    trace = pcg(a, np.zeros(8, dtype=complex), precond="algebra_projection")
+    assert trace.iterations == 0 and trace.residual_history == [0.0] and trace.converged
+
+
 def test_preconditioner_rejects_indefinite_diagonal():
     f = parse_trig_expression("cos")  # sign-changing symbol: negative circulant eigenvalues
     op = ToeplitzOperator(f, 64)

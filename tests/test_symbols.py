@@ -12,8 +12,10 @@ from precondlab.symbols import (
     constant,
     cosine,
     fourier_coefficients,
+    load_symbol,
     parse_trig_expression,
     product,
+    save_symbol,
     sine,
     standard_test_set,
     symbol_from_lines,
@@ -211,6 +213,15 @@ def test_from_function_truncates_continuous_input():
 def test_serialization_round_trip():
     s = parse_trig_expression("2-2cos+delta(0.01)")
     assert symbol_from_lines(symbol_to_lines(s)).coefficients == s.coefficients
+
+
+def test_save_then_load_round_trip(tmp_path):
+    s = parse_trig_expression("2+cos+0.5sin3x")
+    path = tmp_path / "f.txt"
+    save_symbol(s, path)
+    loaded = load_symbol(path)
+    assert loaded.coefficients == s.coefficients
+    assert loaded.label == str(path)
 
 
 def test_serialization_rejects_garbage():
