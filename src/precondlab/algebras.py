@@ -130,17 +130,6 @@ def _fourier_inverse(z, out=None) -> np.ndarray:
     return np.fft.ifft(z, axis=0, norm="ortho", out=out)
 
 
-def _conjugated(transform: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
-    """U z = conj(U* conj z), the inverse of a transform whose U is symmetric."""
-
-    def inverse(z, out=None):
-        y = np.conjugate(z, out=out, dtype=np.complex128)
-        transform(y, out=y)
-        return np.conjugate(y, out=y)
-
-    return inverse
-
-
 def _sine_transform(x, out=None) -> np.ndarray:
     """Orthonormal DST-I along axis 0: the sine U* x.
 
@@ -183,7 +172,9 @@ def make_algebra(kind: str, n: int) -> TransformAlgebra:
       sine     w_k = (M cos(k x) - cos((n + 1) x) D_M(x)) / (n + 1)
       hartley  w_k = (M cos(k x) + sin((n - 1) x) D_M(x)) / n
 
-    and ``transform`` is the orthonormal DFT, DST-I or DHT.
+    and ``transform`` is the orthonormal DFT, DST-I or DHT.  The sine and
+    Hartley unitaries are real, symmetric and orthogonal, U = U* = U^-1, so
+    their ``inverse`` is ``transform`` itself.
     """
     if n < 2:
         raise ValueError("order must be >= 2")
@@ -213,8 +204,7 @@ def make_algebra(kind: str, n: int) -> TransformAlgebra:
             edge = np.cos((_n + 1) * x) * _dirichlet_ratio(m, x)
             return (m * np.cos(ks * x) - edge) / (_n + 1)
 
-        transform = _sine_transform
-        inverse = _conjugated(transform)
+        transform = inverse = _sine_transform
 
     elif kind == "hartley":
         grid = 2.0 * np.pi * np.arange(n) / n
@@ -231,8 +221,7 @@ def make_algebra(kind: str, n: int) -> TransformAlgebra:
             edge = np.sin((_n - 1) * x) * _dirichlet_ratio(m, x)
             return (m * np.cos(ks * x) + edge) / _n
 
-        transform = _hartley_transform
-        inverse = _conjugated(transform)
+        transform = inverse = _hartley_transform
 
     else:
         raise ValueError(

@@ -4,10 +4,7 @@ Every pipeline is a subcommand writing plot-ready CSV, all but project and
 selftest with a JSON summary sidecar.  Given the same configuration and
 seed, output files are byte-identical across runs; wall-clock timings are
 only written when --timings is passed since they would break that
-guarantee.
-
-Subcommands: project, cluster-scan, korovkin-test, lpo-rates,
-operator-scan, pcg-bench, selftest.
+guarantee.  ``--help`` lists the subcommands.
 """
 
 from __future__ import annotations
@@ -28,16 +25,6 @@ from .linalg import frobenius_norm_sq
 
 DEFAULT_SEED = 42
 DEFAULT_TOL = 1e-10
-
-SUBCOMMANDS = (
-    "project",
-    "cluster-scan",
-    "korovkin-test",
-    "lpo-rates",
-    "operator-scan",
-    "pcg-bench",
-    "selftest",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +136,20 @@ def resolve_symbol_list(spec: str) -> list[symbols.Symbol]:
     return resolved
 
 
+def _real(sym: symbols.Symbol, what: str) -> symbols.Symbol:
+    """sym, if it is real: `what` needs Hermitian sections or real values."""
+    if not sym.is_real:
+        raise ParseError(f"{what} needs a real symbol, got complex {sym.label!r}")
+    return sym
+
+
 # ---------------------------------------------------------------------------
 # deterministic CSV/JSON writers
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (np.floating,)):
+    # float(), since NumPy 2 writes repr(np.float64(0.5)) as 'np.float64(0.5)'
+    if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
 
@@ -233,6 +226,8 @@ def cmd_project(args) -> int:
 
 def cmd_cluster_scan(args) -> int:
     sym = resolve_symbol(args.symbol)
+    if args.preconditioned:
+        _real(sym, "cluster-scan --preconditioned")
     mode = "preconditioned" if args.preconditioned else "difference"
     plan = _plan(args, {
         "algebra": args.algebra, "symbol": sym.label,
@@ -282,7 +277,7 @@ def cmd_korovkin_test(args) -> int:
         ("holdout", report.holdout),
     ):
         for v in group:
-            rows.append((role, v.label, v.frobenius, v.classification, int(v.strong)))
+            rows.append((role, v.label, v.frobenius_verdict, v.classification, int(v.strong)))
     write_csv(out / "korovkin_test.csv",
               ["role", "symbol", "frobenius", "classification", "strong"], rows)
     write_json(out / "korovkin_test.json", report.summary())
@@ -297,7 +292,7 @@ def cmd_lpo_rates(args) -> int:
     if args.testset:
         test_set = symbols.standard_test_set(args.testset)
     else:
-        test_set = resolve_symbol_list(args.symbols)
+        test_set = [_real(s, "lpo-rates --symbols") for s in resolve_symbol_list(args.symbols)]
     plan = _plan(args, {
         "algebra": args.algebra,
         "symbols": [s.label for s in test_set],
@@ -323,6 +318,8 @@ def cmd_lpo_rates(args) -> int:
 
 def cmd_operator_scan(args) -> int:
     src = operators.source_from_spec(args.source, symbol_resolver=resolve_symbol)
+    if src.symbol is not None:
+        _real(src.symbol, "operator-scan --source toeplitz:")
     plan = _plan(args, {
         "algebra": args.algebra, "source": src.label,
         "ladder": list(args.ladder), "eps": list(args.eps),
@@ -344,7 +341,7 @@ def cmd_operator_scan(args) -> int:
 
 
 def cmd_pcg_bench(args) -> int:
-    sym = resolve_symbol(args.symbol)
+    sym = _real(resolve_symbol(args.symbol), "pcg-bench --symbol")
     preconds = ("none", "algebra_projection") if args.precond == "both" else (args.precond,)
     plan = _plan(args, {
         "algebra": args.algebra, "symbol": sym.label,
@@ -653,6 +650,7 @@ _HANDLERS = {
     "pcg-bench": cmd_pcg_bench,
     "selftest": cmd_selftest,
 }
+SUBCOMMANDS = tuple(_HANDLERS)
 
 
 def main(argv=None) -> int:

@@ -31,7 +31,6 @@ from .linalg import (
     hermitian_eigvalues_unchecked,
     is_hermitian,
     singular_values,
-    singular_values_unchecked,
 )
 from .symbols import Symbol
 from .toeplitz import toeplitz_section
@@ -137,12 +136,21 @@ def classify_frobenius(ladder, dsq) -> str:
     return "inconclusive"
 
 
+def _at_order(n: int, *mats) -> list[np.ndarray]:
+    """The matrices given for ladder size n, each checked to be n x n."""
+    out = [as_square(m) for m in mats]
+    shapes = [m.shape for m in out]
+    if any(shape != (n, n) for shape in shapes):
+        raise DimensionMismatchError(f"ladder size {n} holds matrices of shapes {shapes}")
+    return out
+
+
 def frobenius_criterion(seq_a: dict, seq_b: dict) -> str:
-    """Apply `classify_frobenius` to two ladders of matrices (maps n -> matrix)."""
+    """Apply `classify_frobenius` to two ladders of n x n matrices (maps n -> matrix)."""
     ladder = sorted(seq_a)
     if sorted(seq_b) != ladder:
         raise DimensionMismatchError("sequences must share the same ladder")
-    dsq = [frobenius_norm_sq(as_square(seq_a[n]) - as_square(seq_b[n])) for n in ladder]
+    dsq = [frobenius_norm_sq(np.subtract(*_at_order(n, seq_a[n], seq_b[n]))) for n in ladder]
     return classify_frobenius(ladder, dsq)
 
 
@@ -204,6 +212,11 @@ class ClusterReport:
     slopes: dict = field(default_factory=dict)  # eps -> fitted growth exponent
     label: str = ""
 
+    @property
+    def strong(self) -> bool:
+        """Strongly clustered: bounded Frobenius mass, or plateaued counts."""
+        return self.frobenius_verdict == "strong" or self.classification in ("strong", "uniform")
+
     def csv_rows(self) -> list[tuple]:
         rows = []
         for n in self.ladder:
@@ -223,14 +236,13 @@ class ClusterReport:
         }
 
 
-def _dense_deviations(a, b, mode: str) -> tuple[float, np.ndarray]:
+def _dense_deviations(a: np.ndarray, b: np.ndarray, mode: str) -> tuple[float, np.ndarray]:
     """||A - B||_F^2 and the deviations counted against eps, from dense B."""
-    ma, mb = as_square(a), as_square(b)
-    diff = ma - mb
+    diff = a - b
     fro = frobenius_norm_sq(diff)
     if mode == "difference":
         return fro, singular_values(diff)
-    values, _ = preconditioned_eigenvalues(ma, mb)
+    values, _ = preconditioned_eigenvalues(a, b)
     return fro, np.abs(values - 1.0)
 
 
@@ -257,7 +269,7 @@ def _algebra_deviations(a, alg: TransformAlgebra, mode: str) -> tuple[float, np.
         w *= scale[:, None]
         w *= scale[None, :]
     elif not hermitian:
-        return fro, singular_values_unchecked(w)
+        return fro, singular_values(w)
     return fro, np.abs(hermitian_eigvalues_unchecked(w))
 
 
@@ -377,7 +389,8 @@ def build_cluster_report(
     read off W = U* A_n U without forming B_n.  A_n may then also be a
     Symbol f (A_n = T_n(f)) or a LowRank factor: where W = diag(g) + L S L*
     is available and verified, the counts come from that form in
-    O(n r^2) (``_structured_counts``), else from the dense W.
+    O(n r^2) (``_structured_counts``), else from the dense W.  Dense A_n
+    and B_n must be n x n, else DimensionMismatchError.
     """
     ladder = _validate_ladder(sorted(pairs))
     epsilons = tuple(_check_eps(e) for e in epsilons)
@@ -392,6 +405,8 @@ def build_cluster_report(
             raise DimensionMismatchError(f"algebra of order {b.order} at ladder size {n}")
         structured = _structured_counts(a, b, mode, epsilons) if algebra else None
         if structured is None:
+            if not algebra:
+                a, b = _at_order(n, _as_matrix(a, n), b)
             deviate = _algebra_deviations if algebra else _dense_deviations
             mass, deviations = deviate(_as_matrix(a, n), b, mode)
             structured = mass, {e: int(np.count_nonzero(deviations >= e)) for e in epsilons}

@@ -33,6 +33,7 @@ from .algebras import TransformAlgebra, lag_sum, resolve_algebra_factory
 from .clustering import (
     DEFAULT_EPS_GRID,
     DEFAULT_LADDER,
+    ClusterReport,
     _fit_slope,
     build_cluster_report,
 )
@@ -127,25 +128,13 @@ def lpo_rates(
 
 
 @dataclass(frozen=True)
-class FunctionVerdict:
-    label: str
-    frobenius: str  # strong | weak | inconclusive
-    classification: str  # uniform | strong | weak | none
-    frobenius_sq: dict  # n -> float
-
-    @property
-    def strong(self) -> bool:
-        return self.frobenius == "strong" or self.classification in ("strong", "uniform")
-
-
-@dataclass(frozen=True)
 class KorovkinReport:
     algebra_kind: str
     ladder: tuple[int, ...]
     epsilons: tuple[float, ...]
-    test_set: tuple[FunctionVerdict, ...]
-    products: tuple[FunctionVerdict, ...]
-    holdout: tuple[FunctionVerdict, ...]
+    test_set: tuple[ClusterReport, ...]
+    products: tuple[ClusterReport, ...]
+    holdout: tuple[ClusterReport, ...]
     test_set_strong: bool
     holdout_strong: bool
     implication_observed: Optional[bool]  # None when the premise fails
@@ -163,23 +152,12 @@ class KorovkinReport:
             "implication_observed": self.implication_observed,
             "verdicts": {
                 v.label: {
-                    "frobenius": v.frobenius,
+                    "frobenius": v.frobenius_verdict,
                     "classification": v.classification,
                 }
                 for v in self.all_verdicts()
             },
         }
-
-
-def _verdict_for(algs: dict, f: Symbol, epsilons) -> FunctionVerdict:
-    pairs = {n: (f, alg) for n, alg in algs.items()}
-    report = build_cluster_report(pairs, epsilons, label=f.label)
-    return FunctionVerdict(
-        label=f.label or "symbol",
-        frobenius=report.frobenius_verdict,
-        classification=report.classification,
-        frobenius_sq=report.frobenius_sq,
-    )
 
 
 def _korovkin_family(gens: Sequence[Symbol], squares: str):
@@ -200,19 +178,25 @@ def _korovkin_family(gens: Sequence[Symbol], squares: str):
 
 
 def check_holdout_labels(generators: Sequence[Symbol], holdout: Sequence[Symbol],
-                         squares: str = "each") -> None:
-    """Reject a holdout labelled like a generator, square or product (ValueError).
+                         squares: str = "each") -> tuple[list[Symbol], list[Symbol]]:
+    """The (squares, products) family of real generators, checked against the holdout.
 
-    A report keys its verdicts by label, so such a holdout would hide one.
+    A complex generator, or a holdout labelled like a generator, square or
+    product, is a ValueError: a report keys its verdicts by label, so such
+    a holdout would hide one.
     """
-    squares_set, product_set = _korovkin_family(list(generators), squares)
-    taken = {f.label or "symbol" for f in [*generators, *squares_set, *product_set]}
+    gens = list(generators)
+    if not all(g.is_real for g in gens):
+        raise ValueError("generators must be real symbols")
+    squares_set, product_set = _korovkin_family(gens, squares)
+    taken = {f.label or "symbol" for f in [*gens, *squares_set, *product_set]}
     clash = sorted({h.label or "symbol" for h in holdout} & taken)
     if clash:
         raise ValueError(
             f"holdout labels {clash} repeat a generator, square or product label; "
             "labels key the outputs and must differ"
         )
+    return squares_set, product_set
 
 
 def korovkin_test(
@@ -227,39 +211,36 @@ def korovkin_test(
 
     The test set is the generators together with their squares; products
     g_k g_l (k < l) and every holdout symbol are then checked.  A function
-    counts as strongly clustered when either the bounded-Frobenius
-    criterion or the outlier classifier certifies it.
+    counts as strongly clustered (``ClusterReport.strong``) when either the
+    bounded-Frobenius criterion or the outlier classifier certifies it.
 
     squares='each' puts every g_k^2 in the test set (the theorems'
     hypothesis); squares='sum' replaces them with the single function
     sum_k g_k^2.  Whether the weaker 'sum' variant suffices is an open
-    question, so both are exposed and neither is asserted.  A holdout
-    labelled like a generator, square or product is a ValueError.
+    question, so both are exposed and neither is asserted.  The family is
+    built and checked once, by ``check_holdout_labels``.
     """
-    for g in generators:
-        if not g.is_real:
-            raise ValueError("generators must be real symbols")
     gens = list(generators)
-    check_holdout_labels(gens, holdout, squares)
-    squares_set, product_set = _korovkin_family(gens, squares)
+    squares_set, product_set = check_holdout_labels(gens, holdout, squares)
     factory = resolve_algebra_factory(kind)
     ladder = tuple(int(n) for n in ladder)
     epsilons = tuple(float(e) for e in eps_grid)
     # Reuse one algebra per ladder size across all functions.
     algs = {n: factory(n) for n in ladder}
-    test_set = [_verdict_for(algs, f, epsilons) for f in gens + squares_set]
-    prods = [_verdict_for(algs, f, epsilons) for f in product_set]
-    hold = [_verdict_for(algs, f, epsilons) for f in holdout]
-
+    test_set, prods, hold = (
+        tuple(build_cluster_report({n: (f, alg) for n, alg in algs.items()}, epsilons,
+                                   label=f.label or "symbol") for f in group)
+        for group in (gens + squares_set, product_set, holdout)
+    )
     test_strong = all(v.strong for v in test_set)
     hold_strong = all(v.strong for v in prods + hold)
     return KorovkinReport(
         algebra_kind=algs[ladder[0]].kind,
         ladder=ladder,
         epsilons=epsilons,
-        test_set=tuple(test_set),
-        products=tuple(prods),
-        holdout=tuple(hold),
+        test_set=test_set,
+        products=prods,
+        holdout=hold,
         test_set_strong=test_strong,
         holdout_strong=hold_strong,
         implication_observed=hold_strong if test_strong else None,

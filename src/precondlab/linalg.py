@@ -117,9 +117,8 @@ def hermitian_eigvalues(a, tol: float = HERMITIAN_EIG_TOL) -> np.ndarray:
 
 def singular_values(a) -> np.ndarray:
     """Singular values sorted ascending (nonnegative square roots of eig(A*A))."""
-    m = as_matrix(a)
     try:
-        s = np.linalg.svd(m, compute_uv=False)
+        s = np.linalg.svd(_lapack_view(as_matrix(a)), compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"svd failed to converge: {exc}") from exc
     return s[::-1].copy()
@@ -146,19 +145,6 @@ def hermitian_eigvalues_unchecked(a: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(_lapack_view(a))
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eigvalsh failed to converge: {exc}") from exc
-
-
-def singular_values_unchecked(a: np.ndarray) -> np.ndarray:
-    """Singular values of a complex128 matrix, ascending; A is left as is.
-
-    Unlike `singular_values` it takes A's dtype as given and lets LAPACK
-    factor the transpose of a C-ordered A.
-    """
-    try:
-        s = np.linalg.svd(_lapack_view(a), compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"svd failed to converge: {exc}") from exc
-    return s[::-1].copy()
 
 
 def solve_hermitian(a, b) -> np.ndarray:

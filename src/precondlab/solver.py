@@ -55,6 +55,10 @@ class SolveTrace:
     converged: bool = True
     error_history: Optional[list[float]] = None
 
+    @property
+    def final_residual(self) -> float:
+        return self.residual_history[-1]
+
 
 def _check_diagonal(d: np.ndarray, scale: float) -> None:
     if np.min(d) <= DIAGONAL_CLAMP_RTOL * scale:
@@ -231,15 +235,6 @@ def pcg(
     )
 
 
-@dataclass(frozen=True)
-class ScalingCell:
-    order: int
-    preconditioner: str
-    iterations: int
-    final_residual: float
-    wall_time: float
-
-
 def scaling_study(
     f: Symbol,
     ladder,
@@ -247,27 +242,18 @@ def scaling_study(
     alg_kind="fourier",
     preconds: Sequence[str] = ("none", "algebra_projection"),
     max_iter: Optional[int] = None,
-) -> list[ScalingCell]:
-    """Iteration counts per order for each preconditioner choice.
+) -> list[SolveTrace]:
+    """The pcg trace per order for each preconditioner choice.
 
     The right-hand side is the all-ones vector.  The symbol must be real so
     the sections are Hermitian.
     """
     if not f.is_real:
         raise ValueError("scaling_study requires a real symbol")
-    cells = []
+    traces = []
     for n in (int(n) for n in ladder):
         op = ToeplitzOperator(f, n)
         b = np.ones(n, dtype=np.complex128)
         for pc in preconds:
-            trace = pcg(op, b, precond=pc, alg_kind=alg_kind, tol=tol, max_iter=max_iter)
-            cells.append(
-                ScalingCell(
-                    order=n,
-                    preconditioner=trace.preconditioner,
-                    iterations=trace.iterations,
-                    final_residual=trace.residual_history[-1],
-                    wall_time=trace.wall_time,
-                )
-            )
-    return cells
+            traces.append(pcg(op, b, precond=pc, alg_kind=alg_kind, tol=tol, max_iter=max_iter))
+    return traces

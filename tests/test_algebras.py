@@ -150,6 +150,16 @@ def test_transform_is_the_adjoint_unitary(kind, n):
     np.testing.assert_allclose(out, alg.inverse(x), rtol=0, atol=1e-15 * n)
 
 
+@pytest.mark.parametrize("kind", ["sine", "hartley"])
+def test_real_symmetric_unitary_is_its_own_inverse(kind):
+    # U = U* = U^-1: one map serves both directions
+    alg = make_algebra(kind, 9)
+    u = alg.basis(alg.grid)
+    assert alg.inverse is alg.transform
+    assert not np.any(u.imag)
+    np.testing.assert_allclose(u, u.T, rtol=0, atol=1e-14)
+
+
 def test_eigenbasis_custom_is_dense_product():
     alg = random_unitary_algebra(6, seed=3)
     a = seeded_matrix(6, seed=4)
@@ -568,3 +578,24 @@ def test_projections_are_completely_positive(kind, n):
         assert _smallest_choi_eigenvalue(phi, n) >= -1e-12
     # the transpose is positive but not completely positive: the check sees it
     assert _smallest_choi_eigenvalue(lambda m: m.T, n) <= -1.0 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# guards: (call, error, message fragment)
+
+GUARDS = [
+    pytest.param(lambda: make_algebra("fourier", 1), ValueError, "order must be >= 2",
+                 id="order"),
+    pytest.param(lambda: make_algebra("cosine", 4), ValueError, "unknown algebra kind",
+                 id="kind"),
+    pytest.param(lambda: project_toeplitz_fast(constant(1.0), 0), ValueError,
+                 "order must be >= 1", id="fast-order"),
+    pytest.param(lambda: contiguous_partition(4, 0), ValueError, "block_size must be >= 1",
+                 id="block-size"),
+]
+
+
+@pytest.mark.parametrize("call, error, fragment", GUARDS)
+def test_guard_raises(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

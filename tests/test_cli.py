@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import precondlab
@@ -215,8 +216,8 @@ def test_indefinite_sine_projection_exit_two(tmp_path, capsys):
 
 # Bad input, one row each: (argv, exit code, message fragment).  Options are
 # written --key=value so the config-file run can move them into the file;
-# {tmp} is the test's directory, holding inf.txt ("0 inf 0") and nan.txt
-# ("0 nan 0").
+# {tmp} is the test's directory, holding inf.txt ("0 inf 0"), nan.txt
+# ("0 nan 0") and complex.txt, the complex symbol 2 + 0.5i e^{ix}.
 BAD_INPUTS = [
     (["cluster-scan", "--eps=0"], 1, "eps must be positive and finite"),
     (["cluster-scan", "--eps=0.1,inf"], 1, "eps must be positive and finite"),
@@ -242,14 +243,27 @@ BAD_INPUTS = [
     (["operator-scan", "--source=hs_decay(inf)"], 1, "parameter must be finite"),
     (["operator-scan", "--source=hs_decay(nan)"], 1, "parameter must be finite"),
     (["korovkin-test", "--holdout=cos"], 1, "repeat a generator, square or product label"),
+    (["project", "--n=abc"], 1, "bad size 'abc'"),
+    (["cluster-scan", "--eps=abc"], 1, "bad eps 'abc'"),
+    (["operator-scan", "--source=hs_decay(0.3)"], 1, "must be > 1/2"),
+    (["lpo-rates", "--symbols=file:{tmp}/complex.txt"], 1, "needs a real symbol"),
+    (["korovkin-test", "--generators=cos;file:{tmp}/complex.txt"], 1,
+     "generators must be real symbols"),
+    (["pcg-bench", "--symbol=file:{tmp}/complex.txt"], 1, "needs a real symbol"),
+    (["operator-scan", "--source=toeplitz:file:{tmp}/complex.txt"], 1, "needs a real symbol"),
 ]
+
+
+def _write_symbol_files(tmp_path):
+    (tmp_path / "inf.txt").write_text("0 inf 0\n")
+    (tmp_path / "nan.txt").write_text("0 nan 0\n")
+    (tmp_path / "complex.txt").write_text("0 2 0\n1 0 0.5\n")
 
 
 @pytest.mark.parametrize("mode", ["plain", "dry-run", "config"])
 @pytest.mark.parametrize("argv, code, fragment", BAD_INPUTS)
 def test_bad_input_exits_with_error_line(argv, code, fragment, mode, tmp_path, capsys):
-    (tmp_path / "inf.txt").write_text("0 inf 0\n")
-    (tmp_path / "nan.txt").write_text("0 nan 0\n")
+    _write_symbol_files(tmp_path)
     command, *options = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     if mode == "dry-run":
         options.append("--dry-run")
@@ -265,8 +279,33 @@ def test_bad_input_exits_with_error_line(argv, code, fragment, mode, tmp_path, c
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("mode", ["plain", "dry-run"])
+def test_preconditioned_scan_rejects_a_complex_symbol(mode, tmp_path, capsys):
+    # a switch cannot be set from a config file, so this row has no config mode
+    _write_symbol_files(tmp_path)
+    out_dir = tmp_path / "out"
+    extra = ["--dry-run"] if mode == "dry-run" else []
+    code, out, err = run(capsys, "cluster-scan", f"--symbol=file:{tmp_path}/complex.txt",
+                         "--preconditioned", "--outdir", str(out_dir), *extra)
+    assert code == 1 and "error:" in err and "needs a real symbol" in err
+    assert not out and not out_dir.exists()
+
+
+def test_complex_symbol_scans_in_difference_mode(tmp_path, capsys):
+    _write_symbol_files(tmp_path)
+    code, _, err = run(capsys, "cluster-scan", f"--symbol=file:{tmp_path}/complex.txt",
+                       "--ladder", "8,16,32,64", "--outdir", str(tmp_path), "--dry-run")
+    assert code == 0, err
+
+
 # ---------------------------------------------------------------------------
 # dry runs
+
+
+def test_subcommands_are_the_parser_choices():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    assert SUBCOMMANDS == tuple(sub.choices)
 
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)
@@ -422,6 +461,12 @@ def test_structured_commands_never_form_a_section(argv, tmp_path, capsys, monkey
 
 # ---------------------------------------------------------------------------
 # determinism
+
+
+def test_write_csv_writes_numpy_floats_as_plain_reprs(tmp_path):
+    path = tmp_path / "cells.csv"
+    cli.write_csv(path, ["a", "b", "c", "d"], [(np.float64(0.5), np.float32(0.25), 0.1, 3)])
+    assert path.read_text() == "a,b,c,d\n0.5,0.25,0.1,3\n"
 
 
 def test_cluster_scan_byte_identical(tmp_path, capsys):

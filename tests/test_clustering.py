@@ -147,7 +147,7 @@ def test_classify_ladder_validation():
 
 
 def test_frobenius_identical_sequences_strong():
-    seq = {n: np.eye(4) for n in LADDER}
+    seq = {n: np.eye(n) for n in LADDER}
     assert frobenius_criterion(seq, seq) == "strong"
 
 
@@ -505,3 +505,46 @@ def test_structured_counts_fuzz_against_dense(seed, degree, even, n, kind, mode)
     structured = _structured_counts(f, alg, mode, DEFAULT_EPS_GRID)
     if structured is not None:
         _assert_structured_matches_dense(toeplitz_section(f, n), structured, alg, mode)
+
+
+# ---------------------------------------------------------------------------
+# guards: (call, error, message fragment); a dense pair must be n x n at
+# ladder size n, not broadcast or repeated
+
+
+TWO_PLUS_COS = parse_trig_expression("2+cos")
+T8 = toeplitz_section(TWO_PLUS_COS, 8)
+WRONG_ORDER = DimensionMismatchError, r"ladder size \d+ holds matrices of shapes"
+GUARDS = [
+    pytest.param(lambda: build_cluster_report(
+        {n: (toeplitz_section(TWO_PLUS_COS, n), np.eye(1)) for n in (8, 16, 32, 64)}),
+        *WRONG_ORDER, id="broadcast-b"),
+    pytest.param(lambda: build_cluster_report(
+        {n: (T8, project_toeplitz_fast(TWO_PLUS_COS, 8)) for n in (8, 16, 32, 64)}),
+        *WRONG_ORDER, id="repeated-pair"),
+    pytest.param(lambda: frobenius_criterion(
+        {n: np.eye(n) for n in LADDER}, {n: np.eye(1) for n in LADDER}),
+        *WRONG_ORDER, id="frobenius-broadcast-b"),
+    pytest.param(lambda: classify_frobenius(LADDER, [1.0, 1.0]), InsufficientLadderError,
+                 "one d value per ladder size", id="frobenius-length"),
+    pytest.param(lambda: frobenius_criterion({8: np.eye(8)}, {16: np.eye(16)}),
+                 DimensionMismatchError, "share the same ladder", id="frobenius-ladders"),
+    pytest.param(lambda: preconditioned_eigenvalues(np.eye(3), np.eye(4)),
+                 DimensionMismatchError, "differ", id="preconditioned-shapes"),
+    pytest.param(
+        lambda: build_cluster_report(
+            {n: (LowRank(np.ones((n + 1, 1))), make_algebra("fourier", n)) for n in LADDER}),
+        DimensionMismatchError, "factor order", id="low-rank-order",
+    ),
+    pytest.param(
+        lambda: build_cluster_report(
+            {n: (np.eye(n), make_algebra("fourier", 2 * n)) for n in LADDER}),
+        DimensionMismatchError, "algebra of order", id="algebra-order",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, fragment", GUARDS)
+def test_guard_raises(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

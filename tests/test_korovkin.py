@@ -8,6 +8,7 @@ independent of the matrix quadratic form used by the library.
 import numpy as np
 import pytest
 
+from precondlab import korovkin
 from precondlab.algebras import (
     ALGEBRA_KINDS,
     TransformAlgebra,
@@ -288,6 +289,15 @@ def test_korovkin_rejects_complex_generators():
         korovkin_test("fourier", [parse_trig_expression("cos").scaled(1j)], [])
 
 
+def test_korovkin_builds_the_family_once(monkeypatch):
+    calls = []
+    build = korovkin._korovkin_family
+    monkeypatch.setattr(korovkin, "_korovkin_family", lambda *a: calls.append(a) or build(*a))
+    korovkin_test("fourier", [cosine(), sine()], [constant(2.0, label="2")],
+                  ladder=(8, 16, 32, 64))
+    assert len(calls) == 1
+
+
 def test_korovkin_sum_of_squares_variant():
     report = korovkin_test(
         "fourier",
@@ -370,3 +380,20 @@ def test_quadrature_sine_grid_gap_decreases():
     assert rep.frobenius_gap_decreasing
     ratios = [rep.grid_gap_ratio[n] for n in rep.ladder]
     assert ratios[-1] < ratios[0]
+
+
+# ---------------------------------------------------------------------------
+# guards: (call, error, message fragment)
+
+GUARDS = [
+    pytest.param(lambda: grid_quadrature_check("fourier", cosine().scaled(1j), (8, 16)),
+                 ValueError, "requires a real symbol", id="complex-symbol"),
+    pytest.param(lambda: grid_quadrature_check("custom", cosine(), (8, 16)),
+                 ValueError, "algebra has no grid", id="no-grid"),
+]
+
+
+@pytest.mark.parametrize("call, error, fragment", GUARDS)
+def test_guard_raises(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

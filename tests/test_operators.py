@@ -207,3 +207,30 @@ def test_source_spec_rejects_unknown():
     for spec in ("hs_decay(inf)", "hs_decay(nan)", "rank1(nan)"):
         with pytest.raises(ValueError, match="must be finite"):
             source_from_spec(spec)
+
+
+# ---------------------------------------------------------------------------
+# guards: (call, error, message fragment)
+
+GUARDS = [
+    pytest.param(lambda: OperatorSource(entry=np.add, decay_class="smooth", label="x"),
+                 ValueError, "unknown decay class", id="decay-class"),
+    pytest.param(lambda: truncate(identity_source(), 0), ValueError, "order must be >= 1",
+                 id="truncate-order"),
+    pytest.param(
+        lambda: truncate(OperatorSource(entry=lambda j, k: 1.0, decay_class="bounded",
+                                        label="scalar"), 4),
+        ValueError, "must be vectorized", id="truncate-scalar-entry",
+    ),
+    pytest.param(
+        lambda: distribution_convergence(
+            toeplitz_source(parse_trig_expression("2+cos").scaled(1j)), "fourier"),
+        ValueError, "self-adjoint sources", id="not-self-adjoint",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, fragment", GUARDS)
+def test_guard_raises(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

@@ -19,6 +19,7 @@ from precondlab.algebras import (
     project_toeplitz_fast,
 )
 from precondlab.errors import (
+    DimensionMismatchError,
     MaxIterationsError,
     NotPositiveDefiniteError,
     NotUnitaryError,
@@ -321,3 +322,22 @@ def test_indefinite_symbol_fails_before_the_first_iteration(kind, monkeypatch):
     op = ToeplitzOperator(parse_trig_expression("cos"), 64)
     with pytest.raises(NotPositiveDefiniteError, match="clamp"):
         pcg(op, np.ones(64, dtype=complex), precond="algebra_projection", alg_kind=kind)
+
+
+# ---------------------------------------------------------------------------
+# guards: (call, error, message fragment)
+
+GUARDS = [
+    pytest.param(lambda: build_preconditioner(np.eye(4), "jacobi"), ValueError,
+                 "unknown preconditioner", id="preconditioner"),
+    pytest.param(lambda: pcg(np.eye(4), np.ones(5)), DimensionMismatchError,
+                 "does not match order 4", id="rhs-shape"),
+    pytest.param(lambda: scaling_study(parse_trig_expression("2+cos").scaled(1j), (8, 16)),
+                 ValueError, "requires a real symbol", id="complex-symbol"),
+]
+
+
+@pytest.mark.parametrize("call, error, fragment", GUARDS)
+def test_guard_raises(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

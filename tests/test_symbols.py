@@ -256,6 +256,31 @@ def test_parse_trig_expression(expr, expected):
 
 def test_parse_rejects_garbage():
     for bad in ("", "2**cos", "cosx+", "tan", "2+-cos", "1e", "delta(0.01", "2+*", "-*",
-                "2*", "2*+cos", "1e400", "2+delta(nan)", "1e308+1e308"):
+                "2*", "2*+cos", "1e400", "2+delta(nan)", "1e308+1e308", "cos0x",
+                "delta(abc)"):
         with pytest.raises(ParseError):
             parse_trig_expression(bad)
+
+
+# ---------------------------------------------------------------------------
+# guards: (call, error, message fragment)
+
+
+def _samples(n, values):
+    return SampledFunction(lambda xs: values, n)
+
+
+GUARDS = [
+    pytest.param(lambda: fourier_coefficients(_samples(8, np.ones(8)), -1), ValueError,
+                 "degree must be nonnegative", id="degree"),
+    pytest.param(lambda: fourier_coefficients(_samples(8, np.ones(3)), 1), ValueError,
+                 "one value per sample point", id="samples-shape"),
+    pytest.param(lambda: symbol_from_lines(["0 abc 0"]), ParseError, "line 1: could not convert",
+                 id="coefficient-text"),
+]
+
+
+@pytest.mark.parametrize("call, error, fragment", GUARDS)
+def test_guard_raises(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

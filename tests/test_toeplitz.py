@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from precondlab.errors import DimensionMismatchError
 from precondlab.linalg import hermitian_eigvalues, is_hermitian, singular_values
 from precondlab.symbols import Symbol, constant, cosine, parse_trig_expression, product
 from precondlab.toeplitz import (
@@ -182,3 +183,22 @@ def test_operator_matvec_matches_section_at_any_degree(n):
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     op = ToeplitzOperator(f, n)
     np.testing.assert_allclose(op.matvec(x), toeplitz_section(f, n) @ x, atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# guards: (call, error, message fragment)
+
+F = parse_trig_expression("2+cos")
+GUARDS = [
+    pytest.param(lambda: toeplitz_section(F, 0), ValueError, "order must be >= 1", id="section"),
+    pytest.param(lambda: hankel_section(F, 0), ValueError, "order must be >= 1", id="hankel"),
+    pytest.param(lambda: ToeplitzOperator(F, 0), ValueError, "order must be >= 1", id="operator"),
+    pytest.param(lambda: ToeplitzOperator(F, 4).matvec(np.ones(5)), DimensionMismatchError,
+                 "does not match order 4", id="matvec-length"),
+]
+
+
+@pytest.mark.parametrize("call, error, fragment", GUARDS)
+def test_guard_raises(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()
