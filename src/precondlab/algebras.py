@@ -21,7 +21,9 @@ without forming U, and the diagonal of U* T_n(f) U of a Toeplitz section
 (``toeplitz_diagonal``) comes from closed forms in O(n log n) or
 O(n deg f), without forming the section.  Where T_n(f) differs from an
 algebra matrix only in its corners, ``toeplitz_corner_form`` gives
-U* T_n(f) U as a diagonal plus a rank-2 deg f term.
+U* T_n(f) U as a diagonal plus a rank-2 deg f term; for any real f,
+``toeplitz_band_form`` gives T_n(f) and its projection as bands of width
+2 deg f + 1 in the reflection-pairing order.
 """
 
 from __future__ import annotations
@@ -410,6 +412,14 @@ def toeplitz_diagonal(alg: TransformAlgebra, f: Symbol) -> np.ndarray:
     return d
 
 
+def _weyl_vector(n: int) -> np.ndarray:
+    """The fixed probe vector frac(j phi) - 1/2, j = 0..n-1, of the structured forms.
+
+    A random vector would import numpy.random, which costs a command ~25 ms.
+    """
+    return np.arange(n) * 0.6180339887498949 % 1.0 - 0.5
+
+
 def toeplitz_corner_form(
     alg: TransformAlgebra, f: Symbol
 ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -423,9 +433,8 @@ def toeplitz_corner_form(
     L = U* E_I (2d transforms) and S = T_II - L* diag(g) L, read from the
     coefficients without a section.  The form is verified per n on one
     fixed vector x: ||T x - U (g U* x) - E_I S x_I|| must stay within
-    TRACE_RTOL ||T x||, with a matrix-free Toeplitz product.  x is the Weyl
-    sequence frac(j phi) - 1/2; a random x would import numpy.random, which
-    costs a command ~25 ms.  None for a complex f, n < 2d + 1, a custom
+    TRACE_RTOL ||T x||, with a matrix-free Toeplitz product and x =
+    ``_weyl_vector(n)``.  None for a complex f, n < 2d + 1, a custom
     algebra, or a failed probe (an odd part of f in the sine or Hartley
     algebra).
     """
@@ -441,13 +450,77 @@ def toeplitz_corner_form(
     coeffs = f.coefficient_array(-d, d + 1)
     t_ii = np.where(np.abs(lags) <= d, coeffs[np.clip(lags, -d, d) + d], 0.0)
     s = t_ii - (low.conj().T * g) @ low
-    x = np.arange(n) * 0.6180339887498949 % 1.0 - 0.5
+    x = _weyl_vector(n)
     tx = ToeplitzOperator(f, n).matvec(x)
     defect = tx - alg.inverse(g * alg.transform(x))
     defect[idx] -= s @ x[idx]
     if np.linalg.norm(defect) > TRACE_RTOL * np.linalg.norm(tx):
         return None
     return g, low, s
+
+
+def _pairing_order(n: int) -> np.ndarray:
+    """The reflection-pairing order 0, 1, n-1, 2, n-2, ... of the indices 0..n-1."""
+    j = np.arange(n)
+    return np.where(j % 2 == 1, (j + 1) // 2, (n - j // 2) % n)
+
+
+def _band_matvec(low: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """A y for the Hermitian A with lower band low[p, k] = A[p, p - k]."""
+    out = low[:, 0] * y
+    for k in range(1, low.shape[1]):
+        out[k:] += low[k:, k] * y[:-k]
+        out[:-k] += low[k:, k].conj() * y[k:]
+    return out
+
+
+def toeplitz_band_form(
+    alg: TransformAlgebra, f: Symbol
+) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(g, M, P): T_n(f) - P and P = U diag(g) U* as bands, or None.
+
+    For a real f of degree d, in the pairing order perm = 0, 1, n-1, 2, ...,
+    T_n(f) and the projection P of T_n(f) onto a built-in algebra are
+    Hermitian with bandwidth b <= 2d + 1: the pairing order puts j and
+    n - j side by side, and the odd part of f, i K with K real skew, has
+    diag(U* i K U) = 0 in the real sine and Hartley bases.  M and P are
+    returned as lower bands, M[p, k] = (T - P)[perm[p], perm[p - k]] for
+    k = 0..b.  g = ``toeplitz_diagonal``; the band of T comes from the
+    coefficients, that of P from 2b + 1 comb probes (ones at every
+    (2b + 1)-th position) in one batched x -> U (g U* x).  The bands are
+    verified per n on x = ``_weyl_vector(n)``:
+    ||T x - U (g U* x) - M x|| and ||U (g U* x) - P x|| must stay within
+    TRACE_RTOL ||T x||, with a matrix-free Toeplitz product.  None for a
+    complex f, a custom algebra or a failed check.
+    """
+    n, d = alg.order, f.degree
+    if alg.lag_weights is None or not f.is_real:
+        return None
+    g = toeplitz_diagonal(alg, f).real  # real for a real f, up to round-off
+    b = min(2 * d + 1, n - 1)
+    period = min(2 * b + 1, n)
+    perm = _pairing_order(n)
+    pos, ks = np.arange(n)[:, None], np.arange(b + 1)
+    x = _weyl_vector(n)
+    probes = np.zeros((n, period + 1))
+    probes[perm, np.arange(n) % period] = 1.0
+    probes[:, period] = x
+    applied = alg.inverse(g[:, None] * alg.transform(probes))
+    inside = pos >= ks
+    p_band = np.where(inside, applied[perm[:, None], (pos - ks) % period], 0.0)
+    lags = perm[:, None] - perm[np.maximum(pos - ks, 0)]
+    coeffs = f.coefficient_array(-d, d + 1)
+    t_band = np.where(inside & (np.abs(lags) <= d), coeffs[np.clip(lags, -d, d) + d], 0.0)
+    m_band = t_band - p_band
+    tx = ToeplitzOperator(f, n).matvec(x)
+    px = applied[:, period]
+    defect = np.concatenate((
+        tx[perm] - px[perm] - _band_matvec(m_band, x[perm]),
+        px[perm] - _band_matvec(p_band, x[perm]),
+    ))
+    if np.linalg.norm(defect) > TRACE_RTOL * np.linalg.norm(tx):
+        return None
+    return g, m_band, p_band
 
 
 def project_toeplitz_fast(f: Symbol, n: int) -> np.ndarray:

@@ -143,6 +143,20 @@ def _real(sym: symbols.Symbol, what: str) -> symbols.Symbol:
     return sym
 
 
+def _positive(sym: symbols.Symbol, what: str) -> symbols.Symbol:
+    """sym, if it is real and positive on a grid of max(1024, 32 deg) points.
+
+    `what` needs HPD sections.  Between grid points h apart, f dips at most
+    h^2/8 max |f''| <= 0.5 % of sum |a_k| below the grid values.
+    """
+    _real(sym, what)
+    points = max(1024, 32 * sym.degree)
+    low = float(np.min(sym.eval_real(2.0 * np.pi * np.arange(points) / points)))
+    if not low > 0.0:
+        raise ParseError(f"{what} needs a positive symbol, got min {low:.6g} for {sym.label!r}")
+    return sym
+
+
 # ---------------------------------------------------------------------------
 # deterministic CSV/JSON writers
 
@@ -341,7 +355,7 @@ def cmd_operator_scan(args) -> int:
 
 
 def cmd_pcg_bench(args) -> int:
-    sym = _real(resolve_symbol(args.symbol), "pcg-bench --symbol")
+    sym = _positive(resolve_symbol(args.symbol), "pcg-bench --symbol")
     preconds = ("none", "algebra_projection") if args.precond == "both" else (args.precond,)
     plan = _plan(args, {
         "algebra": args.algebra, "symbol": sym.label,

@@ -5,8 +5,9 @@ Whether a sequence clusters uniformly, strongly, weakly or not at all is
 undecidable from finite data, so the classifier applies fixed desk-scale
 decision rules: plateaus of the last three ladder counts (within +-1),
 log-log growth slopes (weak iff <= 0.8 for every eps), and a bounded
-Frobenius trend (within 1.2x of the second ladder value).  The thresholds
-are the module constants PLATEAU_TOL, SLOPE_THRESHOLD and BOUNDED_RATIO.
+Frobenius trend (within 1.2x of the second ladder value, with masses at
+round-off of ||A_n||_F^2 read as 0).  The thresholds are the module
+constants PLATEAU_TOL, SLOPE_THRESHOLD, BOUNDED_RATIO and FROBENIUS_FLOOR.
 """
 
 from __future__ import annotations
@@ -16,7 +17,12 @@ from typing import Optional
 
 import numpy as np
 
-from .algebras import TransformAlgebra, eigenbasis, toeplitz_corner_form
+from .algebras import (
+    TransformAlgebra,
+    eigenbasis,
+    toeplitz_band_form,
+    toeplitz_corner_form,
+)
 from .errors import (
     DimensionMismatchError,
     InsufficientLadderError,
@@ -33,7 +39,7 @@ from .linalg import (
     singular_values,
 )
 from .symbols import Symbol
-from .toeplitz import toeplitz_section
+from .toeplitz import section_frobenius_sq, toeplitz_section
 
 DEFAULT_LADDER = (64, 128, 256, 512)
 DEFAULT_EPS_GRID = (0.2, 0.1, 0.05, 0.01)
@@ -41,10 +47,15 @@ DEFAULT_EPS_GRID = (0.2, 0.1, 0.05, 0.01)
 PLATEAU_TOL = 1
 SLOPE_THRESHOLD = 0.8
 BOUNDED_RATIO = 1.2
+# ||A_n - B_n||_F^2 at or below this fraction of ||A_n||_F^2 is round-off.
+FROBENIUS_FLOOR = 1e-12
 # Round-off band of the structured counts: eigenvalues of S below it
 # (relative to the scale of A) are dropped, and a count whose Haynsworth
 # terms come this close to zero (relative) is a tie at eps and falls back.
 STRUCTURE_RTOL = 1e-10
+# The banded counter runs from BAND_MIN_ORDER up: below it the dense
+# eigen-solve is faster.
+BAND_MIN_ORDER = 192
 
 
 def _check_eps(eps) -> float:
@@ -114,9 +125,11 @@ def classify(counts: dict, ladder, epsilons) -> tuple[str, dict]:
     return "none", slopes
 
 
-def classify_frobenius(ladder, dsq) -> str:
+def classify_frobenius(ladder, dsq, scale=None) -> str:
     """Cluster verdict from d(n) = ||A_n - B_n||_F^2 alone.
 
+    With scale(n) = ||A_n||_F^2 given, a d(n) at or below
+    FROBENIUS_FLOOR * scale(n) is round-off and counts as 0.
     'strong' when d stays within BOUNDED_RATIO of its value at the second
     ladder size (a bounded sequence certifies a strong cluster); 'weak'
     when d(n)/n decreases monotonically and ends at most half its starting
@@ -126,6 +139,8 @@ def classify_frobenius(ladder, dsq) -> str:
     d = [float(v) for v in dsq]
     if len(d) != len(ladder) or len(d) < 2:
         raise InsufficientLadderError("need one d value per ladder size, >= 2 sizes")
+    if scale is not None:
+        d = [0.0 if v <= FROBENIUS_FLOOR * s else v for v, s in zip(d, scale)]
     anchor = d[1]
     if max(d) <= BOUNDED_RATIO * anchor or max(d) == 0.0:
         return "strong"
@@ -150,8 +165,9 @@ def frobenius_criterion(seq_a: dict, seq_b: dict) -> str:
     ladder = sorted(seq_a)
     if sorted(seq_b) != ladder:
         raise DimensionMismatchError("sequences must share the same ladder")
-    dsq = [frobenius_norm_sq(np.subtract(*_at_order(n, seq_a[n], seq_b[n]))) for n in ladder]
-    return classify_frobenius(ladder, dsq)
+    pairs = [_at_order(n, seq_a[n], seq_b[n]) for n in ladder]
+    dsq = [frobenius_norm_sq(a - b) for a, b in pairs]
+    return classify_frobenius(ladder, dsq, [frobenius_norm_sq(a) for a, _ in pairs])
 
 
 @dataclass(frozen=True)
@@ -289,6 +305,16 @@ def _as_matrix(a, n: int) -> np.ndarray:
     return a
 
 
+def _frobenius_sq(a, n: int) -> float:
+    """||A_n||_F^2 of a pair's first item, without a section or a LowRank product."""
+    if isinstance(a, Symbol):
+        return section_frobenius_sq(a, n)
+    if isinstance(a, LowRank):
+        v = np.asarray(a.factor)
+        return frobenius_norm_sq(v.conj().T @ v)
+    return frobenius_norm_sq(a)
+
+
 def _structured_form(a, alg: TransformAlgebra):
     """(g, L, S, scale) with U* A U = diag(g) + L S L*, or None.
 
@@ -342,6 +368,108 @@ def _pencil_counts(low, s, delta, weight, epsilons) -> Optional[dict]:
     }
 
 
+def _band_blocks(band: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Block-tridiagonal (diagonal, subdiagonal) blocks of the Hermitian band.
+
+    band[p, k] = A[p, p - k], k <= b <= size; the order is padded with
+    zero rows to a multiple of size.  Returns the (nb, size, size) blocks
+    A_ii and the (nb - 1, size, size) blocks A_{i+1,i}.
+    """
+    n, width = band.shape
+    nb = -(-n // size)
+    padded = np.zeros((nb * size + size, width), dtype=np.complex128)
+    padded[:n] = band
+    r, c = np.arange(size)[:, None], np.arange(size)[None, :]
+    start = size * np.arange(nb)[:, None, None]
+    lag = np.abs(r - c)
+    diag = np.where(lag < width, padded[start + np.maximum(r, c), np.minimum(lag, width - 1)], 0.0)
+    diag = np.where(r < c, diag.conj(), diag)
+    lag = size + r - c
+    off = np.where(lag < width, padded[start[:-1] + size + r, np.minimum(lag, width - 1)], 0.0)
+    return diag, off
+
+
+def _band_inertia_counts(m_band, w_band, epsilons) -> Optional[dict]:
+    """Pencil eigenvalues |lambda| >= eps of (M, w) for Hermitian bands M, w, or None.
+
+    w_band None is w = I.  By Sylvester's law, lambda >= eps are the
+    eigenvalues of M - eps w that are not negative, and lambda <= -eps
+    those of M + eps w that are not positive.  Their inertias come from a
+    block LDL* on b x b blocks, which are block tridiagonal, batched over
+    all 2|eps| shifts and eliminated in odd-even order (block cyclic
+    reduction): the odd blocks are decoupled pivots, and the Schur
+    complement onto the even blocks is block tridiagonal again, so
+    log2(n / b) batched steps cost O(n b^2) per shift.  The inertia is
+    the sum of the pivots' inertias (Haynsworth).  A tie is a pivot
+    eigenvalue within STRUCTURE_RTOL of the terms that formed the pivot,
+    ||A_ii||_F plus tr(C |D|^-1 C*) of each Schur term C D^-1 C*:
+    round-off then decides the count.
+    """
+    n, width = m_band.shape
+    size = max(width - 1, 1)
+    m_diag, m_off = _band_blocks(m_band, size)
+    # shift 2i is +eps_i, shift 2i + 1 is -eps_i
+    shifts = np.multiply.outer(np.asarray(epsilons), [1.0, -1.0]).reshape(-1, 1, 1, 1)
+    w_diag, w_off = (np.eye(size), 0.0) if w_band is None else _band_blocks(w_band, size)
+    diag, off = m_diag - shifts * w_diag, m_off - shifts * w_off
+    pad = m_diag.shape[0] * size - n
+    last = range(size - pad, size)
+    diag[:, -1, last, last] = 1.0  # padding: one positive eigenvalue each
+    scale = np.linalg.norm(diag, axis=(2, 3))
+    negatives = positives = 0
+    while True:
+        odd = slice(1, None, 2) if diag.shape[1] > 1 else slice(None)
+        lam, vec = np.linalg.eigh(diag[:, odd])
+        if np.any(np.abs(lam) <= STRUCTURE_RTOL * scale[:, odd, None]):
+            return None
+        negatives = negatives + np.sum(lam < 0, axis=(1, 2))
+        positives = positives + np.sum(lam > 0, axis=(1, 2))
+        if diag.shape[1] == 1:
+            break
+        # pivot j = 2i + 1 couples to block 2i by off[2i] = A_{j,j-1} (up) and
+        # to block 2i + 2 by off[2i + 1]* = A_{j,j+1} (down), in its eigenbasis
+        vh = vec.conj().swapaxes(-1, -2)
+        up = vh @ off[:, 0::2]
+        down = vh[:, : off.shape[1] // 2] @ off[:, 1::2].conj().swapaxes(-1, -2)
+        inv = 1.0 / lam[..., None]
+        diag, scale = diag[:, 0::2], scale[:, 0::2]
+        for part, rows in ((up, slice(0, up.shape[1])), (down, slice(1, down.shape[1] + 1))):
+            k = part.shape[1]
+            diag[:, rows] -= part.conj().swapaxes(-1, -2) @ (inv[:, :k] * part)
+            scale[:, rows] += np.sum(np.abs(inv[:, :k]) * np.abs(part) ** 2, axis=(2, 3))
+        k = down.shape[1]
+        off = -(down.conj().swapaxes(-1, -2) @ (inv[:, :k] * up[:, :k]))
+    positives = positives - pad
+    return {
+        eps: int((n - negatives[2 * i]) + (n - positives[2 * i + 1]))
+        for i, eps in enumerate(epsilons)
+    }
+
+
+def _band_counts(f: Symbol, alg: TransformAlgebra, mode: str, epsilons):
+    """(||A - B||_F^2, {eps: count}) from ``toeplitz_band_form``, or None.
+
+    M = T_n(f) - P is counted against w = I (difference) or w = P
+    (preconditioned); ||M||_F^2 is the sum of |band|^2, each off-diagonal
+    entry twice.  None below BAND_MIN_ORDER, where the dense path is
+    faster, where the form is unavailable, or at a tie.
+    """
+    if alg.order < BAND_MIN_ORDER:
+        return None
+    form = toeplitz_band_form(alg, f)
+    if form is None:
+        return None
+    g, m_band, p_band = form
+    weight = None
+    if mode == "preconditioned":
+        _check_positive(g)
+        weight = p_band
+    mass = np.abs(m_band) ** 2
+    fro = float(2.0 * np.sum(mass) - np.sum(mass[:, 0]))
+    counts = _band_inertia_counts(m_band, weight, epsilons)
+    return None if counts is None else (fro, counts)
+
+
 def _structured_counts(a, alg: TransformAlgebra, mode: str, epsilons):
     """(||A - B||_F^2, {eps: count}) from W = diag(g) + L S L*, or None.
 
@@ -351,12 +479,13 @@ def _structured_counts(a, alg: TransformAlgebra, mode: str, epsilons):
     left, A lies in the algebra: the counts and the mass are exactly 0.
     Both modes count the pencil (L S L* - Delta, w), with w = 1 in difference
     mode and w = D = g + Delta, the projection's eigenvalues, in
-    preconditioned mode.  None where the form is unavailable or a count is
-    a tie.
+    preconditioned mode.  A Symbol without that form (an odd part in the
+    sine or Hartley algebra) takes ``_band_counts``.  None where neither
+    form is available or a count is a tie.
     """
     form = _structured_form(a, alg)
     if form is None:
-        return None
+        return _band_counts(a, alg, mode, epsilons) if isinstance(a, Symbol) else None
     g, low, s, scale = form
     w, q = np.linalg.eigh(0.5 * (s + s.conj().T))
     keep = np.abs(w) > STRUCTURE_RTOL * scale
@@ -398,8 +527,10 @@ def build_cluster_report(
         raise ValueError(f"unknown mode {mode!r}")
     counts: dict = {}
     fro: dict = {}
+    scale = []
     for n in ladder:
         a, b = pairs[n]
+        scale.append(_frobenius_sq(a, n))
         algebra = isinstance(b, TransformAlgebra)
         if algebra and b.order != n:
             raise DimensionMismatchError(f"algebra of order {b.order} at ladder size {n}")
@@ -414,7 +545,7 @@ def build_cluster_report(
         for eps in epsilons:
             counts[(n, eps)] = by_eps[eps]
     classification, slopes = classify(counts, ladder, epsilons)
-    verdict = classify_frobenius(ladder, [fro[n] for n in ladder])
+    verdict = classify_frobenius(ladder, [fro[n] for n in ladder], scale)
     return ClusterReport(
         ladder=ladder,
         epsilons=epsilons,

@@ -38,7 +38,7 @@ from .clustering import (
     build_cluster_report,
 )
 from .symbols import Symbol, product
-from .toeplitz import toeplitz_section
+from .toeplitz import section_frobenius_sq, toeplitz_section
 
 EVAL_GRID_POINTS = 4096
 RATE_FIT_POINTS = 4
@@ -322,8 +322,7 @@ def grid_quadrature_check(kind, g: Symbol, ladder=DEFAULT_LADDER) -> QuadratureR
             raise ValueError("algebra has no grid")
         target = n * mean_sq
         grid_sum = float(np.sum(g.eval_real(alg.grid) ** 2))
-        # ||T_n(g)||_F^2: a_k fills the n - |k| entries of its diagonal
-        fro = sum(abs(a) ** 2 * (n - abs(k)) for k, a in g.coefficients.items() if abs(k) < n)
+        fro = section_frobenius_sq(g, n)
         grid_ratio[n] = abs(grid_sum - target) / n
         fro_ratio[n] = abs(fro - target) / n
     ratios_g = [grid_ratio[n] for n in ladder]

@@ -37,6 +37,11 @@ def toeplitz_section(f: Symbol, n: int) -> np.ndarray:
     return toeplitz_from_lags(f.coefficient_array(1 - n, n))  # a_{1-n}, ..., a_{n-1}
 
 
+def section_frobenius_sq(f: Symbol, n: int) -> float:
+    """||T_n(f)||_F^2 in closed form: a_k fills the n - |k| entries of its diagonal."""
+    return float(sum(abs(a) ** 2 * (n - abs(k)) for k, a in f.coefficients.items() if abs(k) < n))
+
+
 def hankel_section(f: Symbol, n: int) -> np.ndarray:
     """Dense n x n section with entries a_{j+k+1}; rank <= degree(f)."""
     if n < 1:

@@ -312,6 +312,10 @@ DOCUMENTED_COMMANDS = [
         "cluster-scan", "--algebra", "fourier", "--symbol", "preset:2+cos",
         "--ladder", "4096,8192,16384,32768",
     ],
+    [
+        "cluster-scan", "--algebra", "hartley", "--symbol", "preset:2+cos+0.5sin2x",
+        "--ladder", "1024,2048,4096,8192",
+    ],
 ]
 
 

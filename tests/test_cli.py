@@ -251,6 +251,8 @@ BAD_INPUTS = [
      "generators must be real symbols"),
     (["pcg-bench", "--symbol=file:{tmp}/complex.txt"], 1, "needs a real symbol"),
     (["operator-scan", "--source=toeplitz:file:{tmp}/complex.txt"], 1, "needs a real symbol"),
+    (["pcg-bench", "--symbol=preset:2-2cos+delta(0.01)+0.3sin2x"], 1,
+     "needs a positive symbol"),
 ]
 
 

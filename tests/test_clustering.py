@@ -1,16 +1,20 @@
 """Tests for cluster quantification and classification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from precondlab import clustering
 from precondlab.algebras import (
     ALGEBRA_KINDS,
     make_algebra,
     project,
     project_toeplitz_fast,
     random_unitary_algebra,
+    toeplitz_band_form,
     toeplitz_corner_form,
     toeplitz_diagonal,
 )
@@ -19,6 +23,8 @@ from precondlab.clustering import (
     DEFAULT_LADDER,
     LowRank,
     _algebra_deviations,
+    _band_blocks,
+    _band_counts,
     _structured_counts,
     build_cluster_report,
     classify,
@@ -158,6 +164,14 @@ def test_frobenius_log_growth_not_strong_but_weak():
 
 def test_frobenius_linear_growth_inconclusive():
     assert classify_frobenius(LADDER, [0.5 * n for n in LADDER]) == "inconclusive"
+
+
+def test_frobenius_round_off_is_zero_against_the_scale():
+    # d(n) at round-off of ||A_n||_F^2 reads as exactly 0; without the scale it is noise
+    noise = [1e-29, 3e-29, 2e-28, 6e-28]
+    assert classify_frobenius(LADDER, noise) == "inconclusive"
+    assert classify_frobenius(LADDER, noise, [float(n) for n in LADDER]) == "strong"
+    assert classify_frobenius(LADDER, [0.5 * n for n in LADDER], LADDER) == "inconclusive"
 
 
 def test_frobenius_toeplitz_vs_circulant_strong():
@@ -505,6 +519,76 @@ def test_structured_counts_fuzz_against_dense(seed, degree, even, n, kind, mode)
     structured = _structured_counts(f, alg, mode, DEFAULT_EPS_GRID)
     if structured is not None:
         _assert_structured_matches_dense(toeplitz_section(f, n), structured, alg, mode)
+
+
+# ---------------------------------------------------------------------------
+# banded counts: odd parts in the sine and Hartley algebras
+
+
+ODD_SYMBOL = parse_trig_expression("3+cos+0.5sin2x")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    degree=st.integers(1, 4),
+    n=st.one_of(st.sampled_from([2, 3, 4, 5, 7, 9]), st.integers(2, 200)),
+    kind=st.sampled_from(ALGEBRA_KINDS),
+    mode=st.sampled_from(["difference", "preconditioned"]),
+)
+def test_band_counts_fuzz_against_dense(seed, degree, n, kind, mode):
+    # odd parts, every kind and any order from 2 up, n < 2d + 1 included:
+    # the order gate is lifted, so the banded path runs wherever it can
+    f = _real_symbol(np.random.default_rng(seed), degree, even=False)
+    alg = make_algebra(kind, n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(clustering, "BAND_MIN_ORDER", 2)
+        banded = _band_counts(f, alg, mode, DEFAULT_EPS_GRID)
+    assert banded is not None, (kind, n, mode)
+    _assert_structured_matches_dense(toeplitz_section(f, n), banded, alg, mode)
+
+
+def test_band_form_is_none_without_a_banded_projection():
+    assert toeplitz_band_form(make_algebra("sine", 64), NON_HERMITIAN_SYMBOL) is None
+    assert toeplitz_band_form(random_unitary_algebra(16, seed=1), ODD_SYMBOL) is None
+    # Hartley diagonals with a random unitary's transforms: the trace identity
+    # holds, but U diag(g) U* is dense, and the Weyl band check sees it
+    hartley = make_algebra("hartley", 64)
+    mixed = dataclasses.replace(random_unitary_algebra(64, seed=1), kind="hartley",
+                                grid=hartley.grid, lag_weights=hartley.lag_weights)
+    assert toeplitz_band_form(mixed, ODD_SYMBOL) is None
+    assert toeplitz_band_form(hartley, ODD_SYMBOL) is not None
+
+
+@pytest.mark.parametrize("kind", ["sine", "hartley"])
+@pytest.mark.parametrize("mode", ["difference", "preconditioned"])
+def test_structured_counts_take_odd_parts_in_sine_and_hartley(kind, mode):
+    n = 256
+    alg = make_algebra(kind, n)
+    assert toeplitz_corner_form(alg, ODD_SYMBOL) is None
+    structured = _structured_counts(ODD_SYMBOL, alg, mode, DEFAULT_EPS_GRID)
+    assert structured is not None
+    _assert_structured_matches_dense(toeplitz_section(ODD_SYMBOL, n), structured, alg, mode)
+
+
+@pytest.mark.parametrize("kind", ["sine", "hartley"])
+def test_band_counts_fall_back_at_a_pivot_tie(kind):
+    # eps at an eigenvalue of the first pivot, the second diagonal block of
+    # M in the pairing order: M -+ eps I has a singular pivot
+    n = 256
+    alg = make_algebra(kind, n)
+    _, m_band, _ = toeplitz_band_form(alg, ODD_SYMBOL)
+    diag, _ = _band_blocks(m_band, m_band.shape[1] - 1)
+    eps = float(np.max(np.abs(np.linalg.eigvalsh(diag[1]))))
+    assert _band_counts(ODD_SYMBOL, alg, "difference", (eps, 0.1)) is None
+    assert _structured_counts(ODD_SYMBOL, alg, "difference", (eps, 0.1)) is None
+    assert _band_counts(ODD_SYMBOL, alg, "difference", (0.1,)) is not None
+    # the report takes the dense W at that size
+    ladder = (32, 64, 128, 256)
+    report = build_cluster_report(
+        {m: (ODD_SYMBOL, make_algebra(kind, m)) for m in ladder}, (eps, 0.1))
+    dense = _dense_counts(toeplitz_section(ODD_SYMBOL, n), alg, "difference", (eps, 0.1))
+    assert {e: report.counts[(n, e)] for e in (eps, 0.1)} == dense[1]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,13 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
+
+from precondlab.algebras import make_algebra
 from precondlab.cli import main
+from precondlab.clustering import DEFAULT_EPS_GRID, _algebra_deviations, _structured_counts
+from precondlab.symbols import parse_trig_expression
+from precondlab.toeplitz import toeplitz_section
 from test_acceptance import DOCUMENTED_COMMANDS
 
 GOLDEN_SHA256 = {
@@ -56,6 +62,13 @@ GOLDEN_SCANS = {
         "2a1817d1c4418cd46a385c5428f88955a4f393b6960b8be393614310271dba24",
         "81d991664d9ab7937756cf5eefad4767d82da413f4d63c18de097a949e5d9190",
     ),
+    # the odd part of 2+cos+0.5sin2x is invisible to the Hartley algebra:
+    # the outliers grow like n, so "none"
+    "9-cluster-scan": (
+        "none", "inconclusive",
+        "7ca25a7cfb9325b061a73308103d25ea50617a927d0283387ec04471af49402f",
+        "7c53d3ae9b48b74baa5726cd2067bc3cabbaeb67c23eee57127154582b51d19d",
+    ),
 }
 
 
@@ -71,12 +84,23 @@ HS_DECAY_SINE = {
     256: 1.4367052871328356,
     512: 1.4408196152851496,
 }
+
+
+# ||T_n - H_n||_F^2 for 2+cos+0.5sin2x against its optimal Hartley matrix.
+# The odd part i K (K real skew, entries +-1/4 on lags +-2) is orthogonal
+# to the real symmetric algebra and not projected at all: ||K||_F^2 =
+# (n - 2) / 8.  The even part 2+cos adds 0.5 - 1/n.
+def _hartley_odd_control(n):
+    return (n - 2) / 8 + 0.5 - 1.0 / n
+
+
 GOLDEN_FROBENIUS_SQ = {
     "2-cluster-scan": _two_plus_cos,
     "5-operator-scan": HS_DECAY_SINE.__getitem__,
     # the tau algebra contains T_n(2 - 2cos + 0.01): exactly 0, no round-off
     "7-cluster-scan": lambda n: 0.0,
     "8-cluster-scan": _two_plus_cos,
+    "9-cluster-scan": _hartley_odd_control,
 }
 
 PROJECT_CSV = "1-project/project.csv"
@@ -147,3 +171,14 @@ def test_documented_commands_match_golden_outputs(tmp_path, capsys):
     fro_a = float(row["frobenius_sq_a"])
     for key in ("trace_defect", "pythagoras_defect"):
         assert float(row[key]) <= ROUND_OFF_RTOL * fro_a, key
+
+
+def test_hartley_odd_control_matches_the_dense_eigen_solve():
+    # the banded counts of 9-cluster-scan at its smallest size, against the dense W
+    f = parse_trig_expression("2+cos+0.5sin2x")
+    alg = make_algebra("hartley", 1024)
+    fro, deviations = _algebra_deviations(toeplitz_section(f, 1024), alg, "difference")
+    banded = _structured_counts(f, alg, "difference", DEFAULT_EPS_GRID)
+    assert banded[1] == {e: int(np.count_nonzero(deviations >= e)) for e in DEFAULT_EPS_GRID}
+    for value in (fro, banded[0]):
+        assert abs(value - _hartley_odd_control(1024)) <= ROUND_OFF_RTOL * value

@@ -140,6 +140,14 @@ def test_identity_source_uniform_zero_difference():
         assert all(v == 0.0 for v in report.frobenius_sq.values()), kind
 
 
+def test_identity_source_strong_in_the_custom_algebra():
+    # the dense W of a random unitary leaves ||A_n - B_n||_F^2 at round-off,
+    # 1e-29 .. 1e-27, far below 1e-12 ||A_n||_F^2 = 1e-12 n
+    report = distribution_convergence(identity_source(), "custom")
+    assert 0.0 < max(report.frobenius_sq.values()) < 1e-20
+    assert report.frobenius_verdict == "strong"
+
+
 def test_hs_source_strong_for_all_builtin_algebras():
     src = hs_decay_source(1.5)
     for kind in ("fourier", "sine", "hartley"):
