@@ -40,7 +40,7 @@ from .errors import (
     NotUnitaryError,
 )
 from .linalg import as_square, frobenius_norm_sq
-from .symbols import Symbol
+from .symbols import REALNESS_TOL, Symbol
 from .toeplitz import ToeplitzOperator, toeplitz_from_lags
 
 UNITARITY_RTOL = 1e-10
@@ -412,12 +412,21 @@ def toeplitz_diagonal(alg: TransformAlgebra, f: Symbol) -> np.ndarray:
     return d
 
 
-def _weyl_vector(n: int) -> np.ndarray:
-    """The fixed probe vector frac(j phi) - 1/2, j = 0..n-1, of the structured forms.
+def _weyl_probe(f: Symbol, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x, T_n(f) x) for the fixed probe x_j = frac(j phi) - 1/2 of the structured forms.
 
-    A random vector would import numpy.random, which costs a command ~25 ms.
+    The product is matrix-free.  A random vector would import numpy.random,
+    which costs a command ~25 ms.
     """
-    return np.arange(n) * 0.6180339887498949 % 1.0 - 0.5
+    x = np.arange(n) * 0.6180339887498949 % 1.0 - 0.5
+    return x, ToeplitzOperator(f, n).matvec(x)
+
+
+def _section_entries(f: Symbol, lags: np.ndarray) -> np.ndarray:
+    """The entries a_lag of T_n(f) at integer lags: a_lag for |lag| <= deg f, else 0."""
+    d = f.degree
+    coeffs = f.coefficient_array(-d, d + 1)
+    return np.where(np.abs(lags) <= d, coeffs[np.clip(lags, -d, d) + d], 0.0)
 
 
 def toeplitz_corner_form(
@@ -431,27 +440,27 @@ def toeplitz_corner_form(
     circulant; with this U, g_j = f(-x_j)), and for even f in the sine
     (tau plus a Hankel corner) and Hartley algebras (g_j = f(x_j)).  Then
     L = U* E_I (2d transforms) and S = T_II - L* diag(g) L, read from the
-    coefficients without a section.  The form is verified per n on one
-    fixed vector x: ||T x - U (g U* x) - E_I S x_I|| must stay within
-    TRACE_RTOL ||T x||, with a matrix-free Toeplitz product and x =
-    ``_weyl_vector(n)``.  None for a complex f, n < 2d + 1, a custom
-    algebra, or a failed probe (an odd part of f in the sine or Hartley
-    algebra).
+    coefficients without a section.  The form is verified per n on
+    ``_weyl_probe``: ||T x - U (g U* x) - E_I S x_I|| must stay within
+    TRACE_RTOL ||T x||.  None for a complex f, n < 2d + 1, a custom
+    algebra, an odd part of f in the sine or Hartley algebra (some |Im a_k|
+    above the round-off of ``Symbol.is_real``, read before any transform),
+    or a failed probe.
     """
     n, d = alg.order, f.degree
     if alg.lag_weights is None or not f.is_real or n < 2 * d + 1:
+        return None
+    amps = f.coefficients.values()
+    floor = REALNESS_TOL * (1.0 + max((abs(a) for a in amps), default=0.0))
+    if alg.kind != "fourier" and any(abs(a.imag) > floor for a in amps):
         return None
     g = f.eval_real(-alg.grid if alg.kind == "fourier" else alg.grid)
     idx = np.concatenate((np.arange(d), np.arange(n - d, n)))
     corner = np.zeros((n, idx.size), dtype=np.complex128)
     corner[idx, np.arange(idx.size)] = 1.0
     low = alg.transform(corner)
-    lags = idx[:, None] - idx[None, :]
-    coeffs = f.coefficient_array(-d, d + 1)
-    t_ii = np.where(np.abs(lags) <= d, coeffs[np.clip(lags, -d, d) + d], 0.0)
-    s = t_ii - (low.conj().T * g) @ low
-    x = _weyl_vector(n)
-    tx = ToeplitzOperator(f, n).matvec(x)
+    s = _section_entries(f, idx[:, None] - idx[None, :]) - (low.conj().T * g) @ low
+    x, tx = _weyl_probe(f, n)
     defect = tx - alg.inverse(g * alg.transform(x))
     defect[idx] -= s @ x[idx]
     if np.linalg.norm(defect) > TRACE_RTOL * np.linalg.norm(tx):
@@ -488,9 +497,8 @@ def toeplitz_band_form(
     k = 0..b.  g = ``toeplitz_diagonal``; the band of T comes from the
     coefficients, that of P from 2b + 1 comb probes (ones at every
     (2b + 1)-th position) in one batched x -> U (g U* x).  The bands are
-    verified per n on x = ``_weyl_vector(n)``:
-    ||T x - U (g U* x) - M x|| and ||U (g U* x) - P x|| must stay within
-    TRACE_RTOL ||T x||, with a matrix-free Toeplitz product.  None for a
+    verified per n on ``_weyl_probe``: ||T x - U (g U* x) - M x|| and
+    ||U (g U* x) - P x|| must stay within TRACE_RTOL ||T x||.  None for a
     complex f, a custom algebra or a failed check.
     """
     n, d = alg.order, f.degree
@@ -501,7 +509,7 @@ def toeplitz_band_form(
     period = min(2 * b + 1, n)
     perm = _pairing_order(n)
     pos, ks = np.arange(n)[:, None], np.arange(b + 1)
-    x = _weyl_vector(n)
+    x, tx = _weyl_probe(f, n)
     probes = np.zeros((n, period + 1))
     probes[perm, np.arange(n) % period] = 1.0
     probes[:, period] = x
@@ -509,10 +517,7 @@ def toeplitz_band_form(
     inside = pos >= ks
     p_band = np.where(inside, applied[perm[:, None], (pos - ks) % period], 0.0)
     lags = perm[:, None] - perm[np.maximum(pos - ks, 0)]
-    coeffs = f.coefficient_array(-d, d + 1)
-    t_band = np.where(inside & (np.abs(lags) <= d), coeffs[np.clip(lags, -d, d) + d], 0.0)
-    m_band = t_band - p_band
-    tx = ToeplitzOperator(f, n).matvec(x)
+    m_band = np.where(inside, _section_entries(f, lags), 0.0) - p_band
     px = applied[:, period]
     defect = np.concatenate((
         tx[perm] - px[perm] - _band_matvec(m_band, x[perm]),

@@ -315,42 +315,36 @@ def _frobenius_sq(a, n: int) -> float:
     return frobenius_norm_sq(a)
 
 
-def _structured_form(a, alg: TransformAlgebra):
-    """(g, L, S, scale) with U* A U = diag(g) + L S L*, or None.
+def _shifts(epsilons) -> np.ndarray:
+    """The pencil shifts s of M - s w: eps_0, -eps_0, eps_1, -eps_1, ...
 
-    A Toeplitz symbol takes ``toeplitz_corner_form``, scale sum |a_k|; a
-    LowRank V V* takes g = 0, L = U* V, S = I in any algebra, scale ||V||_F^2.
+    By Sylvester's law, pencil eigenvalues lambda >= eps are the
+    eigenvalues of M - eps w that are not negative (row 2i), and
+    lambda <= -eps those of M + eps w that are not positive (row 2i + 1).
     """
-    if isinstance(a, Symbol):
-        form = toeplitz_corner_form(alg, a)
-        if form is None:
-            return None
-        return (*form, sum(abs(c) for c in a.coefficients.values()))
-    if isinstance(a, LowRank):
-        v = np.asarray(a.factor, dtype=np.complex128)
-        if v.shape[0] != alg.order:
-            raise DimensionMismatchError(
-                f"factor order {v.shape[0]} does not match algebra order {alg.order}"
-            )
-        low = alg.transform(v)
-        return np.zeros(alg.order), low, np.eye(v.shape[1]), frobenius_norm_sq(v)
-    return None
+    return np.multiply.outer(np.asarray(epsilons), [1.0, -1.0]).reshape(-1)
+
+
+def _tally(n: int, negatives, positives, epsilons) -> dict:
+    """{eps: count} of |lambda| >= eps from the inertias of M - s w over ``_shifts``."""
+    return {
+        eps: int((n - negatives[2 * i]) + (n - positives[2 * i + 1]))
+        for i, eps in enumerate(epsilons)
+    }
 
 
 def _pencil_counts(low, s, delta, weight, epsilons) -> Optional[dict]:
     """Pencil eigenvalues |lambda| >= eps of (L diag(s) L* - diag(delta), diag(weight)), or None.
 
-    By Sylvester's law, lambda >= eps are the eigenvalues of G + L S L*,
-    G = -delta - eps weight, that are not negative; lambda <= -eps those of
-    G = -delta + eps weight that are not positive.  Haynsworth:
+    The inertia of M - s w is that of G + L S L*, G = -delta - s weight,
+    for each of the ``_shifts`` s.  Haynsworth:
     In(G + L S L*) = In(G) + In(Z) - In(-S^-1), Z = -S^-1 - L* G^-1 L, and
     the Z of all 2|eps| shifts come from one batched eigvalsh, O(n r^2)
-    each.  A tie is some |G_i| <= STRUCTURE_RTOL eps weight_i, or an
+    each.  A tie is some |G_i| <= STRUCTURE_RTOL |s| weight_i, or an
     eigenvalue of Z within STRUCTURE_RTOL of the terms that form it,
     max |S^-1| + tr(L* |G|^-1 L): round-off then decides the count.
     """
-    # row 2i shifts by -eps w, row 2i + 1 by +eps w
-    shifts = np.multiply.outer(np.asarray(epsilons), [1.0, -1.0]).reshape(-1, 1)
+    shifts = _shifts(epsilons)[:, None]
     g = -delta - shifts * weight
     if np.any(np.abs(g) <= STRUCTURE_RTOL * np.abs(shifts) * weight):
         return None
@@ -359,13 +353,9 @@ def _pencil_counts(low, s, delta, weight, epsilons) -> Optional[dict]:
     size = np.max(np.abs(1.0 / s)) + np.abs(inv) @ np.sum(np.abs(low) ** 2, axis=1)
     if np.any(np.min(np.abs(z), axis=1) <= STRUCTURE_RTOL * size):
         return None
-    n = delta.size
     negatives = np.sum(g < 0, axis=1) + np.sum(z < 0, axis=1) - np.sum(s > 0)
     positives = np.sum(g > 0, axis=1) + np.sum(z > 0, axis=1) - np.sum(s < 0)
-    return {
-        eps: int((n - negatives[2 * i]) + (n - positives[2 * i + 1]))
-        for i, eps in enumerate(epsilons)
-    }
+    return _tally(delta.size, negatives, positives, epsilons)
 
 
 def _band_blocks(band: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -392,11 +382,9 @@ def _band_blocks(band: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 def _band_inertia_counts(m_band, w_band, epsilons) -> Optional[dict]:
     """Pencil eigenvalues |lambda| >= eps of (M, w) for Hermitian bands M, w, or None.
 
-    w_band None is w = I.  By Sylvester's law, lambda >= eps are the
-    eigenvalues of M - eps w that are not negative, and lambda <= -eps
-    those of M + eps w that are not positive.  Their inertias come from a
-    block LDL* on b x b blocks, which are block tridiagonal, batched over
-    all 2|eps| shifts and eliminated in odd-even order (block cyclic
+    w_band None is w = I.  The inertias of M - s w over the ``_shifts``
+    come from a block LDL* on b x b blocks, which are block tridiagonal,
+    batched over all 2|eps| shifts and eliminated in odd-even order (block cyclic
     reduction): the odd blocks are decoupled pivots, and the Schur
     complement onto the even blocks is block tridiagonal again, so
     log2(n / b) batched steps cost O(n b^2) per shift.  The inertia is
@@ -408,8 +396,7 @@ def _band_inertia_counts(m_band, w_band, epsilons) -> Optional[dict]:
     n, width = m_band.shape
     size = max(width - 1, 1)
     m_diag, m_off = _band_blocks(m_band, size)
-    # shift 2i is +eps_i, shift 2i + 1 is -eps_i
-    shifts = np.multiply.outer(np.asarray(epsilons), [1.0, -1.0]).reshape(-1, 1, 1, 1)
+    shifts = _shifts(epsilons)[:, None, None, None]
     w_diag, w_off = (np.eye(size), 0.0) if w_band is None else _band_blocks(w_band, size)
     diag, off = m_diag - shifts * w_diag, m_off - shifts * w_off
     pad = m_diag.shape[0] * size - n
@@ -439,11 +426,7 @@ def _band_inertia_counts(m_band, w_band, epsilons) -> Optional[dict]:
             scale[:, rows] += np.sum(np.abs(inv[:, :k]) * np.abs(part) ** 2, axis=(2, 3))
         k = down.shape[1]
         off = -(down.conj().swapaxes(-1, -2) @ (inv[:, :k] * up[:, :k]))
-    positives = positives - pad
-    return {
-        eps: int((n - negatives[2 * i]) + (n - positives[2 * i + 1]))
-        for i, eps in enumerate(epsilons)
-    }
+    return _tally(n, negatives, positives - pad, epsilons)
 
 
 def _band_counts(f: Symbol, alg: TransformAlgebra, mode: str, epsilons):
@@ -454,9 +437,7 @@ def _band_counts(f: Symbol, alg: TransformAlgebra, mode: str, epsilons):
     entry twice.  None below BAND_MIN_ORDER, where the dense path is
     faster, where the form is unavailable, or at a tie.
     """
-    if alg.order < BAND_MIN_ORDER:
-        return None
-    form = toeplitz_band_form(alg, f)
+    form = toeplitz_band_form(alg, f) if alg.order >= BAND_MIN_ORDER else None
     if form is None:
         return None
     g, m_band, p_band = form
@@ -471,22 +452,35 @@ def _band_counts(f: Symbol, alg: TransformAlgebra, mode: str, epsilons):
 
 
 def _structured_counts(a, alg: TransformAlgebra, mode: str, epsilons):
-    """(||A - B||_F^2, {eps: count}) from W = diag(g) + L S L*, or None.
+    """(||A - B||_F^2, {eps: count}) without the dense W = U* A U, or None.
 
-    S is compressed to its eigenvalues above STRUCTURE_RTOL * scale; with
-    Delta = diag(L S L*), A - B = U (L S L* - Delta) U* and
-    ||A - B||_F^2 = tr(M S M S) - ||Delta||^2, M = L* L.  With nothing
-    left, A lies in the algebra: the counts and the mass are exactly 0.
-    Both modes count the pencil (L S L* - Delta, w), with w = 1 in difference
-    mode and w = D = g + Delta, the projection's eigenvalues, in
-    preconditioned mode.  A Symbol without that form (an odd part in the
-    sine or Hartley algebra) takes ``_band_counts``.  None where neither
-    form is available or a count is a tie.
+    A LowRank V V* has W = diag(g) + L S L* with g = 0, L = U* V, S = I in
+    any algebra, scale ||V||_F^2.  A Symbol takes ``toeplitz_corner_form``,
+    scale sum |a_k|, or else (an odd part in the sine or Hartley algebra)
+    ``_band_counts``.  S is compressed to its eigenvalues above
+    STRUCTURE_RTOL * scale; with Delta = diag(L S L*),
+    A - B = U (L S L* - Delta) U* and ||A - B||_F^2 = tr(M S M S) - ||Delta||^2,
+    M = L* L.  With nothing left, A lies in the algebra: the counts and the
+    mass are exactly 0.  Both modes count the pencil (L S L* - Delta, w),
+    with w = 1 in difference mode and w = D = g + Delta, the projection's
+    eigenvalues, in preconditioned mode.  None for any other A, where no
+    form is available, or where a count is a tie.
     """
-    form = _structured_form(a, alg)
-    if form is None:
-        return _band_counts(a, alg, mode, epsilons) if isinstance(a, Symbol) else None
-    g, low, s, scale = form
+    if isinstance(a, LowRank):
+        v = np.asarray(a.factor, dtype=np.complex128)
+        if v.shape[0] != alg.order:
+            raise DimensionMismatchError(
+                f"factor order {v.shape[0]} does not match algebra order {alg.order}"
+            )
+        g, low, s = np.zeros(alg.order), alg.transform(v), np.eye(v.shape[1])
+        scale = frobenius_norm_sq(v)
+    elif isinstance(a, Symbol):
+        form = toeplitz_corner_form(alg, a)
+        if form is None:
+            return _band_counts(a, alg, mode, epsilons)
+        (g, low, s), scale = form, sum(abs(c) for c in a.coefficients.values())
+    else:
+        return None
     w, q = np.linalg.eigh(0.5 * (s + s.conj().T))
     keep = np.abs(w) > STRUCTURE_RTOL * scale
     w, low = w[keep], low @ q[:, keep]

@@ -140,16 +140,21 @@ def test_criterion_3_fast_path():
                 fast_d = pl.toeplitz_diagonal(other, f)
                 assert np.max(np.abs(generic_d - fast_d)) <= 1e-10, (kind, f.label, n)
 
-    # timing: fast path at 4096 vs the dense projection at 1024
-    # extrapolated cubically, medians of three runs
+    # timing: fast path at 4096 vs the dense definition U diag(U* A U) U*
+    # at 1024 extrapolated cubically, medians of three runs; pl.project is
+    # O(n^2 log n) through the FFT, so a cubic extrapolation of it is no bar
     f = test_symbols[0]
-    alg = pl.make_algebra("fourier", 1024)
+    u = pl.make_algebra("fourier", 1024).unitary
     a1024 = pl.toeplitz_section(f, 1024)
-    pl.project(alg, a1024)  # warm up
+
+    def dense_projection():
+        return (u * np.diagonal(u.conj().T @ a1024 @ u)) @ u.conj().T
+
+    dense_projection()  # warm up
     dense_times = []
     for _ in range(3):
         t0 = time.perf_counter()
-        pl.project(alg, a1024)
+        dense_projection()
         dense_times.append(time.perf_counter() - t0)
     pl.project_toeplitz_fast(f, 4096)  # warm up
     fast_times = []

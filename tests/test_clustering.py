@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from precondlab import clustering
+from precondlab import algebras, clustering
 from precondlab.algebras import (
     ALGEBRA_KINDS,
     make_algebra,
@@ -40,7 +40,7 @@ from precondlab.errors import (
     NotPositiveDefiniteError,
 )
 from precondlab.symbols import Symbol, parse_trig_expression
-from precondlab.toeplitz import toeplitz_section
+from precondlab.toeplitz import ToeplitzOperator, toeplitz_section
 
 LADDER = (64, 128, 256, 512)
 EPS = (0.1, 0.01)
@@ -513,7 +513,7 @@ def test_structured_counts_fuzz_against_dense(seed, degree, even, n, kind, mode)
     if 2 * degree >= n:
         assert form is None
     elif not even and kind != "fourier":
-        assert form is None  # the probe sees the odd part
+        assert form is None  # the odd part is read off the coefficients
     else:
         assert form is not None
     structured = _structured_counts(f, alg, mode, DEFAULT_EPS_GRID)
@@ -569,6 +569,25 @@ def test_structured_counts_take_odd_parts_in_sine_and_hartley(kind, mode):
     structured = _structured_counts(ODD_SYMBOL, alg, mode, DEFAULT_EPS_GRID)
     assert structured is not None
     _assert_structured_matches_dense(toeplitz_section(ODD_SYMBOL, n), structured, alg, mode)
+
+
+@pytest.mark.parametrize("kind", ["sine", "hartley"])
+@pytest.mark.parametrize("mode", ["difference", "preconditioned"])
+def test_odd_parts_take_no_corner_probe(kind, mode, monkeypatch):
+    # the odd part routes the count before any Toeplitz product: below
+    # BAND_MIN_ORDER nothing is probed, above it only the band form's check
+    built = []
+
+    class Counted(ToeplitzOperator):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(algebras, "ToeplitzOperator", Counted)
+    for n, probes in ((64, 0), (256, 1)):
+        built.clear()
+        _structured_counts(ODD_SYMBOL, make_algebra(kind, n), mode, DEFAULT_EPS_GRID)
+        assert len(built) == probes, n
 
 
 @pytest.mark.parametrize("kind", ["sine", "hartley"])

@@ -1,5 +1,8 @@
 """Tests for trigonometric symbols and their quadrature."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,6 +227,26 @@ def test_save_then_load_round_trip(tmp_path):
     assert loaded.label == str(path)
 
 
+# Each table key maps to a finite complex coefficient; symbol files keep
+# their values exactly, signed zeros included.
+TABLES = st.dictionaries(
+    st.integers(-64, 64), st.complex_numbers(allow_nan=False, allow_infinity=False), max_size=12
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(TABLES)
+def test_serialization_round_trips_any_finite_table(table):
+    s = Symbol(table)
+    back = symbol_from_lines(symbol_to_lines(s))
+    assert back.coefficients == s.coefficients
+    assert symbol_to_lines(back) == symbol_to_lines(s)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.txt"
+        save_symbol(s, path)
+        assert symbol_to_lines(load_symbol(path)) == symbol_to_lines(s)
+
+
 def test_serialization_rejects_garbage():
     with pytest.raises(ParseError):
         symbol_from_lines(["0 1.0"])
@@ -252,6 +275,51 @@ def test_parse_trig_expression(expr, expected):
     assert set(s.coefficients) == set(expected)
     for k, v in expected.items():
         assert s.coefficient(k) == pytest.approx(v)
+
+
+# preset grammar: a signed decimal or exponent coefficient, an optional "*",
+# then cos or sin with an optional frequency, delta(v), or nothing
+NUMBER = st.from_regex(r"([0-9]{1,3}\.?[0-9]{0,3}|\.[0-9]{1,3})([eE][+-]?[0-9]{1,2})?",
+                       fullmatch=True)
+
+
+@st.composite
+def presets(draw):
+    """(text, {k: a_k}): up to five rendered terms and the coefficients they define.
+
+    With c the signed number (+-1 when there is none): cos kx adds c/2 at k
+    and -k, sin kx adds c/2i at k and -c/2i at -k, delta(v) adds c v at 0
+    and a bare number c.  A term without a number needs cos, sin or delta.
+    """
+    text, coeffs = "", {}
+    for i in range(draw(st.integers(1, 5))):
+        sign = draw(st.sampled_from(["+", "-"] if i else ["", "+", "-"]))
+        number = draw(st.one_of(st.just(""), NUMBER))
+        c = float(sign + (number or "1"))
+        fn = draw(st.sampled_from(["cos", "sin", "delta"] + ([""] if number else [])))
+        text += sign + number + (draw(st.sampled_from(["", "*"])) if number and fn else "") + fn
+        if fn == "delta":
+            shift = draw(st.sampled_from(["", "+", "-"])) + draw(NUMBER)
+            text += f"({shift})"
+            term = {0: c * float(shift)}
+        elif fn:
+            k = draw(st.integers(1, 12))
+            text += "" if k == 1 and draw(st.booleans()) else str(k)
+            text += draw(st.sampled_from(["", "x"]))
+            half = 0.5 if fn == "cos" else 1.0 / 2.0j
+            term = {k: c * half, -k: c * (half if fn == "cos" else -half)}
+        else:
+            term = {0: c}
+        for k, v in term.items():
+            coeffs[k] = coeffs.get(k, 0.0) + v
+    return text, coeffs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(presets())
+def test_parse_trig_expression_round_trips_rendered_terms(preset):
+    text, coeffs = preset
+    assert parse_trig_expression(text).coefficients == Symbol(coeffs).coefficients, text
 
 
 def test_parse_rejects_garbage():
