@@ -321,15 +321,15 @@ def _check_norm_kept(alg: TransformAlgebra, before: float, after: float) -> None
         )
 
 
-def check_transform(alg: TransformAlgebra) -> None:
-    """Check ``alg.transform`` and ``alg.inverse`` on one fixed vector x.
+def check_transform(alg: TransformAlgebra, x=None) -> np.ndarray:
+    """Check ``alg.transform`` and ``alg.inverse`` on x; return U* x.
 
     U* x must keep the norm of x, and U U* x must give back x within
-    UNITARITY_RTOL * sqrt(n) * ||x||.  The per-build unitarity check of a
-    preconditioner, O(n log n) on a built-in algebra, whose unitary is
-    never formed.
+    UNITARITY_RTOL * sqrt(n) * ||x||.  x defaults to the ramp 1..n.  The
+    per-build unitarity check of a preconditioner, O(n log n) on a
+    built-in algebra, whose unitary is never formed.
     """
-    x = np.arange(1.0, alg.order + 1.0)
+    x = np.arange(1.0, alg.order + 1.0) if x is None else x
     y = alg.transform(x)
     _check_norm_kept(alg, float(np.vdot(x, x).real), float(np.vdot(y, y).real))
     error, norm = np.linalg.norm(alg.inverse(y) - x), np.linalg.norm(x)
@@ -338,6 +338,7 @@ def check_transform(alg: TransformAlgebra) -> None:
             f"{alg.kind} inverse of order {alg.order} does not undo its transform: "
             f"round-trip error {error:.3e} of {norm:.3e}"
         )
+    return y
 
 
 def algebra_diagonal(alg: TransformAlgebra, a) -> np.ndarray:
@@ -389,18 +390,22 @@ def lag_sum(alg: TransformAlgebra, f: Symbol, xs: np.ndarray) -> np.ndarray:
 def toeplitz_diagonal(alg: TransformAlgebra, f: Symbol) -> np.ndarray:
     """diag(U* T_n(f) U) for a built-in algebra, without the section.
 
-    These are the eigenvalues of the projection of T_n(f).  Fourier: the
-    DFT of ``optimal_circulant_column``, O(n log n).  Sine and Hartley:
-    ``lag_sum`` on the grid, O(n deg f).  Only the lags |k| < n enter, so
-    any degree works.  The result is checked against the trace identity
-    sum d = n a_0, else InvariantViolationError.
+    These are the eigenvalues of the projection of T_n(f), real for a
+    real f.  Fourier: sqrt(n) U* c for the optimal circulant column c,
+    O(n log n).  Sine and Hartley: ``lag_sum`` on the grid, O(n deg f).
+    Only the lags |k| < n enter, so any degree works.  The maps U* and U
+    that the diagonal comes with are checked as well (``check_transform``;
+    for Fourier on the vector the diagonal transforms, see
+    ``_fourier_diagonal``).  The result is checked against the trace
+    identity sum d = n a_0, else InvariantViolationError.
     """
     if alg.lag_weights is None:
         raise ValueError(f"{alg.kind} algebra has no closed-form Toeplitz diagonal")
     n = alg.order
     if alg.kind == "fourier":
-        d = np.fft.fft(optimal_circulant_column(f, n))
+        d = _fourier_diagonal(alg, f)
     else:
+        check_transform(alg)
         d = lag_sum(alg, f, alg.grid)
     scale = n * sum(abs(a) for k, a in f.coefficients.items() if abs(k) < n)
     defect = abs(np.sum(d) - n * f.coefficient(0))
@@ -410,6 +415,26 @@ def toeplitz_diagonal(alg: TransformAlgebra, f: Symbol) -> np.ndarray:
             f"identity: defect {defect:.3e} of {scale:.3e}"
         )
     return d
+
+
+def _fourier_diagonal(alg: TransformAlgebra, f: Symbol) -> np.ndarray:
+    """sqrt(n) U* c for the optimal circulant column c, with U* and U checked on the way.
+
+    An even f gives an even c (c_{-j} = c_j), on which U U* c = c cannot
+    tell U from a flipped U*.  For a real f, c is Hermitian and U* c real,
+    while the real odd o = ||c|| (e_1 - e_{-1}) has an imaginary U* o: the
+    check runs on c + o, which is not even, and Re U* (c + o) = U* c.  At
+    n = 2 the flip is the identity and o = 0.  A complex f is checked on c.
+    """
+    n = alg.order
+    c = optimal_circulant_column(f, n)
+    if not f.is_real:
+        return np.sqrt(n) * check_transform(alg, c)
+    if n > 2:
+        t = np.linalg.norm(c)
+        c[1] += t
+        c[n - 1] -= t
+    return np.sqrt(n) * check_transform(alg, c).real
 
 
 def _weyl_probe(f: Symbol, n: int) -> tuple[np.ndarray, np.ndarray]:

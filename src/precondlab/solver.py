@@ -44,7 +44,8 @@ class SolveTrace:
 
     residual_history holds relative residuals ||r_k|| / ||b|| starting at
     k = 0; error_history (optional) holds A-norm errors against a supplied
-    reference solution, the quantity CG decreases monotonically.
+    reference solution, the quantity CG decreases monotonically; solution
+    holds the last iterate x_k.
     """
 
     order: int
@@ -54,6 +55,7 @@ class SolveTrace:
     wall_time: float
     converged: bool = True
     error_history: Optional[list[float]] = None
+    solution: Optional[np.ndarray] = None
 
     @property
     def final_residual(self) -> float:
@@ -69,17 +71,21 @@ def _check_diagonal(d: np.ndarray, scale: float) -> None:
 
 
 def _diagonal_inverse(alg: TransformAlgebra, d: np.ndarray) -> Callable:
-    """x -> U diag(d)^{-1} U* x for the diagonal d of U* A U."""
+    """x -> U diag(d)^{-1} U* x for the diagonal d of U* A U.
+
+    The maps must have been checked (``check_transform``).  Every call
+    writes its result into one work buffer, which the next call reuses.
+    """
     if np.max(np.abs(d.imag)) > 1e-8 * (1.0 + np.max(np.abs(d.real))):
         raise NotPositiveDefiniteError("projected diagonal is not real")
     dr = np.ascontiguousarray(d.real)
     _check_diagonal(dr, float(np.max(np.abs(dr))))
-    check_transform(alg)
     # Bind the maps, not alg: the closure would keep the algebra's grid alive.
     transform, inverse = alg.transform, alg.inverse
+    work = np.empty(len(dr), dtype=np.complex128)
 
     def apply(r):
-        z = transform(r)
+        z = transform(r, out=work)
         z /= dr
         return inverse(z, out=z)
 
@@ -127,8 +133,9 @@ def build_preconditioner(
 
     The preconditioner is built once from A (dense or ToeplitzOperator) and
     can be reused across solves of the same system.  A ToeplitzOperator on
-    a built-in algebra takes its diagonal from ``toeplitz_diagonal`` in
-    O(n log n); dense input and custom algebras take diag(U* A U).
+    a built-in algebra takes its diagonal, and the check of U* and U, from
+    ``toeplitz_diagonal`` in O(n log n); dense input and custom algebras
+    take diag(U* A U) and ``check_transform``.
     """
     order, _, dense = as_linear_operator(a)
     if precond == "none":
@@ -144,6 +151,7 @@ def build_preconditioner(
     if isinstance(a, ToeplitzOperator) and alg.lag_weights is not None:
         d = toeplitz_diagonal(alg, a.symbol)
     else:
+        check_transform(alg)
         d = algebra_diagonal(alg, dense())
     return label, _diagonal_inverse(alg, d)
 
@@ -178,7 +186,7 @@ def pcg(
     norm_b = float(np.linalg.norm(rhs))
     x = np.zeros(order, dtype=np.complex128)
     if norm_b == 0.0:
-        return SolveTrace(order, 0, [0.0], label, time.perf_counter() - start)
+        return SolveTrace(order, 0, [0.0], label, time.perf_counter() - start, solution=x)
 
     xt = None if x_true is None else np.asarray(x_true, dtype=np.complex128)
 
@@ -198,7 +206,7 @@ def pcg(
             trace = SolveTrace(
                 order, iterations, history, label,
                 time.perf_counter() - start, converged=False,
-                error_history=errors,
+                error_history=errors, solution=x,
             )
             raise MaxIterationsError(
                 f"pcg did not reach tol {tol:g} in {cap} iterations "
@@ -212,8 +220,8 @@ def pcg(
                 f"negative curvature p*Ap = {curvature:.3e}; matrix is not HPD"
             )
         alpha = gamma / curvature
-        x = x + alpha * p
-        r = r - alpha * ap
+        x += alpha * p
+        r -= alpha * ap
         iterations += 1
         history.append(float(np.linalg.norm(r)) / norm_b)
         if errors is not None:
@@ -222,7 +230,8 @@ def pcg(
             break
         z = apply_inv(r)
         gamma_new = np.vdot(r, z).real
-        p = z + (gamma_new / gamma) * p
+        p *= gamma_new / gamma  # p stays its own buffer: z may be apply_inv's work buffer or r
+        p += z
         gamma = gamma_new
     return SolveTrace(
         order,
@@ -232,6 +241,7 @@ def pcg(
         time.perf_counter() - start,
         converged=True,
         error_history=errors,
+        solution=x,
     )
 
 

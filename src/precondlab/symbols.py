@@ -234,11 +234,13 @@ def load_symbol(path) -> Symbol:
 
 # ---------------------------------------------------------------------------
 # preset grammar: terms like "2", "1e-3", "cos", "2cos", "0.5sin3x",
-# "delta(0.01)"
+# "delta(0.01)".  Numbers are ASCII only: unicode \d, or float() on any
+# text, would read "1٠cos" (Arabic-Indic zero) as 10cos.
 
 _TERM_RE = re.compile(
     r"^(?P<coef>[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?)"
-    r"(?:\*?(?:(?P<fn>cos|sin)(?P<freq>\d*)x?|(?P<delta>delta\((?P<dval>[^)]+)\))))?$"
+    r"(?:\*?(?:(?P<fn>cos|sin)(?P<freq>\d*)x?|(?P<delta>delta\((?P<dval>[-+.\deE]+)\))))?$",
+    re.ASCII,
 )
 
 

@@ -1,12 +1,13 @@
 """Golden outputs of the documented commands.
 
 Files whose every byte is fixed by exact arithmetic or by a settled
-algorithm are pinned by sha256.  Files holding Frobenius sums that may
-move by round-off when the way they are computed changes are parsed: the
-outlier counts, classifications, slopes, labels and verdicts stay exact
-(pinned by the sha256 of the file with its Frobenius values taken out),
-and the Frobenius values are held to ROUND_OFF_RTOL of pinned or exact
-values.  The hashes were taken on x86-64 Linux with the OpenBLAS 0.3.31
+algorithm are pinned by sha256.  Files holding Frobenius sums or PCG
+residuals that may move by round-off when the way they are computed
+changes are parsed: the outlier counts, classifications, slopes, labels,
+verdicts and iteration counts stay exact (pinned by the sha256 of the
+file with those values taken out), and the Frobenius values are held to
+ROUND_OFF_RTOL of pinned or exact values, the residuals to
+PCG_RESIDUAL_ATOL.  The hashes were taken on x86-64 Linux with the OpenBLAS 0.3.31
 that NumPy wheels bundle; another BLAS may move the last bits of the
 spectra and so the hashes.
 """
@@ -31,7 +32,6 @@ GOLDEN_SHA256 = {
     "3-korovkin-test/korovkin_test.json": "c21450501036fcb25998b2f1c7f01da5b07edb28d1eda841c9272b56f29b8c36",
     "4-lpo-rates/lpo_rates.csv": "7597d407700f59ce2228f032f85ee0b428e859b1bd3965c473da139dc2aa1cfa",
     "4-lpo-rates/lpo_rates.json": "24680884c54b93e1f5a135c57439def01642fd70c8e5dbb149e7c984d9008312",
-    "6-pcg-bench/pcg_bench.csv": "ba9f8f7cb88bdf45307db70cec0ac24ab119291a19820edca3fe2fc1049d3038",
     "6-pcg-bench/pcg_bench.json": "e736414c282ce5df3a6120d36e7bf0bf4c64428d5e8aa7d411c427c1a774490b",
 }
 
@@ -103,6 +103,25 @@ GOLDEN_FROBENIUS_SQ = {
     "9-cluster-scan": _hartley_odd_control,
 }
 
+# pcg-bench rows are (n, precond, iterations, final_residual, wall_time).
+# The final residuals move by round-off with the way T_n x and the
+# preconditioner diagonal are computed.  Pinned: the sha256 of the
+# canonical JSON of the rows without final_residual, and each
+# final_residual at or below the command's tol and within
+# PCG_RESIDUAL_ATOL of the value the 2n FFT-embedded product wrote.
+PCG_BENCH_CSV = "6-pcg-bench/pcg_bench.csv"
+PCG_BENCH_ROWS_SHA256 = "90be036ea22b17ca8105f568f591455e64f3880b3abe22ade351fd434e093249"
+PCG_BENCH_TOL = 1e-10
+PCG_BENCH_FINAL_RESIDUALS = (
+    2.4035997837710454e-16,
+    2.6708216146394607e-11,
+    5.978027623240885e-19,
+    9.019934758591664e-11,
+    9.409434258172029e-11,
+    1.3377902827647884e-11,
+)
+PCG_RESIDUAL_ATOL = 1e-15
+
 PROJECT_CSV = "1-project/project.csv"
 # Written by the dense-U projection; the exact values are 287.0078125 and 0.4921875.
 GOLDEN_PROJECT_ROW = {
@@ -154,12 +173,24 @@ def test_documented_commands_match_golden_outputs(tmp_path, capsys):
             written[f"{out_dir.name}/{path.name}"] = path
     scans = {f"{name}/{name.split('-', 1)[1].replace('-', '_')}.{ext}"
              for name in GOLDEN_SCANS for ext in ("csv", "json")}
-    assert sorted(written) == sorted([*GOLDEN_SHA256, PROJECT_CSV, *scans])
+    assert sorted(written) == sorted([*GOLDEN_SHA256, PCG_BENCH_CSV, PROJECT_CSV, *scans])
 
     moved = [key for key, digest in GOLDEN_SHA256.items() if _sha256(written[key]) != digest]
     assert moved == []
     for name in GOLDEN_SCANS:
         _check_scan(name, tmp_path / name)
+
+    with open(written[PCG_BENCH_CSV], encoding="utf-8", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["n", "precond", "iterations", "final_residual", "wall_time"]
+    assert _canonical_sha256([row[:3] + row[4:] for row in [header, *rows]]) == (
+        PCG_BENCH_ROWS_SHA256
+    )
+    assert len(rows) == len(PCG_BENCH_FINAL_RESIDUALS)
+    for row, gold in zip(rows, PCG_BENCH_FINAL_RESIDUALS):
+        residual = float(row[3])
+        assert residual <= PCG_BENCH_TOL, row
+        assert abs(residual - gold) <= PCG_RESIDUAL_ATOL, (row, gold)
 
     with open(written[PROJECT_CSV], encoding="utf-8", newline="") as fh:
         (row,) = list(csv.DictReader(fh))

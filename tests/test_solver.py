@@ -81,15 +81,22 @@ def test_energy_norm_error_monotone():
 
 
 def test_toeplitz_operator_solution_matches_dense_solve():
+    # With r = b - T x the true residual, x - x* = -T^-1 r and ||x*|| >= ||b|| / ||T||,
+    # so ||x - x*|| / ||x*|| <= cond(T) ||r|| / ||b||; once ||r|| / ||b|| <= tol,
+    # cond(T) tol bounds the error (cond(T) < 3 here: f = 2 + cos lies in [1, 3]).
     f = parse_trig_expression("2+cos")
-    op = ToeplitzOperator(f, 128)
-    b = np.ones(128, dtype=complex)
-    trace_x = pcg(op, b, precond="algebra_projection", tol=1e-12)
-    # recover the solution by running the dense path to the same tolerance
-    dense = toeplitz_section(f, 128)
-    x = np.linalg.solve(dense, b)
-    assert trace_x.residual_history[-1] <= 1e-12
-    assert np.linalg.norm(dense @ x - b) <= 1e-10 * np.linalg.norm(b)
+    n, tol = 128, 1e-12
+    op = ToeplitzOperator(f, n)
+    b = np.ones(n, dtype=complex)
+    dense = toeplitz_section(f, n)
+    want = np.linalg.solve(dense, b)
+    bound = np.linalg.cond(dense) * tol
+    for precond in ("none", "algebra_projection"):
+        trace = pcg(op, b, precond=precond, tol=tol)
+        x = trace.solution
+        assert trace.final_residual <= tol
+        assert np.linalg.norm(b - dense @ x) <= tol * np.linalg.norm(b), precond
+        assert np.linalg.norm(x - want) <= bound * np.linalg.norm(want), precond
 
 
 def test_negative_curvature_detected():
@@ -105,6 +112,7 @@ def test_max_iterations_raises_with_trace():
     trace = excinfo.value.trace
     assert trace is not None and not trace.converged
     assert trace.iterations == 3
+    assert trace.solution.shape == (256,) and np.any(trace.solution != 0)
 
 
 def test_pinched_preconditioner_converges():
@@ -161,6 +169,7 @@ def test_zero_rhs_returns_without_iterating():
     a, _ = spd_system(8, seed=3)
     trace = pcg(a, np.zeros(8, dtype=complex), precond="algebra_projection")
     assert trace.iterations == 0 and trace.residual_history == [0.0] and trace.converged
+    assert np.array_equal(trace.solution, np.zeros(8))
 
 
 def test_preconditioner_rejects_indefinite_diagonal():
@@ -311,6 +320,37 @@ def test_scaled_transform_fails_at_build(kind):
     with pytest.raises(NotUnitaryError, match=kind):
         build_preconditioner(op, "algebra_projection", alg_kind=factory)
     build_preconditioner(op, "algebra_projection", alg_kind=kind)
+
+
+def _counted_fourier(calls, flip=False):
+    """Factory of Fourier algebras whose maps log their calls; flip swaps in U* for U."""
+    def factory(n):
+        alg = make_algebra("fourier", n)
+        inverse_map = alg.transform if flip else alg.inverse
+
+        def transform(x, out=None):
+            calls.append("transform")
+            return alg.transform(x, out=out)
+
+        def inverse(z, out=None):
+            calls.append("inverse")
+            return inverse_map(z, out=out)
+
+        return dataclasses.replace(alg, transform=transform, inverse=inverse)
+
+    return factory
+
+
+@pytest.mark.parametrize("n", [3, 16, 17])
+def test_fourier_toeplitz_build_checks_the_transform_of_its_diagonal(n):
+    # one U* for the diagonal, one U for the round trip: no separate check vector
+    calls = []
+    op = ToeplitzOperator(parse_trig_expression("3+cos"), n)
+    build_preconditioner(op, "algebra_projection", alg_kind=_counted_fourier(calls))
+    assert calls == ["transform", "inverse"]
+    # the column of the even symbol 3+cos is even, yet the flipped U* is caught
+    with pytest.raises(NotUnitaryError, match="round-trip"):
+        build_preconditioner(op, "algebra_projection", alg_kind=_counted_fourier([], flip=True))
 
 
 @pytest.mark.parametrize("kind", ALGEBRA_KINDS)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from precondlab.cli import main
 from precondlab.errors import InsufficientSamplesError, ParseError
 from precondlab.symbols import (
     SampledFunction,
@@ -328,6 +329,15 @@ def test_parse_rejects_garbage():
                 "delta(abc)"):
         with pytest.raises(ParseError):
             parse_trig_expression(bad)
+
+
+# "\u0660" is the Arabic-Indic digit zero, a unicode \d that float() reads as 0
+@pytest.mark.parametrize("text", ["1\u0660cos", "1\u0660e-1", "2+delta(\u0660.5)"])
+def test_parse_rejects_non_ascii_digits(text, capsys):
+    with pytest.raises(ParseError, match="bad term"):
+        parse_trig_expression(text)
+    assert main(["project", f"--symbol=preset:{text}", "--dry-run"]) == 1
+    assert "bad term" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

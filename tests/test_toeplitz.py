@@ -8,6 +8,7 @@ from precondlab.errors import DimensionMismatchError
 from precondlab.linalg import hermitian_eigvalues, is_hermitian, singular_values
 from precondlab.symbols import Symbol, constant, cosine, parse_trig_expression, product
 from precondlab.toeplitz import (
+    DIRECT_MAX_TAPS,
     ToeplitzOperator,
     hankel_section,
     numerical_rank,
@@ -183,6 +184,71 @@ def test_operator_matvec_matches_section_at_any_degree(n):
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     op = ToeplitzOperator(f, n)
     np.testing.assert_allclose(op.matvec(x), toeplitz_section(f, n) @ x, atol=1e-13)
+
+
+def _band_symbol(degree, seed):
+    """A complex symbol with every lag |k| <= degree nonzero: 2 degree + 1 taps."""
+    rng = np.random.default_rng(seed)
+    return Symbol({k: complex(*rng.standard_normal(2)) for k in range(-degree, degree + 1)})
+
+
+def _record_fft_calls(monkeypatch):
+    """The names of the np.fft functions called from now on, in order."""
+    calls = []
+    for name in ("fft", "ifft"):
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+CAP_DEGREE = (DIRECT_MAX_TAPS - 1) // 2
+# (symbol, order, direct): 2 min(deg f, n - 1) + 1 taps, direct up to DIRECT_MAX_TAPS
+PRODUCT_CASES = [
+    pytest.param(_band_symbol(CAP_DEGREE - 1, 1), 100, True, id="below-cap"),
+    pytest.param(_band_symbol(CAP_DEGREE, 2), 100, True, id="at-cap"),
+    pytest.param(_band_symbol(CAP_DEGREE + 1, 3), 100, False, id="above-cap"),
+    pytest.param(_band_symbol(CAP_DEGREE + 1, 4), CAP_DEGREE + 1, True,
+                 id="degree-n-clipped-to-cap"),
+    pytest.param(_band_symbol(2 * CAP_DEGREE, 5), CAP_DEGREE + 2, False,
+                 id="degree-above-n-fft"),
+    pytest.param(COMPLEX_DEGREE_SIX, 3, True, id="degree-above-n"),
+    pytest.param(COMPLEX_DEGREE_SIX, 1, True, id="n1"),
+    pytest.param(COMPLEX_DEGREE_SIX, 2, True, id="n2"),
+    pytest.param(COMPLEX_DEGREE_SIX, 64, True, id="complex"),
+    pytest.param(constant(2.5), 7, True, id="constant"),
+    pytest.param(constant(2.5), 1, True, id="constant-n1"),
+    pytest.param(parse_trig_expression("1+cos3x"), 16, True, id="zero-lags-in-band"),
+]
+
+
+@pytest.mark.parametrize("f, n, direct", PRODUCT_CASES)
+def test_operator_product_matches_section(f, n, direct, monkeypatch):
+    calls = _record_fft_calls(monkeypatch)
+    op = ToeplitzOperator(f, n)
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    y = op.matvec(x)
+    assert (calls == []) == direct, calls
+    want = toeplitz_section(f, n) @ x
+    assert y.shape == (n,) and y.dtype == np.complex128
+    assert np.linalg.norm(y - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_operator_of_low_degree_runs_no_fft(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.fft was called")
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    n = 65536
+    f = parse_trig_expression("2+cos-0.3sin2x+0.1cos3x")
+    op = ToeplitzOperator(f, n)
+    y = op.matvec(np.ones(n))
+    # interior rows of T_n(f) 1 read f(0) = 2 + 1 + 0.1; the first and last miss lags
+    np.testing.assert_allclose(y[3:-3], 3.1, rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
