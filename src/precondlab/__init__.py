@@ -32,13 +32,9 @@ from .clustering import (
     DEFAULT_LADDER,
     ClusterReport,
     LowRank,
-    PreconditionedSpectrum,
     build_cluster_report,
     classify,
     classify_frobenius,
-    frobenius_criterion,
-    outlier_count,
-    preconditioned_spectrum,
 )
 from .errors import (
     BadPartitionError,
@@ -53,7 +49,6 @@ from .errors import (
     NotUnitaryError,
     ParseError,
     PrecondlabError,
-    SingularMatrixError,
     UsageError,
 )
 from .korovkin import (
@@ -71,9 +66,7 @@ from .linalg import (
     hermitian_eig,
     hermitian_eigvalues,
     is_hermitian,
-    operator_norm,
     singular_values,
-    solve_hermitian,
 )
 from .operators import (
     OperatorSource,
@@ -81,7 +74,6 @@ from .operators import (
     distribution_convergence,
     hs_decay_source,
     identity_source,
-    preconditioner_of,
     rank1_source,
     source_from_spec,
     toeplitz_source,
@@ -89,13 +81,11 @@ from .operators import (
 )
 from .solver import SolveTrace, build_preconditioner, pcg, scaling_study
 from .symbols import (
-    DEFAULT_TRUNCATION_DEGREE,
     SampledFunction,
     Symbol,
     constant,
     cosine,
     fourier_coefficients,
-    from_function,
     load_symbol,
     parse_trig_expression,
     product,
@@ -107,10 +97,8 @@ from .symbols import (
 )
 from .toeplitz import (
     ToeplitzOperator,
-    hankel_section,
     product_correction,
     toeplitz_section,
-    widom_correction_report,
 )
 
 __version__ = "0.1.0"

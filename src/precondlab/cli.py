@@ -21,7 +21,7 @@ import numpy as np
 
 from . import algebras, clustering, korovkin, operators, solver, symbols, toeplitz
 from .errors import ParseError, PrecondlabError, UsageError
-from .linalg import frobenius_norm_sq
+from .linalg import frobenius_norm_sq, singular_values
 
 DEFAULT_SEED = 42
 DEFAULT_TOL = 1e-10
@@ -33,7 +33,7 @@ DEFAULT_TOL = 1e-10
 
 def _bounded_int(text: str, what: str, least: int) -> int:
     try:
-        value = int(text)
+        value = symbols.ascii_number(text, int)
     except ValueError as exc:
         raise ParseError(f"bad {what} {text!r}: {exc}") from exc
     if value < least:
@@ -62,7 +62,7 @@ def _parse_cluster_ladder(text: str) -> tuple[int, ...]:
 
 def _positive_float(text: str, what: str) -> float:
     try:
-        value = float(text)
+        value = symbols.ascii_number(text)
     except ValueError as exc:
         raise ParseError(f"bad {what} {text!r}: {exc}") from exc
     if not (np.isfinite(value) and value > 0):
@@ -77,6 +77,7 @@ def _parse_eps(text: str) -> tuple[float, ...]:
 # Algebras need order >= 2, and every command builds one per size (pcg-bench: unless none).
 _parse_size = partial(_bounded_int, what="size", least=2)
 _parse_max_iter = partial(_bounded_int, what="max-iter", least=1)
+_parse_seed = partial(_bounded_int, what="seed", least=0)
 _parse_tol = partial(_positive_float, what="tol")
 _parse_algebra = partial(_algebra_name, choices=(*algebras.ALGEBRA_KINDS, "custom"))
 # lpo-rates evaluates basis functions off the grid, and the custom algebra has none.
@@ -489,8 +490,13 @@ def _check_pinching():
 
 
 def _check_widom():
-    rep = toeplitz.widom_correction_report(symbols.cosine(), (16, 32, 64))
-    assert rep.rank_bound_ok and rep.norm_constant_ok
+    g = symbols.cosine()
+    norms = []
+    for n in (16, 32, 64):
+        sigma = singular_values(toeplitz.product_correction(g, n))  # ascending
+        assert np.all(sigma[: -2 * g.degree] <= 1e-10), f"rank above 2 deg g at n={n}"
+        norms.append(sigma[-1])
+    assert max(norms) - min(norms) <= 1e-9, "norm not constant"
 
 
 def _check_lpo_diagonal():
@@ -589,7 +595,7 @@ def _add_common(p: _Parser, algebra=_parse_algebra) -> None:
     if algebra is not None:
         p.add_argument("--algebra", type=algebra, default="fourier")
     p.add_argument("--outdir", default=".", help="output directory (default: .)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED)
     p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--dry-run", action="store_true",
                    help="print the resolved plan without computing")

@@ -65,15 +65,6 @@ def _check_eps(eps) -> float:
     return eps
 
 
-def outlier_count(a, b, eps: float) -> int:
-    """Number of singular values of A - B that are >= eps."""
-    _check_eps(eps)
-    ma, mb = as_square(a), as_square(b)
-    if ma.shape != mb.shape:
-        raise DimensionMismatchError(f"shapes {ma.shape} and {mb.shape} differ")
-    return int(np.count_nonzero(singular_values(ma - mb) >= eps))
-
-
 def _validate_ladder(ladder) -> tuple[int, ...]:
     ladder = tuple(int(n) for n in ladder)
     if len(ladder) < 4:
@@ -160,25 +151,6 @@ def _at_order(n: int, *mats) -> list[np.ndarray]:
     return out
 
 
-def frobenius_criterion(seq_a: dict, seq_b: dict) -> str:
-    """Apply `classify_frobenius` to two ladders of n x n matrices (maps n -> matrix)."""
-    ladder = sorted(seq_a)
-    if sorted(seq_b) != ladder:
-        raise DimensionMismatchError("sequences must share the same ladder")
-    pairs = [_at_order(n, seq_a[n], seq_b[n]) for n in ladder]
-    dsq = [frobenius_norm_sq(a - b) for a, b in pairs]
-    return classify_frobenius(ladder, dsq, [frobenius_norm_sq(a) for a, _ in pairs])
-
-
-@dataclass(frozen=True)
-class PreconditionedSpectrum:
-    """Eigenvalues of B^{-1/2} A B^{-1/2} (similar to B^{-1} A) plus outliers."""
-
-    values: np.ndarray
-    outliers: int
-    delta: float  # smallest eigenvalue of B, reported per the positivity premise
-
-
 def _check_positive(eigenvalues_b) -> float:
     delta = float(np.min(eigenvalues_b))
     if delta <= 0.0:
@@ -198,14 +170,6 @@ def preconditioned_eigenvalues(a, b) -> tuple[np.ndarray, float]:
     inv_sqrt = (vb / np.sqrt(wb)) @ vb.conj().T
     sym = inv_sqrt @ ma @ inv_sqrt
     return hermitian_eigvalues(0.5 * (sym + sym.conj().T)), delta
-
-
-def preconditioned_spectrum(a, b, eps: float) -> PreconditionedSpectrum:
-    """Spectrum of the preconditioned matrix and its outliers off (1-eps, 1+eps)."""
-    _check_eps(eps)
-    values, delta = preconditioned_eigenvalues(a, b)
-    outliers = int(np.count_nonzero(np.abs(values - 1.0) >= eps))
-    return PreconditionedSpectrum(values=values, outliers=outliers, delta=delta)
 
 
 @dataclass(frozen=True)

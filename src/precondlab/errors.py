@@ -17,10 +17,6 @@ class NoConvergenceError(PrecondlabError):
     """An eigenvalue or singular-value computation failed to converge."""
 
 
-class SingularMatrixError(PrecondlabError):
-    """A matrix required to be invertible is numerically singular."""
-
-
 class NotUnitaryError(PrecondlabError):
     """A constructed transform matrix fails the unitarity check."""
 

@@ -1,7 +1,7 @@
 """Dense complex matrix kernel.
 
-Frobenius geometry, Hermitian eigendecomposition, singular values and
-Hermitian solves on plain ``numpy`` arrays in double-precision complex.
+Frobenius geometry, Hermitian eigendecomposition and singular values on
+plain ``numpy`` arrays in double-precision complex.
 Every other module builds on these routines.
 """
 
@@ -9,17 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NoConvergenceError,
-    NotHermitianError,
-    SingularMatrixError,
-)
+from .errors import DimensionMismatchError, NoConvergenceError, NotHermitianError
 
 # Tolerance used by eigensolver/solver preconditions ("Hermitian within
 # tolerance"); the stricter 1e-12 flag check is `is_hermitian`'s default.
 HERMITIAN_EIG_TOL = 1e-10
-SINGULARITY_RTOL = 1e-12
 HERMITIAN_BLOCK_ROWS = 64
 
 
@@ -71,12 +65,6 @@ def frobenius_norm_sq(a) -> float:
     """Sum of squared moduli of all entries, equal to trace(A* A)."""
     m = as_matrix(a)
     return float(np.vdot(m, m).real)
-
-
-def operator_norm(a) -> float:
-    """Spectral norm (largest singular value)."""
-    s = singular_values(a)
-    return float(s[-1]) if s.size else 0.0
 
 
 def hermitian_eig(a, tol: float = HERMITIAN_EIG_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -145,20 +133,3 @@ def hermitian_eigvalues_unchecked(a: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(_lapack_view(a))
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eigvalsh failed to converge: {exc}") from exc
-
-
-def solve_hermitian(a, b) -> np.ndarray:
-    """Solve A x = b for Hermitian, numerically nonsingular A."""
-    m = as_square(a)
-    rhs = np.asarray(b, dtype=np.complex128)
-    if rhs.shape[0] != m.shape[0]:
-        raise DimensionMismatchError(
-            f"rhs length {rhs.shape[0]} does not match order {m.shape[0]}"
-        )
-    w = hermitian_eigvalues(m)
-    lo, hi = float(np.min(np.abs(w))), float(np.max(np.abs(w)))
-    if hi == 0.0 or lo <= SINGULARITY_RTOL * hi:
-        raise SingularMatrixError(
-            f"min |eigenvalue| {lo:.3e} below {SINGULARITY_RTOL:.0e} * max {hi:.3e}"
-        )
-    return np.linalg.solve(0.5 * (m + m.conj().T), rhs)

@@ -16,14 +16,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebras import project, resolve_algebra_factory
+from .algebras import resolve_algebra_factory
 from .clustering import (
     DEFAULT_EPS_GRID, DEFAULT_LADDER, ClusterReport, LowRank, _validate_ladder,
     build_cluster_report,
 )
 from .errors import InvariantViolationError
 from .linalg import frobenius_norm_sq
-from .symbols import Symbol, constant
+from .symbols import Symbol, ascii_number, constant
 
 HS_TAIL_FRACTION_MAX = 0.01
 
@@ -61,11 +61,6 @@ def truncate(src: OperatorSource, n: int) -> np.ndarray:
     if vals.shape != (n, n):
         raise ValueError("entry generator must be vectorized over index arrays")
     return vals
-
-
-def preconditioner_of(src: OperatorSource, alg_kind, n: int) -> np.ndarray:
-    """Algebra projection of the order-n truncation."""
-    return project(resolve_algebra_factory(alg_kind)(n), truncate(src, n))
 
 
 def hs_tail_fraction(src: OperatorSource, n: int) -> float:
@@ -224,7 +219,7 @@ def source_from_spec(text: str, symbol_resolver=None) -> OperatorSource:
         return toeplitz_source(symbol_resolver(spec[len("toeplitz:"):]))
     m = _PARAM_RE.match(spec)
     if m:
-        arg = float(m.group("arg"))
+        arg = ascii_number(m.group("arg"))
         if not np.isfinite(arg):
             raise ValueError(f"operator source parameter must be finite, got {text!r}")
         if m.group("name") == "rank1":

@@ -4,7 +4,7 @@ Demonstrates the payoff of algebra projections as preconditioners: when
 the preconditioned spectrum clusters at 1, the iteration count stays flat
 as the order grows.  Systems can be dense Hermitian positive definite
 matrices or matrix-free Toeplitz operators; the algebra preconditioner is
-applied by transform, diagonal (or block) solve and inverse transform.
+applied by transform, diagonal solve and inverse transform.
 """
 
 from __future__ import annotations
@@ -16,12 +16,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .algebras import (
-    PinchingPartition,
     TransformAlgebra,
     algebra_diagonal,
     check_transform,
-    eigenbasis,
-    pinch,
     resolve_algebra_factory,
     toeplitz_diagonal,
 )
@@ -35,7 +32,7 @@ from .toeplitz import ToeplitzOperator, as_linear_operator
 
 DIAGONAL_CLAMP_RTOL = 1e-13
 
-PRECONDITIONER_CHOICES = ("none", "algebra_projection", "pinched")
+PRECONDITIONER_CHOICES = ("none", "algebra_projection")
 
 
 @dataclass
@@ -92,43 +89,7 @@ def _diagonal_inverse(alg: TransformAlgebra, d: np.ndarray) -> Callable:
     return apply
 
 
-def _pinched_inverse(
-    alg: TransformAlgebra, partition: PinchingPartition, a_dense: np.ndarray
-) -> Callable:
-    """x -> U pinch(U* A U)^{-1} U* x, each block factored once by Cholesky.
-
-    With sub = L L*, sub^{-1} r = L^{-*} (L^{-1} r); L^{-1} is kept per block.
-    """
-    check_transform(alg)
-    transform, inverse = alg.transform, alg.inverse
-    blocked = pinch(partition, eigenbasis(alg, a_dense))
-    factors = []
-    for block in partition.blocks:
-        idx = np.array(block)
-        sub = blocked[np.ix_(idx, idx)]
-        sub = 0.5 * (sub + sub.conj().T)
-        try:
-            l_inv = np.linalg.inv(np.linalg.cholesky(sub))
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(f"pinched block is not HPD: {exc}") from exc
-        factors.append((idx, l_inv))
-
-    def apply(r):
-        rt = transform(r)
-        zt = np.empty_like(rt)
-        for idx, l_inv in factors:
-            zt[idx] = l_inv.conj().T @ (l_inv @ rt[idx])
-        return inverse(zt, out=zt)
-
-    return apply
-
-
-def build_preconditioner(
-    a,
-    precond: str,
-    alg_kind="fourier",
-    partition: Optional[PinchingPartition] = None,
-) -> tuple[str, Callable]:
+def build_preconditioner(a, precond: str, alg_kind="fourier") -> tuple[str, Callable]:
     """Return (label, apply_inverse) for the requested preconditioner.
 
     The preconditioner is built once from A (dense or ToeplitzOperator) and
@@ -142,12 +103,8 @@ def build_preconditioner(
         return "none", lambda r: r
     if precond not in PRECONDITIONER_CHOICES:
         raise ValueError(f"unknown preconditioner {precond!r}")
-    if precond == "pinched" and partition is None:
-        raise ValueError("pinched preconditioner needs a partition")
     alg = resolve_algebra_factory(alg_kind)(order)
     label = f"{precond}[{alg.kind}]"
-    if precond == "pinched":
-        return label, _pinched_inverse(alg, partition, dense())
     if isinstance(a, ToeplitzOperator) and alg.lag_weights is not None:
         d = toeplitz_diagonal(alg, a.symbol)
     else:
@@ -163,7 +120,6 @@ def pcg(
     alg_kind="fourier",
     tol: float = 1e-10,
     max_iter: Optional[int] = None,
-    partition: Optional[PinchingPartition] = None,
     x_true=None,
 ) -> SolveTrace:
     """Preconditioned conjugate gradient for Hermitian positive definite A.
@@ -180,7 +136,7 @@ def pcg(
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     cap = max_iter if max_iter is not None else max(1000, 4 * order)
 
-    label, apply_inv = build_preconditioner(a, precond, alg_kind=alg_kind, partition=partition)
+    label, apply_inv = build_preconditioner(a, precond, alg_kind=alg_kind)
 
     start = time.perf_counter()
     norm_b = float(np.linalg.norm(rhs))

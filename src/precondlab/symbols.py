@@ -145,26 +145,6 @@ def fourier_coefficients(g: SampledFunction, degree: int, label: str = "") -> Sy
     return Symbol(coeffs, label)
 
 
-DEFAULT_TRUNCATION_DEGREE = 64
-
-
-def from_function(
-    evaluator: Callable[[np.ndarray], np.ndarray],
-    degree: int = DEFAULT_TRUNCATION_DEGREE,
-    label: str = "",
-) -> Symbol:
-    """Reduce a continuous 2pi-periodic function to a finite symbol.
-
-    The truncation degree is an experiment parameter; the sample count is
-    the smallest power of two with at least 4*degree points (and >= 256,
-    which keeps aliasing negligible for merely continuous inputs).
-    """
-    count = 256
-    while count < 4 * degree:
-        count *= 2
-    return fourier_coefficients(SampledFunction(evaluator, count), degree, label=label)
-
-
 def standard_test_set(name: str) -> list[Symbol]:
     """Korovkin test sets.
 
@@ -188,6 +168,24 @@ def standard_test_set(name: str) -> list[Symbol]:
 
 
 # ---------------------------------------------------------------------------
+# numbers in user input: ASCII only.  int() and float() also read other
+# scripts' digits and "_" between digits: "١٠٠" as 100, "1_0" as 10.
+
+_ASCII_NUMBER = re.compile(
+    r"\s*[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan)\s*",
+    re.ASCII | re.IGNORECASE,
+)
+
+
+def ascii_number(text: str, kind=float):
+    """kind(text), int or float, for an ASCII number; ValueError otherwise."""
+    value = kind(text)  # text that kind rejects keeps kind's own message
+    if not _ASCII_NUMBER.fullmatch(text):
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return value
+
+
+# ---------------------------------------------------------------------------
 # serialization: one coefficient per line, "k re im"
 
 def symbol_to_lines(s: Symbol) -> list[str]:
@@ -206,8 +204,8 @@ def symbol_from_lines(lines, label: str = "") -> Symbol:
         if len(parts) != 3:
             raise ParseError(f"line {lineno}: expected 'k re im', got {text!r}")
         try:
-            k = int(parts[0])
-            value = complex(float(parts[1]), float(parts[2]))
+            k = ascii_number(parts[0], int)
+            value = complex(ascii_number(parts[1]), ascii_number(parts[2]))
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
         if not np.isfinite(value):

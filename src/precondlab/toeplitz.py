@@ -1,4 +1,4 @@
-"""Finite Toeplitz and Hankel sections of a symbol.
+"""Finite Toeplitz sections of a symbol.
 
 Includes the bounded product-correction T_n(g^2) - T_n(g)^2 whose rank and
 norm stay bounded as the order grows, and a matrix-free Toeplitz operator
@@ -9,17 +9,13 @@ FFTs in O(n log n) otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatchError
-from .linalg import as_square, operator_norm, singular_values
+from .linalg import as_square
 from .symbols import Symbol, product
 
-RANK_CUTOFF = 1e-10
-NORM_SPREAD_TOL = 1e-9
 # Widest band a_{-m..m} that ToeplitzOperator multiplies directly: with 1
 # BLAS thread np.convolve beat the 2n FFT embedding up to 63 taps at every
 # order from 64 to 65536, and lost at 127 taps for n = 512 and 2048.
@@ -48,14 +44,6 @@ def section_frobenius_sq(f: Symbol, n: int) -> float:
     return float(sum(abs(a) ** 2 * (n - abs(k)) for k, a in f.coefficients.items() if abs(k) < n))
 
 
-def hankel_section(f: Symbol, n: int) -> np.ndarray:
-    """Dense n x n section with entries a_{j+k+1}; rank <= degree(f)."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    vals = f.coefficient_array(1, 2 * n)  # a_1, ..., a_{2n-1}
-    return sliding_window_view(vals, n).copy()
-
-
 def product_correction(g: Symbol, n: int) -> np.ndarray:
     """R_n = T_n(g^2) - T_n(g)^2 for a real symbol g.
 
@@ -67,46 +55,6 @@ def product_correction(g: Symbol, n: int) -> np.ndarray:
         raise ValueError("product_correction requires a real symbol")
     t = toeplitz_section(g, n)
     return toeplitz_section(product(g, g), n) - t @ t
-
-
-def numerical_rank(a) -> int:
-    """Number of singular values above RANK_CUTOFF."""
-    return int(np.count_nonzero(singular_values(a) > RANK_CUTOFF))
-
-
-@dataclass(frozen=True)
-class WidomReport:
-    """Rank and spectral norm of the product correction along a size ladder."""
-
-    symbol_label: str
-    degree: int
-    ladder: tuple[int, ...]
-    ranks: dict[int, int]
-    norms: dict[int, float]
-    rank_bound_ok: bool
-    norm_constant_ok: bool
-
-
-def widom_correction_report(g: Symbol, ladder) -> WidomReport:
-    """Check rank(R_n) <= 2 deg(g) and a norm spread <= NORM_SPREAD_TOL on the ladder."""
-    ladder = tuple(int(n) for n in ladder)
-    ranks: dict[int, int] = {}
-    norms: dict[int, float] = {}
-    for n in ladder:
-        r = product_correction(g, n)
-        ranks[n] = numerical_rank(r)
-        norms[n] = operator_norm(r)
-    bound = 2 * g.degree
-    vals = list(norms.values())
-    return WidomReport(
-        symbol_label=g.label,
-        degree=g.degree,
-        ladder=ladder,
-        ranks=ranks,
-        norms=norms,
-        rank_bound_ok=all(r <= bound for r in ranks.values()),
-        norm_constant_ok=(max(vals) - min(vals)) <= NORM_SPREAD_TOL,
-    )
 
 
 class ToeplitzOperator:

@@ -177,7 +177,7 @@ def test_unknown_preset_exit_one(tmp_path, capsys):
 
 
 def test_pcg_bench_rejects_pinched(capsys):
-    # the CLI has no way to pass the partition a pinched preconditioner needs
+    # the only preconditioners are none and algebra_projection
     code, _, err = run(capsys, "pcg-bench", "--precond", "pinched", "--dry-run")
     assert code == 1 and "invalid choice" in err
 
@@ -253,6 +253,13 @@ BAD_INPUTS = [
     (["operator-scan", "--source=toeplitz:file:{tmp}/complex.txt"], 1, "needs a real symbol"),
     (["pcg-bench", "--symbol=preset:2-2cos+delta(0.01)+0.3sin2x"], 1,
      "needs a positive symbol"),
+    # numbers are ASCII: int() and float() alone read other digits and "_" separators
+    (["project", "--n=\u0661\u0660\u0660"], 1, "not an ASCII number"),
+    (["pcg-bench", "--tol=1_0e-10"], 1, "not an ASCII number"),
+    (["lpo-rates", "--ladder=6_4,128"], 1, "not an ASCII number"),
+    (["operator-scan", "--source=hs_decay(\u0661.\u0665)"], 1, "not an ASCII number"),
+    (["project", "--symbol=file:{tmp}/underscore.txt"], 1, "line 1: not an ASCII number"),
+    (["project", "--seed=-1", "--algebra=custom"], 1, "seed must be >= 0"),
 ]
 
 
@@ -260,6 +267,7 @@ def _write_symbol_files(tmp_path):
     (tmp_path / "inf.txt").write_text("0 inf 0\n")
     (tmp_path / "nan.txt").write_text("0 nan 0\n")
     (tmp_path / "complex.txt").write_text("0 2 0\n1 0 0.5\n")
+    (tmp_path / "underscore.txt").write_text("1_0 0.5 0\n")
 
 
 @pytest.mark.parametrize("mode", ["plain", "dry-run", "config"])
@@ -525,7 +533,6 @@ import json, sys
 import numpy as np
 import precondlab
 from precondlab import cli, solver
-from precondlab.algebras import contiguous_partition
 from precondlab.symbols import parse_trig_expression
 from precondlab.toeplitz import toeplitz_section
 
@@ -533,8 +540,7 @@ outdir, commands = sys.argv[1], json.loads(sys.argv[2])
 for i, argv in enumerate(commands):
     assert cli.main(argv + ["--outdir", f"{outdir}/{i}"]) == 0, argv
 a = toeplitz_section(parse_trig_expression("3+cos"), 16)
-solver.pcg(a, np.ones(16, dtype=complex), precond="pinched", alg_kind="sine",
-           partition=contiguous_partition(16, 4))
+solver.pcg(a, np.ones(16, dtype=complex), precond="algebra_projection", alg_kind="sine")
 print(json.dumps(sorted(name for name in sys.modules if name.startswith("scipy"))))
 """
 

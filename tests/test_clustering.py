@@ -29,10 +29,7 @@ from precondlab.clustering import (
     build_cluster_report,
     classify,
     classify_frobenius,
-    frobenius_criterion,
-    outlier_count,
     preconditioned_eigenvalues,
-    preconditioned_spectrum,
 )
 from precondlab.errors import (
     DimensionMismatchError,
@@ -51,36 +48,40 @@ def table(counts_per_n, ladder=LADDER, eps=EPS):
 
 
 # ---------------------------------------------------------------------------
-# outlier_count
+# outlier counts of dense pairs: singular values of A_n - B_n at or above eps
+
+
+def dense_report(pairs_of, ladder, eps):
+    return build_cluster_report({n: pairs_of(n) for n in ladder}, eps)
 
 
 def test_outliers_zero_difference():
-    a = np.eye(5)
-    for eps in (1.0, 0.1, 1e-6):
-        assert outlier_count(a, a, eps) == 0
+    report = dense_report(lambda n: (np.eye(n), np.eye(n)), (4, 8, 16, 32), (1.0, 0.1, 1e-6))
+    assert set(report.counts.values()) == {0}
 
 
 def test_outliers_by_inspection():
-    a = np.diag([5.0, 0.01, 0.0])
-    assert outlier_count(a, np.zeros((3, 3)), 0.1) == 1
+    def pair(n):
+        return np.diag([5.0, 0.01] + [0.0] * (n - 2)), np.zeros((n, n))
+
+    assert set(dense_report(pair, (4, 8, 16, 32), (0.1,)).counts.values()) == {1}
 
 
 def test_outliers_toeplitz_vs_circulant_matches_svd_oracle():
     f = parse_trig_expression("2+cos")
-    a = toeplitz_section(f, 64)
-    b = project_toeplitz_fast(f, 64)
-    # independent oracle: count from the Gram-matrix eigenvalues
-    gram = (a - b).conj().T @ (a - b)
-    sigma = np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))
-    assert outlier_count(a, b, 0.05) == int(np.count_nonzero(sigma >= 0.05))
+    ladder = (8, 16, 32, 64)
+    report = dense_report(lambda n: (toeplitz_section(f, n), project_toeplitz_fast(f, n)),
+                          ladder, (0.05,))
+    for n in ladder:
+        a, b = toeplitz_section(f, n), project_toeplitz_fast(f, n)
+        # independent oracle: count from the Gram-matrix eigenvalues
+        gram = (a - b).conj().T @ (a - b)
+        sigma = np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))
+        assert report.counts[(n, 0.05)] == int(np.count_nonzero(sigma >= 0.05))
 
 
 def test_outliers_validation():
-    with pytest.raises(DimensionMismatchError):
-        outlier_count(np.eye(3), np.eye(4), 0.1)
     for eps in (0.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="positive and finite"):
-            outlier_count(np.eye(3), np.eye(3), eps)
         with pytest.raises(ValueError, match="positive and finite"):
             build_cluster_report({n: (np.eye(n), np.eye(n)) for n in (4, 8, 16, 32)}, (0.1, eps))
 
@@ -89,21 +90,27 @@ def test_outliers_match_eigenvalue_interval_count_for_hermitian():
     # for Hermitian differences the singular values are |eigenvalues|, so
     # the count of eigenvalues outside (-eps, eps) is the outlier count
     rng = np.random.default_rng(12)
-    m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    a = 0.5 * (m + m.conj().T)
-    b = np.zeros((16, 16))
-    for eps in (0.1, 0.5, 1.0, 2.0):
-        eig_count = int(np.count_nonzero(np.abs(np.linalg.eigvalsh(a)) >= eps))
-        assert outlier_count(a, b, eps) == eig_count
+    ladder, eps = (2, 4, 8, 16), (0.1, 0.5, 1.0, 2.0)
+    hermitian = {}
+    for n in ladder:
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        hermitian[n] = 0.5 * (m + m.conj().T)
+    report = dense_report(lambda n: (hermitian[n], np.zeros((n, n))), ladder, eps)
+    for n in ladder:
+        for e in eps:
+            eig_count = int(np.count_nonzero(np.abs(np.linalg.eigvalsh(hermitian[n])) >= e))
+            assert report.counts[(n, e)] == eig_count
 
 
 def test_outliers_nonincreasing_in_eps():
     rng = np.random.default_rng(3)
-    a = rng.standard_normal((20, 20))
-    b = rng.standard_normal((20, 20))
-    counts = [outlier_count(a, b, eps) for eps in (0.01, 0.1, 0.5, 1.0, 5.0)]
-    assert counts == sorted(counts, reverse=True)
-    assert all(0 <= c <= 20 for c in counts)
+    ladder, eps = (5, 10, 20, 40), (0.01, 0.1, 0.5, 1.0, 5.0)
+    report = dense_report(
+        lambda n: (rng.standard_normal((n, n)), rng.standard_normal((n, n))), ladder, eps)
+    for n in ladder:
+        counts = [report.counts[(n, e)] for e in eps]
+        assert counts == sorted(counts, reverse=True)
+        assert all(0 <= c <= n for c in counts)
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +160,7 @@ def test_classify_ladder_validation():
 
 
 def test_frobenius_identical_sequences_strong():
-    seq = {n: np.eye(n) for n in LADDER}
-    assert frobenius_criterion(seq, seq) == "strong"
+    assert dense_report(lambda n: (np.eye(n), np.eye(n)), LADDER, EPS).frobenius_verdict == "strong"
 
 
 def test_frobenius_log_growth_not_strong_but_weak():
@@ -176,42 +182,47 @@ def test_frobenius_round_off_is_zero_against_the_scale():
 
 def test_frobenius_toeplitz_vs_circulant_strong():
     f = parse_trig_expression("2+cos")
-    seq_a = {n: toeplitz_section(f, n) for n in LADDER}
-    seq_b = {n: project_toeplitz_fast(f, n) for n in LADDER}
-    assert frobenius_criterion(seq_a, seq_b) == "strong"
+    report = dense_report(lambda n: (toeplitz_section(f, n), project_toeplitz_fast(f, n)),
+                          LADDER, EPS)
+    assert report.frobenius_verdict == "strong"
 
 
 # ---------------------------------------------------------------------------
 # preconditioned spectrum
 
 
+def off_one(values, eps):
+    """Preconditioned eigenvalues outside (1 - eps, 1 + eps)."""
+    return int(np.count_nonzero(np.abs(values - 1.0) >= eps))
+
+
 def test_preconditioned_equal_matrices():
     a = np.diag([2.0, 3.0, 4.0])
-    ps = preconditioned_spectrum(a, a, 0.1)
-    np.testing.assert_allclose(ps.values, np.ones(3), atol=1e-12)
-    assert ps.outliers == 0
-    assert ps.delta == pytest.approx(2.0)
+    values, delta = preconditioned_eigenvalues(a, a)
+    np.testing.assert_allclose(values, np.ones(3), atol=1e-12)
+    assert off_one(values, 0.1) == 0
+    assert delta == pytest.approx(2.0)
 
 
 def test_preconditioned_scaling():
     rng = np.random.default_rng(8)
     m = rng.standard_normal((6, 6))
     b = m @ m.T + 6.0 * np.eye(6)
-    ps = preconditioned_spectrum(2.0 * b, b, 0.5)
-    np.testing.assert_allclose(ps.values, 2.0 * np.ones(6), atol=1e-10)
-    assert ps.outliers == 6
+    values, _ = preconditioned_eigenvalues(2.0 * b, b)
+    np.testing.assert_allclose(values, 2.0 * np.ones(6), atol=1e-10)
+    assert off_one(values, 0.5) == 6
 
 
 def test_preconditioned_outliers_match_nonsymmetric_eig_oracle():
     f = parse_trig_expression("2+cos")
     a = toeplitz_section(f, 256)
     b = project_toeplitz_fast(f, 256)
-    ps = preconditioned_spectrum(a, b, 0.1)
+    values, _ = preconditioned_eigenvalues(a, b)
     # oracle: eigenvalues of B^{-1} A via the general (non-Hermitian) solver
     eig = np.linalg.eigvals(np.linalg.solve(b, a))
     assert np.max(np.abs(eig.imag)) < 1e-8
     oracle = int(np.count_nonzero(np.abs(eig.real - 1.0) >= 0.1))
-    assert ps.outliers == oracle
+    assert off_one(values, 0.1) == oracle
 
 
 def test_preconditioned_rejects_non_hermitian():
@@ -222,7 +233,7 @@ def test_preconditioned_rejects_non_hermitian():
 
 def test_preconditioned_rejects_indefinite():
     with pytest.raises(NotPositiveDefiniteError):
-        preconditioned_spectrum(np.eye(3), np.diag([1.0, -1.0, 1.0]), 0.1)
+        preconditioned_eigenvalues(np.eye(3), np.diag([1.0, -1.0, 1.0]))
 
 
 def test_preconditioned_congruence_invariance():
@@ -232,10 +243,10 @@ def test_preconditioned_congruence_invariance():
     w = rng.standard_normal((10, 10))
     b = w @ w.T + 10.0 * np.eye(10)
     q, _ = np.linalg.qr(rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10)))
-    before = preconditioned_spectrum(a, b, 0.25)
-    after = preconditioned_spectrum(q.conj().T @ a @ q, q.conj().T @ b @ q, 0.25)
-    np.testing.assert_allclose(np.sort(after.values), np.sort(before.values), atol=1e-9)
-    assert after.outliers == before.outliers
+    before, _ = preconditioned_eigenvalues(a, b)
+    after, _ = preconditioned_eigenvalues(q.conj().T @ a @ q, q.conj().T @ b @ q)
+    np.testing.assert_allclose(np.sort(after), np.sort(before), atol=1e-9)
+    assert off_one(after, 0.25) == off_one(before, 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -625,13 +636,8 @@ GUARDS = [
     pytest.param(lambda: build_cluster_report(
         {n: (T8, project_toeplitz_fast(TWO_PLUS_COS, 8)) for n in (8, 16, 32, 64)}),
         *WRONG_ORDER, id="repeated-pair"),
-    pytest.param(lambda: frobenius_criterion(
-        {n: np.eye(n) for n in LADDER}, {n: np.eye(1) for n in LADDER}),
-        *WRONG_ORDER, id="frobenius-broadcast-b"),
     pytest.param(lambda: classify_frobenius(LADDER, [1.0, 1.0]), InsufficientLadderError,
                  "one d value per ladder size", id="frobenius-length"),
-    pytest.param(lambda: frobenius_criterion({8: np.eye(8)}, {16: np.eye(16)}),
-                 DimensionMismatchError, "share the same ladder", id="frobenius-ladders"),
     pytest.param(lambda: preconditioned_eigenvalues(np.eye(3), np.eye(4)),
                  DimensionMismatchError, "differ", id="preconditioned-shapes"),
     pytest.param(

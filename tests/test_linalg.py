@@ -7,11 +7,7 @@ Householder tridiagonalization followed by Sturm-sequence bisection.
 import numpy as np
 import pytest
 
-from precondlab.errors import (
-    DimensionMismatchError,
-    NotHermitianError,
-    SingularMatrixError,
-)
+from precondlab.errors import DimensionMismatchError, NotHermitianError
 from precondlab.linalg import (
     HERMITIAN_BLOCK_ROWS,
     frobenius_norm_sq,
@@ -20,7 +16,6 @@ from precondlab.linalg import (
     hermitian_eigvalues,
     is_hermitian,
     singular_values,
-    solve_hermitian,
 )
 
 
@@ -165,39 +160,6 @@ def test_frobenius_equals_sum_of_squared_singular_values():
         a = seeded_matrix(n, 200 + seed)
         total = float(np.sum(singular_values(a) ** 2))
         assert frobenius_norm_sq(a) == pytest.approx(total, rel=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# solve_hermitian
-
-
-def test_solve_identity():
-    b = np.array([1.0, -2.0, 3.0])
-    np.testing.assert_allclose(solve_hermitian(np.eye(3), b), b, atol=1e-12)
-
-
-def test_solve_diagonal():
-    x = solve_hermitian([[2.0, 0.0], [0.0, 4.0]], [2.0, 4.0])
-    np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-12)
-
-
-def test_solve_spd_residual():
-    rng = np.random.default_rng(17)
-    m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    a = m @ m.conj().T + 16 * np.eye(16)
-    b = rng.standard_normal(16)
-    x = solve_hermitian(a, b)
-    assert np.linalg.norm(a @ x - b) <= 1e-9 * np.linalg.norm(b)
-
-
-def test_solve_rejects_singular():
-    with pytest.raises(SingularMatrixError):
-        solve_hermitian([[1.0, 0.0], [0.0, 0.0]], [1.0, 1.0])
-
-
-def test_solve_rejects_bad_shape():
-    with pytest.raises(DimensionMismatchError):
-        solve_hermitian(np.eye(3), [1.0, 2.0])
 
 
 def test_is_hermitian_tolerance():

@@ -12,7 +12,6 @@ import precondlab.toeplitz
 from precondlab.algebras import (
     ALGEBRA_KINDS,
     TransformAlgebra,
-    contiguous_partition,
     custom_algebra,
     make_algebra,
     project,
@@ -115,48 +114,10 @@ def test_max_iterations_raises_with_trace():
     assert trace.solution.shape == (256,) and np.any(trace.solution != 0)
 
 
-def test_pinched_preconditioner_converges():
-    f = parse_trig_expression("2-2cos+delta(0.01)")
-    n = 128
-    a = toeplitz_section(f, n)
-    b = np.ones(n, dtype=complex)
-    trace = pcg(
-        a, b, precond="pinched", alg_kind="fourier",
-        partition=contiguous_partition(n, 4), tol=1e-10,
-    )
-    assert trace.converged
-    plain = pcg(a, b, precond="none", tol=1e-10)
-    assert trace.iterations <= plain.iterations
-
-
-@pytest.mark.parametrize("kind, iterations", [("fourier", 14), ("sine", 1), ("hartley", 15)])
-def test_pinched_cholesky_blocks_keep_iteration_counts(kind, iterations):
-    # counts of the LAPACK cho_factor/cho_solve blocks this path replaced
-    f = parse_trig_expression("2-2cos+delta(0.01)")
-    n = 128
-    trace = pcg(
-        toeplitz_section(f, n), np.ones(n, dtype=complex), precond="pinched",
-        alg_kind=kind, partition=contiguous_partition(n, 4), tol=1e-10,
-    )
-    assert trace.converged
-    assert trace.iterations == iterations
-
-
-def test_pinched_rejects_indefinite_block():
-    a = toeplitz_section(parse_trig_expression("cos"), 32)  # eigenvalues of both signs
-    with pytest.raises(NotPositiveDefiniteError, match="pinched block is not HPD"):
-        build_preconditioner(a, "pinched", partition=contiguous_partition(32, 4))
-
-
 @pytest.mark.parametrize("tol", [0.0, float("nan"), float("inf")])
 def test_pcg_rejects_bad_tol(tol):
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         pcg(np.eye(4, dtype=complex), np.ones(4), tol=tol)
-
-
-def test_pinched_requires_partition():
-    with pytest.raises(ValueError):
-        build_preconditioner(np.eye(8, dtype=complex), "pinched")
 
 
 def test_diagonal_inverse_rejects_a_complex_diagonal():
@@ -205,10 +166,6 @@ def test_preconditioner_label_names_the_built_algebra():
     for kind, factory in factories.items():
         label, _ = build_preconditioner(a, "algebra_projection", alg_kind=factory)
         assert label == f"algebra_projection[{kind}]"
-        label, _ = build_preconditioner(
-            a, "pinched", alg_kind=factory, partition=contiguous_partition(16, 4)
-        )
-        assert label == f"pinched[{kind}]"
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +206,8 @@ def test_transform_preconditioners_never_build_the_unitary(kind, monkeypatch):
     monkeypatch.setattr(TransformAlgebra, "unitary", property(refuse))
     a = toeplitz_section(parse_trig_expression("3+cos"), 64)
     b = np.ones(64, dtype=complex)
-    for precond, partition in (("algebra_projection", None),
-                               ("pinched", contiguous_partition(64, 4))):
-        trace = pcg(a, b, precond=precond, alg_kind=kind, partition=partition, tol=1e-10)
-        assert trace.converged
+    trace = pcg(a, b, precond="algebra_projection", alg_kind=kind, tol=1e-10)
+    assert trace.converged
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +248,8 @@ def test_toeplitz_operator_preconditioner_skips_dense_work(kind, monkeypatch):
 
     monkeypatch.setattr(ToeplitzOperator, "dense", refuse("ToeplitzOperator.dense"))
     monkeypatch.setattr(precondlab.toeplitz, "toeplitz_section", refuse("toeplitz_section"))
+    monkeypatch.setattr(precondlab.algebras, "eigenbasis", refuse("eigenbasis"))
     for module in (precondlab.algebras, precondlab.solver):
-        monkeypatch.setattr(module, "eigenbasis", refuse("eigenbasis"))
         monkeypatch.setattr(module, "algebra_diagonal", refuse("algebra_diagonal"))
     monkeypatch.setattr(TransformAlgebra, "unitary",
                         property(lambda alg: refuse("unitary")()))

@@ -13,6 +13,7 @@ from precondlab.errors import InsufficientSamplesError, ParseError
 from precondlab.symbols import (
     SampledFunction,
     Symbol,
+    ascii_number,
     constant,
     cosine,
     fourier_coefficients,
@@ -204,14 +205,30 @@ def test_fourier_coefficients_of_eval_is_identity():
 
 
 def test_from_function_truncates_continuous_input():
-    from precondlab.symbols import from_function
-
-    s = from_function(lambda x: np.abs(np.sin(x)), degree=8, label="|sin|")
+    s = fourier_coefficients(SampledFunction(lambda x: np.abs(np.sin(x)), 256), 8)
     # classical coefficients of |sin|: a_0 = 2/pi, even a_k = -2/(pi(k^2-1))
     assert s.coefficient(0) == pytest.approx(2.0 / np.pi, abs=1e-4)
     assert s.coefficient(2) == pytest.approx(-2.0 / (3.0 * np.pi), abs=1e-4)
     assert abs(s.coefficient(1)) < 1e-6
     assert s.degree <= 8
+
+
+@pytest.mark.parametrize("text, kind, value", [
+    ("64", int, 64), ("+7", int, 7), (" 3 ", int, 3), ("-2.5e3", float, -2500.0),
+    (".5", float, 0.5), ("1E-10", float, 1e-10), ("inf", float, float("inf")),
+])
+def test_ascii_number_reads_ascii(text, kind, value):
+    assert ascii_number(text, kind) == value
+
+
+@pytest.mark.parametrize("text, kind", [
+    ("\u0661\u0660\u0660", int), ("6_4", int), ("1_0e-10", float), ("\u0661.\u0665", float),
+    ("\uff11", int), ("1\u00a0", float),
+])
+def test_ascii_number_rejects_what_int_and_float_take(text, kind):
+    kind(text)  # the builtin reads it as a number
+    with pytest.raises(ValueError, match="not an ASCII number"):
+        ascii_number(text, kind)
 
 
 def test_serialization_round_trip():
@@ -355,6 +372,9 @@ GUARDS = [
                  "one value per sample point", id="samples-shape"),
     pytest.param(lambda: symbol_from_lines(["0 abc 0"]), ParseError, "line 1: could not convert",
                  id="coefficient-text"),
+    *(pytest.param(lambda line=line: symbol_from_lines([line]), ParseError,
+                   "line 1: not an ASCII number", id=f"ascii-{column}")
+      for column, line in (("k", "1_0 0.5 0"), ("re", "1 \u0660.5 0"), ("im", "1 0.5 0_0"))),
 ]
 
 

@@ -1,4 +1,4 @@
-"""Tests for Toeplitz/Hankel sections and the product correction."""
+"""Tests for Toeplitz sections and the product correction."""
 
 import numpy as np
 import pytest
@@ -10,11 +10,8 @@ from precondlab.symbols import Symbol, constant, cosine, parse_trig_expression, 
 from precondlab.toeplitz import (
     DIRECT_MAX_TAPS,
     ToeplitzOperator,
-    hankel_section,
-    numerical_rank,
     product_correction,
     toeplitz_section,
-    widom_correction_report,
 )
 
 
@@ -48,24 +45,6 @@ def test_section_linearity_exact():
     assert np.array_equal(lhs, rhs)
 
 
-def test_hankel_cos():
-    h = hankel_section(cosine(), 4)
-    expected = np.zeros((4, 4))
-    expected[0, 0] = 0.5
-    np.testing.assert_allclose(h, expected, atol=1e-15)
-
-
-def test_hankel_constant_is_zero():
-    assert np.max(np.abs(hankel_section(constant(1.0), 6))) == 0.0
-
-
-def test_hankel_rank_bounded_by_degree():
-    f = product(
-        Symbol({0: 2.0, 1: 1.0, -1: 1.0}), Symbol({0: 2.0, 1: 1.0, -1: 1.0})
-    )  # (2+2cos)^2, degree 2
-    assert numerical_rank(hankel_section(f, 8)) == 2
-
-
 # ---------------------------------------------------------------------------
 # product correction (Widom)
 
@@ -75,7 +54,7 @@ def test_correction_identity_symbol_is_zero():
 
 
 def test_correction_cos_rank_two():
-    assert numerical_rank(product_correction(cosine(), 4)) <= 2
+    assert np.count_nonzero(singular_values(product_correction(cosine(), 4)) > 1e-10) <= 2
 
 
 def test_correction_cos_norm_constant_across_sizes():
@@ -102,9 +81,12 @@ def test_correction_requires_real_symbol():
 
 
 def test_widom_report():
-    rep = widom_correction_report(parse_trig_expression("2+cos"), (16, 32, 64))
-    assert rep.rank_bound_ok and rep.norm_constant_ok
-    assert all(rank <= 2 for rank in rep.ranks.values())
+    # rank(R_n) <= 2 deg g and a spectral norm constant in n, as selftest checks
+    sigmas = [singular_values(product_correction(parse_trig_expression("2+cos"), n))
+              for n in (16, 32, 64)]
+    assert all(np.count_nonzero(sigma > 1e-10) <= 2 for sigma in sigmas)
+    norms = [sigma[-1] for sigma in sigmas]
+    assert max(norms) - min(norms) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -158,22 +140,18 @@ def test_coefficient_array_window():
 def test_sections_match_per_index_construction(n):
     f = COMPLEX_DEGREE_SIX
     assert np.array_equal(toeplitz_section(f, n), per_index_section(f, n))
-    vals = np.array([f.coefficient(m + 1) for m in range(2 * n - 1)], dtype=np.complex128)
-    assert np.array_equal(hankel_section(f, n), scipy.linalg.hankel(vals[:n], vals[n - 1 :]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 64, 129])
 def test_sections_match_entrywise_definition(n):
-    # complex, non-Hermitian, degree >= 2n: every lag of both sections is distinct
+    # complex, non-Hermitian, degree >= 2n: every lag of the section is distinct
     rng = np.random.default_rng(n)
     a = {k: complex(*rng.standard_normal(2)) for k in range(-2 * n - 1, 2 * n + 2)}
     f = Symbol(a)
-    t, h = toeplitz_section(f, n), hankel_section(f, n)
-    for m in (t, h):
-        assert m.shape == (n, n) and m.dtype == np.complex128
-        assert m.flags.c_contiguous and m.flags.writeable and m.flags.owndata
+    t = toeplitz_section(f, n)
+    assert t.shape == (n, n) and t.dtype == np.complex128
+    assert t.flags.c_contiguous and t.flags.writeable and t.flags.owndata
     assert np.array_equal(t, [[a[j - k] for k in range(n)] for j in range(n)])
-    assert np.array_equal(h, [[a[j + k + 1] for k in range(n)] for j in range(n)])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 64])
@@ -257,7 +235,6 @@ def test_operator_of_low_degree_runs_no_fft(monkeypatch):
 F = parse_trig_expression("2+cos")
 GUARDS = [
     pytest.param(lambda: toeplitz_section(F, 0), ValueError, "order must be >= 1", id="section"),
-    pytest.param(lambda: hankel_section(F, 0), ValueError, "order must be >= 1", id="hankel"),
     pytest.param(lambda: ToeplitzOperator(F, 0), ValueError, "order must be >= 1", id="operator"),
     pytest.param(lambda: ToeplitzOperator(F, 4).matvec(np.ones(5)), DimensionMismatchError,
                  "does not match order 4", id="matvec-length"),
