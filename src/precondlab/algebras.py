@@ -28,7 +28,6 @@ U* T_n(f) U as a diagonal plus a rank-2 deg f term; for any real f,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,9 +48,8 @@ TRACE_RTOL = 1e-10
 ALGEBRA_KINDS = ("fourier", "sine", "hartley")
 
 
-@dataclass(frozen=True)
 class TransformAlgebra:
-    """Immutable transform algebra: unitary, grid and basis functions.
+    """Transform algebra, immutable by convention: unitary, grid and basis functions.
 
     ``basis(xs)`` returns the (len(xs), n) generalized Vandermonde block of
     basis functions evaluated at arbitrary points; it is None for custom
@@ -72,22 +70,33 @@ class TransformAlgebra:
     per column; a custom algebra multiplies by its dense unitary.
     """
 
-    kind: str
-    order: int
-    grid: Optional[np.ndarray] = None
-    basis: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    lag_weights: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    transform: Optional[Callable[..., np.ndarray]] = None
-    inverse: Optional[Callable[..., np.ndarray]] = None
-    # The checked unitary: passed in by custom_algebra, or set on first read.
-    _unitary: Optional[np.ndarray] = field(default=None, repr=False)
+    def __init__(
+        self,
+        kind: str,
+        order: int,
+        grid: Optional[np.ndarray] = None,
+        basis: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        lag_weights: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
+        transform: Optional[Callable[..., np.ndarray]] = None,
+        inverse: Optional[Callable[..., np.ndarray]] = None,
+        _unitary: Optional[np.ndarray] = None,
+    ):
+        self.kind = kind
+        self.order = order
+        self.grid = grid
+        self.basis = basis
+        self.lag_weights = lag_weights
+        self.transform = transform
+        self.inverse = inverse
+        # The checked unitary: passed in by custom_algebra, or set on first read.
+        self._unitary = _unitary
 
     @property
     def unitary(self) -> np.ndarray:
         if self._unitary is None:
             u = self.basis(self.grid)
             _check_unitary(u, self.kind)
-            object.__setattr__(self, "_unitary", u)
+            self._unitary = u
         return self._unitary
 
     def unitarity_defect(self) -> float:
@@ -568,30 +577,21 @@ def project_toeplitz_fast(f: Symbol, n: int) -> np.ndarray:
     return toeplitz_from_lags(np.concatenate((c[1:], c)))
 
 
-@dataclass(frozen=True)
 class PinchingPartition:
     """Disjoint index blocks covering 0..n-1 (the projections P_k)."""
 
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        blocks = tuple(tuple(int(i) for i in b) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
+    def __init__(self, blocks):
+        self.blocks = tuple(tuple(int(i) for i in b) for b in blocks)
         seen: set[int] = set()
-        for b in blocks:
+        for b in self.blocks:
             if not b:
                 raise BadPartitionError("empty block in pinching partition")
             if seen.intersection(b):
                 raise BadPartitionError("overlapping blocks in pinching partition")
             seen.update(b)
-        order = len(seen)
-        if seen != set(range(order)):
+        self.order = len(seen)
+        if seen != set(range(self.order)):
             raise BadPartitionError("blocks do not cover a contiguous index range")
-        object.__setattr__(self, "_order", order)
-
-    @property
-    def order(self) -> int:
-        return self._order
 
 
 def singleton_partition(n: int) -> PinchingPartition:

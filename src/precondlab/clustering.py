@@ -12,7 +12,6 @@ constants PLATEAU_TOL, SLOPE_THRESHOLD, BOUNDED_RATIO and FROBENIUS_FLOOR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -172,7 +171,6 @@ def preconditioned_eigenvalues(a, b) -> tuple[np.ndarray, float]:
     return hermitian_eigvalues(0.5 * (sym + sym.conj().T)), delta
 
 
-@dataclass(frozen=True)
 class ClusterReport:
     """Outlier counts over a (ladder x eps) grid with a classification.
 
@@ -183,14 +181,25 @@ class ClusterReport:
     Frobenius mass is already provably bounded).
     """
 
-    ladder: tuple[int, ...]
-    epsilons: tuple[float, ...]
-    counts: dict  # (n, eps) -> int
-    frobenius_sq: dict  # n -> float
-    classification: str
-    frobenius_verdict: str = "inconclusive"
-    slopes: dict = field(default_factory=dict)  # eps -> fitted growth exponent
-    label: str = ""
+    def __init__(
+        self,
+        ladder: tuple[int, ...],
+        epsilons: tuple[float, ...],
+        counts: dict,  # (n, eps) -> int
+        frobenius_sq: dict,  # n -> float
+        classification: str,
+        frobenius_verdict: str = "inconclusive",
+        slopes: Optional[dict] = None,  # eps -> fitted growth exponent; {} if None
+        label: str = "",
+    ):
+        self.ladder = ladder
+        self.epsilons = epsilons
+        self.counts = counts
+        self.frobenius_sq = frobenius_sq
+        self.classification = classification
+        self.frobenius_verdict = frobenius_verdict
+        self.slopes = {} if slopes is None else slopes
+        self.label = label
 
     @property
     def strong(self) -> bool:
@@ -253,11 +262,11 @@ def _algebra_deviations(a, alg: TransformAlgebra, mode: str) -> tuple[float, np.
     return fro, np.abs(hermitian_eigvalues_unchecked(w))
 
 
-@dataclass(frozen=True)
 class LowRank:
     """A = V V* given by its n x r factor V, never formed unless a count falls back."""
 
-    factor: np.ndarray
+    def __init__(self, factor: np.ndarray):
+        self.factor = factor
 
 
 def _as_matrix(a, n: int) -> np.ndarray:

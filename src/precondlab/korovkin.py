@@ -24,7 +24,6 @@ each function over a size ladder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -88,12 +87,13 @@ def fit_rate(ladder, values) -> Optional[float]:
     return _fit_slope(ladder, values, last=RATE_FIT_POINTS)
 
 
-@dataclass(frozen=True)
 class LpoReport:
-    symbol_label: str
-    ladder: tuple[int, ...]
-    sup_error: dict  # n -> float
-    rate_fit: Optional[float]
+    def __init__(self, symbol_label: str, ladder: tuple[int, ...], sup_error: dict,
+                 rate_fit: Optional[float]):
+        self.symbol_label = symbol_label
+        self.ladder = ladder
+        self.sup_error = sup_error  # n -> float
+        self.rate_fit = rate_fit
 
     def csv_rows(self) -> list[tuple]:
         return [(n, self.symbol_label, self.sup_error[n]) for n in self.ladder]
@@ -127,17 +127,28 @@ def lpo_rates(
 # Korovkin clustering harness
 
 
-@dataclass(frozen=True)
 class KorovkinReport:
-    algebra_kind: str
-    ladder: tuple[int, ...]
-    epsilons: tuple[float, ...]
-    test_set: tuple[ClusterReport, ...]
-    products: tuple[ClusterReport, ...]
-    holdout: tuple[ClusterReport, ...]
-    test_set_strong: bool
-    holdout_strong: bool
-    implication_observed: Optional[bool]  # None when the premise fails
+    def __init__(
+        self,
+        algebra_kind: str,
+        ladder: tuple[int, ...],
+        epsilons: tuple[float, ...],
+        test_set: tuple[ClusterReport, ...],
+        products: tuple[ClusterReport, ...],
+        holdout: tuple[ClusterReport, ...],
+        test_set_strong: bool,
+        holdout_strong: bool,
+        implication_observed: Optional[bool],
+    ):
+        self.algebra_kind = algebra_kind
+        self.ladder = ladder
+        self.epsilons = epsilons
+        self.test_set = test_set
+        self.products = products
+        self.holdout = holdout
+        self.test_set_strong = test_set_strong
+        self.holdout_strong = holdout_strong
+        self.implication_observed = implication_observed  # None when the premise fails
 
     def all_verdicts(self):
         return list(self.test_set) + list(self.products) + list(self.holdout)
@@ -251,13 +262,14 @@ def korovkin_test(
 # remainder propagation and grid quadrature checks
 
 
-@dataclass(frozen=True)
 class PropagationReport:
-    ladder: tuple[int, ...]
-    generator_errors: dict  # label -> {n: sup_error}
-    derived_errors: dict  # label -> {n: sup_error}, squares-sum and products
-    rates: dict  # label -> fitted rate or None
-    propagation_ok: bool
+    def __init__(self, ladder: tuple[int, ...], generator_errors: dict, derived_errors: dict,
+                 rates: dict, propagation_ok: bool):
+        self.ladder = ladder
+        self.generator_errors = generator_errors  # label -> {n: sup_error}
+        self.derived_errors = derived_errors  # label -> {n: sup_error}, squares-sum and products
+        self.rates = rates  # label -> fitted rate or None
+        self.propagation_ok = propagation_ok
 
 
 def remainder_propagation(
@@ -297,14 +309,17 @@ def remainder_propagation(
     )
 
 
-@dataclass(frozen=True)
 class QuadratureReport:
-    symbol_label: str
-    ladder: tuple[int, ...]
-    grid_gap_ratio: dict  # n -> |sum g^2(x_i) - (n/2pi) int g^2| / n
-    frobenius_gap_ratio: dict  # n -> | ||A_n||_F^2 - (n/2pi) int g^2 | / n
-    grid_gap_decreasing: bool
-    frobenius_gap_decreasing: bool
+    def __init__(self, symbol_label: str, ladder: tuple[int, ...], grid_gap_ratio: dict,
+                 frobenius_gap_ratio: dict, grid_gap_decreasing: bool,
+                 frobenius_gap_decreasing: bool):
+        self.symbol_label = symbol_label
+        self.ladder = ladder
+        self.grid_gap_ratio = grid_gap_ratio  # n -> |sum g^2(x_i) - (n/2pi) int g^2| / n
+        # n -> | ||A_n||_F^2 - (n/2pi) int g^2 | / n
+        self.frobenius_gap_ratio = frobenius_gap_ratio
+        self.grid_gap_decreasing = grid_gap_decreasing
+        self.frobenius_gap_decreasing = frobenius_gap_decreasing
 
 
 def grid_quadrature_check(kind, g: Symbol, ladder=DEFAULT_LADDER) -> QuadratureReport:

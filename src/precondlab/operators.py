@@ -11,7 +11,6 @@ truncations themselves.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,7 +29,6 @@ HS_TAIL_FRACTION_MAX = 0.01
 DECAY_CLASSES = ("hilbert_schmidt", "compact", "bounded")
 
 
-@dataclass(frozen=True)
 class OperatorSource:
     """Deterministic entry generator (j, k) -> complex, vectorized over arrays.
 
@@ -40,16 +38,23 @@ class OperatorSource:
     truncations V V*.
     """
 
-    entry: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    decay_class: str
-    label: str
-    self_adjoint: bool = False
-    symbol: Optional[Symbol] = None
-    factor: Optional[Callable[[int], np.ndarray]] = None
-
-    def __post_init__(self):
-        if self.decay_class not in DECAY_CLASSES:
-            raise ValueError(f"unknown decay class {self.decay_class!r}")
+    def __init__(
+        self,
+        entry: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        decay_class: str,
+        label: str,
+        self_adjoint: bool = False,
+        symbol: Optional[Symbol] = None,
+        factor: Optional[Callable[[int], np.ndarray]] = None,
+    ):
+        if decay_class not in DECAY_CLASSES:
+            raise ValueError(f"unknown decay class {decay_class!r}")
+        self.entry = entry
+        self.decay_class = decay_class
+        self.label = label
+        self.self_adjoint = self_adjoint
+        self.symbol = symbol
+        self.factor = factor
 
 
 def truncate(src: OperatorSource, n: int) -> np.ndarray:

@@ -10,7 +10,6 @@ applied by transform, diagonal solve and inverse transform.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -35,7 +34,6 @@ DIAGONAL_CLAMP_RTOL = 1e-13
 PRECONDITIONER_CHOICES = ("none", "algebra_projection")
 
 
-@dataclass
 class SolveTrace:
     """Outcome of one conjugate-gradient run.
 
@@ -45,14 +43,25 @@ class SolveTrace:
     holds the last iterate x_k.
     """
 
-    order: int
-    iterations: int
-    residual_history: list[float]
-    preconditioner: str
-    wall_time: float
-    converged: bool = True
-    error_history: Optional[list[float]] = None
-    solution: Optional[np.ndarray] = None
+    def __init__(
+        self,
+        order: int,
+        iterations: int,
+        residual_history: list[float],
+        preconditioner: str,
+        wall_time: float,
+        converged: bool = True,
+        error_history: Optional[list[float]] = None,
+        solution: Optional[np.ndarray] = None,
+    ):
+        self.order = order
+        self.iterations = iterations
+        self.residual_history = residual_history
+        self.preconditioner = preconditioner
+        self.wall_time = wall_time
+        self.converged = converged
+        self.error_history = error_history
+        self.solution = solution
 
     @property
     def final_residual(self) -> float:

@@ -8,7 +8,6 @@ a_{-k} = conj(a_k).  The interval convention is [0, 2pi) throughout.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -18,18 +17,12 @@ from .errors import InsufficientSamplesError, ParseError
 REALNESS_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class Symbol:
     """Finite trigonometric coefficient table, immutable by convention."""
 
-    coefficients: Mapping[int, complex]
-    label: str = ""
-
-    def __post_init__(self):
-        clean = {
-            int(k): complex(v) for k, v in self.coefficients.items() if v != 0
-        }
-        object.__setattr__(self, "coefficients", clean)
+    def __init__(self, coefficients: Mapping[int, complex], label: str = ""):
+        self.coefficients = {int(k): complex(v) for k, v in coefficients.items() if v != 0}
+        self.label = label
 
     @property
     def degree(self) -> int:
@@ -85,12 +78,12 @@ class Symbol:
         return float(sum(abs(v) ** 2 for v in self.coefficients.values()))
 
 
-@dataclass(frozen=True)
 class SampledFunction:
     """Deterministic evaluator on [0, 2pi) plus its equispaced sample count."""
 
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    sample_count: int
+    def __init__(self, evaluator: Callable[[np.ndarray], np.ndarray], sample_count: int):
+        self.evaluator = evaluator
+        self.sample_count = sample_count
 
 
 def constant(c: float | complex = 1.0, label: str = "") -> Symbol:

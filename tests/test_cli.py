@@ -14,8 +14,9 @@ import pytest
 import precondlab
 from precondlab import algebras, cli, operators, toeplitz
 from precondlab.algebras import ALGEBRA_KINDS, TransformAlgebra, resolve_algebra_factory
-from precondlab.cli import SELFTEST_CHECKS, SUBCOMMANDS, load_config, main, resolve_symbol
+from precondlab.cli import SUBCOMMANDS, load_config, main, resolve_symbol
 from precondlab.errors import ParseError
+from precondlab.selftest import SELFTEST_CHECKS
 
 
 def run(capsys, *argv):
@@ -260,6 +261,10 @@ BAD_INPUTS = [
     (["operator-scan", "--source=hs_decay(\u0661.\u0665)"], 1, "not an ASCII number"),
     (["project", "--symbol=file:{tmp}/underscore.txt"], 1, "line 1: not an ASCII number"),
     (["project", "--seed=-1", "--algebra=custom"], 1, "seed must be >= 0"),
+    # eps values key the outputs, so they must differ by value
+    (["cluster-scan", "--eps=0.1,0.1"], 1, "eps values must differ"),
+    (["korovkin-test", "--eps=0.1,0.10"], 1, "eps values must differ"),
+    (["operator-scan", "--eps=0.5,0.1,5e-1"], 1, "eps values must differ"),
 ]
 
 
@@ -603,13 +608,13 @@ def _kind_tests_and_unitary_reads(path: Path, exempt: set) -> list[str]:
 
 def test_only_algebras_chooses_how_u_is_applied():
     # Every other module applies U and U* through the algebra's own maps;
-    # the selftest oracles in cli.py check those maps against the dense U.
+    # the selftest oracles in selftest.py check those maps against the dense U.
     oracles = {check.__name__ for _, check in SELFTEST_CHECKS}
     found = []
     for path in sorted((SRC / "precondlab").rglob("*.py")):
         if path.name != "algebras.py":
-            exempt = oracles if path.name == "cli.py" else set()
+            exempt = oracles if path.name == "selftest.py" else set()
             found += _kind_tests_and_unitary_reads(path, exempt)
     assert found == []
     # the guard itself sees what it forbids
-    assert _kind_tests_and_unitary_reads(SRC / "precondlab" / "cli.py", set()) != []
+    assert _kind_tests_and_unitary_reads(SRC / "precondlab" / "selftest.py", set()) != []

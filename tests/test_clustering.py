@@ -1,6 +1,5 @@
 """Tests for cluster quantification and classification."""
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 from precondlab import algebras, clustering
 from precondlab.algebras import (
     ALGEBRA_KINDS,
+    TransformAlgebra,
     make_algebra,
     project,
     project_toeplitz_fast,
@@ -565,8 +565,8 @@ def test_band_form_is_none_without_a_banded_projection():
     # Hartley diagonals with a random unitary's transforms: the trace identity
     # holds, but U diag(g) U* is dense, and the Weyl band check sees it
     hartley = make_algebra("hartley", 64)
-    mixed = dataclasses.replace(random_unitary_algebra(64, seed=1), kind="hartley",
-                                grid=hartley.grid, lag_weights=hartley.lag_weights)
+    mixed = TransformAlgebra(**(vars(random_unitary_algebra(64, seed=1)) | dict(
+        kind="hartley", grid=hartley.grid, lag_weights=hartley.lag_weights)))
     assert toeplitz_band_form(mixed, ODD_SYMBOL) is None
     assert toeplitz_band_form(hartley, ODD_SYMBOL) is not None
 

@@ -1,13 +1,18 @@
 """Names that the README and the benchmark's tracer refer to must exist.
 
 A deleted library name would otherwise stay in the docs, or turn a
-per-layer benchmark metric into a silent ``missing`` entry.
+per-layer benchmark metric into a silent ``missing`` entry.  The tracer
+also needs every layer loaded by the time the CLI parser is built.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,3 +52,26 @@ def test_tracer_targets_resolve():
         if owner_name:
             owner = getattr(owner, owner_name, None)
         assert owner is not None and attr in vars(owner), f"{name}: no precondlab.{layer}.{path}"
+
+
+STARTUP = """
+import json, sys
+import precondlab, precondlab.cli
+precondlab.cli.build_parser()
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_startup_loads_every_traced_layer_and_nothing_else():
+    # The benchmark's child installs the tracer after this start-up and wraps
+    # only loaded modules; the records and the selftest battery cost every
+    # command nothing.
+    done = subprocess.run([sys.executable, "-c", STARTUP], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout))
+    assert {"dataclasses", "precondlab.selftest"} & loaded == set()
+    layers = {layer for layer, _, _ in _tracer_targets()
+              if importlib.util.find_spec(f"precondlab.{layer}") is not None}
+    assert layers
+    assert {f"precondlab.{layer}" for layer in layers} - loaded == set()
