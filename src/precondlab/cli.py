@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import algebras, clustering, korovkin, operators, solver, symbols, toeplitz
-from .errors import ParseError, PrecondlabError, UsageError
+from .errors import InsufficientLadderError, ParseError, PrecondlabError, UsageError
 from .linalg import frobenius_norm_sq
 
 DEFAULT_SEED = 42
@@ -57,7 +57,10 @@ def _parse_ladder(text: str) -> tuple[int, ...]:
 
 def _parse_cluster_ladder(text: str) -> tuple[int, ...]:
     """A ladder the outlier classifier accepts: >= 4 sizes, doubling at each step."""
-    return clustering._validate_ladder(_parse_ladder(text))
+    try:
+        return clustering._validate_ladder(_parse_ladder(text))
+    except InsufficientLadderError as exc:
+        raise ParseError(f"bad ladder {text!r}: {exc}") from exc
 
 
 def _positive_float(text: str, what: str) -> float:

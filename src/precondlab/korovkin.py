@@ -72,10 +72,15 @@ def evaluation_grid(points: int = EVAL_GRID_POINTS) -> np.ndarray:
     return 2.0 * np.pi * np.arange(points) / points
 
 
-def sup_error(alg: TransformAlgebra, f: Symbol, grid=None) -> float:
-    """sup |L_n(f) - f| over the evaluation grid."""
+def sup_error(alg: TransformAlgebra, f: Symbol, grid=None, values=None) -> float:
+    """sup |L_n(f) - f| over the evaluation grid.
+
+    ``values`` is f on that grid, for callers that evaluate it once for
+    many algebras; it is computed when omitted.
+    """
     xs = evaluation_grid() if grid is None else np.asarray(grid, dtype=np.float64)
-    return float(np.max(np.abs(lpo_eval(alg, f, xs) - f.eval_real(xs))))
+    fx = f.eval_real(xs) if values is None else values
+    return float(np.max(np.abs(lpo_eval(alg, f, xs) - fx)))
 
 
 def fit_rate(ladder, values) -> Optional[float]:
@@ -108,9 +113,11 @@ def lpo_rates(
     factory = resolve_algebra_factory(kind)
     ladder = tuple(int(n) for n in ladder)
     algebras = {n: factory(n) for n in ladder}
+    xs = evaluation_grid()
     reports = []
     for f in test_set:
-        errs = {n: sup_error(algebras[n], f) for n in ladder}
+        fx = f.eval_real(xs)
+        errs = {n: sup_error(algebras[n], f, xs, fx) for n in ladder}
         rate = fit_rate(ladder, [errs[n] for n in ladder])
         reports.append(
             LpoReport(

@@ -16,9 +16,25 @@ from .errors import DimensionMismatchError
 from .linalg import as_square
 from .symbols import Symbol, product
 
-# Widest band a_{-m..m} that ToeplitzOperator multiplies directly: with 1
-# BLAS thread np.convolve beat the 2n FFT embedding up to 63 taps at every
-# order from 64 to 65536, and lost at 127 taps for n = 512 and 2048.
+# Widest bands a_{-m..m} that ToeplitzOperator multiplies directly.  Up to
+# SPLIT_MAX_TAPS taps the product is four float64 np.convolve calls on the
+# real and imaginary parts (numpy's fast small-kernel loop takes float64
+# kernels of at most 11 taps), up to DIRECT_MAX_TAPS one complex convolve,
+# and past that the 2n FFT embedding.  Median us per product, complex /
+# split / FFT, 1 BLAS thread, 2-core x86-64 host, NumPy 2.4:
+#
+#   taps | n = 64       | n = 512       | n = 2048       | n = 65536
+#      3 | 5 / 16 / 26  | 21 / 22 / 62  | 72 / 31 / 154  | 2364 / 1259 / 13555
+#      7 | 6 / 17 / 26  | 16 / 15 / 36  | 78 / 41 / 154  | 2140 / 1276 / 12826
+#     11 | 6 / 18 / 27  | 20 / 24 / 44  | 81 / 58 / 149  | 2770 / 2083 / 15867
+#     13 | 6 / 23 / 27  | 24 / 62 / 53  | 82 / 186 / 158 | 3027 / 6822 / 17009
+#     31 | 7 / 24 / 26  | 27 / 74 / 50  | 97 / 227 / 142 | 2841 / 7047 / 14307
+#     63 | 8 / 27 / 25  | 37 / 111 / 52 | 88 / 204 / 123 | 3562 / 9029 / 14440
+#
+# The split's four calls cost ~10 us, so it loses below n ~ 512, by at
+# most that much; past 11 taps it loses 2-3x everywhere.  At 127 taps the
+# FFT embedding wins for n = 512 and 2048.
+SPLIT_MAX_TAPS = 11
 DIRECT_MAX_TAPS = 63
 
 
@@ -62,9 +78,11 @@ class ToeplitzOperator:
 
     With m = min(deg f, n - 1), T_n(f) is a band of the 2m + 1 taps
     a_{-m..m}.  Up to DIRECT_MAX_TAPS taps a product is the direct
-    convolution with them, O(n m); a wider band takes the standard
-    embedding of the section into a circulant of order 2n, O(n log n).
-    `dense()` materializes the section for direct comparisons.
+    convolution with them, O(n m): in real arithmetic up to SPLIT_MAX_TAPS
+    taps, Re(T v) = Re a * Re v - Im a * Im v and Im(T v) = Re a * Im v +
+    Im a * Re v, else one complex convolution.  A wider band takes the
+    standard embedding of the section into a circulant of order 2n,
+    O(n log n).  `dense()` materializes the section for direct comparisons.
     """
 
     def __init__(self, symbol: Symbol, order: int):
@@ -77,6 +95,7 @@ class ToeplitzOperator:
         taps = symbol.coefficient_array(-m, m + 1)  # a_{-m}, ..., a_m
         if len(taps) <= DIRECT_MAX_TAPS:
             self._taps, self._circ_fft = taps, None
+            self._taps_re, self._taps_im = taps.real.copy(), taps.imag.copy()
             return
         # first column of the circulant: a_0, ..., a_m, 0, ..., 0, a_{-m}, ..., a_{-1}
         ext = np.zeros(2 * n, dtype=np.complex128)
@@ -93,7 +112,16 @@ class ToeplitzOperator:
         if self._circ_fft is None:
             # (T v)_j = sum_k a_{j-k} v_k is entry j + m of the full convolution
             m = len(self._taps) // 2
-            return np.convolve(v, self._taps)[m : m + self.order]
+            band = slice(m, m + self.order)
+            if len(self._taps) > SPLIT_MAX_TAPS:
+                return np.convolve(v, self._taps)[band]
+            # contiguous copies: on the strided views np.convolve took ~15 % longer
+            # per product in the n = 65536 solves
+            vr, vi, ar, ai = v.real.copy(), v.imag.copy(), self._taps_re, self._taps_im
+            out = np.empty(self.order, dtype=np.complex128)
+            np.subtract(np.convolve(vr, ar)[band], np.convolve(vi, ai)[band], out=out.real)
+            np.add(np.convolve(vr, ai)[band], np.convolve(vi, ar)[band], out=out.imag)
+            return out
         padded = np.zeros(2 * self.order, dtype=np.complex128)
         padded[: self.order] = v
         out = np.fft.ifft(self._circ_fft * np.fft.fft(padded))[: self.order]

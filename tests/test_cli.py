@@ -188,22 +188,22 @@ def test_pcg_bench_rejects_pinched(capsys):
 def test_classifier_ladder_checked_at_parse(command, ladder, capsys):
     # the classifier needs >= 4 doubling sizes; --dry-run rejects what the run would
     code, out, err = run(capsys, command, "--ladder", ladder, "--dry-run")
-    assert code == 2 and "invariant" in err and not out
+    assert code == 1 and err.startswith("error: bad ladder") and not out
 
 
 def test_classifier_ladder_checked_in_config(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text("ladder = 8,16,32,65\n")
     code, _, err = run(capsys, "cluster-scan", "--config", str(path), "--dry-run")
-    assert code == 2 and str(path) in err
+    assert code == 1 and err.startswith("error:") and str(path) in err
 
 
 def test_invariant_violation_exit_two(tmp_path, capsys):
-    # a non-doubling ladder violates the classifier's ladder invariant
-    code, _, err = run(
-        capsys, "cluster-scan", "--ladder", "8,16,32,65", "--outdir", str(tmp_path)
+    # hs_decay(0.6) declares Hilbert-Schmidt decay, but 10 % of its mass lies past the border
+    code, out, err = run(
+        capsys, "operator-scan", "--source", "hs_decay(0.6)", "--outdir", str(tmp_path)
     )
-    assert code == 2 and "invariant" in err
+    assert code == 2 and "invariant violation" in err and "border mass" in err and not out
 
 
 def test_indefinite_sine_projection_exit_two(tmp_path, capsys):

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from precondlab.errors import DimensionMismatchError
 from precondlab.linalg import hermitian_eigvalues, is_hermitian, singular_values
 from precondlab.symbols import Symbol, constant, cosine, parse_trig_expression, product
 from precondlab.toeplitz import (
     DIRECT_MAX_TAPS,
+    SPLIT_MAX_TAPS,
     ToeplitzOperator,
     product_correction,
     toeplitz_section,
@@ -170,8 +173,18 @@ def _band_symbol(degree, seed):
     return Symbol({k: complex(*rng.standard_normal(2)) for k in range(-degree, degree + 1)})
 
 
-def _record_fft_calls(monkeypatch):
-    """The names of the np.fft functions called from now on, in order."""
+def _real_band_symbol(degree, seed):
+    """A real symbol (a_{-k} = conj(a_k)) with every lag |k| <= degree nonzero."""
+    rng = np.random.default_rng(seed)
+    coeffs = {0: rng.standard_normal()}
+    for k in range(1, degree + 1):
+        coeffs[k] = complex(*rng.standard_normal(2))
+        coeffs[-k] = coeffs[k].conjugate()
+    return Symbol(coeffs)
+
+
+def _record_products(monkeypatch):
+    """The np.fft calls and np.convolve operand dtypes from now on, in order."""
     calls = []
     for name in ("fft", "ifft"):
         def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
@@ -179,39 +192,117 @@ def _record_fft_calls(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
+
+    def convolve(a, v, *args, _fn=np.convolve, **kwargs):
+        calls.append(("convolve", np.asarray(a).dtype, np.asarray(v).dtype))
+        return _fn(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "convolve", convolve)
     return calls
 
 
+def _regime(calls):
+    """Which product ran: four real convolutions, one complex one, or the FFT embedding."""
+    if "fft" in calls:
+        return "fft"
+    real = ("convolve", np.dtype(np.float64), np.dtype(np.float64))
+    if calls == [real] * 4:
+        return "split"
+    return "complex" if len(calls) == 1 and calls[0][0] == "convolve" else "other"
+
+
 CAP_DEGREE = (DIRECT_MAX_TAPS - 1) // 2
-# (symbol, order, direct): 2 min(deg f, n - 1) + 1 taps, direct up to DIRECT_MAX_TAPS
+SPLIT_DEGREE = (SPLIT_MAX_TAPS - 1) // 2
+# (symbol, order, regime) for the 2 min(deg f, n - 1) + 1 taps of T_n(f): four
+# float64 convolutions up to SPLIT_MAX_TAPS, one complex convolution up to
+# DIRECT_MAX_TAPS, the 2n FFT embedding past that
 PRODUCT_CASES = [
-    pytest.param(_band_symbol(CAP_DEGREE - 1, 1), 100, True, id="below-cap"),
-    pytest.param(_band_symbol(CAP_DEGREE, 2), 100, True, id="at-cap"),
-    pytest.param(_band_symbol(CAP_DEGREE + 1, 3), 100, False, id="above-cap"),
-    pytest.param(_band_symbol(CAP_DEGREE + 1, 4), CAP_DEGREE + 1, True,
+    pytest.param(_band_symbol(SPLIT_DEGREE - 1, 11), 100, "split", id="below-split-cap"),
+    pytest.param(_band_symbol(SPLIT_DEGREE, 12), 100, "split", id="at-split-cap"),
+    pytest.param(_band_symbol(SPLIT_DEGREE + 1, 13), 100, "complex", id="above-split-cap"),
+    pytest.param(_band_symbol(SPLIT_DEGREE + 1, 14), SPLIT_DEGREE + 1, "split",
+                 id="degree-n-clipped-to-split-cap"),
+    pytest.param(_real_band_symbol(SPLIT_DEGREE, 15), 100, "split", id="real-at-split-cap"),
+    pytest.param(_real_band_symbol(SPLIT_DEGREE + 1, 16), 100, "complex",
+                 id="real-above-split-cap"),
+    pytest.param(_band_symbol(CAP_DEGREE - 1, 1), 100, "complex", id="below-cap"),
+    pytest.param(_band_symbol(CAP_DEGREE, 2), 100, "complex", id="at-cap"),
+    pytest.param(_band_symbol(CAP_DEGREE + 1, 3), 100, "fft", id="above-cap"),
+    pytest.param(_band_symbol(CAP_DEGREE + 1, 4), CAP_DEGREE + 1, "complex",
                  id="degree-n-clipped-to-cap"),
-    pytest.param(_band_symbol(2 * CAP_DEGREE, 5), CAP_DEGREE + 2, False,
+    pytest.param(_band_symbol(2 * CAP_DEGREE, 5), CAP_DEGREE + 2, "fft",
                  id="degree-above-n-fft"),
-    pytest.param(COMPLEX_DEGREE_SIX, 3, True, id="degree-above-n"),
-    pytest.param(COMPLEX_DEGREE_SIX, 1, True, id="n1"),
-    pytest.param(COMPLEX_DEGREE_SIX, 2, True, id="n2"),
-    pytest.param(COMPLEX_DEGREE_SIX, 64, True, id="complex"),
-    pytest.param(constant(2.5), 7, True, id="constant"),
-    pytest.param(constant(2.5), 1, True, id="constant-n1"),
-    pytest.param(parse_trig_expression("1+cos3x"), 16, True, id="zero-lags-in-band"),
+    pytest.param(COMPLEX_DEGREE_SIX, 3, "split", id="degree-above-n"),
+    pytest.param(COMPLEX_DEGREE_SIX, 1, "split", id="n1"),
+    pytest.param(COMPLEX_DEGREE_SIX, 2, "split", id="n2"),
+    pytest.param(COMPLEX_DEGREE_SIX, 64, "complex", id="complex"),
+    pytest.param(constant(2.5), 7, "split", id="constant"),
+    pytest.param(constant(2.5), 1, "split", id="constant-n1"),
+    pytest.param(parse_trig_expression("1+cos3x"), 16, "split", id="zero-lags-in-band"),
 ]
 
 
-@pytest.mark.parametrize("f, n, direct", PRODUCT_CASES)
-def test_operator_product_matches_section(f, n, direct, monkeypatch):
-    calls = _record_fft_calls(monkeypatch)
+@pytest.mark.parametrize("f, n, regime", PRODUCT_CASES)
+def test_operator_product_matches_section(f, n, regime, monkeypatch):
+    calls = _record_products(monkeypatch)
     op = ToeplitzOperator(f, n)
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     y = op.matvec(x)
-    assert (calls == []) == direct, calls
+    assert _regime(calls) == regime, calls
     want = toeplitz_section(f, n) @ x
     assert y.shape == (n,) and y.dtype == np.complex128
+    assert np.linalg.norm(y - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def _complex_input(rng, n):
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def _strided_input(rng, n):
+    return _complex_input(rng, 2 * n)[::2]
+
+
+INPUT_FORMS = {"complex": _complex_input, "real": lambda rng, n: rng.standard_normal(n),
+               "strided": _strided_input}
+
+
+@pytest.mark.parametrize("form", INPUT_FORMS)
+@pytest.mark.parametrize("degree", [SPLIT_DEGREE, SPLIT_DEGREE + 1, CAP_DEGREE + 1],
+                         ids=["split", "complex", "fft"])
+def test_operator_product_input_forms(form, degree):
+    n = 80
+    f = _band_symbol(degree, degree)
+    x = INPUT_FORMS[form](np.random.default_rng(degree), n)
+    base = x if x.base is None else x.base
+    before = base.copy()
+    y = ToeplitzOperator(f, n).matvec(x)
+    assert np.array_equal(base, before)  # the product leaves its input alone
+    want = toeplitz_section(f, n) @ x
+    assert y.shape == (n,) and y.dtype == np.complex128
+    assert np.linalg.norm(y - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    degree=st.integers(0, 40),
+    n=st.integers(1, 80),
+    real_symbol=st.booleans(),
+    real_vector=st.booleans(),
+)
+@example(seed=0, degree=SPLIT_DEGREE, n=80, real_symbol=False, real_vector=False)
+@example(seed=1, degree=SPLIT_DEGREE + 1, n=80, real_symbol=True, real_vector=True)
+@example(seed=2, degree=40, n=80, real_symbol=False, real_vector=True)
+@example(seed=3, degree=40, n=7, real_symbol=True, real_vector=False)
+def test_operator_product_property(seed, degree, n, real_symbol, real_vector):
+    # every regime: split up to 11 taps, complex up to 63, FFT past that (n > 32 and
+    # degree > 31), with n below the degree too
+    f = (_real_band_symbol if real_symbol else _band_symbol)(degree, seed)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) if real_vector else _complex_input(rng, n)
+    want = toeplitz_section(f, n) @ x
+    y = ToeplitzOperator(f, n).matvec(x)
     assert np.linalg.norm(y - want) <= 1e-13 * np.linalg.norm(want)
 
 
@@ -221,10 +312,12 @@ def test_operator_of_low_degree_runs_no_fft(monkeypatch):
 
     for name in ("fft", "ifft", "rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, refuse)
+    calls = _record_products(monkeypatch)
     n = 65536
     f = parse_trig_expression("2+cos-0.3sin2x+0.1cos3x")
     op = ToeplitzOperator(f, n)
     y = op.matvec(np.ones(n))
+    assert _regime(calls) == "split"  # four float64 convolutions at the benchmark's size
     # interior rows of T_n(f) 1 read f(0) = 2 + 1 + 0.1; the first and last miss lags
     np.testing.assert_allclose(y[3:-3], 3.1, rtol=1e-14)
 
