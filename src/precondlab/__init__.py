@@ -40,7 +40,6 @@ from .errors import (
     BadPartitionError,
     DimensionMismatchError,
     InsufficientLadderError,
-    InsufficientSamplesError,
     InvariantViolationError,
     MaxIterationsError,
     NoConvergenceError,
@@ -54,7 +53,6 @@ from .errors import (
 from .korovkin import (
     KorovkinReport,
     LpoReport,
-    grid_quadrature_check,
     korovkin_test,
     lpo_eval,
     lpo_rates,
@@ -81,15 +79,12 @@ from .operators import (
 )
 from .solver import SolveTrace, build_preconditioner, pcg, scaling_study
 from .symbols import (
-    SampledFunction,
     Symbol,
     constant,
     cosine,
-    fourier_coefficients,
     load_symbol,
     parse_trig_expression,
     product,
-    save_symbol,
     sine,
     standard_test_set,
     symbol_from_lines,

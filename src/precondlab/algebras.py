@@ -52,8 +52,7 @@ class TransformAlgebra:
     """Transform algebra, immutable by convention: unitary, grid and basis functions.
 
     ``basis(xs)`` returns the (len(xs), n) generalized Vandermonde block of
-    basis functions evaluated at arbitrary points; it is None for custom
-    algebras that come without a trigonometric construction.
+    basis functions evaluated at arbitrary points; it is None for custom algebras.
 
     ``unitary`` of a built-in algebra is ``basis(grid)``, built and checked
     for unitarity on first read, so ``make_algebra`` does O(n) work.  A
@@ -61,8 +60,7 @@ class TransformAlgebra:
 
     ``lag_weights(ks, xs)`` returns the (len(xs), len(ks)) block of lag
     weights w_k(x) = sum_j v_{j+k}(x) conj(v_j(x)) of the basis row v(x),
-    for integer lags |k| < n, in closed form.  Only ``make_algebra`` sets
-    it; custom algebras fall back to the dense basis block.
+    for integer lags |k| < n, in closed form.  Only ``make_algebra`` sets it.
 
     ``transform(x, out=None)`` returns U* x and ``inverse(z, out=None)``
     returns U z, along axis 0, written to ``out`` when given (``out`` may be
@@ -100,15 +98,17 @@ class TransformAlgebra:
         return self._unitary
 
     def unitarity_defect(self) -> float:
-        u = self.unitary
-        return float(
-            np.linalg.norm(u.conj().T @ u - np.eye(self.order), ord="fro")
-        )
+        return _unitarity_defect(self.unitary)
+
+
+def _unitarity_defect(u: np.ndarray) -> float:
+    """||U* U - I||_F."""
+    return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]), ord="fro"))
 
 
 def _check_unitary(u: np.ndarray, kind: str) -> None:
     n = u.shape[0]
-    defect = float(np.linalg.norm(u.conj().T @ u - np.eye(n), ord="fro"))
+    defect = _unitarity_defect(u)
     if defect > UNITARITY_RTOL * np.sqrt(n):
         raise NotUnitaryError(
             f"{kind} transform of order {n} is not unitary: defect {defect:.3e}"
@@ -244,19 +244,13 @@ def make_algebra(kind: str, n: int) -> TransformAlgebra:
     )
 
 
-def custom_algebra(
-    unitary,
-    grid=None,
-    basis: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    kind: str = "custom",
-) -> TransformAlgebra:
-    """Wrap an arbitrary unitary as a CustomVandermonde algebra."""
+def custom_algebra(unitary) -> TransformAlgebra:
+    """Wrap an arbitrary unitary as a custom algebra: no grid, basis or lag weights."""
     u = as_square(np.asarray(unitary, dtype=np.complex128))
-    _check_unitary(u, kind)
+    _check_unitary(u, "custom")
     uh = u.conj().T
-    g = None if grid is None else np.asarray(grid, dtype=np.float64)
     return TransformAlgebra(
-        kind=kind, order=u.shape[0], grid=g, basis=basis,
+        kind="custom", order=u.shape[0],
         transform=lambda x, out=None: np.matmul(uh, x, out=out),
         inverse=lambda z, out=None: np.matmul(u, z, out=out),
         _unitary=u,
@@ -270,7 +264,7 @@ def random_unitary_algebra(n: int, seed: int = 42) -> TransformAlgebra:
     q, r = np.linalg.qr(z)
     # Fix the phase so the construction is a deterministic function of seed.
     q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    return custom_algebra(q, kind="custom")
+    return custom_algebra(q)
 
 
 AlgebraFactory = Callable[[int], TransformAlgebra]

@@ -87,7 +87,7 @@ _parse_max_iter = partial(_bounded_int, what="max-iter", least=1)
 _parse_seed = partial(_bounded_int, what="seed", least=0)
 _parse_tol = partial(_positive_float, what="tol")
 _parse_algebra = partial(_algebra_name, choices=(*algebras.ALGEBRA_KINDS, "custom"))
-# lpo-rates evaluates basis functions off the grid, and the custom algebra has none.
+# lpo-rates sums closed-form lag weights, and the custom algebra has none.
 _parse_basis_algebra = partial(_algebra_name, choices=algebras.ALGEBRA_KINDS)
 
 
@@ -429,6 +429,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _switch_tokens(tokens: list[str], args, path) -> list[str]:
+    """Config tokens with an on/off flag's ``--flag=true`` as ``--flag``, ``=false`` dropped.
+
+    The on/off flags are the store_true options, the only ones whose parsed
+    value is a bool.  Any other value for one is a ParseError naming the file.
+    """
+    out = []
+    for token in tokens:
+        key, _, value = token.partition("=")
+        if not isinstance(getattr(args, key[2:].replace("-", "_"), None), bool):
+            out.append(token)
+        elif value == "true":
+            out.append(key)
+        elif value != "false":
+            raise ParseError(
+                f"config file {path}: {key} is an on/off flag; "
+                f"set it to true or false, not {value!r}"
+            )
+    return out
+
+
 def _add_common(p: _Parser, algebra=_parse_algebra) -> None:
     """Options every subcommand takes; --algebra parsed by `algebra`, unless None."""
     if algebra is not None:
@@ -520,7 +541,7 @@ def main(argv=None) -> int:
         if args.config:
             # Parse again with the file's tokens ahead of the command line:
             # argparse keeps the last value, so explicit flags win.
-            tokens = load_config(args.config)
+            tokens = _switch_tokens(load_config(args.config), args, args.config)
             try:
                 args = parser.parse_args([argv[0], *tokens, *argv[1:]])
             except PrecondlabError as exc:

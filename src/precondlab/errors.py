@@ -29,10 +29,6 @@ class NotPositiveDefiniteError(PrecondlabError):
     """A matrix required to be Hermitian positive definite is not."""
 
 
-class InsufficientSamplesError(PrecondlabError):
-    """Too few equispaced samples for the requested quadrature degree."""
-
-
 class InsufficientLadderError(PrecondlabError):
     """A size ladder is too short or not geometrically doubling."""
 

@@ -12,9 +12,8 @@ closed form (M = n - |k|, D_M(x) = sin(M x) / sin(x)):
   hartley  w_k = (M cos(k x) + sin((n - 1) x) D_M(x)) / n
 
 so P evaluation points cost O(P deg f), with no section, basis block or
-unitary.  Custom algebras evaluate the dense form at O(P n^2).  For the
-Fourier algebra the operator is the Fejer mean of f, so sup errors decay
-like 1/n on trigonometric polynomials.
+unitary.  For the Fourier algebra the operator is the Fejer mean of f, so
+sup errors decay like 1/n on trigonometric polynomials.
 
 The Korovkin harness checks the implication "projection clusters strongly
 on a small test set => it clusters strongly on products and holdouts" by
@@ -37,7 +36,6 @@ from .clustering import (
     build_cluster_report,
 )
 from .symbols import Symbol, product
-from .toeplitz import section_frobenius_sq, toeplitz_section
 
 EVAL_GRID_POINTS = 4096
 RATE_FIT_POINTS = 4
@@ -49,22 +47,15 @@ def lpo_eval(alg: TransformAlgebra, f: Symbol, x):
 
     At the i-th grid point this equals the i-th diagonal entry of
     U A_n(f) U*, i.e. the eigenvalue of the algebra projection attached to
-    that grid point.  Built-in algebras sum a_k w_k(x) over the symbol's
-    lags |k| < n with the closed-form lag weights (``lag_sum``), at
-    O(P deg f) for P points; custom algebras form the dense basis block
-    and section.
+    that grid point.  It sums a_k w_k(x) over the symbol's lags |k| < n
+    with the closed-form lag weights (``lag_sum``), at O(P deg f) for P
+    points.  A custom algebra has no closed-form lag weights: ValueError.
     """
-    if alg.basis is None:
-        raise ValueError("algebra has no basis functions; cannot evaluate off-grid")
+    if alg.lag_weights is None:
+        raise ValueError(f"{alg.kind} algebra has no closed-form lag weights")
     if not f.is_real:
         raise ValueError("lpo_eval requires a real symbol")
-    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if alg.lag_weights is None:
-        v = alg.basis(xs)
-        a = toeplitz_section(f, alg.order)
-        values = np.einsum("ij,ij->i", v @ a, v.conj()).real
-    else:
-        values = lag_sum(alg, f, xs)
+    values = lag_sum(alg, f, np.atleast_1d(np.asarray(x, dtype=np.float64)))
     return float(values[0]) if np.isscalar(x) or np.ndim(x) == 0 else values
 
 
@@ -266,7 +257,7 @@ def korovkin_test(
 
 
 # ---------------------------------------------------------------------------
-# remainder propagation and grid quadrature checks
+# remainder propagation
 
 
 class PropagationReport:
@@ -315,52 +306,3 @@ def remainder_propagation(
         propagation_ok=ok,
     )
 
-
-class QuadratureReport:
-    def __init__(self, symbol_label: str, ladder: tuple[int, ...], grid_gap_ratio: dict,
-                 frobenius_gap_ratio: dict, grid_gap_decreasing: bool,
-                 frobenius_gap_decreasing: bool):
-        self.symbol_label = symbol_label
-        self.ladder = ladder
-        self.grid_gap_ratio = grid_gap_ratio  # n -> |sum g^2(x_i) - (n/2pi) int g^2| / n
-        # n -> | ||A_n||_F^2 - (n/2pi) int g^2 | / n
-        self.frobenius_gap_ratio = frobenius_gap_ratio
-        self.grid_gap_decreasing = grid_gap_decreasing
-        self.frobenius_gap_decreasing = frobenius_gap_decreasing
-
-
-def grid_quadrature_check(kind, g: Symbol, ladder=DEFAULT_LADDER) -> QuadratureReport:
-    """Check the o(n) gaps between grid sums, Frobenius mass and (n/2pi) int g^2."""
-    if not g.is_real:
-        raise ValueError("grid_quadrature_check requires a real symbol")
-    factory = resolve_algebra_factory(kind)
-    ladder = tuple(int(n) for n in ladder)
-    mean_sq = g.parseval_mean_square()  # (1/2pi) int g^2
-    grid_ratio: dict[int, float] = {}
-    fro_ratio: dict[int, float] = {}
-    for n in ladder:
-        alg = factory(n)
-        if alg.grid is None:
-            raise ValueError("algebra has no grid")
-        target = n * mean_sq
-        grid_sum = float(np.sum(g.eval_real(alg.grid) ** 2))
-        fro = section_frobenius_sq(g, n)
-        grid_ratio[n] = abs(grid_sum - target) / n
-        fro_ratio[n] = abs(fro - target) / n
-    ratios_g = [grid_ratio[n] for n in ladder]
-    ratios_f = [fro_ratio[n] for n in ladder]
-    # Nonincreasing with a small absolute floor so exact-quadrature noise
-    # at round-off scale does not flip the verdict.
-    floor = 1e-12
-
-    def decreasing(seq):
-        return all(b <= a or b <= floor for a, b in zip(seq, seq[1:]))
-
-    return QuadratureReport(
-        symbol_label=g.label or "symbol",
-        ladder=ladder,
-        grid_gap_ratio=grid_ratio,
-        frobenius_gap_ratio=fro_ratio,
-        grid_gap_decreasing=decreasing(ratios_g),
-        frobenius_gap_decreasing=decreasing(ratios_f),
-    )

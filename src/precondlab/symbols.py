@@ -8,11 +8,11 @@ a_{-k} = conj(a_k).  The interval convention is [0, 2pi) throughout.
 from __future__ import annotations
 
 import re
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .errors import InsufficientSamplesError, ParseError
+from .errors import ParseError
 
 REALNESS_TOL = 1e-12
 
@@ -73,18 +73,6 @@ class Symbol:
             out[k] = out.get(k, 0.0) + v
         return Symbol(out, label)
 
-    def parseval_mean_square(self) -> float:
-        """(1/2pi) * integral of |f|^2 over a period, exact from coefficients."""
-        return float(sum(abs(v) ** 2 for v in self.coefficients.values()))
-
-
-class SampledFunction:
-    """Deterministic evaluator on [0, 2pi) plus its equispaced sample count."""
-
-    def __init__(self, evaluator: Callable[[np.ndarray], np.ndarray], sample_count: int):
-        self.evaluator = evaluator
-        self.sample_count = sample_count
-
 
 def constant(c: float | complex = 1.0, label: str = "") -> Symbol:
     return Symbol({0: complex(c)}, label or f"{c}")
@@ -108,34 +96,6 @@ def product(s: Symbol, t: Symbol, label: str = "") -> Symbol:
     if not label and s.label and t.label:
         label = f"({s.label})*({t.label})"
     return Symbol(out, label)
-
-
-def fourier_coefficients(g: SampledFunction, degree: int, label: str = "") -> Symbol:
-    """Coefficients a_k = (1/2pi) int f(x) exp(-ikx) dx by the trapezoid/DFT rule.
-
-    Exact to round-off for trigonometric polynomials of degree at most
-    sample_count/2 - 1; the sample count must be a power of two with
-    sample_count >= 4 * degree.
-    """
-    n = int(g.sample_count)
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    if n < 4 or n & (n - 1) != 0:
-        raise InsufficientSamplesError(f"sample_count {n} is not a power of two >= 4")
-    if n < 4 * degree:
-        raise InsufficientSamplesError(
-            f"sample_count {n} < 4 * degree = {4 * degree}"
-        )
-    xs = 2.0 * np.pi * np.arange(n) / n
-    samples = np.asarray(g.evaluator(xs), dtype=np.complex128)
-    if samples.shape != (n,):
-        raise ValueError("evaluator must return one value per sample point")
-    spectrum = np.fft.fft(samples) / n
-    coeffs: dict[int, complex] = {0: complex(spectrum[0])}
-    for k in range(1, degree + 1):
-        coeffs[k] = complex(spectrum[k])
-        coeffs[-k] = complex(spectrum[n - k])
-    return Symbol(coeffs, label)
 
 
 def standard_test_set(name: str) -> list[Symbol]:
@@ -207,11 +167,6 @@ def symbol_from_lines(lines, label: str = "") -> Symbol:
             raise ParseError(f"line {lineno}: duplicate frequency {k}")
         coeffs[k] = value
     return Symbol(coeffs, label)
-
-
-def save_symbol(s: Symbol, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(symbol_to_lines(s)) + "\n")
 
 
 def load_symbol(path) -> Symbol:

@@ -148,6 +148,44 @@ def test_explicit_flag_beats_config(tmp_path, capsys):
     assert json.loads(out)["n"] == 6
 
 
+@pytest.mark.parametrize("value, flags", [("true", ["--preconditioned"]), ("false", [])])
+def test_config_switch_matches_the_flag(value, flags, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"preconditioned = {value}\n")
+    common = ["--ladder", "8,16,32,64", "--eps", "0.2,0.1"]
+    code_flags, _, _ = run(capsys, "cluster-scan", *common, *flags,
+                           "--outdir", str(tmp_path / "flags"))
+    code_cfg, _, _ = run(capsys, "cluster-scan", *common, "--config", str(path),
+                         "--outdir", str(tmp_path / "cfg"))
+    assert code_flags == code_cfg == 0
+    for fname in ("cluster_scan.csv", "cluster_scan.json"):
+        assert (tmp_path / "flags" / fname).read_bytes() == (tmp_path / "cfg" / fname).read_bytes()
+
+
+def test_config_dry_run_prints_the_plan(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("dry_run = true\nn = 12\n")
+    out_dir = tmp_path / "out"
+    code, out, _ = run(capsys, "project", "--config", str(path), "--outdir", str(out_dir))
+    assert code == 0 and json.loads(out)["n"] == 12
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command, line", [
+    ("cluster-scan", "preconditioned = yes"),
+    ("cluster-scan", "preconditioned ="),
+    ("pcg-bench", "timings = 1"),
+    ("project", "dry_run = True"),
+])
+def test_config_switch_rejects_other_values(command, line, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(line + "\n")
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, command, "--config", str(path), "--outdir", str(out_dir))
+    assert code == 1 and f"error: config file {path}" in err and "true or false" in err
+    assert not out and not out_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # symbol resolution
 
@@ -294,14 +332,18 @@ def test_bad_input_exits_with_error_line(argv, code, fragment, mode, tmp_path, c
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("mode", ["plain", "dry-run"])
+@pytest.mark.parametrize("mode", ["plain", "dry-run", "config"])
 def test_preconditioned_scan_rejects_a_complex_symbol(mode, tmp_path, capsys):
-    # a switch cannot be set from a config file, so this row has no config mode
     _write_symbol_files(tmp_path)
     out_dir = tmp_path / "out"
+    switch = ["--preconditioned"]
+    if mode == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("preconditioned = true\n")
+        switch = ["--config", str(cfg)]
     extra = ["--dry-run"] if mode == "dry-run" else []
     code, out, err = run(capsys, "cluster-scan", f"--symbol=file:{tmp_path}/complex.txt",
-                         "--preconditioned", "--outdir", str(out_dir), *extra)
+                         *switch, "--outdir", str(out_dir), *extra)
     assert code == 1 and "error:" in err and "needs a real symbol" in err
     assert not out and not out_dir.exists()
 

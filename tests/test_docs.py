@@ -3,6 +3,9 @@
 A deleted library name would otherwise stay in the docs, or turn a
 per-layer benchmark metric into a silent ``missing`` entry.  The tracer
 also needs every layer loaded by the time the CLI parser is built.
+Conversely, every name the package re-exports must have a user: the
+library itself, the README quick start, the benchmark or the acceptance
+tests.
 """
 
 import ast
@@ -27,6 +30,44 @@ def _quick_start() -> str:
 
 def test_readme_quick_start_runs():
     exec(compile(_quick_start(), "README.md quick start", "exec"), {})
+
+
+def _reexports() -> list:
+    tree = ast.parse((ROOT / "src" / "precondlab" / "__init__.py").read_text(encoding="utf-8"))
+    return [alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names]
+
+
+def _defines(stmt) -> set:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return set()
+
+
+def _library_references() -> set:
+    """Names read in src/precondlab outside __init__.py, each outside its own definition."""
+    refs = set()
+    for path in (ROOT / "src" / "precondlab").glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            nodes = list(ast.walk(stmt))
+            used = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            used |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            refs |= used - _defines(stmt)
+    return refs
+
+
+def test_every_reexport_has_a_user():
+    refs = _library_references()
+    readers = [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+    text = _quick_start() + "".join(p.read_text(encoding="utf-8") for p in readers)
+    unused = [name for name in _reexports()
+              if name not in refs and not re.search(rf"\b{name}\b", text)]
+    assert unused == [], f"re-exported, yet used by no module, reader or test: {unused}"
 
 
 def _tracer_targets() -> tuple:

@@ -5,8 +5,6 @@ the Fourier-algebra operator; it is computed directly from coefficients,
 independent of the matrix quadratic form used by the library.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -15,14 +13,12 @@ from precondlab.algebras import (
     ALGEBRA_KINDS,
     TransformAlgebra,
     algebra_diagonal,
-    custom_algebra,
     make_algebra,
     random_unitary_algebra,
 )
 from precondlab.korovkin import (
     evaluation_grid,
     fit_rate,
-    grid_quadrature_check,
     korovkin_test,
     lpo_eval,
     lpo_rates,
@@ -178,19 +174,13 @@ def test_lpo_closed_form_matches_dense_definition(kind, n):
         )
 
 
-def test_custom_algebra_with_builtin_label_takes_dense_path():
-    n = 8
-    u = random_unitary_algebra(n, seed=5).unitary
-    alg = custom_algebra(u, basis=make_algebra("fourier", n).basis, kind="sine")
-    assert alg.lag_weights is None
-    assert np.array_equal(alg.unitary, u)
+def test_custom_algebra_with_builtin_label_has_no_lpo():
+    alg = random_unitary_algebra(8, seed=5)
+    relabelled = TransformAlgebra(**(vars(alg) | {"kind": "sine"}))
     f = parse_trig_expression("2+cos+0.5sin3x")
-    values = lpo_eval(alg, f, SPECIAL_POINTS)
-    # the caller's basis decides: the Fourier rows give the Fejer mean,
-    # which differs from the sine algebra's operator
-    np.testing.assert_allclose(values, fejer_mean(f, n, SPECIAL_POINTS), atol=1e-12)
-    sine_values = lpo_eval(make_algebra("sine", n), f, SPECIAL_POINTS)
-    assert np.max(np.abs(values - sine_values)) > 0.1
+    for a in (alg, relabelled):  # the label does not lend the sine lag weights
+        with pytest.raises(ValueError, match="no closed-form lag weights"):
+            lpo_eval(a, f, SPECIAL_POINTS)
 
 
 def test_lpo_rates_never_builds_the_unitary(monkeypatch):
@@ -348,56 +338,3 @@ def test_propagation_single_cos():
     assert rep.propagation_ok
     assert rep.rates["sum_sq"] == pytest.approx(-1.0, abs=0.05)
 
-
-# ---------------------------------------------------------------------------
-# grid quadrature
-
-
-def test_quadrature_fourier_cos_exact():
-    rep = grid_quadrature_check("fourier", cosine(), (16, 32, 64, 128))
-    # sum of cos^2 over the uniform grid is exactly n/2 = (n/2pi) * integral
-    assert max(rep.grid_gap_ratio.values()) < 1e-12
-    assert rep.grid_gap_decreasing
-
-
-def test_quadrature_constant():
-    rep = grid_quadrature_check("fourier", constant(1.0), (8, 16, 32, 64))
-    assert max(rep.grid_gap_ratio.values()) < 1e-12
-    assert max(rep.frobenius_gap_ratio.values()) < 1e-12
-
-
-def test_quadrature_frobenius_mass_matches_the_dense_section():
-    g = parse_trig_expression("2+cos+0.5sin2x+0.3cos3x")
-    ladder = (2, 3, 8, 64, 200)  # n <= deg g included: lags |k| >= n drop out
-    rep = grid_quadrature_check("sine", g, ladder)
-    for n in ladder:
-        # summed exactly: a BLAS dot over the n^2 entries moves the ratio by
-        # more than the bound at n = 200
-        exact = math.fsum(np.abs(toeplitz_section(g, n)).ravel() ** 2)
-        dense = abs(exact - n * g.parseval_mean_square()) / n
-        assert abs(rep.frobenius_gap_ratio[n] - dense) <= 1e-12 * dense, n
-
-
-def test_quadrature_sine_grid_gap_decreases():
-    rep = grid_quadrature_check("sine", parse_trig_expression("2+cos"), (64, 128, 256, 512))
-    assert rep.grid_gap_decreasing
-    assert rep.frobenius_gap_decreasing
-    ratios = [rep.grid_gap_ratio[n] for n in rep.ladder]
-    assert ratios[-1] < ratios[0]
-
-
-# ---------------------------------------------------------------------------
-# guards: (call, error, message fragment)
-
-GUARDS = [
-    pytest.param(lambda: grid_quadrature_check("fourier", cosine().scaled(1j), (8, 16)),
-                 ValueError, "requires a real symbol", id="complex-symbol"),
-    pytest.param(lambda: grid_quadrature_check("custom", cosine(), (8, 16)),
-                 ValueError, "algebra has no grid", id="no-grid"),
-]
-
-
-@pytest.mark.parametrize("call, error, fragment", GUARDS)
-def test_guard_raises(call, error, fragment):
-    with pytest.raises(error, match=fragment):
-        call()

@@ -21,7 +21,7 @@ from precondlab.operators import (
     truncate,
 )
 from precondlab.algebras import project, project_toeplitz_fast, make_algebra
-from precondlab.symbols import SampledFunction, fourier_coefficients, parse_trig_expression
+from precondlab.symbols import Symbol, parse_trig_expression
 from precondlab.toeplitz import toeplitz_section
 
 
@@ -177,9 +177,8 @@ def test_pythagoras_for_truncations():
 
 def test_bounded_noncompact_source_under_random_algebra_is_none():
     # degree-32 truncation of a square-wave-like symbol; bounded, not compact
-    square = fourier_coefficients(
-        SampledFunction(lambda x: np.sign(np.sin(x)), 256), 32, label="squarewave32"
-    )
+    spectrum = np.fft.fft(np.sign(np.sin(2.0 * np.pi * np.arange(256) / 256))) / 256
+    square = Symbol({k: spectrum[k] for k in range(-32, 33)}, label="squarewave32")
     src = toeplitz_source(square)
     report = distribution_convergence(
         src, lambda n: random_unitary_algebra(n, seed=3000 + n), ladder=(32, 64, 128, 256)

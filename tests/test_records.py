@@ -12,7 +12,7 @@ import pytest
 
 import precondlab as pl
 from precondlab.clustering import ClusterReport, LowRank
-from precondlab.korovkin import KorovkinReport, LpoReport, PropagationReport, QuadratureReport
+from precondlab.korovkin import KorovkinReport, LpoReport, PropagationReport
 from precondlab.solver import SolveTrace
 
 REQUIRED = inspect.Parameter.empty
@@ -43,11 +43,6 @@ FIELDS = {
         ("ladder", REQUIRED), ("generator_errors", REQUIRED), ("derived_errors", REQUIRED),
         ("rates", REQUIRED), ("propagation_ok", REQUIRED),
     ],
-    QuadratureReport: [
-        ("symbol_label", REQUIRED), ("ladder", REQUIRED), ("grid_gap_ratio", REQUIRED),
-        ("frobenius_gap_ratio", REQUIRED), ("grid_gap_decreasing", REQUIRED),
-        ("frobenius_gap_decreasing", REQUIRED),
-    ],
     pl.OperatorSource: [
         ("entry", REQUIRED), ("decay_class", REQUIRED), ("label", REQUIRED),
         ("self_adjoint", False), ("symbol", None), ("factor", None),
@@ -58,7 +53,6 @@ FIELDS = {
         ("error_history", None), ("solution", None),
     ],
     pl.Symbol: [("coefficients", REQUIRED), ("label", "")],
-    pl.SampledFunction: [("evaluator", REQUIRED), ("sample_count", REQUIRED)],
 }
 
 # values the constructors keep as given (they normalize blocks, coefficients

@@ -188,7 +188,7 @@ def test_transform_preconditioner_matches_dense_unitary(kind):
 
     def dense_factory(order):
         alg = make_algebra(kind, order)
-        return custom_algebra(alg.basis(alg.grid), kind=kind)
+        return custom_algebra(alg.unitary)
 
     fast = pcg(op, b, precond="algebra_projection", alg_kind=kind, tol=1e-12)
     dense = pcg(op, b, precond="algebra_projection", alg_kind=dense_factory, tol=1e-12)

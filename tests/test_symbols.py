@@ -9,18 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from precondlab.cli import main
-from precondlab.errors import InsufficientSamplesError, ParseError
+from precondlab.errors import ParseError
 from precondlab.symbols import (
-    SampledFunction,
     Symbol,
     ascii_number,
     constant,
     cosine,
-    fourier_coefficients,
     load_symbol,
     parse_trig_expression,
     product,
-    save_symbol,
     sine,
     standard_test_set,
     symbol_from_lines,
@@ -50,66 +47,6 @@ def test_degree_and_realness():
     assert Symbol({}).degree == 0
     assert cosine().is_real and sine().is_real
     assert not Symbol({1: 1.0}).is_real
-
-
-# ---------------------------------------------------------------------------
-# quadrature; the oracle is adaptive Simpson on the defining integral
-
-
-def _adaptive_simpson(fn, a, b, tol):
-    fa, fb, fm = fn(a), fn(b), fn(0.5 * (a + b))
-
-    def recurse(a, b, fa, fb, fm, whole, tol):
-        lm, rm = 0.75 * a + 0.25 * b, 0.25 * a + 0.75 * b
-        flm, frm = fn(lm), fn(rm)
-        left = (b - a) / 12.0 * (fa + 4.0 * flm + fm)
-        right = (b - a) / 12.0 * (fm + 4.0 * frm + fb)
-        if abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        mid = 0.5 * (a + b)
-        return recurse(a, mid, fa, fm, flm, left, tol / 2.0) + recurse(
-            mid, b, fm, fb, frm, right, tol / 2.0
-        )
-
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return recurse(a, b, fa, fb, fm, whole, tol)
-
-
-def simpson_fourier_coefficient(fn, k, tol=1e-11):
-    return _adaptive_simpson(
-        lambda x: fn(x) * np.exp(-1j * k * x), 0.0, 2.0 * np.pi, tol
-    ) / (2.0 * np.pi)
-
-
-def test_fourier_coefficients_trig_polynomial_exact():
-    g = SampledFunction(lambda x: 2.0 + 2.0 * np.cos(x), 32)
-    s = fourier_coefficients(g, 2)
-    assert s.coefficient(0) == pytest.approx(2.0, abs=1e-12)
-    assert s.coefficient(1) == pytest.approx(1.0, abs=1e-12)
-    assert s.coefficient(-1) == pytest.approx(1.0, abs=1e-12)
-    assert abs(s.coefficient(2)) < 1e-12
-    assert abs(s.coefficient(-2)) < 1e-12
-
-
-def test_fourier_coefficients_constant():
-    s = fourier_coefficients(SampledFunction(lambda x: np.ones_like(x), 16), 3)
-    assert s.coefficient(0) == pytest.approx(1.0, abs=1e-13)
-    assert all(abs(s.coefficient(k)) < 1e-13 for k in (1, 2, 3, -1, -2, -3))
-
-
-def test_fourier_coefficients_abs_sin_vs_simpson():
-    g = SampledFunction(lambda x: np.abs(np.sin(x)), 16384)
-    s = fourier_coefficients(g, 8)
-    for k in range(-8, 9):
-        expected = simpson_fourier_coefficient(lambda x: abs(np.sin(x)), k)
-        assert s.coefficient(k) == pytest.approx(expected, abs=1e-8), k
-
-
-def test_fourier_coefficients_sample_count_checks():
-    with pytest.raises(InsufficientSamplesError):
-        fourier_coefficients(SampledFunction(np.cos, 24), 2)  # not a power of two
-    with pytest.raises(InsufficientSamplesError):
-        fourier_coefficients(SampledFunction(np.cos, 16), 8)  # fewer than 4*degree
 
 
 # ---------------------------------------------------------------------------
@@ -192,27 +129,6 @@ def test_unknown_test_set():
 # round trips and parsing
 
 
-def test_fourier_coefficients_of_eval_is_identity():
-    rng = np.random.default_rng(5)
-    coeffs = {0: complex(rng.standard_normal())}
-    for k in range(1, 9):
-        a = rng.standard_normal() + 1j * rng.standard_normal()
-        coeffs[k], coeffs[-k] = a, a.conjugate()
-    s = Symbol(coeffs)
-    back = fourier_coefficients(SampledFunction(s.eval_real, 64), 8)
-    for k in range(-8, 9):
-        assert back.coefficient(k) == pytest.approx(s.coefficient(k), abs=1e-12)
-
-
-def test_from_function_truncates_continuous_input():
-    s = fourier_coefficients(SampledFunction(lambda x: np.abs(np.sin(x)), 256), 8)
-    # classical coefficients of |sin|: a_0 = 2/pi, even a_k = -2/(pi(k^2-1))
-    assert s.coefficient(0) == pytest.approx(2.0 / np.pi, abs=1e-4)
-    assert s.coefficient(2) == pytest.approx(-2.0 / (3.0 * np.pi), abs=1e-4)
-    assert abs(s.coefficient(1)) < 1e-6
-    assert s.degree <= 8
-
-
 @pytest.mark.parametrize("text, kind, value", [
     ("64", int, 64), ("+7", int, 7), (" 3 ", int, 3), ("-2.5e3", float, -2500.0),
     (".5", float, 0.5), ("1E-10", float, 1e-10), ("inf", float, float("inf")),
@@ -239,7 +155,7 @@ def test_serialization_round_trip():
 def test_save_then_load_round_trip(tmp_path):
     s = parse_trig_expression("2+cos+0.5sin3x")
     path = tmp_path / "f.txt"
-    save_symbol(s, path)
+    path.write_text("\n".join(symbol_to_lines(s)) + "\n", encoding="utf-8")
     loaded = load_symbol(path)
     assert loaded.coefficients == s.coefficients
     assert loaded.label == str(path)
@@ -261,7 +177,7 @@ def test_serialization_round_trips_any_finite_table(table):
     assert symbol_to_lines(back) == symbol_to_lines(s)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "f.txt"
-        save_symbol(s, path)
+        path.write_text("\n".join(symbol_to_lines(s)) + "\n", encoding="utf-8")
         assert symbol_to_lines(load_symbol(path)) == symbol_to_lines(s)
 
 
@@ -361,15 +277,7 @@ def test_parse_rejects_non_ascii_digits(text, capsys):
 # guards: (call, error, message fragment)
 
 
-def _samples(n, values):
-    return SampledFunction(lambda xs: values, n)
-
-
 GUARDS = [
-    pytest.param(lambda: fourier_coefficients(_samples(8, np.ones(8)), -1), ValueError,
-                 "degree must be nonnegative", id="degree"),
-    pytest.param(lambda: fourier_coefficients(_samples(8, np.ones(3)), 1), ValueError,
-                 "one value per sample point", id="samples-shape"),
     pytest.param(lambda: symbol_from_lines(["0 abc 0"]), ParseError, "line 1: could not convert",
                  id="coefficient-text"),
     *(pytest.param(lambda line=line: symbol_from_lines([line]), ParseError,

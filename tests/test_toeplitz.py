@@ -1,5 +1,7 @@
 """Tests for Toeplitz sections and the product correction."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,6 +16,7 @@ from precondlab.toeplitz import (
     SPLIT_MAX_TAPS,
     ToeplitzOperator,
     product_correction,
+    section_frobenius_sq,
     toeplitz_section,
 )
 
@@ -38,6 +41,17 @@ def test_section_eigenvalues_bracketed_by_symbol_range():
 def test_section_hermitian_iff_real_symbol():
     assert is_hermitian(toeplitz_section(parse_trig_expression("1+sin"), 8))
     assert not is_hermitian(toeplitz_section(Symbol({1: 1.0}), 8))
+
+
+@pytest.mark.parametrize("f", [
+    parse_trig_expression("2+cos+0.5sin2x+0.3cos3x"),
+    Symbol({0: 2.0, 1: 1.0, -2: 0.5j, 3: 0.25 - 0.5j}),  # complex
+], ids=["real", "complex"])
+@pytest.mark.parametrize("n", [2, 3, 8, 64, 200])  # n <= deg f: lags |k| >= n drop out
+def test_section_frobenius_sq_matches_the_dense_section(f, n):
+    # summed exactly, so the bound measures the closed form alone
+    exact = math.fsum(np.abs(toeplitz_section(f, n)).ravel() ** 2)
+    assert abs(section_frobenius_sq(f, n) - exact) <= 1e-12 * exact
 
 
 def test_section_linearity_exact():
