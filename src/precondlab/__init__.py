@@ -9,7 +9,6 @@ conjugate gradient payoff.
 
 from .algebras import (
     ALGEBRA_KINDS,
-    PinchingPartition,
     TransformAlgebra,
     algebra_diagonal,
     contiguous_partition,
@@ -37,7 +36,6 @@ from .clustering import (
     classify_frobenius,
 )
 from .errors import (
-    BadPartitionError,
     DimensionMismatchError,
     InsufficientLadderError,
     InvariantViolationError,

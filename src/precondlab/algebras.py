@@ -32,18 +32,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    BadPartitionError,
-    DimensionMismatchError,
-    InvariantViolationError,
-    NotUnitaryError,
-)
+from .errors import DimensionMismatchError, InvariantViolationError, NotUnitaryError
 from .linalg import as_square, frobenius_norm_sq
 from .symbols import REALNESS_TOL, Symbol
-from .toeplitz import ToeplitzOperator, toeplitz_from_lags
+from .toeplitz import ToeplitzOperator, section_entries, toeplitz_from_lags
 
 UNITARITY_RTOL = 1e-10
 TRACE_RTOL = 1e-10
+# seed of the random custom algebra when none is given
+DEFAULT_SEED = 42
 
 ALGEBRA_KINDS = ("fourier", "sine", "hartley")
 
@@ -257,7 +254,7 @@ def custom_algebra(unitary) -> TransformAlgebra:
     )
 
 
-def random_unitary_algebra(n: int, seed: int = 42) -> TransformAlgebra:
+def random_unitary_algebra(n: int, seed: int = DEFAULT_SEED) -> TransformAlgebra:
     """Haar-ish random unitary algebra, the negative control for clustering."""
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -270,7 +267,7 @@ def random_unitary_algebra(n: int, seed: int = 42) -> TransformAlgebra:
 AlgebraFactory = Callable[[int], TransformAlgebra]
 
 
-def resolve_algebra_factory(kind, seed: int = 42) -> AlgebraFactory:
+def resolve_algebra_factory(kind, seed: int = DEFAULT_SEED) -> AlgebraFactory:
     """Normalize an algebra kind name or factory callable to a factory n -> algebra.
 
     A callable passes through; only 'custom' (``random_unitary_algebra``) reads seed.
@@ -450,13 +447,6 @@ def _weyl_probe(f: Symbol, n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, ToeplitzOperator(f, n).matvec(x)
 
 
-def _section_entries(f: Symbol, lags: np.ndarray) -> np.ndarray:
-    """The entries a_lag of T_n(f) at integer lags: a_lag for |lag| <= deg f, else 0."""
-    d = f.degree
-    coeffs = f.coefficient_array(-d, d + 1)
-    return np.where(np.abs(lags) <= d, coeffs[np.clip(lags, -d, d) + d], 0.0)
-
-
 def toeplitz_corner_form(
     alg: TransformAlgebra, f: Symbol
 ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -487,7 +477,7 @@ def toeplitz_corner_form(
     corner = np.zeros((n, idx.size), dtype=np.complex128)
     corner[idx, np.arange(idx.size)] = 1.0
     low = alg.transform(corner)
-    s = _section_entries(f, idx[:, None] - idx[None, :]) - (low.conj().T * g) @ low
+    s = section_entries(f, idx[:, None] - idx[None, :]) - (low.conj().T * g) @ low
     x, tx = _weyl_probe(f, n)
     defect = tx - alg.inverse(g * alg.transform(x))
     defect[idx] -= s @ x[idx]
@@ -545,7 +535,7 @@ def toeplitz_band_form(
     inside = pos >= ks
     p_band = np.where(inside, applied[perm[:, None], (pos - ks) % period], 0.0)
     lags = perm[:, None] - perm[np.maximum(pos - ks, 0)]
-    m_band = np.where(inside, _section_entries(f, lags), 0.0) - p_band
+    m_band = np.where(inside, section_entries(f, lags), 0.0) - p_band
     px = applied[:, period]
     defect = np.concatenate((
         tx[perm] - px[perm] - _band_matvec(m_band, x[perm]),
@@ -571,57 +561,37 @@ def project_toeplitz_fast(f: Symbol, n: int) -> np.ndarray:
     return toeplitz_from_lags(np.concatenate((c[1:], c)))
 
 
-class PinchingPartition:
-    """Disjoint index blocks covering 0..n-1 (the projections P_k)."""
-
-    def __init__(self, blocks):
-        self.blocks = tuple(tuple(int(i) for i in b) for b in blocks)
-        seen: set[int] = set()
-        for b in self.blocks:
-            if not b:
-                raise BadPartitionError("empty block in pinching partition")
-            if seen.intersection(b):
-                raise BadPartitionError("overlapping blocks in pinching partition")
-            seen.update(b)
-        self.order = len(seen)
-        if seen != set(range(self.order)):
-            raise BadPartitionError("blocks do not cover a contiguous index range")
+def singleton_partition(n: int) -> np.ndarray:
+    return np.arange(n)
 
 
-def singleton_partition(n: int) -> PinchingPartition:
-    return PinchingPartition(tuple((i,) for i in range(n)))
+def single_block_partition(n: int) -> np.ndarray:
+    return np.zeros(n, dtype=np.int64)
 
 
-def single_block_partition(n: int) -> PinchingPartition:
-    return PinchingPartition((tuple(range(n)),))
-
-
-def contiguous_partition(n: int, block_size: int) -> PinchingPartition:
+def contiguous_partition(n: int, block_size: int) -> np.ndarray:
     """Contiguous blocks of the given size; the last block may be shorter."""
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
-    blocks = tuple(
-        tuple(range(start, min(start + block_size, n)))
-        for start in range(0, n, block_size)
-    )
-    return PinchingPartition(blocks)
+    return np.arange(n) // block_size
 
 
-def pinch(partition: PinchingPartition, a) -> np.ndarray:
-    """Block-diagonal part of A: sum_k P_k A P_k."""
+def pinch(partition, a) -> np.ndarray:
+    """Block-diagonal part of A: sum_k P_k A P_k.
+
+    A partition of 0..n-1 is a vector of n block labels: i and j share a
+    block when partition[i] == partition[j].
+    """
     m = as_square(a)
-    if partition.order != m.shape[0]:
-        raise BadPartitionError(
-            f"partition covers {partition.order} indices, matrix order is {m.shape[0]}"
+    labels = np.asarray(partition)
+    if labels.shape != (m.shape[0],):
+        raise DimensionMismatchError(
+            f"partition labels {labels.shape} do not match matrix order {m.shape[0]}"
         )
-    out = np.zeros_like(m)
-    for block in partition.blocks:
-        idx = np.ix_(block, block)
-        out[idx] = m[idx]
-    return out
+    return np.where(labels[:, None] == labels[None, :], m, 0)
 
 
-def project_pinched(alg: TransformAlgebra, partition: PinchingPartition, a) -> np.ndarray:
+def project_pinched(alg: TransformAlgebra, partition, a) -> np.ndarray:
     """Modified (pinched) projection U pinch(U* A U) U*.
 
     With singleton blocks this reduces to the plain projection; with a
@@ -630,4 +600,3 @@ def project_pinched(alg: TransformAlgebra, partition: PinchingPartition, a) -> n
     from A than the plain projection.
     """
     return from_eigenbasis(alg, pinch(partition, eigenbasis(alg, a)))
-

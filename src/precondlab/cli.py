@@ -22,8 +22,8 @@ import numpy as np
 from . import algebras, clustering, korovkin, operators, solver, symbols, toeplitz
 from .errors import InsufficientLadderError, ParseError, PrecondlabError, UsageError
 from .linalg import frobenius_norm_sq
+from .symbols import resolve_symbol, resolve_symbol_list
 
-DEFAULT_SEED = 42
 DEFAULT_TOL = 1e-10
 
 
@@ -122,26 +122,7 @@ def load_config(path) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# symbol and source resolution
-
-
-def resolve_symbol(spec: str) -> symbols.Symbol:
-    """Resolve `preset:<expr>` or `file:<path>` (bare text is a preset)."""
-    if spec.startswith("file:"):
-        return symbols.load_symbol(spec[len("file:"):])
-    if spec.startswith("preset:"):
-        spec = spec[len("preset:"):]
-    return symbols.parse_trig_expression(spec)
-
-
-def resolve_symbol_list(spec: str) -> list[symbols.Symbol]:
-    resolved = [resolve_symbol(part) for part in spec.split(";") if part]
-    if not resolved:
-        raise ParseError(f"symbol list {spec!r} names no symbol")
-    labels = [s.label for s in resolved]
-    if len(set(labels)) < len(labels):
-        raise ParseError(f"labels in a symbol list key the outputs and must differ: {labels}")
-    return resolved
+# symbol checks
 
 
 def _real(sym: symbols.Symbol, what: str) -> symbols.Symbol:
@@ -206,7 +187,9 @@ def _algebra_factory(args):
 
 
 def _plan(args, extra: dict) -> dict:
-    plan = {"command": args.command, "outdir": str(args.outdir), "seed": args.seed}
+    plan = {"command": args.command, "outdir": str(args.outdir)}
+    if hasattr(args, "seed"):
+        plan["seed"] = args.seed
     plan.update(extra)
     return plan
 
@@ -276,10 +259,7 @@ def cmd_cluster_scan(args) -> int:
 def cmd_korovkin_test(args) -> int:
     generators = resolve_symbol_list(args.generators)
     holdout = resolve_symbol_list(args.holdout) if args.holdout else []
-    try:
-        korovkin.check_holdout_labels(generators, holdout)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    korovkin.check_holdout_labels(generators, holdout)
     plan = _plan(args, {
         "algebra": args.algebra,
         "generators": [g.label for g in generators],
@@ -314,7 +294,8 @@ def cmd_lpo_rates(args) -> int:
     if args.testset:
         test_set = symbols.standard_test_set(args.testset)
     else:
-        test_set = [_real(s, "lpo-rates --symbols") for s in resolve_symbol_list(args.symbols)]
+        specs = "cos" if args.symbols is None else args.symbols
+        test_set = [_real(s, "lpo-rates --symbols") for s in resolve_symbol_list(specs)]
     plan = _plan(args, {
         "algebra": args.algebra,
         "symbols": [s.label for s in test_set],
@@ -322,7 +303,7 @@ def cmd_lpo_rates(args) -> int:
     })
     if args.dry_run:
         return _emit_plan(plan)
-    reports = korovkin.lpo_rates(_algebra_factory(args), test_set, ladder=args.ladder)
+    reports = korovkin.lpo_rates(args.algebra, test_set, ladder=args.ladder)
     out = _outdir(args)
     rows = []
     for rep in reports:
@@ -339,7 +320,7 @@ def cmd_lpo_rates(args) -> int:
 
 
 def cmd_operator_scan(args) -> int:
-    src = operators.source_from_spec(args.source, symbol_resolver=resolve_symbol)
+    src = operators.source_from_spec(args.source)
     if src.symbol is not None:
         _real(src.symbol, "operator-scan --source toeplitz:")
     plan = _plan(args, {
@@ -451,11 +432,16 @@ def _switch_tokens(tokens: list[str], args, path) -> list[str]:
 
 
 def _add_common(p: _Parser, algebra=_parse_algebra) -> None:
-    """Options every subcommand takes; --algebra parsed by `algebra`, unless None."""
+    """Options every subcommand takes; --algebra parsed by `algebra`, unless None.
+
+    --seed draws only the custom algebra, so only an `algebra` that accepts
+    custom adds it.
+    """
     if algebra is not None:
         p.add_argument("--algebra", type=algebra, default="fourier")
     p.add_argument("--outdir", default=".", help="output directory (default: .)")
-    p.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED)
+    if algebra is _parse_algebra:
+        p.add_argument("--seed", type=_parse_seed, default=algebras.DEFAULT_SEED)
     p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--dry-run", action="store_true",
                    help="print the resolved plan without computing")
@@ -490,9 +476,11 @@ def build_parser() -> _Parser:
     _add_common(p)
 
     p = sub.add_parser("lpo-rates", help="sup-error decay of the positive operator")
-    p.add_argument("--testset", default=None, choices=("classical", "fourier_basic"))
-    p.add_argument("--symbols", default="cos",
-                   help="semicolon-separated symbol specs (ignored with --testset)")
+    test_set = p.add_mutually_exclusive_group()
+    test_set.add_argument("--testset", default=None, choices=("classical", "fourier_basic"))
+    test_set.add_argument("--symbols", default=None,
+                          help="semicolon-separated symbol specs (default: cos; "
+                               "not with --testset)")
     p.add_argument("--ladder", type=_parse_ladder,
                    default=(8, 16, 32, 64, 128, 256, 512, 1024))
     _add_common(p, algebra=_parse_basis_algebra)

@@ -21,10 +21,6 @@ class NotUnitaryError(PrecondlabError):
     """A constructed transform matrix fails the unitarity check."""
 
 
-class BadPartitionError(PrecondlabError):
-    """Index blocks do not form a partition of the matrix index range."""
-
-
 class NotPositiveDefiniteError(PrecondlabError):
     """A matrix required to be Hermitian positive definite is not."""
 

@@ -67,6 +67,16 @@ def frobenius_norm_sq(a) -> float:
     return float(np.vdot(m, m).real)
 
 
+def _symmetrized(a, tol: float) -> np.ndarray:
+    """(A + A*) / 2, free of representable round-off, for A Hermitian within tol."""
+    m = as_square(a)
+    if not is_hermitian(m, tol=tol):
+        raise NotHermitianError(
+            f"matrix is not Hermitian: defect {hermitian_defect(m):.3e}"
+        )
+    return 0.5 * (m + m.conj().T)
+
+
 def hermitian_eig(a, tol: float = HERMITIAN_EIG_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -76,13 +86,7 @@ def hermitian_eig(a, tol: float = HERMITIAN_EIG_TOL) -> tuple[np.ndarray, np.nda
     Raises NotHermitianError when the symmetry check fails and
     NoConvergenceError when the underlying iteration does not converge.
     """
-    m = as_square(a)
-    if not is_hermitian(m, tol=tol):
-        raise NotHermitianError(
-            f"matrix is not Hermitian: defect {hermitian_defect(m):.3e}"
-        )
-    # Symmetrize to remove representable round-off before factorizing.
-    h = 0.5 * (m + m.conj().T)
+    h = _symmetrized(a, tol)
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -92,13 +96,9 @@ def hermitian_eig(a, tol: float = HERMITIAN_EIG_TOL) -> tuple[np.ndarray, np.nda
 
 def hermitian_eigvalues(a, tol: float = HERMITIAN_EIG_TOL) -> np.ndarray:
     """Eigenvalues only, sorted ascending."""
-    m = as_square(a)
-    if not is_hermitian(m, tol=tol):
-        raise NotHermitianError(
-            f"matrix is not Hermitian: defect {hermitian_defect(m):.3e}"
-        )
+    h = _symmetrized(a, tol)
     try:
-        return np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+        return np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eigvalsh failed to converge: {exc}") from exc
 

@@ -22,7 +22,8 @@ from .clustering import (
 )
 from .errors import InvariantViolationError
 from .linalg import frobenius_norm_sq
-from .symbols import Symbol, ascii_number, constant
+from .symbols import Symbol, ascii_number, constant, resolve_symbol
+from .toeplitz import section_entries
 
 HS_TAIL_FRACTION_MAX = 0.01
 
@@ -171,15 +172,8 @@ def hs_decay_source(p: float) -> OperatorSource:
 
 
 def toeplitz_source(f: Symbol, label: str = "") -> OperatorSource:
-    def entry(j, k, _f=f):
-        m = np.asarray(j) - np.asarray(k)
-        if m.size == 0:
-            return np.zeros(m.shape, dtype=np.complex128)
-        lo = int(m.min())
-        return _f.coefficient_array(lo, int(m.max()) + 1)[m - lo]
-
     return OperatorSource(
-        entry=entry,
+        entry=lambda j, k: section_entries(f, j - k),
         decay_class="bounded",
         label=label or f"toeplitz:{f.label}",
         self_adjoint=f.is_real,
@@ -210,7 +204,7 @@ def diag_plus_compact_source() -> OperatorSource:
 _PARAM_RE = re.compile(r"^(?P<name>[a-z0-9_]+)\((?P<arg>[^)]+)\)$")
 
 
-def source_from_spec(text: str, symbol_resolver=None) -> OperatorSource:
+def source_from_spec(text: str) -> OperatorSource:
     """Parse catalog grammar: identity, rank1(p), hs_decay(p),
     diag_plus_compact, toeplitz:<symbol-spec>."""
     spec = text.strip()
@@ -219,9 +213,7 @@ def source_from_spec(text: str, symbol_resolver=None) -> OperatorSource:
     if spec == "diag_plus_compact":
         return diag_plus_compact_source()
     if spec.startswith("toeplitz:"):
-        if symbol_resolver is None:
-            raise ValueError("toeplitz sources need a symbol resolver")
-        return toeplitz_source(symbol_resolver(spec[len("toeplitz:"):]))
+        return toeplitz_source(resolve_symbol(spec[len("toeplitz:"):]))
     m = _PARAM_RE.match(spec)
     if m:
         arg = ascii_number(m.group("arg"))

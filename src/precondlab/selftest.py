@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import algebras, clustering, korovkin, solver, symbols, toeplitz
-from .cli import DEFAULT_SEED
 from .linalg import frobenius_norm_sq, hermitian_eigvalues, singular_values
 
 
@@ -21,7 +20,7 @@ def _seeded_matrix(n, seed, hermitian=False):
 
 def _all_algebras(n):
     algs = [algebras.make_algebra(kind, n) for kind in algebras.ALGEBRA_KINDS]
-    algs.append(algebras.random_unitary_algebra(n, seed=DEFAULT_SEED))
+    algs.append(algebras.random_unitary_algebra(n, seed=algebras.DEFAULT_SEED))
     return algs
 
 

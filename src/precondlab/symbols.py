@@ -178,6 +178,26 @@ def load_symbol(path) -> Symbol:
     return symbol_from_lines(lines, label=str(path))
 
 
+def resolve_symbol(spec: str) -> Symbol:
+    """Resolve `preset:<expr>` or `file:<path>` (bare text is a preset)."""
+    if spec.startswith("file:"):
+        return load_symbol(spec[len("file:"):])
+    if spec.startswith("preset:"):
+        spec = spec[len("preset:"):]
+    return parse_trig_expression(spec)
+
+
+def resolve_symbol_list(spec: str) -> list[Symbol]:
+    """Resolve a semicolon-separated list of symbol specs with distinct labels."""
+    resolved = [resolve_symbol(part) for part in spec.split(";") if part]
+    if not resolved:
+        raise ParseError(f"symbol list {spec!r} names no symbol")
+    labels = [s.label for s in resolved]
+    if len(set(labels)) < len(labels):
+        raise ParseError(f"labels in a symbol list key the outputs and must differ: {labels}")
+    return resolved
+
+
 # ---------------------------------------------------------------------------
 # preset grammar: terms like "2", "1e-3", "cos", "2cos", "0.5sin3x",
 # "delta(0.01)".  Numbers are ASCII only: unicode \d, or float() on any

@@ -55,6 +55,13 @@ def toeplitz_section(f: Symbol, n: int) -> np.ndarray:
     return toeplitz_from_lags(f.coefficient_array(1 - n, n))  # a_{1-n}, ..., a_{n-1}
 
 
+def section_entries(f: Symbol, lags: np.ndarray) -> np.ndarray:
+    """The entries a_lag of T_n(f) at integer lags: a_lag for |lag| <= deg f, else 0."""
+    d = f.degree
+    coeffs = f.coefficient_array(-d, d + 1)
+    return np.where(np.abs(lags) <= d, coeffs[np.clip(lags, -d, d) + d], 0.0)
+
+
 def section_frobenius_sq(f: Symbol, n: int) -> float:
     """||T_n(f)||_F^2 in closed form: a_k fills the n - |k| entries of its diagonal."""
     return float(sum(abs(a) ** 2 * (n - abs(k)) for k, a in f.coefficients.items() if abs(k) < n))

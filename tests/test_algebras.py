@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from precondlab.algebras import (
     ALGEBRA_KINDS,
-    PinchingPartition,
     TransformAlgebra,
     algebra_diagonal,
     check_transform,
@@ -29,7 +28,6 @@ from precondlab.algebras import (
     toeplitz_diagonal,
 )
 from precondlab.errors import (
-    BadPartitionError,
     DimensionMismatchError,
     InvariantViolationError,
     NotUnitaryError,
@@ -473,21 +471,24 @@ def test_pinch_singletons_is_diagonal():
 
 def test_pinch_two_blocks_on_ones():
     ones = np.ones((3, 3), dtype=complex)
-    out = pinch(PinchingPartition(((0, 1), (2,))), ones)
+    out = pinch([0, 0, 1], ones)
     np.testing.assert_allclose(
         out.real, [[1, 1, 0], [1, 1, 0], [0, 0, 1]], atol=0
     )
 
 
-def test_partition_validation():
-    with pytest.raises(BadPartitionError):
-        PinchingPartition(((0, 1), (1, 2)))  # overlap
-    with pytest.raises(BadPartitionError):
-        PinchingPartition(((0,), (2,)))  # gap
-    with pytest.raises(BadPartitionError):
-        PinchingPartition(((0,), ()))  # empty block
-    with pytest.raises(BadPartitionError):
-        pinch(contiguous_partition(4, 2), np.eye(5))
+def test_pinch_non_contiguous_labels_is_the_sum_of_block_compressions():
+    a = seeded_matrix(5, 12)
+    labels = [0, 1, 0, 1, 2]
+    dense = sum(p @ a @ p for p in (np.diag(np.equal(labels, k)).astype(complex)
+                                    for k in range(3)))
+    np.testing.assert_array_equal(pinch(labels, a), dense)
+
+
+def test_partitions_are_label_vectors():
+    assert np.array_equal(contiguous_partition(7, 3), [0, 0, 0, 1, 1, 1, 2])
+    assert np.array_equal(singleton_partition(4), [0, 1, 2, 3])
+    assert np.array_equal(single_block_partition(4), [0, 0, 0, 0])
 
 
 def test_project_pinched_reductions():
@@ -563,7 +564,8 @@ def test_projections_are_completely_positive(kind, n):
     alg = random_unitary_algebra(n, seed=n) if kind == "custom" else make_algebra(kind, n)
     maps = [lambda m: project(alg, m)] + [
         lambda m, part=part: project_pinched(alg, part, m)
-        for part in (singleton_partition(n), contiguous_partition(n, 2), single_block_partition(n))
+        for part in (singleton_partition(n), contiguous_partition(n, 2),
+                     single_block_partition(n), np.array([0, 1, 0, 1, 2, 2, 1, 0])[:n])
     ]
     for phi in maps:
         assert _smallest_choi_eigenvalue(phi, n) >= -1e-12
@@ -583,6 +585,8 @@ GUARDS = [
                  "order must be >= 1", id="fast-order"),
     pytest.param(lambda: contiguous_partition(4, 0), ValueError, "block_size must be >= 1",
                  id="block-size"),
+    pytest.param(lambda: pinch(contiguous_partition(4, 2), np.eye(5)), DimensionMismatchError,
+                 "do not match matrix order 5", id="partition-length"),
 ]
 
 

@@ -96,6 +96,18 @@ def test_config_key_foreign_to_subcommand(tmp_path, capsys):
     assert code == 1 and str(path) in err
 
 
+@pytest.mark.parametrize("command, text", [
+    ("lpo-rates", "seed = 7\n"),
+    ("selftest", "seed = 7\n"),
+    ("lpo-rates", "testset = classical\nsymbols = cos\n"),
+])
+def test_config_keys_a_command_refuses_name_the_file(command, text, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    code, out, err = run(capsys, command, "--config", str(path), "--dry-run")
+    assert code == 1 and not out and f"error: config file {path}" in err
+
+
 def test_config_key_config_rejected(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text(f"config = {path}\n")
@@ -303,6 +315,12 @@ BAD_INPUTS = [
     (["cluster-scan", "--eps=0.1,0.1"], 1, "eps values must differ"),
     (["korovkin-test", "--eps=0.1,0.10"], 1, "eps values must differ"),
     (["operator-scan", "--eps=0.5,0.1,5e-1"], 1, "eps values must differ"),
+    # --seed draws only the custom algebra; lpo-rates and selftest build none
+    (["lpo-rates", "--seed=7"], 1, "unrecognized arguments: --seed=7"),
+    (["selftest", "--seed=7"], 1, "unrecognized arguments: --seed=7"),
+    # a test set and a symbol list exclude each other, the default symbols too
+    (["lpo-rates", "--testset=classical", "--symbols=sin"], 1, "not allowed with argument"),
+    (["lpo-rates", "--testset=classical", "--symbols=cos"], 1, "not allowed with argument"),
 ]
 
 
@@ -370,7 +388,9 @@ def test_dry_run_writes_nothing(command, tmp_path, capsys):
     out_dir = tmp_path / "out"
     code, out, _ = run(capsys, command, "--outdir", str(out_dir), "--dry-run")
     assert code == 0
-    assert json.loads(out)["command"] == command
+    plan = json.loads(out)
+    assert plan["command"] == command
+    assert ("seed" in plan) == (command not in ("lpo-rates", "selftest"))
     assert not out_dir.exists() or not any(out_dir.iterdir())
 
 

@@ -95,6 +95,27 @@ def test_tracer_targets_resolve():
         assert owner is not None and attr in vars(owner), f"{name}: no precondlab.{layer}.{path}"
 
 
+def _imported_modules(tree) -> set:
+    """Dotted names that the imports of a precondlab module may load, relative ones resolved."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = (".".join(filter(None, ["precondlab", node.module])) if node.level == 1
+                    else node.module or "")
+            names |= {base} | {f"{base}.{alias.name}" for alias in node.names}
+    return names
+
+
+def test_only_the_runner_imports_cli():
+    # the layers sit below the command-line runner, never the other way round
+    importers = [path.name for path in sorted((ROOT / "src" / "precondlab").glob("*.py"))
+                 if path.name != "cli.py" and "precondlab.cli" in
+                 _imported_modules(ast.parse(path.read_text(encoding="utf-8")))]
+    assert importers == []
+
+
 STARTUP = """
 import json, sys
 import precondlab, precondlab.cli

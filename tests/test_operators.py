@@ -5,7 +5,7 @@ import pytest
 from scipy.special import zeta
 
 from precondlab.algebras import random_unitary_algebra
-from precondlab.errors import InvariantViolationError
+from precondlab.errors import InvariantViolationError, ParseError
 from precondlab.korovkin import resolve_algebra_factory
 from precondlab.linalg import frobenius_norm_sq, is_hermitian, singular_values
 from precondlab.operators import (
@@ -200,12 +200,11 @@ def test_source_spec_round_trip():
     assert source_from_spec("rank1(0.5)").label == "rank1(0.5)"
     assert source_from_spec("hs_decay(1.5)").label == "hs_decay(1.5)"
     assert source_from_spec("diag_plus_compact").label == "diag_plus_compact"
-    src = source_from_spec(
-        "toeplitz:2+cos", symbol_resolver=parse_trig_expression
-    )
-    np.testing.assert_allclose(
-        truncate(src, 6), toeplitz_section(parse_trig_expression("2+cos"), 6), atol=0
-    )
+    for spec in ("toeplitz:2+cos", "toeplitz:preset:2+cos"):
+        np.testing.assert_allclose(
+            truncate(source_from_spec(spec), 6),
+            toeplitz_section(parse_trig_expression("2+cos"), 6), atol=0,
+        )
 
 
 def test_source_spec_rejects_unknown():
@@ -213,8 +212,8 @@ def test_source_spec_rejects_unknown():
         source_from_spec("hilbert")
     with pytest.raises(ValueError):
         source_from_spec("rank1(2.0)")
-    with pytest.raises(ValueError):
-        source_from_spec("toeplitz:2+cos")  # no resolver supplied
+    with pytest.raises(ParseError, match="bad term"):
+        source_from_spec("toeplitz:2+tan")
     for spec in ("hs_decay(inf)", "hs_decay(nan)", "rank1(nan)"):
         with pytest.raises(ValueError, match="must be finite"):
             source_from_spec(spec)

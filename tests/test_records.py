@@ -22,7 +22,6 @@ FIELDS = {
         ("kind", REQUIRED), ("order", REQUIRED), ("grid", None), ("basis", None),
         ("lag_weights", None), ("transform", None), ("inverse", None), ("_unitary", None),
     ],
-    pl.PinchingPartition: [("blocks", REQUIRED)],
     ClusterReport: [
         ("ladder", REQUIRED), ("epsilons", REQUIRED), ("counts", REQUIRED),
         ("frobenius_sq", REQUIRED), ("classification", REQUIRED),
@@ -55,10 +54,9 @@ FIELDS = {
     pl.Symbol: [("coefficients", REQUIRED), ("label", "")],
 }
 
-# values the constructors keep as given (they normalize blocks, coefficients
-# and check the decay class)
+# values the constructors keep as given (they normalize coefficients and
+# check the decay class)
 VALID = {
-    "blocks": ((0, 1), (2,)),
     "coefficients": {0: 2.0 + 0j, 1: 0.5 + 0j},
     "decay_class": "bounded",
 }
@@ -114,8 +112,6 @@ def test_constructors_still_normalize():
     sym = pl.Symbol({1: 1, 0: 0, -1: 1.0}, "c")
     assert sym.coefficients == {1: 1 + 0j, -1: 1 + 0j}
     assert all(type(v) is complex for v in sym.coefficients.values())
-    part = pl.PinchingPartition([np.arange(2), [2]])
-    assert part.blocks == ((0, 1), (2,)) and part.order == 3
 
 
 def test_symbol_eval_is_a_class_attribute():

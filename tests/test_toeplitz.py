@@ -16,6 +16,7 @@ from precondlab.toeplitz import (
     SPLIT_MAX_TAPS,
     ToeplitzOperator,
     product_correction,
+    section_entries,
     section_frobenius_sq,
     toeplitz_section,
 )
@@ -151,6 +152,16 @@ def test_coefficient_array_window():
     assert list(f.coefficient_array(1, 3)) == [f.coefficient(1), f.coefficient(2)]
     assert f.coefficient_array(4, 4).shape == (0,)
     assert f.coefficient_array(5, 2).shape == (0,)
+
+
+def test_section_entries_vanish_beyond_the_degree():
+    f = COMPLEX_DEGREE_SIX
+    lags = np.arange(-9, 10).reshape(1, 19)
+    got = section_entries(f, lags)
+    assert got.shape == (1, 19) and got.dtype == np.complex128
+    assert list(got[0]) == [f.coefficient(k) for k in range(-9, 10)]
+    assert not np.any(section_entries(f, np.array([-7, 7, 100, -100])))
+    assert section_entries(f, np.array([], dtype=int)).shape == (0,)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 16])
