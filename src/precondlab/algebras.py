@@ -106,7 +106,7 @@ def _unitarity_defect(u: np.ndarray) -> float:
 def _check_unitary(u: np.ndarray, kind: str) -> None:
     n = u.shape[0]
     defect = _unitarity_defect(u)
-    if defect > UNITARITY_RTOL * np.sqrt(n):
+    if not defect <= UNITARITY_RTOL * np.sqrt(n):
         raise NotUnitaryError(
             f"{kind} transform of order {n} is not unitary: defect {defect:.3e}"
         )
@@ -314,7 +314,7 @@ def from_eigenbasis(alg: TransformAlgebra, w) -> np.ndarray:
 def _check_norm_kept(alg: TransformAlgebra, before: float, after: float) -> None:
     """Squared norms before and after a map agree to UNITARITY_RTOL * sqrt(n)."""
     defect = abs(after - before)
-    if defect > UNITARITY_RTOL * np.sqrt(alg.order) * before:
+    if not defect <= UNITARITY_RTOL * np.sqrt(alg.order) * before:
         raise NotUnitaryError(
             f"{alg.kind} transform of order {alg.order} is not unitary: "
             f"norm defect {defect:.3e} of {before:.3e}"
@@ -333,7 +333,7 @@ def check_transform(alg: TransformAlgebra, x=None) -> np.ndarray:
     y = alg.transform(x)
     _check_norm_kept(alg, float(np.vdot(x, x).real), float(np.vdot(y, y).real))
     error, norm = np.linalg.norm(alg.inverse(y) - x), np.linalg.norm(x)
-    if error > UNITARITY_RTOL * np.sqrt(alg.order) * norm:
+    if not error <= UNITARITY_RTOL * np.sqrt(alg.order) * norm:
         raise NotUnitaryError(
             f"{alg.kind} inverse of order {alg.order} does not undo its transform: "
             f"round-trip error {error:.3e} of {norm:.3e}"
@@ -409,7 +409,7 @@ def toeplitz_diagonal(alg: TransformAlgebra, f: Symbol) -> np.ndarray:
         d = lag_sum(alg, f, alg.grid)
     scale = n * sum(abs(a) for k, a in f.coefficients.items() if abs(k) < n)
     defect = abs(np.sum(d) - n * f.coefficient(0))
-    if defect > TRACE_RTOL * scale:
+    if not defect <= TRACE_RTOL * scale:
         raise InvariantViolationError(
             f"{alg.kind} Toeplitz diagonal of order {n} breaks the trace "
             f"identity: defect {defect:.3e} of {scale:.3e}"

@@ -172,13 +172,38 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommand implementations: input checks, plan fields and work for ``_run``
 
 
-def _outdir(args) -> Path:
+# The options a plan carries whenever the subcommand's parser has them.
+_PLAN_OPTIONS = ("algebra", "seed", "ladder", "eps")
+_SCAN_HEADER = ["n", "eps", "outliers", "frobenius_sq"]
+
+
+def _run(args, plan: dict, work) -> int:
+    """The output rule of every subcommand.
+
+    Under --dry-run, print the plan as one JSON line: the command, --outdir,
+    those of ``_PLAN_OPTIONS`` the parser has, and the command's `plan`
+    fields.  Otherwise call work() for (header, rows, payload, summary),
+    then write <command>.csv into --outdir (made only now, so a failed run
+    leaves nothing) and, unless the payload is None, the <command>.json
+    sidecar, and print '<command>: <summary> -> <csv path>'.
+    """
+    if args.dry_run:
+        options = {key: getattr(args, key) for key in _PLAN_OPTIONS if hasattr(args, key)}
+        head = {"command": args.command, "outdir": str(args.outdir)}
+        print(json.dumps(head | options | plan, sort_keys=True))
+        return 0
+    header, rows, payload, summary = work()
     out = Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    stem = args.command.replace("-", "_")
+    write_csv(out / f"{stem}.csv", header, rows)
+    if payload is not None:
+        write_json(out / f"{stem}.json", payload)
+    print(f"{args.command}: {summary} -> {out / f'{stem}.csv'}")
+    return 0
 
 
 def _algebra_factory(args):
@@ -186,47 +211,23 @@ def _algebra_factory(args):
     return algebras.resolve_algebra_factory(args.algebra, seed=args.seed)
 
 
-def _plan(args, extra: dict) -> dict:
-    plan = {"command": args.command, "outdir": str(args.outdir)}
-    if hasattr(args, "seed"):
-        plan["seed"] = args.seed
-    plan.update(extra)
-    return plan
-
-
-def _emit_plan(plan: dict) -> int:
-    print(json.dumps(plan, sort_keys=True))
-    return 0
-
-
 def cmd_project(args) -> int:
     sym = resolve_symbol(args.symbol)
-    plan = _plan(args, {"algebra": args.algebra, "symbol": sym.label, "n": args.n})
-    if args.dry_run:
-        return _emit_plan(plan)
-    alg = _algebra_factory(args)(args.n)
-    a = toeplitz.toeplitz_section(sym, args.n)
-    p = algebras.project(alg, a)
-    fro_a = frobenius_norm_sq(a)
-    fro_p = frobenius_norm_sq(p)
-    fro_diff = frobenius_norm_sq(a - p)
-    trace_defect = abs(np.trace(p) - np.trace(a))
-    pythagoras_defect = abs(fro_diff - (fro_a - fro_p))
-    out = _outdir(args)
-    write_csv(
-        out / "project.csv",
-        [
-            "n", "algebra", "symbol", "frobenius_sq_a", "frobenius_sq_p",
-            "frobenius_sq_diff", "trace_defect", "pythagoras_defect",
-        ],
-        [(args.n, args.algebra, sym.label, fro_a, fro_p, fro_diff,
-          float(trace_defect), float(pythagoras_defect))],
-    )
-    print(
-        f"project: algebra={args.algebra} symbol={sym.label} n={args.n} "
-        f"frobenius_sq_diff={fro_diff!r} -> {out / 'project.csv'}"
-    )
-    return 0
+
+    def work():
+        alg = _algebra_factory(args)(args.n)
+        a = toeplitz.toeplitz_section(sym, args.n)
+        p = algebras.project(alg, a)
+        fro_a, fro_p, fro_diff = (frobenius_norm_sq(m) for m in (a, p, a - p))
+        row = (args.n, args.algebra, sym.label, fro_a, fro_p, fro_diff,
+               abs(np.trace(p) - np.trace(a)), abs(fro_diff - (fro_a - fro_p)))
+        header = ["n", "algebra", "symbol", "frobenius_sq_a", "frobenius_sq_p",
+                  "frobenius_sq_diff", "trace_defect", "pythagoras_defect"]
+        summary = (f"algebra={args.algebra} symbol={sym.label} n={args.n} "
+                   f"frobenius_sq_diff={fro_diff!r}")
+        return header, [row], None, summary
+
+    return _run(args, {"symbol": sym.label, "n": args.n}, work)
 
 
 def cmd_cluster_scan(args) -> int:
@@ -234,60 +235,40 @@ def cmd_cluster_scan(args) -> int:
     if args.preconditioned:
         _real(sym, "cluster-scan --preconditioned")
     mode = "preconditioned" if args.preconditioned else "difference"
-    plan = _plan(args, {
-        "algebra": args.algebra, "symbol": sym.label,
-        "ladder": list(args.ladder), "eps": list(args.eps), "mode": mode,
-    })
-    if args.dry_run:
-        return _emit_plan(plan)
-    factory = _algebra_factory(args)
-    pairs = {n: (sym, factory(n)) for n in args.ladder}
-    report = clustering.build_cluster_report(
-        pairs, args.eps, label=f"{sym.label} vs {args.algebra} projection", mode=mode
-    )
-    out = _outdir(args)
-    write_csv(out / "cluster_scan.csv", ["n", "eps", "outliers", "frobenius_sq"],
-              report.csv_rows())
-    write_json(out / "cluster_scan.json", report.summary())
-    print(
-        f"cluster-scan: algebra={args.algebra} symbol={sym.label} mode={mode} "
-        f"classification={report.classification} -> {out / 'cluster_scan.csv'}"
-    )
-    return 0
+
+    def work():
+        factory = _algebra_factory(args)
+        report = clustering.build_cluster_report(
+            {n: (sym, factory(n)) for n in args.ladder}, args.eps,
+            label=f"{sym.label} vs {args.algebra} projection", mode=mode,
+        )
+        summary = (f"algebra={args.algebra} symbol={sym.label} mode={mode} "
+                   f"classification={report.classification}")
+        return _SCAN_HEADER, report.csv_rows(), report.summary(), summary
+
+    return _run(args, {"symbol": sym.label, "mode": mode}, work)
 
 
 def cmd_korovkin_test(args) -> int:
     generators = resolve_symbol_list(args.generators)
     holdout = resolve_symbol_list(args.holdout) if args.holdout else []
     korovkin.check_holdout_labels(generators, holdout)
-    plan = _plan(args, {
-        "algebra": args.algebra,
-        "generators": [g.label for g in generators],
-        "holdout": [h.label for h in holdout],
-        "ladder": list(args.ladder), "eps": list(args.eps),
-    })
-    if args.dry_run:
-        return _emit_plan(plan)
-    report = korovkin.korovkin_test(
-        _algebra_factory(args), generators, holdout, ladder=args.ladder, eps_grid=args.eps
-    )
-    out = _outdir(args)
-    rows = []
-    for role, group in (
-        ("test_set", report.test_set),
-        ("product", report.products),
-        ("holdout", report.holdout),
-    ):
-        for v in group:
-            rows.append((role, v.label, v.frobenius_verdict, v.classification, int(v.strong)))
-    write_csv(out / "korovkin_test.csv",
-              ["role", "symbol", "frobenius", "classification", "strong"], rows)
-    write_json(out / "korovkin_test.json", report.summary())
-    print(
-        f"korovkin-test: algebra={args.algebra} test_set_strong={report.test_set_strong} "
-        f"implication_observed={report.implication_observed} -> {out / 'korovkin_test.csv'}"
-    )
-    return 0
+
+    def work():
+        report = korovkin.korovkin_test(
+            _algebra_factory(args), generators, holdout, ladder=args.ladder, eps_grid=args.eps
+        )
+        groups = (("test_set", report.test_set), ("product", report.products),
+                  ("holdout", report.holdout))
+        rows = [(role, v.label, v.frobenius_verdict, v.classification, int(v.strong))
+                for role, group in groups for v in group]
+        summary = (f"algebra={args.algebra} test_set_strong={report.test_set_strong} "
+                   f"implication_observed={report.implication_observed}")
+        header = ["role", "symbol", "frobenius", "classification", "strong"]
+        return header, rows, report.summary(), summary
+
+    plan = {"generators": [g.label for g in generators], "holdout": [h.label for h in holdout]}
+    return _run(args, plan, work)
 
 
 def cmd_lpo_rates(args) -> int:
@@ -296,109 +277,76 @@ def cmd_lpo_rates(args) -> int:
     else:
         specs = "cos" if args.symbols is None else args.symbols
         test_set = [_real(s, "lpo-rates --symbols") for s in resolve_symbol_list(specs)]
-    plan = _plan(args, {
-        "algebra": args.algebra,
-        "symbols": [s.label for s in test_set],
-        "ladder": list(args.ladder),
-    })
-    if args.dry_run:
-        return _emit_plan(plan)
-    reports = korovkin.lpo_rates(args.algebra, test_set, ladder=args.ladder)
-    out = _outdir(args)
-    rows = []
-    for rep in reports:
-        rows.extend(rep.csv_rows())
-    write_csv(out / "lpo_rates.csv", ["n", "symbol", "sup_error"], rows)
-    write_json(out / "lpo_rates.json", {
-        "algebra": args.algebra,
-        "ladder": list(args.ladder),
-        "rate_fits": {rep.symbol_label: rep.rate_fit for rep in reports},
-    })
-    fits = ", ".join(f"{rep.symbol_label}:{rep.rate_fit}" for rep in reports)
-    print(f"lpo-rates: algebra={args.algebra} rate_fits=[{fits}] -> {out / 'lpo_rates.csv'}")
-    return 0
+
+    def work():
+        reports = korovkin.lpo_rates(args.algebra, test_set, ladder=args.ladder)
+        rows = [row for rep in reports for row in rep.csv_rows()]
+        payload = {"algebra": args.algebra, "ladder": args.ladder,
+                   "rate_fits": {rep.symbol_label: rep.rate_fit for rep in reports}}
+        fits = ", ".join(f"{rep.symbol_label}:{rep.rate_fit}" for rep in reports)
+        summary = f"algebra={args.algebra} rate_fits=[{fits}]"
+        return ["n", "symbol", "sup_error"], rows, payload, summary
+
+    return _run(args, {"symbols": [s.label for s in test_set]}, work)
 
 
 def cmd_operator_scan(args) -> int:
     src = operators.source_from_spec(args.source)
     if src.symbol is not None:
         _real(src.symbol, "operator-scan --source toeplitz:")
-    plan = _plan(args, {
-        "algebra": args.algebra, "source": src.label,
-        "ladder": list(args.ladder), "eps": list(args.eps),
-    })
-    if args.dry_run:
-        return _emit_plan(plan)
-    report = operators.distribution_convergence(
-        src, _algebra_factory(args), ladder=args.ladder, eps_grid=args.eps
-    )
-    out = _outdir(args)
-    write_csv(out / "operator_scan.csv", ["n", "eps", "outliers", "frobenius_sq"],
-              report.csv_rows())
-    write_json(out / "operator_scan.json", report.summary())
-    print(
-        f"operator-scan: source={src.label} algebra={args.algebra} "
-        f"classification={report.classification} -> {out / 'operator_scan.csv'}"
-    )
-    return 0
+
+    def work():
+        report = operators.distribution_convergence(
+            src, _algebra_factory(args), ladder=args.ladder, eps_grid=args.eps
+        )
+        summary = (f"source={src.label} algebra={args.algebra} "
+                   f"classification={report.classification}")
+        return _SCAN_HEADER, report.csv_rows(), report.summary(), summary
+
+    return _run(args, {"source": src.label}, work)
 
 
 def cmd_pcg_bench(args) -> int:
     sym = _positive(resolve_symbol(args.symbol), "pcg-bench --symbol")
     preconds = ("none", "algebra_projection") if args.precond == "both" else (args.precond,)
-    plan = _plan(args, {
-        "algebra": args.algebra, "symbol": sym.label,
-        "ladder": list(args.ladder), "tol": args.tol, "preconds": list(preconds),
-    })
-    if args.dry_run:
-        return _emit_plan(plan)
-    cells = solver.scaling_study(
-        sym, args.ladder, tol=args.tol, alg_kind=_algebra_factory(args),
-        preconds=preconds, max_iter=args.max_iter,
-    )
-    out = _outdir(args)
-    rows = [
-        (
-            c.order, c.preconditioner, c.iterations, c.final_residual,
-            c.wall_time if args.timings else "",
+
+    def work():
+        cells = solver.scaling_study(
+            sym, args.ladder, tol=args.tol, alg_kind=_algebra_factory(args),
+            preconds=preconds, max_iter=args.max_iter,
         )
-        for c in cells
-    ]
-    write_csv(out / "pcg_bench.csv",
-              ["n", "precond", "iterations", "final_residual", "wall_time"], rows)
-    write_json(out / "pcg_bench.json", {
-        "symbol": sym.label,
-        "tol": args.tol,
-        "iterations": {f"{c.preconditioner}@{c.order}": c.iterations for c in cells},
-    })
-    brief = ", ".join(f"{c.preconditioner}@{c.order}:{c.iterations}" for c in cells)
-    print(f"pcg-bench: symbol={sym.label} iterations=[{brief}] -> {out / 'pcg_bench.csv'}")
-    return 0
+        rows = [(c.order, c.preconditioner, c.iterations, c.final_residual,
+                 c.wall_time if args.timings else "") for c in cells]
+        iterations = {f"{c.preconditioner}@{c.order}": c.iterations for c in cells}
+        payload = {"symbol": sym.label, "tol": args.tol, "iterations": iterations}
+        brief = ", ".join(f"{key}:{count}" for key, count in iterations.items())
+        header = ["n", "precond", "iterations", "final_residual", "wall_time"]
+        return header, rows, payload, f"symbol={sym.label} iterations=[{brief}]"
+
+    return _run(args, {"symbol": sym.label, "tol": args.tol, "preconds": preconds}, work)
 
 
 def cmd_selftest(args) -> int:
+    """Exit 2 when a check fails; each check prints its own ok/FAIL line."""
     from .selftest import SELFTEST_CHECKS
 
-    plan = _plan(args, {"checks": [name for name, _ in SELFTEST_CHECKS]})
-    if args.dry_run:
-        return _emit_plan(plan)
-    out = _outdir(args)
-    rows = []
-    failures = 0
-    for name, check in SELFTEST_CHECKS:
-        try:
-            check()
-            status = "pass"
-        except AssertionError as exc:
-            status = "fail"
-            failures += 1
-            print(f"FAIL {name}: {exc}")
-        rows.append((name, status))
-        if status == "pass":
-            print(f"ok {name}")
-    write_csv(out / "selftest.csv", ["check", "status"], rows)
-    print(f"selftest: {len(rows) - failures}/{len(rows)} checks passed -> {out / 'selftest.csv'}")
-    return 0 if failures == 0 else 2
+    failures = []
+
+    def work():
+        for name, check in SELFTEST_CHECKS:
+            try:
+                check()
+            except AssertionError as exc:
+                failures.append(name)
+                print(f"FAIL {name}: {exc}")
+            else:
+                print(f"ok {name}")
+        rows = [(name, "fail" if name in failures else "pass") for name, _ in SELFTEST_CHECKS]
+        passed = len(rows) - len(failures)
+        return ["check", "status"], rows, None, f"{passed}/{len(rows)} checks passed"
+
+    code = _run(args, {"checks": [name for name, _ in SELFTEST_CHECKS]}, work)
+    return 2 if failures else code
 
 
 # ---------------------------------------------------------------------------

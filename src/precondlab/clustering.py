@@ -152,7 +152,7 @@ def _at_order(n: int, *mats) -> list[np.ndarray]:
 
 def _check_positive(eigenvalues_b) -> float:
     delta = float(np.min(eigenvalues_b))
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise NotPositiveDefiniteError(f"B is not positive definite: lambda_min {delta:.3e}")
     return delta
 
@@ -315,14 +315,22 @@ def _pencil_counts(low, s, delta, weight, epsilons) -> Optional[dict]:
     the Z of all 2|eps| shifts come from one batched eigvalsh, O(n r^2)
     each.  A tie is some |G_i| <= STRUCTURE_RTOL |s| weight_i, or an
     eigenvalue of Z within STRUCTURE_RTOL of the terms that form it,
-    max |S^-1| + tr(L* |G|^-1 L): round-off then decides the count.
+    max |S^-1| + tr(L* |G|^-1 L): round-off then decides the count.  So is
+    a 1/G or Z that is not finite, as a subnormal eps gives: the tie bound
+    on G underflows to 0 there.
     """
     shifts = _shifts(epsilons)[:, None]
     g = -delta - shifts * weight
     if np.any(np.abs(g) <= STRUCTURE_RTOL * np.abs(shifts) * weight):
         return None
-    inv = 1.0 / g
-    z = np.linalg.eigvalsh(np.diag(-1.0 / s) - low.conj().T @ (low * inv[:, :, None]))
+    with np.errstate(over="ignore"):
+        inv = 1.0 / g
+    if not np.all(np.isfinite(inv)):
+        return None
+    z = np.diag(-1.0 / s) - low.conj().T @ (low * inv[:, :, None])
+    if not np.all(np.isfinite(z)):
+        return None
+    z = np.linalg.eigvalsh(z)
     size = np.max(np.abs(1.0 / s)) + np.abs(inv) @ np.sum(np.abs(low) ** 2, axis=1)
     if np.any(np.min(np.abs(z), axis=1) <= STRUCTURE_RTOL * size):
         return None

@@ -104,7 +104,7 @@ def distribution_convergence(
     ladder = _validate_ladder(sorted(ladder))
     if src.decay_class == "hilbert_schmidt":
         frac = hs_tail_fraction(src, max(ladder))
-        if frac > HS_TAIL_FRACTION_MAX:
+        if not frac <= HS_TAIL_FRACTION_MAX:
             raise InvariantViolationError(
                 f"source {src.label!r} declares hilbert_schmidt decay but its "
                 f"border mass fraction is {frac:.3%} (> {HS_TAIL_FRACTION_MAX:.0%})"
@@ -128,13 +128,7 @@ def _truncation(src: OperatorSource, n: int):
 
 
 def identity_source() -> OperatorSource:
-    return OperatorSource(
-        entry=lambda j, k: (j == k).astype(np.complex128),
-        decay_class="bounded",
-        label="identity",
-        self_adjoint=True,
-        symbol=constant(1.0),
-    )
+    return toeplitz_source(constant(1.0), label="identity")
 
 
 def rank1_source(p: float) -> OperatorSource:

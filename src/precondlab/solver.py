@@ -9,6 +9,7 @@ applied by transform, diagonal solve and inverse transform.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Callable, Optional, Sequence
 
@@ -23,6 +24,7 @@ from .algebras import (
 )
 from .errors import (
     DimensionMismatchError,
+    InvariantViolationError,
     MaxIterationsError,
     NotPositiveDefiniteError,
 )
@@ -69,7 +71,7 @@ class SolveTrace:
 
 
 def _check_diagonal(d: np.ndarray, scale: float) -> None:
-    if np.min(d) <= DIAGONAL_CLAMP_RTOL * scale:
+    if not np.min(d) > DIAGONAL_CLAMP_RTOL * scale:
         raise NotPositiveDefiniteError(
             "projected diagonal has entries at or below the clamp threshold "
             f"({np.min(d):.3e} vs {DIAGONAL_CLAMP_RTOL:.0e} * {scale:.3e})"
@@ -82,7 +84,7 @@ def _diagonal_inverse(alg: TransformAlgebra, d: np.ndarray) -> Callable:
     The maps must have been checked (``check_transform``).  Every call
     writes its result into one work buffer, which the next call reuses.
     """
-    if np.max(np.abs(d.imag)) > 1e-8 * (1.0 + np.max(np.abs(d.real))):
+    if not np.max(np.abs(d.imag)) <= 1e-8 * (1.0 + np.max(np.abs(d.real))):
         raise NotPositiveDefiniteError("projected diagonal is not real")
     dr = d.real
     _check_diagonal(dr, float(np.max(np.abs(dr))))
@@ -136,8 +138,9 @@ def pcg(
     """Preconditioned conjugate gradient for Hermitian positive definite A.
 
     Terminates when ||r|| / ||b|| <= tol; raises NotPositiveDefiniteError on
-    negative curvature and MaxIterationsError (with the partial trace
-    attached) when the cap is hit.
+    curvature that is not positive (NaN included), InvariantViolationError
+    on a residual that is not finite, and MaxIterationsError (with the
+    partial trace attached) when the cap is hit.
     """
     order, matvec, _ = as_linear_operator(a)
     rhs = np.asarray(b, dtype=np.complex128)
@@ -182,7 +185,7 @@ def pcg(
             )
         ap = matvec(p)
         curvature = np.vdot(p, ap).real
-        if curvature <= 0.0:
+        if not curvature > 0.0:
             raise NotPositiveDefiniteError(
                 f"negative curvature p*Ap = {curvature:.3e}; matrix is not HPD"
             )
@@ -195,6 +198,10 @@ def pcg(
             errors.append(a_norm_error(x))
         if history[-1] <= tol:
             break
+        if not math.isfinite(history[-1]):
+            raise InvariantViolationError(
+                f"pcg residual is {history[-1]} after {iterations} iterations"
+            )
         z = apply_inv(r)
         gamma_new = np.vdot(r, z).real
         p *= gamma_new / gamma  # p stays its own buffer: z may be apply_inv's work buffer or r

@@ -587,6 +587,18 @@ GUARDS = [
                  id="block-size"),
     pytest.param(lambda: pinch(contiguous_partition(4, 2), np.eye(5)), DimensionMismatchError,
                  "do not match matrix order 5", id="partition-length"),
+    # a NaN makes every `bad > bound` false: each check is written `not value <= bound`
+    pytest.param(lambda: custom_algebra(np.full((2, 2), np.nan)), NotUnitaryError,
+                 "not unitary: defect nan", id="nan-unitary"),
+    pytest.param(lambda: eigenbasis(make_algebra("sine", 4), np.full((4, 4), np.nan)),
+                 NotUnitaryError, "norm defect nan", id="nan-norm-kept"),
+    pytest.param(
+        lambda: check_transform(TransformAlgebra(**(vars(make_algebra("fourier", 4)) | {
+            "inverse": lambda z, out=None: np.full_like(z, np.nan)}))),
+        NotUnitaryError, "round-trip error nan", id="nan-round-trip",
+    ),
+    pytest.param(lambda: toeplitz_diagonal(make_algebra("sine", 8), Symbol({0: float("nan")})),
+                 InvariantViolationError, "trace identity: defect nan", id="nan-trace"),
 ]
 
 

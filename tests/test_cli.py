@@ -268,7 +268,8 @@ def test_indefinite_sine_projection_exit_two(tmp_path, capsys):
 # Bad input, one row each: (argv, exit code, message fragment).  Options are
 # written --key=value so the config-file run can move them into the file;
 # {tmp} is the test's directory, holding inf.txt ("0 inf 0"), nan.txt
-# ("0 nan 0") and complex.txt, the complex symbol 2 + 0.5i e^{ix}.
+# ("0 nan 0"), complex.txt, the complex symbol 2 + 0.5i e^{ix}, and big.txt,
+# two finite coefficients whose squares sum past the largest float.
 BAD_INPUTS = [
     (["cluster-scan", "--eps=0"], 1, "eps must be positive and finite"),
     (["cluster-scan", "--eps=0.1,inf"], 1, "eps must be positive and finite"),
@@ -321,6 +322,12 @@ BAD_INPUTS = [
     # a test set and a symbol list exclude each other, the default symbols too
     (["lpo-rates", "--testset=classical", "--symbols=sin"], 1, "not allowed with argument"),
     (["lpo-rates", "--testset=classical", "--symbols=cos"], 1, "not allowed with argument"),
+    # ||T_n(f)||_F^2 squares the coefficients, so their sum of squares must be finite
+    (["cluster-scan", "--symbol=preset:1e160"], 1,
+     "sum of |a_k|^2 is not finite for symbol '1e160'"),
+    (["operator-scan", "--source=toeplitz:1e160+cos"], 1, "not finite for symbol '1e160+cos'"),
+    (["pcg-bench", "--symbol=preset:1e160+cos"], 1, "not finite for symbol '1e160+cos'"),
+    (["project", "--symbol=file:{tmp}/big.txt"], 1, "sum of |a_k|^2 is not finite for symbol"),
 ]
 
 
@@ -329,6 +336,7 @@ def _write_symbol_files(tmp_path):
     (tmp_path / "nan.txt").write_text("0 nan 0\n")
     (tmp_path / "complex.txt").write_text("0 2 0\n1 0 0.5\n")
     (tmp_path / "underscore.txt").write_text("1_0 0.5 0\n")
+    (tmp_path / "big.txt").write_text("0 1.3e154 0\n1 1.3e154 0\n")
 
 
 @pytest.mark.parametrize("mode", ["plain", "dry-run", "config"])
@@ -392,6 +400,70 @@ def test_dry_run_writes_nothing(command, tmp_path, capsys):
     assert plan["command"] == command
     assert ("seed" in plan) == (command not in ("lpo-rates", "selftest"))
     assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# the output rule: one runner writes every command's files and summary line
+
+
+def _output_sites(source: str) -> set[str]:
+    """The top-level functions that write a CSV or JSON file, make a directory,
+    print JSON or print a summary line ('... -> <path>')."""
+    sites = set()
+    for top in ast.parse(source).body:
+        if not isinstance(top, ast.FunctionDef):
+            continue
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            summary = name == "print" and any(
+                isinstance(part, ast.Constant) and "->" in str(part.value)
+                for arg in node.args if isinstance(arg, ast.JoinedStr) for part in arg.values
+            )
+            if name in ("write_csv", "write_json", "mkdir", "dumps") or summary:
+                sites.add(top.name)
+    return sites
+
+
+def test_only_the_runner_writes_outputs():
+    assert _output_sites(Path(cli.__file__).read_text(encoding="utf-8")) == {"_run"}
+    # the guard sees what it forbids
+    own = 'def cmd_x(args):\n    out.mkdir()\n    print(f"x: {s} -> {out}")\n'
+    assert _output_sites(own) == {"cmd_x"}
+
+
+# small inputs for each subcommand
+TINY_RUNS = {
+    "project": ["--n", "4"],
+    "cluster-scan": ["--ladder", "4,8,16,32", "--eps", "0.1"],
+    "korovkin-test": ["--generators", "cos", "--holdout", "", "--ladder", "4,8,16,32"],
+    "lpo-rates": ["--ladder", "4,8"],
+    "operator-scan": ["--source", "rank1(0.5)", "--ladder", "4,8,16,32", "--eps", "0.1"],
+    "pcg-bench": ["--symbol", "preset:2+cos", "--ladder", "4,8"],
+    "selftest": [],
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_every_command_writes_its_csv_sidecar_and_summary(command, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, command, *TINY_RUNS[command], "--outdir", str(out_dir))
+    assert code == 0, err
+    stem = command.replace("-", "_")
+    files = {f"{stem}.csv"} | (set() if command in ("project", "selftest") else {f"{stem}.json"})
+    assert {p.name for p in out_dir.iterdir()} == files
+    assert out.splitlines()[-1].startswith(f"{command}: ")
+    assert out.splitlines()[-1].endswith(f" -> {out_dir / stem}.csv")
+
+
+def test_failed_run_makes_no_outdir(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "pcg-bench", "--ladder", "16,32", "--max-iter", "1",
+                         "--outdir", str(out_dir))
+    assert code == 2 and "did not reach tol" in err and not out
+    assert not out_dir.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -454,6 +454,28 @@ def test_structured_counts_fall_back_at_a_tie():
     assert [tie.counts[(m, 1.0 / n)] for m in ladder[1:]] == [1, 1, 1]
 
 
+SUBNORMAL_INPUTS = {
+    "symbol": lambda m: parse_trig_expression("2+cos"),
+    "rank1": lambda m: LowRank(0.5 ** np.arange(m)[:, None]),
+}
+
+
+@pytest.mark.parametrize("source", SUBNORMAL_INPUTS)
+@pytest.mark.parametrize("mode", ["difference", "preconditioned"])
+def test_subnormal_eps_counts_are_the_dense_counts(source, mode):
+    # at eps = 1e-320, 1/G overflows to inf while the tie bound on G underflows
+    # to 0: the count must fall back, not read 17 outliers off a 16 x 16 matrix
+    make, n, epsilons = SUBNORMAL_INPUTS[source], 16, (1e-320, 0.1)
+    report = build_cluster_report(
+        {m: (make(m), make_algebra("fourier", m)) for m in (n, 2 * n, 4 * n, 8 * n)},
+        epsilons, mode=mode,
+    )
+    a = clustering._as_matrix(make(n), n)
+    _, dense = _dense_counts(a, make_algebra("fourier", n), mode, epsilons)
+    for eps in epsilons:
+        assert report.counts[(n, eps)] == dense[eps] <= n
+
+
 @pytest.mark.parametrize("kind", ALGEBRA_KINDS)
 @pytest.mark.parametrize("n", [16, 64])
 @pytest.mark.parametrize("mode", ["difference", "preconditioned"])
@@ -650,6 +672,8 @@ GUARDS = [
             {n: (np.eye(n), make_algebra("fourier", 2 * n)) for n in LADDER}),
         DimensionMismatchError, "algebra of order", id="algebra-order",
     ),
+    pytest.param(lambda: clustering._check_positive(np.array([np.nan, 1.0])),
+                 NotPositiveDefiniteError, "lambda_min nan", id="nan-positive"),
 ]
 
 

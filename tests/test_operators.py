@@ -239,6 +239,14 @@ GUARDS = [
     ),
     pytest.param(lambda: source_from_spec("rank1(0_5)"), ValueError, "not an ASCII number",
                  id="parameter-ascii"),
+    # a NaN tail fraction fails the check rather than passing `frac > max` as false
+    pytest.param(
+        lambda: distribution_convergence(
+            OperatorSource(entry=np.add, decay_class="hilbert_schmidt", label="nan",
+                           self_adjoint=True, factor=lambda n: np.full((n, 1), np.nan)),
+            "fourier", ladder=(8, 16, 32, 64)),
+        InvariantViolationError, "border mass fraction is nan%", id="nan-tail-fraction",
+    ),
 ]
 
 

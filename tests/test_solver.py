@@ -18,6 +18,7 @@ from precondlab.algebras import (
 )
 from precondlab.errors import (
     DimensionMismatchError,
+    InvariantViolationError,
     MaxIterationsError,
     NotPositiveDefiniteError,
     NotUnitaryError,
@@ -328,6 +329,19 @@ GUARDS = [
                  "does not match order 4", id="rhs-shape"),
     pytest.param(lambda: scaling_study(parse_trig_expression("2+cos").scaled(1j), (8, 16)),
                  ValueError, "requires a real symbol", id="complex-symbol"),
+    # a NaN makes every `bad > bound` false: each check is written `not value <= bound`
+    pytest.param(lambda: pcg(np.array([[np.nan]]), np.ones(1)), NotPositiveDefiniteError,
+                 "p\\*Ap = nan", id="nan-curvature"),
+    # |b|^2 overflows: gamma and the step are inf, the residual nan, the curvature 1e300
+    pytest.param(lambda: pcg(np.array([[1e-300]]), np.array([1e300])), InvariantViolationError,
+                 "residual is nan after 1 iterations", id="nan-residual"),
+    pytest.param(lambda: precondlab.solver._check_diagonal(np.array([np.nan, 1.0]), 1.0),
+                 NotPositiveDefiniteError, "clamp threshold", id="nan-diagonal"),
+    pytest.param(
+        lambda: precondlab.solver._diagonal_inverse(make_algebra("fourier", 2),
+                                                    np.array([complex(1.0, np.nan), 1.0])),
+        NotPositiveDefiniteError, "not real", id="nan-diagonal-imag",
+    ),
 ]
 
 
