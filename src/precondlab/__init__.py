@@ -7,6 +7,9 @@ cluster as the order grows, and measures the resulting preconditioned
 conjugate gradient payoff.
 """
 
+import ctypes
+import platform
+
 from .algebras import (
     ALGEBRA_KINDS,
     TransformAlgebra,
@@ -95,3 +98,33 @@ from .toeplitz import (
 )
 
 __version__ = "0.1.0"
+
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_fft_scratch_on_heap() -> None:
+    """Keep the buffers numpy frees in glibc's heap instead of handing them back to the OS.
+
+    numpy's FFT frees ~2 MB of scratch after each length-65536 transform.
+    Under glibc's dynamic thresholds that memory goes back to the OS, and
+    the next transform faults in ~480 fresh pages: a PCG solve at that
+    order took ~10000 page faults.  Fixed thresholds, mmap only past 32 MiB
+    and trim only past 64 MiB of free heap top, keep it mapped.  Both must
+    be set: setting either one turns the dynamic thresholds off and leaves
+    the other at its default (128 KiB).  Elsewhere this does nothing; no
+    result depends on it.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+_keep_fft_scratch_on_heap()

@@ -35,7 +35,7 @@ from .clustering import (
     _fit_slope,
     build_cluster_report,
 )
-from .symbols import Symbol, product
+from .symbols import Symbol, check_energy, product
 
 EVAL_GRID_POINTS = 4096
 RATE_FIT_POINTS = 4
@@ -192,12 +192,16 @@ def check_holdout_labels(generators: Sequence[Symbol], holdout: Sequence[Symbol]
 
     A complex generator, or a holdout labelled like a generator, square or
     product, is a ValueError: a report keys its verdicts by label, so such
-    a holdout would hide one.
+    a holdout would hide one.  Each square and product must pass the rule
+    every symbol passes, a finite sum |a_k|^2 (``check_energy``): 1e100cos
+    passes it, its square does not.
     """
     gens = list(generators)
     if not all(g.is_real for g in gens):
         raise ValueError("generators must be real symbols")
     squares_set, product_set = _korovkin_family(gens, squares)
+    for f in [*squares_set, *product_set]:
+        check_energy(f.coefficients, f.label)
     taken = {f.label or "symbol" for f in [*gens, *squares_set, *product_set]}
     clash = sorted({h.label or "symbol" for h in holdout} & taken)
     if clash:

@@ -147,7 +147,7 @@ def symbol_to_lines(s: Symbol) -> list[str]:
     ]
 
 
-def _check_energy(coeffs: Mapping[int, complex], label: str) -> None:
+def check_energy(coeffs: Mapping[int, complex], label: str) -> None:
     """sum |a_k|^2 must be finite: ||T_n(f)||_F^2 and the Frobenius floor square the a_k.
 
     By parts: abs(a) itself overflows, with an OverflowError, past the largest float.
@@ -175,7 +175,7 @@ def symbol_from_lines(lines, label: str = "") -> Symbol:
         if k in coeffs:
             raise ParseError(f"line {lineno}: duplicate frequency {k}")
         coeffs[k] = value
-    _check_energy(coeffs, label)
+    check_energy(coeffs, label)
     return Symbol(coeffs, label)
 
 
@@ -273,5 +273,5 @@ def parse_trig_expression(text: str) -> Symbol:
         total = total.plus(part)
         if not all(np.isfinite(v) for v in total.coefficients.values()):
             raise ParseError(f"non-finite coefficient from term {term!r} in {text!r}")
-    _check_energy(total.coefficients, text)
+    check_energy(total.coefficients, text)
     return Symbol(total.coefficients, label=text)

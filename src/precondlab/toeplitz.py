@@ -21,19 +21,22 @@ from .symbols import Symbol, product
 # real and imaginary parts (numpy's fast small-kernel loop takes float64
 # kernels of at most 11 taps), up to DIRECT_MAX_TAPS one complex convolve,
 # and past that the 2n FFT embedding.  Median us per product, complex /
-# split / FFT, 1 BLAS thread, 2-core x86-64 host, NumPy 2.4:
+# split / FFT, 1 BLAS thread, 2-core x86-64 host, NumPy 2.4; n = 65536
+# with the glibc heap policy set at import (see __init__.py), median of
+# 8 runs:
 #
 #   taps | n = 64       | n = 512       | n = 2048       | n = 65536
-#      3 | 5 / 16 / 26  | 21 / 22 / 62  | 72 / 31 / 154  | 2364 / 1259 / 13555
-#      7 | 6 / 17 / 26  | 16 / 15 / 36  | 78 / 41 / 154  | 2140 / 1276 / 12826
-#     11 | 6 / 18 / 27  | 20 / 24 / 44  | 81 / 58 / 149  | 2770 / 2083 / 15867
-#     13 | 6 / 23 / 27  | 24 / 62 / 53  | 82 / 186 / 158 | 3027 / 6822 / 17009
-#     31 | 7 / 24 / 26  | 27 / 74 / 50  | 97 / 227 / 142 | 2841 / 7047 / 14307
-#     63 | 8 / 27 / 25  | 37 / 111 / 52 | 88 / 204 / 123 | 3562 / 9029 / 14440
+#      3 | 5 / 16 / 26  | 21 / 22 / 62  | 72 / 31 / 154  | 1871 / 748 / 5427
+#      7 | 6 / 17 / 26  | 16 / 15 / 36  | 78 / 41 / 154  | 1991 / 954 / 6194
+#     11 | 6 / 18 / 27  | 20 / 24 / 44  | 81 / 58 / 149  | 2077 / 1284 / 5363
+#     13 | 6 / 23 / 27  | 24 / 62 / 53  | 82 / 186 / 158 | 2477 / 5825 / 7182
+#     31 | 7 / 24 / 26  | 27 / 74 / 50  | 97 / 227 / 142 | 2510 / 4835 / 5831
+#     63 | 8 / 27 / 25  | 37 / 111 / 52 | 88 / 204 / 123 | 2964 / 6364 / 6182
 #
 # The split's four calls cost ~10 us, so it loses below n ~ 512, by at
 # most that much; past 11 taps it loses 2-3x everywhere.  At 127 taps the
-# FFT embedding wins for n = 512 and 2048.
+# FFT embedding wins for n = 512 and 2048, and at n = 65536 still loses
+# to the complex convolve by ~25 %.
 SPLIT_MAX_TAPS = 11
 DIRECT_MAX_TAPS = 63
 

@@ -328,6 +328,9 @@ BAD_INPUTS = [
     (["operator-scan", "--source=toeplitz:1e160+cos"], 1, "not finite for symbol '1e160+cos'"),
     (["pcg-bench", "--symbol=preset:1e160+cos"], 1, "not finite for symbol '1e160+cos'"),
     (["project", "--symbol=file:{tmp}/big.txt"], 1, "sum of |a_k|^2 is not finite for symbol"),
+    # and so must each square and product that korovkin-test builds from the generators
+    (["korovkin-test", "--generators=1e100cos", "--holdout=", "--ladder=8,16,32,64"], 1,
+     "sum of |a_k|^2 is not finite for symbol '(1e100cos)^2'"),
 ]
 
 

@@ -1,6 +1,12 @@
 """Tests for the preconditioned conjugate gradient harness."""
 
 
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -349,3 +355,30 @@ GUARDS = [
 def test_guard_raises(call, error, fragment):
     with pytest.raises(error, match=fragment):
         call()
+
+
+FFT_ROUND_TRIPS = """
+import resource
+import numpy as np
+import precondlab
+x = np.ones(65536, dtype=complex)
+y = np.empty_like(x)
+for _ in range(3):
+    np.fft.fft(x, out=y); np.fft.ifft(y, out=y)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    np.fft.fft(x, out=y); np.fft.ifft(y, out=y)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is glibc's")
+def test_fft_scratch_stays_mapped_after_import():
+    # numpy frees ~2 MB of FFT scratch after each length-65536 transform; under
+    # glibc's dynamic thresholds each round trip (one preconditioner apply)
+    # faulted in ~960 fresh pages.  A fresh interpreter, with a heap of its own.
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", FFT_ROUND_TRIPS], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 100
