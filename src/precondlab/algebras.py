@@ -20,14 +20,17 @@ built-in kinds these are fast transforms (FFT, DST-I, DHT), so U* A U
 without forming U, and the diagonal of U* T_n(f) U of a Toeplitz section
 (``toeplitz_diagonal``) comes from closed forms in O(n log n) or
 O(n deg f), without forming the section.  Where T_n(f) differs from an
-algebra matrix only in its corners, ``toeplitz_corner_form`` gives
-U* T_n(f) U as a diagonal plus a rank-2 deg f term; for any real f,
+algebra matrix only in its corners, ``toeplitz_corner_parts`` gives
+U* T_n(f) U as a diagonal plus a rank-2 deg f term, with the corner
+columns in closed form (``CornerColumns``) and ``toeplitz_corner_form``
+checking it on a probe; for any real f,
 ``toeplitz_band_form`` gives T_n(f) and its projection as bands of width
 2 deg f + 1 in the reflection-pairing order.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -57,7 +60,10 @@ class TransformAlgebra:
 
     ``lag_weights(ks, xs)`` returns the (len(xs), len(ks)) block of lag
     weights w_k(x) = sum_j v_{j+k}(x) conj(v_j(x)) of the basis row v(x),
-    for integer lags |k| < n, in closed form.  Only ``make_algebra`` sets it.
+    for integer lags |k| < n, in closed form.  ``row_exponentials(rows)``
+    returns (P, p, C) with U[rows[i], k] = sum_t C[i, t] exp(2 pi i p_t k / P)
+    for k = 0..n-1 and integers p_t: the rows of U as sums of exponentials,
+    whose phases reduce mod P exactly.  Only ``make_algebra`` sets these two.
 
     ``transform(x, out=None)`` returns U* x and ``inverse(z, out=None)``
     returns U z, along axis 0, written to ``out`` when given (``out`` may be
@@ -72,6 +78,7 @@ class TransformAlgebra:
         grid: Optional[np.ndarray] = None,
         basis: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         lag_weights: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
+        row_exponentials: Optional[Callable[[np.ndarray], tuple]] = None,
         transform: Optional[Callable[..., np.ndarray]] = None,
         inverse: Optional[Callable[..., np.ndarray]] = None,
         _unitary: Optional[np.ndarray] = None,
@@ -81,6 +88,7 @@ class TransformAlgebra:
         self.grid = grid
         self.basis = basis
         self.lag_weights = lag_weights
+        self.row_exponentials = row_exponentials
         self.transform = transform
         self.inverse = inverse
         # The checked unitary: passed in by custom_algebra, or set on first read.
@@ -180,9 +188,11 @@ def make_algebra(kind: str, n: int) -> TransformAlgebra:
       sine     w_k = (M cos(k x) - cos((n + 1) x) D_M(x)) / (n + 1)
       hartley  w_k = (M cos(k x) + sin((n - 1) x) D_M(x)) / n
 
-    and ``transform`` is the orthonormal DFT, DST-I or DHT.  The sine and
-    Hartley unitaries are real, symmetric and orthogonal, U = U* = U^-1, so
-    their ``inverse`` is ``transform`` itself.
+    ``row_exponentials`` writes rows of U as exponentials of period P = n
+    (Fourier, Hartley) or P = 2(n + 1) (sine), and ``transform`` is the
+    orthonormal DFT, DST-I or DHT.  The sine and Hartley unitaries are
+    real, symmetric and orthogonal, U = U* = U^-1, so their ``inverse`` is
+    ``transform`` itself.
     """
     if n < 2:
         raise ValueError("order must be >= 2")
@@ -196,6 +206,9 @@ def make_algebra(kind: str, n: int) -> TransformAlgebra:
 
         def lag_weights(ks, xs, _n=n):
             return (_n - np.abs(ks)) / _n * np.exp(1j * np.outer(xs, ks))
+
+        def row_exponentials(rows, _n=n):
+            return _n, rows, np.eye(len(rows)) / np.sqrt(_n)
 
         transform, inverse = _fourier_transform, _fourier_inverse
 
@@ -211,6 +224,12 @@ def make_algebra(kind: str, n: int) -> TransformAlgebra:
             m, x = _n - np.abs(ks), xs[:, None]
             edge = np.cos((_n + 1) * x) * _dirichlet_ratio(m, x)
             return (m * np.cos(ks * x) - edge) / (_n + 1)
+
+        def row_exponentials(rows, _n=n):
+            # sin(2 pi j (k + 1) / P) = (e^{i 2 pi j / P} e^{i 2 pi j k / P} - conj) / 2i
+            period, j = 2 * (_n + 1), rows + 1
+            half = np.diag(np.exp(2j * np.pi * j / period)) * (np.sqrt(2.0 / (_n + 1)) / 2j)
+            return period, np.concatenate((j, -j)), np.hstack((half, half.conj()))
 
         transform = inverse = _sine_transform
 
@@ -229,6 +248,11 @@ def make_algebra(kind: str, n: int) -> TransformAlgebra:
             edge = np.sin((_n - 1) * x) * _dirichlet_ratio(m, x)
             return (m * np.cos(ks * x) + edge) / _n
 
+        def row_exponentials(rows, _n=n):
+            # cas t = ((1 - i) e^{it} + (1 + i) e^{-it}) / 2
+            half = np.eye(len(rows)) / (2.0 * np.sqrt(_n))
+            return _n, np.concatenate((rows, -rows)), np.hstack(((1 - 1j) * half, (1 + 1j) * half))
+
         transform = inverse = _hartley_transform
 
     else:
@@ -237,7 +261,7 @@ def make_algebra(kind: str, n: int) -> TransformAlgebra:
         )
     return TransformAlgebra(
         kind=kind, order=n, grid=grid, basis=basis, lag_weights=lag_weights,
-        transform=transform, inverse=inverse,
+        row_exponentials=row_exponentials, transform=transform, inverse=inverse,
     )
 
 
@@ -447,41 +471,115 @@ def _weyl_probe(f: Symbol, n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, ToeplitzOperator(f, n).matvec(x)
 
 
-def toeplitz_corner_form(
+class CornerColumns:
+    """L = U* E_I = Y C for corner rows I, with Y kept in two small factors.
+
+    From ``row_exponentials``, Y[k, t] = exp(-2 pi i p_t k / P) over the
+    distinct p_t, and C is (K, |I|).  With k = q m + j and m = ceil(sqrt(n)),
+    Y[k, t] = A[q, t] B[j, t], each phase reduced mod P in integers first:
+    the factors hold O(sqrt(n) K) numbers, and Y* v (``adjoint``) and
+    out += Y z (``add_to``) cost two matrix products of O(n K) each.
+    """
+
+    def __init__(self, alg: TransformAlgebra, rows: np.ndarray):
+        n = alg.order
+        period, freqs, coeffs = alg.row_exponentials(rows)
+        freqs, where = np.unique(np.mod(freqs, period), return_inverse=True)
+        self.coef = np.zeros((freqs.size, len(rows)), dtype=np.complex128)
+        np.add.at(self.coef, where, coeffs.T.conj())
+        width = math.isqrt(n - 1) + 1
+        turn = -2j * np.pi / period
+        self._outer = np.exp(turn * (np.outer(np.arange(0, n, width), freqs) % period))
+        self._inner = np.exp(turn * (np.outer(np.arange(width), freqs) % period))
+        self._order, self._rows, self._width = n, n // width, width
+
+    def dense(self) -> np.ndarray:
+        """L as an (n, |I|) array."""
+        y = self._outer[:, None, :] * self._inner[None, :, :]
+        y = y.reshape(len(self._outer) * self._width, self.coef.shape[0])
+        return y[: self._order] @ self.coef
+
+    def adjoint(self, v: np.ndarray) -> np.ndarray:
+        """Y* v."""
+        q, m = self._rows, self._width
+        inner, outer = self._inner.conj(), self._outer.conj()
+        out = np.einsum("qt,qt->t", v[: q * m].reshape(q, m) @ inner, outer[:q])
+        tail = v[q * m :]
+        if tail.size:
+            out += (tail @ inner[: tail.size]) * outer[q]
+        return out
+
+    def add_to(self, out: np.ndarray, z: np.ndarray) -> None:
+        """out += Y z, in place."""
+        q, m = self._rows, self._width
+        head = out[: q * m].reshape(q, m)
+        head += (self._outer[:q] * z) @ self._inner.T
+        tail = out[q * m :]
+        if tail.size:
+            tail += self._inner[: tail.size] @ (self._outer[q] * z)
+
+
+def toeplitz_corner_parts(
     alg: TransformAlgebra, f: Symbol
 ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(g, L, S) with U* T_n(f) U = diag(g) + L S L*, or None.
+    """(g, I, S) with U* T_n(f) U = diag(g) + L S L* and L = U* E_I, or None.
 
-    For a real f of degree d and n >= 2d + 1, T_n(f) - B with
-    B = U diag(g) U*, g = f sampled on the grid, lives on the corner block
-    I = {0..d-1} u {n-d..n-1} for every f in the Fourier algebra (Strang's
-    circulant; with this U, g_j = f(-x_j)), and for even f in the sine
-    (tau plus a Hankel corner) and Hartley algebras (g_j = f(x_j)).  Then
-    L = U* E_I (2d transforms) and S = T_II - L* diag(g) L, read from the
-    coefficients without a section.  The form is verified per n on
-    ``_weyl_probe``: ||T x - U (g U* x) - E_I S x_I|| must stay within
-    TRACE_RTOL ||T x||.  None for a complex f, n < 2d + 1, a custom
-    algebra, an odd part of f in the sine or Hartley algebra (some |Im a_k|
-    above the round-off of ``Symbol.is_real``, read before any transform),
-    or a failed probe.
+    For a real f of degree d and n >= 2d + 1, T_n(f) - A with
+    A = U diag(g) U* lives on the corner block I = {0..d-1} u {n-d..n-1}
+    for every f in the Fourier algebra, and for even f in the sine and
+    Hartley algebras.  There A is Strang's circulant, A_jk = s_{(j-k) mod n}
+    for s_k = a_k, s_{n-k} = a_{-k} (Fourier; Hartley, where an even s
+    keeps only the cosine part of cas x cas), and g = sqrt(n) U* s is one
+    transform (with this U, g_j = f(-x_j) in Fourier, f(x_j) in Hartley).
+    In the sine algebra A is the tau matrix T_n(f) - H,
+    H_jk = a_{j+k+2} + a_{2n-j-k}, and g_j = f(x_j) on the grid.  So
+    S = T_II - A_II is read exactly from the coefficients, and L in closed
+    form from ``row_exponentials`` (``CornerColumns``).  Nothing is verified
+    here.  None for a complex f, n < 2d + 1, a custom algebra, or an odd
+    part of f in the sine or Hartley algebra (some |Im a_k| above the
+    round-off of ``Symbol.is_real``, read before any transform).
     """
     n, d = alg.order, f.degree
-    if alg.lag_weights is None or not f.is_real or n < 2 * d + 1:
+    if alg.row_exponentials is None or not f.is_real or n < 2 * d + 1:
         return None
     amps = f.coefficients.values()
     floor = REALNESS_TOL * (1.0 + max((abs(a) for a in amps), default=0.0))
     if alg.kind != "fourier" and any(abs(a.imag) > floor for a in amps):
         return None
-    g = f.eval_real(-alg.grid if alg.kind == "fourier" else alg.grid)
-    idx = np.concatenate((np.arange(d), np.arange(n - d, n)))
-    corner = np.zeros((n, idx.size), dtype=np.complex128)
-    corner[idx, np.arange(idx.size)] = 1.0
-    low = alg.transform(corner)
-    s = section_entries(f, idx[:, None] - idx[None, :]) - (low.conj().T * g) @ low
-    x, tx = _weyl_probe(f, n)
-    defect = tx - alg.inverse(g * alg.transform(x))
-    defect[idx] -= s @ x[idx]
+    rows = np.concatenate((np.arange(d), np.arange(n - d, n)))
+    j, k = rows[:, None], rows[None, :]
+    if alg.kind == "sine":
+        g = f.eval_real(alg.grid)
+        s = section_entries(f, j + k + 2) + section_entries(f, 2 * n - j - k)
+    else:
+        strang = np.roll(f.coefficient_array(-d, n - d), -d)
+        g = np.sqrt(n) * alg.transform(strang).real
+        s = section_entries(f, j - k) - strang[(j - k) % n]
+    return g, rows, s
+
+
+def toeplitz_corner_form(
+    alg: TransformAlgebra, f: Symbol
+) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(g, L, S) of ``toeplitz_corner_parts``, with L formed and the form verified, or None.
+
+    The form is verified per n on ``_weyl_probe`` x, with y = U* x:
+    ||T x - U (g y) - E_I S x_I|| must stay within TRACE_RTOL ||T x||, and
+    ||L* y - x_I|| (L* U* = E_I*) within TRACE_RTOL ||x||.  None where
+    there are no parts or a check fails.
+    """
+    parts = toeplitz_corner_parts(alg, f)
+    if parts is None:
+        return None
+    g, rows, s = parts
+    low = CornerColumns(alg, rows).dense()
+    x, tx = _weyl_probe(f, alg.order)
+    y = alg.transform(x)
+    defect = tx - alg.inverse(g * y)
+    defect[rows] -= s @ x[rows]
     if np.linalg.norm(defect) > TRACE_RTOL * np.linalg.norm(tx):
+        return None
+    if np.linalg.norm(low.conj().T @ y - x[rows]) > TRACE_RTOL * np.linalg.norm(x):
         return None
     return g, low, s
 

@@ -20,7 +20,8 @@ REQUIRED = inspect.Parameter.empty
 FIELDS = {
     pl.TransformAlgebra: [
         ("kind", REQUIRED), ("order", REQUIRED), ("grid", None), ("basis", None),
-        ("lag_weights", None), ("transform", None), ("inverse", None), ("_unitary", None),
+        ("lag_weights", None), ("row_exponentials", None), ("transform", None),
+        ("inverse", None), ("_unitary", None),
     ],
     ClusterReport: [
         ("ladder", REQUIRED), ("epsilons", REQUIRED), ("counts", REQUIRED),

@@ -5,6 +5,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +30,8 @@ from precondlab.errors import (
     NotPositiveDefiniteError,
     NotUnitaryError,
 )
-from precondlab.solver import build_preconditioner, pcg, scaling_study
-from precondlab.symbols import constant, parse_trig_expression
+from precondlab.solver import _eigen_operators, build_preconditioner, pcg, scaling_study
+from precondlab.symbols import Symbol, constant, parse_trig_expression
 from precondlab.toeplitz import ToeplitzOperator, toeplitz_section
 
 
@@ -326,6 +327,160 @@ def test_indefinite_symbol_fails_before_the_first_iteration(kind, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# pcg in the algebra's eigen coordinates
+
+# real, HPD, with an odd part: f >= 2.2 - 1 - 0.4 - 0.3 > 0
+MIXED = parse_trig_expression("2.2+cos+0.4sin2x+0.3cos3x")
+EVEN = parse_trig_expression("2.2+cos+0.4cos2x+0.3cos3x")
+# the benchmark's kind of symbol: complex Hermitian coefficients of degree 3
+HERMITIAN = Symbol({0: 3.0, 1: 0.4 + 0.3j, -1: 0.4 - 0.3j, 2: -0.2 + 0.5j, -2: -0.2 - 0.5j,
+                    3: 0.1 - 0.2j, -3: 0.1 + 0.2j})
+
+
+def _physical(kind):
+    """Built-in algebras without closed-form rows: pcg keeps to x itself."""
+    return lambda n: TransformAlgebra(**(vars(make_algebra(kind, n)) | dict(row_exponentials=None)))
+
+
+def _corrupted_corner(kind):
+    """Built-in algebras whose closed-form corner columns are off by 1e-6."""
+    def factory(n):
+        alg = make_algebra(kind, n)
+
+        def rows(idx):
+            period, freqs, coeffs = alg.row_exponentials(idx)
+            return period, freqs, coeffs * (1 + 1e-6)
+
+        return TransformAlgebra(**(vars(alg) | dict(row_exponentials=rows)))
+
+    return factory
+
+
+@pytest.fixture
+def eigen_from_order_two(monkeypatch):
+    # the eigen path starts at EIGEN_MIN_ORDER for speed; these tests need awkward small n
+    monkeypatch.setattr(precondlab.solver, "EIGEN_MIN_ORDER", 2)
+
+
+# (kind, symbol, n), each with corner parts: n = 2d + 1, odd and even n, all three kinds
+EIGEN_CASES = [
+    ("fourier", MIXED, 7), ("fourier", MIXED, 97), ("fourier", HERMITIAN, 64),
+    ("fourier", parse_trig_expression("3+cos"), 3),
+    ("hartley", EVEN, 7), ("hartley", EVEN, 96), ("hartley", EVEN, 97),
+    ("sine", EVEN, 7), ("sine", EVEN, 96), ("sine", EVEN, 97),
+]
+# (kind, symbol, n) that keep to x: n = 2, n < 2d + 1, an odd part in sine or
+# Hartley, a band wider than DIRECT_MAX_TAPS, and T_n(f) inside the algebra (S = 0)
+PHYSICAL_CASES = [
+    ("fourier", parse_trig_expression("3+cos"), 2), ("sine", constant(2.0), 2),
+    ("fourier", MIXED, 6), ("hartley", EVEN, 5), ("sine", EVEN, 6),
+    ("hartley", MIXED, 97), ("sine", MIXED, 97),
+    ("fourier", parse_trig_expression("3+cos+0.5cos32x"), 97),
+    ("sine", parse_trig_expression("2-2cos+delta(0.01)"), 97),
+    ("fourier", constant(2.0), 16),
+]
+
+
+def _solve_both(kind, f, n, **kw):
+    b = np.random.default_rng(n).standard_normal(n) + 1j
+    op = ToeplitzOperator(f, n)
+    eigen = pcg(op, b, precond="algebra_projection", alg_kind=kind, tol=1e-12, **kw)
+    physical = pcg(op, b, precond="algebra_projection", alg_kind=_physical(kind), tol=1e-12, **kw)
+    return eigen, physical
+
+
+@pytest.mark.parametrize("kind, f, n", EIGEN_CASES)
+def test_eigen_coordinates_match_the_physical_solve(kind, f, n, eigen_from_order_two):
+    assert _eigen_operators(make_algebra(kind, n), f) is not None
+    x_true = np.linalg.solve(toeplitz_section(f, n), np.random.default_rng(n).standard_normal(n) + 1j)
+    eigen, physical = _solve_both(kind, f, n, x_true=x_true)
+    assert eigen.iterations == physical.iterations
+    assert eigen.preconditioner == physical.preconditioner == f"algebra_projection[{kind}]"
+    np.testing.assert_allclose(eigen.residual_history, physical.residual_history,
+                               rtol=1e-6, atol=1e-14)
+    scale = physical.error_history[0]
+    np.testing.assert_allclose(eigen.error_history, physical.error_history,
+                               rtol=1e-6, atol=1e-12 * scale)
+    np.testing.assert_allclose(eigen.solution, x_true, atol=1e-9 * np.linalg.norm(x_true))
+
+
+@pytest.mark.parametrize("kind, f, n", EIGEN_CASES)
+def test_eigen_coordinates_return_a_physical_partial_trace(kind, f, n, eigen_from_order_two):
+    with pytest.raises(MaxIterationsError) as eigen:
+        _solve_both(kind, f, n, max_iter=2)
+    b = np.random.default_rng(n).standard_normal(n) + 1j
+    with pytest.raises(MaxIterationsError) as physical:
+        pcg(ToeplitzOperator(f, n), b, precond="algebra_projection",
+            alg_kind=_physical(kind), tol=1e-12, max_iter=2)
+    got, want = eigen.value.trace, physical.value.trace
+    assert got.iterations == want.iterations == 2 and not got.converged
+    np.testing.assert_allclose(got.solution, want.solution, atol=1e-12 * np.linalg.norm(want.solution))
+
+
+@pytest.mark.parametrize("kind, f, n", PHYSICAL_CASES)
+def test_physical_cases_keep_to_x(kind, f, n, eigen_from_order_two):
+    assert _eigen_operators(make_algebra(kind, n), f) is None
+    eigen, physical = _solve_both(kind, f, n)
+    assert eigen.residual_history == physical.residual_history
+
+
+def test_complex_symbol_keeps_to_x(eigen_from_order_two):
+    f = Symbol({0: 2.0, 1: 0.7, -1: 0.2 + 0.3j})
+    assert _eigen_operators(make_algebra("fourier", 64), f) is None
+
+
+@pytest.mark.parametrize("kind, f", [("fourier", HERMITIAN), ("hartley", EVEN), ("sine", EVEN)])
+def test_eigen_coordinates_at_the_crossover_order(kind, f):
+    n = precondlab.solver.EIGEN_MIN_ORDER
+    assert _eigen_operators(make_algebra(kind, n), f) is not None
+    eigen, physical = _solve_both(kind, f, n)
+    assert eigen.iterations == physical.iterations
+    np.testing.assert_allclose(eigen.residual_history, physical.residual_history,
+                               rtol=1e-6, atol=1e-14)
+
+
+def test_tau_tridiagonal_above_the_crossover_takes_one_iteration():
+    op = ToeplitzOperator(parse_trig_expression("2-2cos+delta(0.01)"), 4096)
+    trace = pcg(op, np.ones(4096, dtype=complex), precond="algebra_projection", alg_kind="sine")
+    assert trace.iterations == 1
+
+
+def test_eigen_coordinate_transforms_do_not_grow_with_the_iterations():
+    n = 4096
+    b = np.random.default_rng(4).standard_normal(n) + 1j
+    iterations, counts = [], []
+    for tol in (1e-3, 1e-12):
+        calls = []
+        trace = pcg(ToeplitzOperator(MIXED, n), b, precond="algebra_projection",
+                    alg_kind=_counted_fourier(calls), tol=tol)
+        iterations.append(trace.iterations)
+        counts.append((calls.count("transform"), calls.count("inverse")))
+    assert iterations[0] < iterations[1]
+    # g and toeplitz_diagonal (U* and its check U), U* b, and U x at the end
+    assert counts == [(3, 2), (3, 2)]
+    # a band past DIRECT_MAX_TAPS keeps to x: the build's check plus two per apply
+    calls = []
+    trace = pcg(ToeplitzOperator(parse_trig_expression("3+cos+0.5cos32x"), n), b,
+                precond="algebra_projection", alg_kind=_counted_fourier(calls))
+    assert len(calls) == 2 + 2 * trace.iterations
+
+
+def test_fourier_solve_peak_memory():
+    # the eigen path adds g, 1/c and factors of O(sqrt(n)) over the physical path's vectors
+    n = 65536
+    op = ToeplitzOperator(HERMITIAN, n)
+    b = np.random.default_rng(9).standard_normal(n).astype(np.complex128)
+    tracemalloc.start()
+    try:
+        trace = pcg(op, b, precond="algebra_projection", tol=1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.converged
+    assert peak <= 9 * 16 * n
+
+
+# ---------------------------------------------------------------------------
 # guards: (call, error, message fragment)
 
 GUARDS = [
@@ -347,6 +502,12 @@ GUARDS = [
         lambda: precondlab.solver._diagonal_inverse(make_algebra("fourier", 2),
                                                     np.array([complex(1.0, np.nan), 1.0])),
         NotPositiveDefiniteError, "not real", id="nan-diagonal-imag",
+    ),
+    # a wrong corner column: the residual gap at exit catches it (the CLI exits 2)
+    pytest.param(
+        lambda: pcg(ToeplitzOperator(EVEN, 4096), np.random.default_rng(1).standard_normal(4096),
+                    precond="algebra_projection", alg_kind=_corrupted_corner("fourier")),
+        InvariantViolationError, "drifted from the system", id="corrupted-corner",
     ),
 ]
 
