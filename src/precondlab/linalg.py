@@ -67,17 +67,17 @@ def frobenius_norm_sq(a) -> float:
     return float(np.vdot(m, m).real)
 
 
-def _symmetrized(a, tol: float) -> np.ndarray:
-    """(A + A*) / 2, free of representable round-off, for A Hermitian within tol."""
+def _symmetrized(a) -> np.ndarray:
+    """(A + A*) / 2, free of representable round-off, for A Hermitian within HERMITIAN_EIG_TOL."""
     m = as_square(a)
-    if not is_hermitian(m, tol=tol):
+    if not is_hermitian(m, tol=HERMITIAN_EIG_TOL):
         raise NotHermitianError(
             f"matrix is not Hermitian: defect {hermitian_defect(m):.3e}"
         )
     return 0.5 * (m + m.conj().T)
 
 
-def hermitian_eig(a, tol: float = HERMITIAN_EIG_TOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(values, vectors)`` with eigenvalues sorted ascending and
@@ -86,7 +86,7 @@ def hermitian_eig(a, tol: float = HERMITIAN_EIG_TOL) -> tuple[np.ndarray, np.nda
     Raises NotHermitianError when the symmetry check fails and
     NoConvergenceError when the underlying iteration does not converge.
     """
-    h = _symmetrized(a, tol)
+    h = _symmetrized(a)
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -94,9 +94,9 @@ def hermitian_eig(a, tol: float = HERMITIAN_EIG_TOL) -> tuple[np.ndarray, np.nda
     return w, v
 
 
-def hermitian_eigvalues(a, tol: float = HERMITIAN_EIG_TOL) -> np.ndarray:
+def hermitian_eigvalues(a) -> np.ndarray:
     """Eigenvalues only, sorted ascending."""
-    h = _symmetrized(a, tol)
+    h = _symmetrized(a)
     try:
         return np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:

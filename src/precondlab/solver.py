@@ -51,9 +51,7 @@ class SolveTrace:
     """Outcome of one conjugate-gradient run.
 
     residual_history holds relative residuals ||r_k|| / ||b|| starting at
-    k = 0; error_history (optional) holds A-norm errors against a supplied
-    reference solution, the quantity CG decreases monotonically; solution
-    holds the last iterate x_k.
+    k = 0; solution holds the last iterate x_k.
     """
 
     def __init__(
@@ -64,7 +62,6 @@ class SolveTrace:
         preconditioner: str,
         wall_time: float,
         converged: bool = True,
-        error_history: Optional[list[float]] = None,
         solution: Optional[np.ndarray] = None,
     ):
         self.order = order
@@ -73,7 +70,6 @@ class SolveTrace:
         self.preconditioner = preconditioner
         self.wall_time = wall_time
         self.converged = converged
-        self.error_history = error_history
         self.solution = solution
 
     @property
@@ -201,20 +197,20 @@ def pcg(
     alg_kind="fourier",
     tol: float = 1e-10,
     max_iter: Optional[int] = None,
-    x_true=None,
 ) -> SolveTrace:
     """Preconditioned conjugate gradient for Hermitian positive definite A.
 
     A ToeplitzOperator T_n(f) with an algebra preconditioner runs in the
     algebra's eigen coordinates where ``_eigen_operators`` allows: CG on
     U* x, with g, c (and its check), U* b and x = U (U* x) the only
-    transforms, five whatever the iteration count.  Every x it returns,
-    partial traces included, is mapped back and checked by
-    ``_check_residual_gap``.  Everything else runs on x itself.  Terminates when ||r|| / ||b|| <= tol; raises
-    NotPositiveDefiniteError on curvature that is not positive (NaN
-    included), InvariantViolationError on a residual that is not finite,
-    and MaxIterationsError (with the partial trace attached) when the cap
-    is hit.
+    transforms, five whatever the iteration count; its x is mapped back
+    and checked by ``_check_residual_gap``.  Everything else runs on x
+    itself.  Iterate x_k is the solution of the run capped at max_iter = k.
+    Terminates when ||r|| / ||b|| <= tol; raises ValueError on a NaN or
+    infinite entry of b or on max_iter < 0, NotPositiveDefiniteError on
+    curvature that is not positive (NaN included), InvariantViolationError
+    on a residual or solution that is not finite, and MaxIterationsError
+    (with the partial trace attached) when the cap is hit.
     """
     order, matvec, _ = as_linear_operator(a)
     rhs = np.asarray(b, dtype=np.complex128)
@@ -222,64 +218,38 @@ def pcg(
         raise DimensionMismatchError(f"rhs shape {rhs.shape} does not match order {order}")
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    norm_b = float(np.linalg.norm(rhs))  # |b|^2 may overflow on finite entries
+    if not math.isfinite(norm_b) and not np.isfinite(rhs).all():
+        raise ValueError("rhs has a NaN or infinite entry")
+    if max_iter is not None and max_iter < 0:
+        raise ValueError(f"max_iter must be at least 0, got {max_iter}")
     cap = max_iter if max_iter is not None else max(1000, 4 * order)
 
-    eigen, alg = None, None
+    alg, eigen = None, None
     if precond == "algebra_projection" and isinstance(a, ToeplitzOperator):
-        alg = resolve_algebra_factory(alg_kind)(order)
-        eigen = _eigen_operators(alg, a.symbol)
+        built = resolve_algebra_factory(alg_kind)(order)
+        eigen = _eigen_operators(built, a.symbol)
+        alg_kind = lambda _: built  # a custom algebra is not drawn twice
     if eigen is None:
-        # a built algebra goes on as its own factory: a custom one is not drawn twice
-        factory = alg_kind if alg is None else (lambda _: alg)
-        label, apply_inv = build_preconditioner(a, precond, alg_kind=factory)
+        label, apply_inv = build_preconditioner(a, precond, alg_kind=alg_kind)
         op = matvec
     else:
+        alg, (op, apply_inv) = built, eigen
         label = f"{precond}[{alg.kind}]"
-        op, apply_inv = eigen
 
     start = time.perf_counter()
-    norm_b = float(np.linalg.norm(rhs))
     x = np.zeros(order, dtype=np.complex128)
     if norm_b == 0.0:
         return SolveTrace(order, 0, [0.0], label, time.perf_counter() - start, solution=x)
 
-    xt = None if x_true is None else np.asarray(x_true, dtype=np.complex128)
-    if eigen is None:
-        r = rhs.copy()
-    else:
-        r = alg.transform(rhs)
-        xt = None if xt is None else alg.transform(xt)
-
-    def a_norm_error(vec):
-        e = vec - xt
-        return float(np.sqrt(max(np.vdot(e, op(e)).real, 0.0)))
-
-    def solution(x):
-        if eigen is None:
-            return x
-        x = alg.inverse(x, out=x)
-        _check_residual_gap(a, rhs, x, history[-1] * norm_b, iterations, math.sqrt(x_peak_sq))
-        return x
-
+    r = rhs.copy() if alg is None else alg.transform(rhs)
     z = apply_inv(r)
     p = z.copy()
     gamma = np.vdot(r, z).real
     history = [1.0]
-    errors = None if xt is None else [a_norm_error(x)]
     iterations = 0
     x_peak_sq = 0.0
-    while history[-1] > tol:
-        if iterations >= cap:
-            trace = SolveTrace(
-                order, iterations, history, label,
-                time.perf_counter() - start, converged=False,
-                error_history=errors, solution=solution(x),
-            )
-            raise MaxIterationsError(
-                f"pcg did not reach tol {tol:g} in {cap} iterations "
-                f"(relative residual {history[-1]:.3e})",
-                trace=trace,
-            )
+    while history[-1] > tol and iterations < cap:
         ap = op(p)
         curvature = np.vdot(p, ap).real
         if not curvature > 0.0:
@@ -292,10 +262,8 @@ def pcg(
         del ap  # free before the preconditioner apply and the next product
         iterations += 1
         history.append(float(np.linalg.norm(r)) / norm_b)
-        if eigen is not None:
+        if alg is not None:
             x_peak_sq = max(x_peak_sq, np.vdot(x, x).real)
-        if errors is not None:
-            errors.append(a_norm_error(x))
         if history[-1] <= tol:
             break
         if not math.isfinite(history[-1]):
@@ -308,16 +276,22 @@ def pcg(
         p += z
         del z
         gamma = gamma_new
-    return SolveTrace(
-        order,
-        iterations,
-        history,
-        label,
-        time.perf_counter() - start,
-        converged=True,
-        error_history=errors,
-        solution=solution(x),
-    )
+
+    wall_time = time.perf_counter() - start
+    if not np.isfinite(x).all():
+        raise InvariantViolationError(f"pcg solution is not finite after {iterations} iterations")
+    if alg is not None:
+        x = alg.inverse(x, out=x)
+        _check_residual_gap(a, rhs, x, history[-1] * norm_b, iterations, math.sqrt(x_peak_sq))
+    converged = history[-1] <= tol
+    trace = SolveTrace(order, iterations, history, label, wall_time, converged, solution=x)
+    if not converged:
+        raise MaxIterationsError(
+            f"pcg did not reach tol {tol:g} in {cap} iterations "
+            f"(relative residual {history[-1]:.3e})",
+            trace=trace,
+        )
+    return trace
 
 
 def scaling_study(

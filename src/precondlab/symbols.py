@@ -67,24 +67,24 @@ class Symbol:
     def scaled(self, alpha: complex) -> "Symbol":
         return Symbol({k: alpha * v for k, v in self.coefficients.items()}, self.label)
 
-    def plus(self, other: "Symbol", label: str = "") -> "Symbol":
+    def plus(self, other: "Symbol") -> "Symbol":
         out = dict(self.coefficients)
         for k, v in other.coefficients.items():
             out[k] = out.get(k, 0.0) + v
-        return Symbol(out, label)
+        return Symbol(out)
 
 
 def constant(c: float | complex = 1.0, label: str = "") -> Symbol:
     return Symbol({0: complex(c)}, label or f"{c}")
 
 
-def cosine(k: int = 1, label: str = "") -> Symbol:
-    return Symbol({k: 0.5, -k: 0.5}, label or (f"cos{k}x" if k != 1 else "cos"))
+def cosine(k: int = 1) -> Symbol:
+    return Symbol({k: 0.5, -k: 0.5}, f"cos{k}x" if k != 1 else "cos")
 
 
-def sine(k: int = 1, label: str = "") -> Symbol:
+def sine(k: int = 1) -> Symbol:
     a = 1.0 / 2.0j
-    return Symbol({k: a, -k: -a}, label or (f"sin{k}x" if k != 1 else "sin"))
+    return Symbol({k: a, -k: -a}, f"sin{k}x" if k != 1 else "sin")
 
 
 def product(s: Symbol, t: Symbol, label: str = "") -> Symbol:

@@ -461,6 +461,19 @@ def test_every_command_writes_its_csv_sidecar_and_summary(command, tmp_path, cap
     assert out.splitlines()[-1].endswith(f" -> {out_dir / stem}.csv")
 
 
+def test_a_failing_selftest_check_exits_2(tmp_path, capsys, monkeypatch):
+    def broken():
+        raise AssertionError("off by one")
+
+    monkeypatch.setattr(precondlab.selftest, "SELFTEST_CHECKS",
+                        [("broken", broken), SELFTEST_CHECKS[-1]])
+    code, out, _ = run(capsys, "selftest", "--outdir", str(tmp_path))
+    assert code == 2
+    assert out.splitlines()[:2] == ["FAIL broken: off by one", f"ok {SELFTEST_CHECKS[-1][0]}"]
+    rows = (tmp_path / "selftest.csv").read_text(encoding="utf-8").splitlines()
+    assert rows == ["check,status", "broken,fail", f"{SELFTEST_CHECKS[-1][0]},pass"]
+
+
 def test_failed_run_makes_no_outdir(tmp_path, capsys):
     out_dir = tmp_path / "out"
     code, out, err = run(capsys, "pcg-bench", "--ladder", "16,32", "--max-iter", "1",

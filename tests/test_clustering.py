@@ -34,10 +34,12 @@ from precondlab.clustering import (
 from precondlab.errors import (
     DimensionMismatchError,
     InsufficientLadderError,
+    InvariantViolationError,
     NotPositiveDefiniteError,
 )
 from precondlab.symbols import Symbol, parse_trig_expression
 from precondlab.toeplitz import ToeplitzOperator, toeplitz_section
+from test_solver import _corrupted_corner
 
 LADDER = (64, 128, 256, 512)
 EPS = (0.1, 0.01)
@@ -425,6 +427,48 @@ def test_structured_counts_fall_back_where_the_form_fails():
     assert toeplitz_corner_form(random_unitary_algebra(16, seed=1), odd) is None
     fourier = make_algebra("fourier", 16)
     assert _structured_counts(np.eye(16), fourier, "difference", (0.1,)) is None
+
+
+EVEN_SYMBOL = parse_trig_expression("3+cos+0.5cos2x+0.7cos3x")
+
+
+def _scaled_sine_grid(n):
+    """A sine algebra whose grid, and so its g and diagonal, is off by 1e-6."""
+    alg = make_algebra("sine", n)
+    return TransformAlgebra(**(vars(alg) | dict(grid=alg.grid * (1 + 1e-6))))
+
+
+def _report_counts(f, algebra_of, ladder, mode):
+    report = build_cluster_report({n: (f, algebra_of(n)) for n in ladder}, mode=mode)
+    return {n: {e: report.counts[(n, e)] for e in DEFAULT_EPS_GRID} for n in ladder}
+
+
+@pytest.mark.parametrize("kind", ALGEBRA_KINDS)
+@pytest.mark.parametrize("mode", ["difference", "preconditioned"])
+def test_a_failed_corner_check_counts_like_the_dense_path(kind, mode):
+    # L* U* x = x_I fails: the band path counts from BAND_MIN_ORDER, the dense path below
+    f, ladder, corrupted = EVEN_SYMBOL, (32, 64, 128, 256), _corrupted_corner(kind)
+    for n in ladder:
+        assert toeplitz_corner_form(corrupted(n), f) is None
+    assert _band_counts(f, corrupted(256), mode, DEFAULT_EPS_GRID) is not None
+    got = _report_counts(f, corrupted, ladder, mode)
+    want = {n: _dense_counts(toeplitz_section(f, n), make_algebra(kind, n), mode)[1]
+            for n in ladder}
+    assert got == want
+
+
+@pytest.mark.parametrize("mode", ["difference", "preconditioned"])
+def test_a_failed_corner_probe_counts_like_the_dense_path(mode):
+    # g off the grid fails the probe of T x; from BAND_MIN_ORDER the trace check refuses it
+    f, ladder = EVEN_SYMBOL, (16, 32, 64, 128)
+    for n in ladder:
+        assert toeplitz_corner_form(_scaled_sine_grid(n), f) is None
+    got = _report_counts(f, _scaled_sine_grid, ladder, mode)
+    want = {n: _dense_counts(toeplitz_section(f, n), make_algebra("sine", n), mode)[1]
+            for n in ladder}
+    assert got == want
+    with pytest.raises(InvariantViolationError, match="trace identity"):
+        _report_counts(f, _scaled_sine_grid, (192, 384, 768, 1536), mode)
 
 
 def test_structured_counts_in_the_algebra_are_exactly_zero():

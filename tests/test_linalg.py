@@ -7,13 +7,16 @@ Householder tridiagonalization followed by Sturm-sequence bisection.
 import numpy as np
 import pytest
 
-from precondlab.errors import DimensionMismatchError, NotHermitianError
+from precondlab.errors import DimensionMismatchError, NoConvergenceError, NotHermitianError
 from precondlab.linalg import (
     HERMITIAN_BLOCK_ROWS,
+    as_matrix,
+    as_square,
     frobenius_norm_sq,
     hermitian_defect,
     hermitian_eig,
     hermitian_eigvalues,
+    hermitian_eigvalues_unchecked,
     is_hermitian,
     singular_values,
 )
@@ -184,6 +187,26 @@ def test_hermitian_defect_is_the_whole_matrix_maximum(n):
     if n:
         general[0, n - 1] = np.nan
         assert np.isnan(hermitian_defect(general))
+
+
+def test_shapes_other_than_a_matrix_are_refused():
+    with pytest.raises(DimensionMismatchError, match="expected a 2-d matrix, got ndim=1"):
+        as_matrix(np.ones(3))
+    with pytest.raises(DimensionMismatchError, match=r"square matrix, got shape \(2, 3\)"):
+        as_square(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("routine, kernel", [
+    (hermitian_eig, "eigh"), (hermitian_eigvalues, "eigvalsh"), (singular_values, "svd"),
+    (hermitian_eigvalues_unchecked, "eigvalsh"),
+])
+def test_lapack_failure_is_no_convergence(routine, kernel, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("iteration limit")
+
+    monkeypatch.setattr(np.linalg, kernel, fail)
+    with pytest.raises(NoConvergenceError, match=f"{kernel} failed to converge: iteration limit"):
+        routine(np.eye(3, dtype=np.complex128))
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, HERMITIAN_BLOCK_ROWS, 2 * HERMITIAN_BLOCK_ROWS + 3])

@@ -50,7 +50,7 @@ FIELDS = {
     SolveTrace: [
         ("order", REQUIRED), ("iterations", REQUIRED), ("residual_history", REQUIRED),
         ("preconditioner", REQUIRED), ("wall_time", REQUIRED), ("converged", True),
-        ("error_history", None), ("solution", None),
+        ("solution", None),
     ],
     pl.Symbol: [("coefficients", REQUIRED), ("label", "")],
 }

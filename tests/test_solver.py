@@ -1,6 +1,7 @@
 """Tests for the preconditioned conjugate gradient harness."""
 
 
+import ast
 import os
 import platform
 import subprocess
@@ -43,6 +44,23 @@ def spd_system(n, seed):
     return a, b
 
 
+def iterates(a, b, **kw):
+    """(x_0, ..., x_k) of one solve: iterate j is the solution of the run capped at j."""
+    full = pcg(a, b, **kw)
+    xs = []
+    for cap in range(full.iterations):
+        with pytest.raises(MaxIterationsError) as capped:
+            pcg(a, b, max_iter=cap, **kw)
+        xs.append(capped.value.trace.solution)
+    return xs + [full.solution]
+
+
+def a_norm_errors(dense, xs, x_true):
+    """||x_j - x*||_A of each iterate, the quantity CG decreases monotonically."""
+    errors = [x - x_true for x in xs]
+    return [float(np.sqrt(max(np.vdot(e, dense @ e).real, 0.0))) for e in errors]
+
+
 def test_identity_converges_in_one_iteration():
     trace = pcg(np.eye(16, dtype=complex), np.ones(16, dtype=complex))
     assert trace.iterations == 1
@@ -80,9 +98,9 @@ def test_energy_norm_error_monotone():
     a, b = spd_system(48, 5)
     x_true = np.linalg.solve(a, b)
     for precond in ("none", "algebra_projection"):
-        trace = pcg(a, b, precond=precond, alg_kind="sine", tol=1e-12, x_true=x_true)
-        errs = trace.error_history
-        assert errs is not None
+        xs = iterates(a, b, precond=precond, alg_kind="sine", tol=1e-12)
+        errs = a_norm_errors(a, xs, x_true)
+        assert len(errs) > 2
         assert all(e2 <= e1 + 1e-12 for e1, e2 in zip(errs, errs[1:]))
 
 
@@ -381,9 +399,12 @@ PHYSICAL_CASES = [
 ]
 
 
+def _rhs(n):
+    return np.random.default_rng(n).standard_normal(n) + 1j
+
+
 def _solve_both(kind, f, n, **kw):
-    b = np.random.default_rng(n).standard_normal(n) + 1j
-    op = ToeplitzOperator(f, n)
+    b, op = _rhs(n), ToeplitzOperator(f, n)
     eigen = pcg(op, b, precond="algebra_projection", alg_kind=kind, tol=1e-12, **kw)
     physical = pcg(op, b, precond="algebra_projection", alg_kind=_physical(kind), tol=1e-12, **kw)
     return eigen, physical
@@ -392,15 +413,20 @@ def _solve_both(kind, f, n, **kw):
 @pytest.mark.parametrize("kind, f, n", EIGEN_CASES)
 def test_eigen_coordinates_match_the_physical_solve(kind, f, n, eigen_from_order_two):
     assert _eigen_operators(make_algebra(kind, n), f) is not None
-    x_true = np.linalg.solve(toeplitz_section(f, n), np.random.default_rng(n).standard_normal(n) + 1j)
-    eigen, physical = _solve_both(kind, f, n, x_true=x_true)
+    dense = toeplitz_section(f, n)
+    x_true = np.linalg.solve(dense, _rhs(n))
+    eigen, physical = _solve_both(kind, f, n)
     assert eigen.iterations == physical.iterations
     assert eigen.preconditioner == physical.preconditioner == f"algebra_projection[{kind}]"
     np.testing.assert_allclose(eigen.residual_history, physical.residual_history,
                                rtol=1e-6, atol=1e-14)
-    scale = physical.error_history[0]
-    np.testing.assert_allclose(eigen.error_history, physical.error_history,
-                               rtol=1e-6, atol=1e-12 * scale)
+    errors = {}
+    for name, alg_kind in (("eigen", kind), ("physical", _physical(kind))):
+        xs = iterates(ToeplitzOperator(f, n), _rhs(n), precond="algebra_projection",
+                      alg_kind=alg_kind, tol=1e-12)
+        errors[name] = a_norm_errors(dense, xs, x_true)
+    scale = errors["physical"][0]
+    np.testing.assert_allclose(errors["eigen"], errors["physical"], rtol=1e-6, atol=1e-12 * scale)
     np.testing.assert_allclose(eigen.solution, x_true, atol=1e-9 * np.linalg.norm(x_true))
 
 
@@ -408,9 +434,8 @@ def test_eigen_coordinates_match_the_physical_solve(kind, f, n, eigen_from_order
 def test_eigen_coordinates_return_a_physical_partial_trace(kind, f, n, eigen_from_order_two):
     with pytest.raises(MaxIterationsError) as eigen:
         _solve_both(kind, f, n, max_iter=2)
-    b = np.random.default_rng(n).standard_normal(n) + 1j
     with pytest.raises(MaxIterationsError) as physical:
-        pcg(ToeplitzOperator(f, n), b, precond="algebra_projection",
+        pcg(ToeplitzOperator(f, n), _rhs(n), precond="algebra_projection",
             alg_kind=_physical(kind), tol=1e-12, max_iter=2)
     got, want = eigen.value.trace, physical.value.trace
     assert got.iterations == want.iterations == 2 and not got.converged
@@ -509,6 +534,14 @@ GUARDS = [
                     precond="algebra_projection", alg_kind=_corrupted_corner("fourier")),
         InvariantViolationError, "drifted from the system", id="corrupted-corner",
     ),
+    # a bad right-hand side is not blamed on the matrix
+    pytest.param(lambda: pcg(np.eye(2), [np.nan, 1.0]), ValueError,
+                 "rhs has a NaN or infinite entry", id="nan-rhs"),
+    # the step overflows while the residual vanishes: x is [inf]
+    pytest.param(lambda: pcg(np.array([[1e-300]]), np.array([1e150])), InvariantViolationError,
+                 "solution is not finite after 1 iterations", id="inf-solution"),
+    pytest.param(lambda: pcg(np.eye(2), np.ones(2), max_iter=-3), ValueError,
+                 "max_iter must be at least 0, got -3", id="negative-max-iter"),
 ]
 
 
@@ -516,6 +549,51 @@ GUARDS = [
 def test_guard_raises(call, error, fragment):
     with pytest.raises(error, match=fragment):
         call()
+
+
+def test_bad_rhs_fails_before_the_preconditioner_is_built(monkeypatch):
+    for name in ("resolve_algebra_factory", "build_preconditioner"):
+        monkeypatch.setattr(precondlab.solver, name, None)
+    b = np.ones(4096)
+    b[3] = np.inf
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        pcg(ToeplitzOperator(MIXED, 4096), b, precond="algebra_projection")
+
+
+def test_max_iter_zero_takes_no_step():
+    with pytest.raises(MaxIterationsError) as capped:
+        pcg(np.eye(2), np.ones(2), max_iter=0)
+    trace = capped.value.trace
+    assert trace.iterations == 0 and trace.residual_history == [1.0]
+    assert not trace.converged and not trace.solution.any()
+
+
+# ---------------------------------------------------------------------------
+# the exit rule: pcg builds its trace and raises MaxIterationsError after the loop
+
+
+def _pcg_exits(source: str) -> tuple[int, list[bool]]:
+    """(SolveTrace calls, in-loop flag of each MaxIterationsError raise) inside pcg."""
+    top = next(node for node in ast.parse(source).body
+               if isinstance(node, ast.FunctionDef) and node.name == "pcg")
+    in_loop = {id(node) for loop in ast.walk(top) if isinstance(loop, (ast.While, ast.For))
+               for node in ast.walk(loop)}
+    called = [node.func.id for node in ast.walk(top)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    raises = [node for node in ast.walk(top) if isinstance(node, ast.Raise)
+              and getattr(getattr(node.exc, "func", None), "id", "") == "MaxIterationsError"]
+    return called.count("SolveTrace"), [id(node) in in_loop for node in raises]
+
+
+def test_pcg_has_one_exit():
+    traces, raises = _pcg_exits(Path(precondlab.solver.__file__).read_text(encoding="utf-8"))
+    assert traces <= 2  # a zero right-hand side, and the end
+    assert raises == [False]
+    # the guard sees what it forbids
+    own = ("def pcg(a, b):\n    while True:\n        if done:\n"
+           "            raise MaxIterationsError(SolveTrace(), trace=SolveTrace())\n"
+           "    return SolveTrace()\n")
+    assert _pcg_exits(own) == (3, [True])
 
 
 FFT_ROUND_TRIPS = """
@@ -531,6 +609,18 @@ for _ in range(20):
     np.fft.fft(x, out=y); np.fft.ifft(y, out=y)
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
 """
+
+
+def test_heap_policy_returns_quietly_where_it_cannot_apply(monkeypatch):
+    def refuse(name):
+        raise AssertionError("libc was loaded")
+
+    monkeypatch.setattr(precondlab.platform, "libc_ver", lambda: ("musl", ""))
+    monkeypatch.setattr(precondlab.ctypes, "CDLL", refuse)
+    precondlab._keep_fft_scratch_on_heap()
+    monkeypatch.setattr(precondlab.platform, "libc_ver", lambda: ("glibc", "2.35"))
+    monkeypatch.setattr(precondlab.ctypes, "CDLL", lambda name: object())  # no mallopt
+    precondlab._keep_fft_scratch_on_heap()
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is glibc's")

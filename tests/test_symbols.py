@@ -290,6 +290,9 @@ GUARDS = [
     *(pytest.param(lambda line=line: symbol_from_lines([line]), ParseError,
                    "line 1: not an ASCII number", id=f"ascii-{column}")
       for column, line in (("k", "1_0 0.5 0"), ("re", "1 \u0660.5 0"), ("im", "1 0.5 0_0"))),
+    # the term pattern takes "1e" as delta text; float() then refuses it
+    pytest.param(lambda: parse_trig_expression("2+delta(1e)"), ParseError, "bad delta value",
+                 id="delta-value"),
 ]
 
 
