@@ -30,6 +30,7 @@ checking it on a probe; for any real f,
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Optional
 
@@ -425,12 +426,18 @@ def toeplitz_diagonal(alg: TransformAlgebra, f: Symbol) -> np.ndarray:
     """
     if alg.lag_weights is None:
         raise ValueError(f"{alg.kind} algebra has no closed-form Toeplitz diagonal")
-    n = alg.order
     if alg.kind == "fourier":
         d = _fourier_diagonal(alg, f)
     else:
         check_transform(alg)
         d = lag_sum(alg, f, alg.grid)
+    check_toeplitz_trace(alg, f, d)
+    return d
+
+
+def check_toeplitz_trace(alg: TransformAlgebra, f: Symbol, d: np.ndarray) -> None:
+    """diag(U* T_n(f) U) = d must keep the trace: sum d = n a_0, else InvariantViolationError."""
+    n = alg.order
     scale = n * sum(abs(a) for k, a in f.coefficients.items() if abs(k) < n)
     defect = abs(np.sum(d) - n * f.coefficient(0))
     if not defect <= TRACE_RTOL * scale:
@@ -438,7 +445,6 @@ def toeplitz_diagonal(alg: TransformAlgebra, f: Symbol) -> np.ndarray:
             f"{alg.kind} Toeplitz diagonal of order {n} breaks the trace "
             f"identity: defect {defect:.3e} of {scale:.3e}"
         )
-    return d
 
 
 def _fourier_diagonal(alg: TransformAlgebra, f: Symbol) -> np.ndarray:
@@ -477,8 +483,8 @@ class CornerColumns:
     From ``row_exponentials``, Y[k, t] = exp(-2 pi i p_t k / P) over the
     distinct p_t, and C is (K, |I|).  With k = q m + j and m = ceil(sqrt(n)),
     Y[k, t] = A[q, t] B[j, t], each phase reduced mod P in integers first:
-    the factors hold O(sqrt(n) K) numbers, and Y* v (``adjoint``) and
-    out += Y z (``add_to``) cost two matrix products of O(n K) each.
+    the factors hold O(sqrt(n) K) numbers.  Y z, diag(Y M Y*), and Y* v
+    and out += Y z on a row block of the (q, m) layout cost O(n K) or less.
     """
 
     def __init__(self, alg: TransformAlgebra, rows: np.ndarray):
@@ -491,7 +497,17 @@ class CornerColumns:
         turn = -2j * np.pi / period
         self._outer = np.exp(turn * (np.outer(np.arange(0, n, width), freqs) % period))
         self._inner = np.exp(turn * (np.outer(np.arange(width), freqs) % period))
-        self._order, self._rows, self._width = n, n // width, width
+        self._order, self._width = n, width
+
+    @functools.cached_property
+    def _inner_real(self) -> np.ndarray:
+        """v -> v conj(B) on (re, im) pairs as a real (2m, 2K) matrix; z -> z B^T is its transpose.
+
+        Real products run faster than complex ones.
+        """
+        re, im = self._inner.real, self._inner.imag
+        pairs = np.stack((np.stack((re, -im), 2), np.stack((im, re), 2)), 1)
+        return pairs.reshape(2 * self._width, -1)
 
     def dense(self) -> np.ndarray:
         """L as an (n, |I|) array."""
@@ -499,24 +515,36 @@ class CornerColumns:
         y = y.reshape(len(self._outer) * self._width, self.coef.shape[0])
         return y[: self._order] @ self.coef
 
-    def adjoint(self, v: np.ndarray) -> np.ndarray:
-        """Y* v."""
-        q, m = self._rows, self._width
-        inner, outer = self._inner.conj(), self._outer.conj()
-        out = np.einsum("qt,qt->t", v[: q * m].reshape(q, m) @ inner, outer[:q])
-        tail = v[q * m :]
-        if tail.size:
-            out += (tail @ inner[: tail.size]) * outer[q]
-        return out
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        """Y z as a new vector."""
+        return ((self._outer * z) @ self._inner.T).ravel()[: self._order]
 
-    def add_to(self, out: np.ndarray, z: np.ndarray) -> None:
-        """out += Y z, in place."""
-        q, m = self._rows, self._width
-        head = out[: q * m].reshape(q, m)
-        head += (self._outer[:q] * z) @ self._inner.T
-        tail = out[q * m :]
-        if tail.size:
-            tail += self._inner[: tail.size] @ (self._outer[q] * z)
+    def diagonal(self, m: np.ndarray) -> np.ndarray:
+        """diag(Y M Y*), real for a Hermitian M, as Re of one (q, K^2) by (K^2, m) product."""
+        outer = (self._outer[:, :, None] * m * self._outer.conj()[:, None, :]).reshape(-1, m.size)
+        inner = (self._inner[:, :, None] * self._inner.conj()[:, None, :]).reshape(-1, m.size)
+        real = np.hstack((outer.real, -outer.imag)) @ np.hstack((inner.real, inner.imag)).T
+        return real.ravel()[: self._order]
+
+    def blocks(self, size: int) -> list[tuple[slice, slice]]:
+        """(elements, rows) of row blocks of ~size elements; the last has the partial row."""
+        n, m = self._order, self._width
+        step = max(size // m, 1)
+        ends = [*range(step, n // m, step), -(-n // m)]
+        return [(slice(a * m, min(b * m, n)), slice(a, b)) for a, b in zip([0, *ends], ends)]
+
+    def adjoint(self, v: np.ndarray, rows: slice) -> np.ndarray:
+        """Y* v over one row block, v holding the block's elements (contiguous)."""
+        outer, vr, m2 = self._outer[rows].conj(), v.view(np.float64), 2 * self._width
+        if vr.size < len(outer) * m2:  # the partial last row, padded with zeros
+            vr = np.concatenate((vr, np.zeros(len(outer) * m2 - vr.size)))
+        head = (vr.reshape(-1, m2) @ self._inner_real).view(np.complex128)
+        return np.einsum("qt,qt->t", head, outer)
+
+    def add_to(self, out: np.ndarray, z: np.ndarray, rows: slice) -> None:
+        """out += Y z over one row block, out holding the block's elements (contiguous)."""
+        o = out.view(np.float64)
+        o += ((self._outer[rows] * z).view(np.float64) @ self._inner_real.T).ravel()[: o.size]
 
 
 def toeplitz_corner_parts(
@@ -529,7 +557,8 @@ def toeplitz_corner_parts(
     for every f in the Fourier algebra, and for even f in the sine and
     Hartley algebras.  There A is Strang's circulant, A_jk = s_{(j-k) mod n}
     for s_k = a_k, s_{n-k} = a_{-k} (Fourier; Hartley, where an even s
-    keeps only the cosine part of cas x cas), and g = sqrt(n) U* s is one
+    keeps only the cosine part of cas x cas), and g = sqrt(n) U* s is read
+    through ``CornerColumns`` on the 2d + 1 entries of s, in O(n d) with no
     transform (with this U, g_j = f(-x_j) in Fourier, f(x_j) in Hartley).
     In the sine algebra A is the tau matrix T_n(f) - H,
     H_jk = a_{j+k+2} + a_{2n-j-k}, and g_j = f(x_j) on the grid.  So
@@ -552,9 +581,11 @@ def toeplitz_corner_parts(
         g = f.eval_real(alg.grid)
         s = section_entries(f, j + k + 2) + section_entries(f, 2 * n - j - k)
     else:
-        strang = np.roll(f.coefficient_array(-d, n - d), -d)
-        g = np.sqrt(n) * alg.transform(strang).real
-        s = section_entries(f, j - k) - strang[(j - k) % n]
+        strang = lambda idx: section_entries(f, np.where(idx < n - d, idx, idx - n))  # s at idx
+        support = np.append(rows, d)  # I and d: where Strang's column lives
+        cols = CornerColumns(alg, support)
+        g = np.sqrt(n) * cols.apply(cols.coef @ strang(support)).real
+        s = section_entries(f, j - k) - strang((j - k) % n)
     return g, rows, s
 
 

@@ -6,14 +6,15 @@ as the order grows.  Systems can be dense Hermitian positive definite
 matrices or matrix-free Toeplitz operators; the algebra preconditioner is
 applied by transform, diagonal solve and inverse transform, or, for a
 large Toeplitz system with a corner form, CG runs in the algebra's eigen
-coordinates, where the preconditioner is a diagonal and no transform runs
-per iteration.
+coordinates, where the preconditioner is a diagonal and a solve runs one
+U* and two U whatever its iteration count.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -22,6 +23,7 @@ from .algebras import (
     CornerColumns,
     TransformAlgebra,
     algebra_diagonal,
+    check_toeplitz_trace,
     check_transform,
     resolve_algebra_factory,
     toeplitz_corner_parts,
@@ -41,6 +43,9 @@ DIAGONAL_CLAMP_RTOL = 1e-13
 # (corner parts, U* b, U x and the gap check) and the per-call overhead of
 # the corner product cost more than the transforms it saves.
 EIGEN_MIN_ORDER = 2048
+# Eigen-coordinate pcg sweeps row blocks of about this many elements: the
+# block's slices of x, r, p, A p and 1/c (~1.2 MB) stay in a 2 MiB L2.
+BLOCK_ELEMENTS = 1 << 14
 # Residual gap bound of eigen-coordinate pcg, in units of (k + 1) sum|a_k| max||x_j||.
 GAP_EPS = 64 * np.finfo(np.float64).eps
 
@@ -138,13 +143,43 @@ def build_preconditioner(a, precond: str, alg_kind="fourier") -> tuple[str, Call
     return label, _diagonal_inverse(alg, d)
 
 
-def _eigen_operators(alg: TransformAlgebra, f: Symbol) -> Optional[tuple[Callable, Callable]]:
-    """(v -> U* T_n(f) U v, r -> r / c) in the algebra's eigen coordinates, or None.
+class _EigenCoordinates:
+    """CG kernels of ``_eigen_operators``, on the row blocks of ``CornerColumns``' layout.
+
+    w = core Y* p is gathered block by block, A p = g p + Y w goes to a
+    work buffer, and z = r / c overwrites each block of it once read.
+    """
+
+    def __init__(self, alg: TransformAlgebra, f: Symbol, g, rows, s):
+        self._corner = corner = CornerColumns(alg, rows)
+        self._core = corner.coef @ s @ corner.coef.conj().T  # C S C*
+        c = g + corner.diagonal(self._core)
+        check_toeplitz_trace(alg, f, c)
+        self._g, self._c_inv, self._work = g, _reciprocal(c), None  # work: made by the first z
+        self.blocks = corner.blocks(BLOCK_ELEMENTS)
+
+    def gather(self, v, rows):
+        return self._core @ self._corner.adjoint(v, rows)
+
+    def product(self, v, elements, rows, w):
+        out = np.multiply(self._g[elements], v, out=self._work[elements])
+        self._corner.add_to(out, w, rows)
+        return out
+
+    def precondition(self, r, elements):
+        if self._work is None:
+            self._work = np.empty(len(self._g), dtype=np.complex128)
+        return np.multiply(r, self._c_inv[elements], out=self._work[elements])
+
+
+def _eigen_operators(alg: TransformAlgebra, f: Symbol) -> Optional[_EigenCoordinates]:
+    """The CG kernels of T_n(f) in the algebra's eigen coordinates, or None.
 
     U* T_n(f) U = diag(g) + L S L* (``toeplitz_corner_parts``), with
     L = Y C in closed form (``CornerColumns``): a product is g v plus
     Y (C S C*) Y* v, O(n deg f) with no transform.  The preconditioner is
-    diag(c), c = ``toeplitz_diagonal`` with its checks.  None below
+    diag(c), c = g + diag(L S L*) (the projection's eigenvalues) from the
+    same factors, checked by the trace identity.  None below
     EIGEN_MIN_ORDER, where there are no corner parts, where S = 0 (T_n(f)
     lies in the algebra and one step solves it), or for a band wider than
     DIRECT_MAX_TAPS.  Up to that width the eigen path won at every order
@@ -156,17 +191,7 @@ def _eigen_operators(alg: TransformAlgebra, f: Symbol) -> Optional[tuple[Callabl
     parts = toeplitz_corner_parts(alg, f)
     if parts is None or not parts[2].any():
         return None
-    g, rows, s = parts
-    c_inv = _reciprocal(toeplitz_diagonal(alg, f))
-    corner = CornerColumns(alg, rows)
-    core = corner.coef @ s @ corner.coef.conj().T
-
-    def product(v):
-        out = g * v
-        corner.add_to(out, core @ corner.adjoint(v))
-        return out
-
-    return product, (lambda r: r * c_inv)
+    return _EigenCoordinates(alg, f, *parts)
 
 
 def _check_residual_gap(a: ToeplitzOperator, rhs, x, residual, iterations, x_peak) -> None:
@@ -175,8 +200,8 @@ def _check_residual_gap(a: ToeplitzOperator, rhs, x, residual, iterations, x_pea
     In exact arithmetic the eigen-coordinate residual is U* (b - T x); in
     floating point the two drift apart by round-off in each step's product
     and update (Greenbaum), which this bound covers, ill-conditioned
-    systems included.  A wrong operator (a bad corner factor) leaves the
-    true residual far above it.
+    systems included.  A wrong operator that keeps the trace identity, or
+    x mapped back through a flipped U, leaves the true residual far above it.
     """
     true = a.matvec(x)
     np.subtract(rhs, true, out=true)
@@ -188,6 +213,73 @@ def _check_residual_gap(a: ToeplitzOperator, rhs, x, residual, iterations, x_pea
             f"eigen-coordinate pcg drifted from the system: ||b - T x|| and the "
             f"recurred residual differ by {gap:.3e}, above {bound:.3e}"
         )
+
+
+def _iterate(sweeps, r, x, norm_b: float, tol: float, cap: int, peak: bool) -> tuple[list, float]:
+    """PCG from x = 0, r = b, in place: ([||r_k|| / ||b||], max ||x_k||^2 if peak else 0).
+
+    An iteration is three sweeps over ``sweeps.blocks`` (one, the whole
+    vector, on x itself): p = z + beta p and w; A p and p* A p; x, r,
+    |r|^2 (summed as np.linalg.norm does), |x|^2, z = M^-1 r and r* z,
+    the last block's z after the convergence test.
+    """
+    p = np.empty_like(r)
+    # per block: slices of p, r, x; elements, rows; z and A p while they live; views of r
+    blocks = [[p[el], r[el], x[el], el, rows, None, None, r[el].real, r[el].imag]
+              for el, rows in sweeps.blocks]
+    last = blocks[-1]
+    gamma = 0.0
+    for block in blocks:
+        pb, rb, _, el, _, _, _, _, _ = block
+        block[5] = zb = sweeps.precondition(rb, el)
+        pb[...] = zb
+        gamma += np.vdot(rb, zb).real
+    history = [1.0]
+    x_peak_sq = 0.0
+    while history[-1] > tol and len(history) <= cap:
+        w = 0.0
+        for pb, _, _, _, rows, zb, _, _, _ in blocks:  # p = z + beta p; w from p
+            if len(history) > 1:
+                pb *= beta
+                pb += zb
+            w = w + sweeps.gather(pb, rows)
+        curvature = 0.0
+        for block in blocks:  # A p, p* A p
+            pb, _, _, el, rows, _, _, _, _ = block
+            block[6] = apb = sweeps.product(pb, el, rows, w)
+            curvature += np.vdot(pb, apb).real
+        if not curvature > 0.0:
+            raise NotPositiveDefiniteError(
+                f"negative curvature p*Ap = {curvature:.3e}; matrix is not HPD"
+            )
+        alpha = gamma / curvature
+        r_sq = x_sq = gamma_new = 0.0
+        for block in blocks:  # x, r, |r|^2, |x|^2; z, r* z
+            pb, rb, xb, el, _, _, apb, re, im = block
+            block[6] = None  # a physical A p goes before the preconditioner apply
+            xb += alpha * pb
+            rb -= alpha * apb
+            r_sq += re.dot(re) + im.dot(im)
+            if peak:
+                x_sq += np.vdot(xb, xb).real
+            if block is not last:
+                block[5] = zb = sweeps.precondition(rb, el)
+                gamma_new += np.vdot(rb, zb).real
+        del apb
+        history.append(math.sqrt(r_sq) / norm_b)
+        x_peak_sq = max(x_peak_sq, x_sq)
+        if history[-1] <= tol:
+            break
+        if not math.isfinite(history[-1]):
+            raise InvariantViolationError(
+                f"pcg residual is {history[-1]} after {len(history) - 1} iterations"
+            )
+        _, rb, _, el, _, _, _, _, _ = last
+        last[5] = zb = sweeps.precondition(rb, el)
+        gamma_new += np.vdot(rb, zb).real
+        beta = gamma_new / gamma  # p stays its own buffer: z may be a work buffer or r
+        gamma = gamma_new
+    return history, x_peak_sq
 
 
 def pcg(
@@ -202,9 +294,10 @@ def pcg(
 
     A ToeplitzOperator T_n(f) with an algebra preconditioner runs in the
     algebra's eigen coordinates where ``_eigen_operators`` allows: CG on
-    U* x, with g, c (and its check), U* b and x = U (U* x) the only
-    transforms, five whatever the iteration count; its x is mapped back
-    and checked by ``_check_residual_gap``.  Everything else runs on x
+    U* x, whose only transforms are U* b and U U* b, checking the maps on
+    b, and x = U (U* x) at the end.  That check is enough: a flip of U*
+    that an even b cannot see leaves U* b as it is, and a flip of U moves
+    x, which ``_check_residual_gap`` refuses.  Everything else runs on x
     itself.  Iterate x_k is the solution of the run capped at max_iter = k.
     Terminates when ||r|| / ||b|| <= tol; raises ValueError on a NaN or
     infinite entry of b or on max_iter < 0, NotPositiveDefiniteError on
@@ -225,58 +318,30 @@ def pcg(
         raise ValueError(f"max_iter must be at least 0, got {max_iter}")
     cap = max_iter if max_iter is not None else max(1000, 4 * order)
 
-    alg, eigen = None, None
+    alg, sweeps = None, None
     if precond == "algebra_projection" and isinstance(a, ToeplitzOperator):
         built = resolve_algebra_factory(alg_kind)(order)
-        eigen = _eigen_operators(built, a.symbol)
+        sweeps = _eigen_operators(built, a.symbol)
         alg_kind = lambda _: built  # a custom algebra is not drawn twice
-    if eigen is None:
+    if sweeps is None:
         label, apply_inv = build_preconditioner(a, precond, alg_kind=alg_kind)
-        op = matvec
+        sweeps = SimpleNamespace(  # on x itself: one block, the whole vector
+            blocks=[(slice(0, order), None)], gather=lambda v, rows: 0.0,
+            product=lambda v, el, rows, w: matvec(v), precondition=lambda r, el: apply_inv(r))
     else:
-        alg, (op, apply_inv) = built, eigen
-        label = f"{precond}[{alg.kind}]"
+        alg, label = built, f"{precond}[{built.kind}]"
 
     start = time.perf_counter()
-    x = np.zeros(order, dtype=np.complex128)
     if norm_b == 0.0:
-        return SolveTrace(order, 0, [0.0], label, time.perf_counter() - start, solution=x)
+        return SolveTrace(order, 0, [0.0], label, time.perf_counter() - start,
+                          solution=np.zeros(order, dtype=np.complex128))
 
-    r = rhs.copy() if alg is None else alg.transform(rhs)
-    z = apply_inv(r)
-    p = z.copy()
-    gamma = np.vdot(r, z).real
-    history = [1.0]
-    iterations = 0
-    x_peak_sq = 0.0
-    while history[-1] > tol and iterations < cap:
-        ap = op(p)
-        curvature = np.vdot(p, ap).real
-        if not curvature > 0.0:
-            raise NotPositiveDefiniteError(
-                f"negative curvature p*Ap = {curvature:.3e}; matrix is not HPD"
-            )
-        alpha = gamma / curvature
-        x += alpha * p
-        r -= alpha * ap
-        del ap  # free before the preconditioner apply and the next product
-        iterations += 1
-        history.append(float(np.linalg.norm(r)) / norm_b)
-        if alg is not None:
-            x_peak_sq = max(x_peak_sq, np.vdot(x, x).real)
-        if history[-1] <= tol:
-            break
-        if not math.isfinite(history[-1]):
-            raise InvariantViolationError(
-                f"pcg residual is {history[-1]} after {iterations} iterations"
-            )
-        z = apply_inv(r)
-        gamma_new = np.vdot(r, z).real
-        p *= gamma_new / gamma  # p stays its own buffer: z may be apply_inv's work buffer or r
-        p += z
-        del z
-        gamma = gamma_new
-
+    # on the eigen path, U* b is the one forward transform and checks the maps
+    r = rhs.copy() if alg is None else check_transform(alg, rhs)
+    x = np.zeros(order, dtype=np.complex128)
+    history, x_peak_sq = _iterate(sweeps, r, x, norm_b, tol, cap, alg is not None)
+    del r, sweeps  # with p and the work buffer, gone before the gap check
+    iterations = len(history) - 1
     wall_time = time.perf_counter() - start
     if not np.isfinite(x).all():
         raise InvariantViolationError(f"pcg solution is not finite after {iterations} iterations")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from precondlab.algebras import (
     ALGEBRA_KINDS,
+    CornerColumns,
     TransformAlgebra,
     algebra_diagonal,
     check_transform,
@@ -25,6 +26,7 @@ from precondlab.algebras import (
     random_unitary_algebra,
     single_block_partition,
     singleton_partition,
+    toeplitz_corner_parts,
     toeplitz_diagonal,
 )
 from precondlab.errors import (
@@ -439,6 +441,59 @@ def test_toeplitz_diagonal_checks_the_trace(kind):
 def test_toeplitz_diagonal_needs_closed_forms():
     with pytest.raises(ValueError):
         toeplitz_diagonal(random_unitary_algebra(8), constant(1.0))
+
+
+# (kind, symbol) with corner parts: any real f in Fourier, an even f in sine and Hartley
+CORNER_CASES = [
+    ("fourier", parse_trig_expression("2.2+cos+0.4sin2x+0.3cos3x")),
+    ("hartley", parse_trig_expression("2.2+cos+0.4cos2x+0.3cos3x")),
+    ("sine", parse_trig_expression("2.2+cos+0.4cos2x+0.3cos3x")),
+]
+
+
+def _corner(kind, f, n):
+    """(alg, g, L = Y C of the corner rows I, S) of the corner parts of T_n(f)."""
+    alg = make_algebra(kind, n)
+    g, rows, s = toeplitz_corner_parts(alg, f)
+    return alg, g, CornerColumns(alg, rows), s
+
+
+# n = 2d + 1; (q, m) layouts with and without a partial last row (64 = 8 x 8,
+# 65 = 7 x 9 + 2, 97 = 9 x 10 + 7, 40001 = 199 x 201 + 2); odd and even n
+@pytest.mark.parametrize("kind, f", CORNER_CASES)
+@pytest.mark.parametrize("n", [7, 64, 65, 96, 97, 40001])
+def test_corner_diagonal_is_the_toeplitz_diagonal(kind, f, n):
+    # the projection's eigenvalues c = g + diag(L S L*), with no transform
+    alg, g, corner, s = _corner(kind, f, n)
+    c = g + corner.diagonal(corner.coef @ s @ corner.coef.conj().T)
+    d = toeplitz_diagonal(alg, f)
+    assert c.dtype == np.float64 and c.shape == (n,)
+    assert np.max(np.abs(c - d)) <= 1e-12 * np.max(np.abs(d)), (kind, n)
+    # g_j = f(-x_j) in Fourier, f(x_j) in Hartley and sine
+    xs = -alg.grid if kind == "fourier" else alg.grid
+    np.testing.assert_allclose(g, f.eval_real(xs), rtol=0, atol=1e-12 * np.max(np.abs(d)))
+
+
+@pytest.mark.parametrize("kind, f", CORNER_CASES)
+@pytest.mark.parametrize("n", [7, 65, 96])
+def test_corner_columns_match_their_dense_form(kind, f, n):
+    _, _, corner, s = _corner(kind, f, n)
+    low = corner.dense()
+    np.testing.assert_allclose(corner.diagonal(corner.coef @ s @ corner.coef.conj().T),
+                               np.diag(low @ s @ low.conj().T).real, atol=1e-13)
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    z = rng.standard_normal(low.shape[1]) + 0j
+    np.testing.assert_allclose(corner.apply(corner.coef @ z), low @ z, atol=1e-13)
+    for size in (1, 10, n):  # one row per block, a few rows, one block
+        blocks = corner.blocks(size)
+        assert np.concatenate([np.arange(n)[el] for el, _ in blocks]).tolist() == list(range(n))
+        gathered = sum(corner.adjoint(v[el], rows) for el, rows in blocks)
+        np.testing.assert_allclose(corner.coef.conj().T @ gathered, low.conj().T @ v, atol=1e-12)
+        out = v.copy()
+        for el, rows in blocks:
+            corner.add_to(out[el], corner.coef @ z, rows)
+        np.testing.assert_allclose(out, v + low @ z, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ALGEBRA_KINDS)

@@ -14,9 +14,15 @@ import importlib.util
 import json
 import os
 import re
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from precondlab import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -30,6 +36,31 @@ def _quick_start() -> str:
 
 def test_readme_quick_start_runs():
     exec(compile(_quick_start(), "README.md quick start", "exec"), {})
+
+
+def _example_commands() -> list:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    match = re.search(r"^Example commands:\n\n```sh\n(.*?)^```", text, re.S | re.M)
+    assert match, "README has no sh block after 'Example commands:'"
+    return match.group(1).splitlines()
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="needs bash")
+def test_readme_example_commands_are_valid_shell():
+    for line in _example_commands():
+        done = subprocess.run(["bash", "-n", "-c", line], capture_output=True, text=True)
+        assert done.returncode == 0, f"{line}: {done.stderr}"
+
+
+def test_readme_example_commands_run_dry(capsys):
+    lines = _example_commands()
+    assert lines
+    for line in lines:
+        program, *argv = shlex.split(line)
+        assert program == "precondlab"
+        assert cli.main([*argv, "--dry-run"]) == 0, line
+        plan = json.loads(capsys.readouterr().out)
+        assert plan["command"] == argv[0]
 
 
 def _reexports() -> list:

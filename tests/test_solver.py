@@ -302,15 +302,19 @@ def test_scaled_transform_fails_at_build(kind):
     build_preconditioner(op, "algebra_projection", alg_kind=kind)
 
 
-def _counted_fourier(calls, flip=False):
-    """Factory of Fourier algebras whose maps log their calls; flip swaps in U* for U."""
+def _counted_fourier(calls, flip=None):
+    """Factory of Fourier algebras whose maps log their calls.
+
+    flip="inverse" swaps in U* for U, flip="transform" U for U*.
+    """
     def factory(n):
         alg = make_algebra("fourier", n)
-        inverse_map = alg.transform if flip else alg.inverse
+        transform_map = alg.inverse if flip == "transform" else alg.transform
+        inverse_map = alg.transform if flip == "inverse" else alg.inverse
 
         def transform(x, out=None):
             calls.append("transform")
-            return alg.transform(x, out=out)
+            return transform_map(x, out=out)
 
         def inverse(z, out=None):
             calls.append("inverse")
@@ -330,7 +334,8 @@ def test_fourier_toeplitz_build_checks_the_transform_of_its_diagonal(n):
     assert calls == ["transform", "inverse"]
     # the column of the even symbol 3+cos is even, yet the flipped U* is caught
     with pytest.raises(NotUnitaryError, match="round-trip"):
-        build_preconditioner(op, "algebra_projection", alg_kind=_counted_fourier([], flip=True))
+        build_preconditioner(op, "algebra_projection",
+                             alg_kind=_counted_fourier([], flip="inverse"))
 
 
 @pytest.mark.parametrize("kind", ALGEBRA_KINDS)
@@ -442,6 +447,20 @@ def test_eigen_coordinates_return_a_physical_partial_trace(kind, f, n, eigen_fro
     np.testing.assert_allclose(got.solution, want.solution, atol=1e-12 * np.linalg.norm(want.solution))
 
 
+@pytest.mark.parametrize("kind, f, n", EIGEN_CASES)
+def test_row_blocks_do_not_change_the_eigen_solve(kind, f, n, eigen_from_order_two, monkeypatch):
+    # small n is one block; a block of one row each, with the partial last row, must agree
+    one = pcg(ToeplitzOperator(f, n), _rhs(n), precond="algebra_projection", alg_kind=kind,
+              tol=1e-12)
+    monkeypatch.setattr(precondlab.solver, "BLOCK_ELEMENTS", 1)
+    rows = pcg(ToeplitzOperator(f, n), _rhs(n), precond="algebra_projection", alg_kind=kind,
+               tol=1e-12)
+    assert rows.iterations == one.iterations
+    np.testing.assert_allclose(rows.residual_history, one.residual_history, rtol=1e-6, atol=1e-14)
+    np.testing.assert_allclose(rows.solution, one.solution,
+                               atol=1e-12 * np.linalg.norm(one.solution))
+
+
 @pytest.mark.parametrize("kind, f, n", PHYSICAL_CASES)
 def test_physical_cases_keep_to_x(kind, f, n, eigen_from_order_two):
     assert _eigen_operators(make_algebra(kind, n), f) is None
@@ -481,8 +500,8 @@ def test_eigen_coordinate_transforms_do_not_grow_with_the_iterations():
         iterations.append(trace.iterations)
         counts.append((calls.count("transform"), calls.count("inverse")))
     assert iterations[0] < iterations[1]
-    # g and toeplitz_diagonal (U* and its check U), U* b, and U x at the end
-    assert counts == [(3, 2), (3, 2)]
+    # U* b and its check U, and U x at the end: g and c come from the corner columns
+    assert counts == [(1, 2), (1, 2)]
     # a band past DIRECT_MAX_TAPS keeps to x: the build's check plus two per apply
     calls = []
     trace = pcg(ToeplitzOperator(parse_trig_expression("3+cos+0.5cos32x"), n), b,
@@ -490,8 +509,46 @@ def test_eigen_coordinate_transforms_do_not_grow_with_the_iterations():
     assert len(calls) == 2 + 2 * trace.iterations
 
 
+def _scaled_fourier(n):
+    alg = make_algebra("fourier", n)
+
+    def scaled(x, out=None):
+        return np.multiply(alg.transform(x), 1 + 1e-6, out=out)
+
+    return TransformAlgebra(**(vars(alg) | dict(transform=scaled)))
+
+
+@pytest.mark.parametrize("maps", ["inverse", "transform", "scaled"])
+def test_wrong_maps_fail_at_set_up_on_a_generic_rhs(maps, monkeypatch):
+    # U* b is the check: a flipped or scaled map is refused before the first iteration
+    def refuse(*args):
+        raise AssertionError("an iteration started")
+
+    monkeypatch.setattr(precondlab.algebras.CornerColumns, "add_to", refuse)
+    factory = _scaled_fourier if maps == "scaled" else _counted_fourier([], flip=maps)
+    with pytest.raises(NotUnitaryError, match="fourier"):
+        pcg(ToeplitzOperator(MIXED, 4096), _rhs(4096), precond="algebra_projection",
+            alg_kind=factory)
+
+
+def test_a_flipped_transform_on_an_even_rhs_still_solves():
+    # U* 1 = U 1 = sqrt(n) e_0: the check on b = 1 passes and the solve is the same.
+    # (A flipped U passes that check too; the guard "flipped-inverse" refuses its x.)
+    n = 4096
+    op, b = ToeplitzOperator(MIXED, n), np.ones(n, dtype=complex)
+    flipped = pcg(op, b, precond="algebra_projection",
+                  alg_kind=_counted_fourier([], flip="transform"))
+    right = pcg(op, b, precond="algebra_projection")
+    assert flipped.iterations == right.iterations
+    np.testing.assert_allclose(flipped.solution, right.solution, rtol=0,
+                               atol=1e-12 * np.linalg.norm(right.solution))
+    assert np.linalg.norm(b - op.matvec(flipped.solution)) <= 1e-9 * np.linalg.norm(b)
+
+
 def test_fourier_solve_peak_memory():
-    # the eigen path adds g, 1/c and factors of O(sqrt(n)) over the physical path's vectors
+    # x, r, p and the work buffer of A p and z, with g, 1/c and the algebra's grid at
+    # half a vector each, factors of O(sqrt(n)) and one row block's temporaries: 6.0
+    # vectors of 16n bytes, and a quarter vector to spare
     n = 65536
     op = ToeplitzOperator(HERMITIAN, n)
     b = np.random.default_rng(9).standard_normal(n).astype(np.complex128)
@@ -502,7 +559,7 @@ def test_fourier_solve_peak_memory():
     finally:
         tracemalloc.stop()
     assert trace.converged
-    assert peak <= 9 * 16 * n
+    assert peak <= 6.25 * 16 * n
 
 
 # ---------------------------------------------------------------------------
@@ -528,11 +585,17 @@ GUARDS = [
                                                     np.array([complex(1.0, np.nan), 1.0])),
         NotPositiveDefiniteError, "not real", id="nan-diagonal-imag",
     ),
-    # a wrong corner column: the residual gap at exit catches it (the CLI exits 2)
+    # a wrong corner column: c = g + diag(L S L*) breaks the trace before the first iteration
     pytest.param(
         lambda: pcg(ToeplitzOperator(EVEN, 4096), np.random.default_rng(1).standard_normal(4096),
                     precond="algebra_projection", alg_kind=_corrupted_corner("fourier")),
-        InvariantViolationError, "drifted from the system", id="corrupted-corner",
+        InvariantViolationError, "breaks the trace identity", id="corrupted-corner",
+    ),
+    # a flipped U that U* 1 cannot see: the residual gap at exit catches it (the CLI exits 2)
+    pytest.param(
+        lambda: pcg(ToeplitzOperator(MIXED, 4096), np.ones(4096), precond="algebra_projection",
+                    alg_kind=_counted_fourier([], flip="inverse")),
+        InvariantViolationError, "drifted from the system", id="flipped-inverse",
     ),
     # a bad right-hand side is not blamed on the matrix
     pytest.param(lambda: pcg(np.eye(2), [np.nan, 1.0]), ValueError,
