@@ -266,6 +266,11 @@ def make_algebra(kind: str, n: int) -> TransformAlgebra:
     )
 
 
+def has_fastest_transforms(alg: TransformAlgebra) -> bool:
+    """Whether U* and U are one complex FFT each, the cheapest built-in transforms."""
+    return alg.kind == "fourier"
+
+
 def custom_algebra(unitary) -> TransformAlgebra:
     """Wrap an arbitrary unitary as a custom algebra: no grid, basis or lag weights."""
     u = as_square(np.asarray(unitary, dtype=np.complex128))
@@ -478,26 +483,36 @@ def _weyl_probe(f: Symbol, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class CornerColumns:
-    """L = U* E_I = Y C for corner rows I, with Y kept in two small factors.
+    """L = Y C (= U* E_I for corner rows I), with Y kept in two small factors.
 
-    From ``row_exponentials``, Y[k, t] = exp(-2 pi i p_t k / P) over the
-    distinct p_t, and C is (K, |I|).  With k = q m + j and m = ceil(sqrt(n)),
+    Y[k, t] = exp(-2 pi i p_t k / P) over distinct frequencies p_t, and C
+    is (K, |I|).  With k = q m + j and m = ceil(sqrt(n)),
     Y[k, t] = A[q, t] B[j, t], each phase reduced mod P in integers first:
     the factors hold O(sqrt(n) K) numbers.  Y z, diag(Y M Y*), and Y* v
-    and out += Y z on a row block of the (q, m) layout cost O(n K) or less.
+    and out += Y z on a row block of the (q, m) layout cost O(n K).
     """
 
-    def __init__(self, alg: TransformAlgebra, rows: np.ndarray):
-        n = alg.order
+    def __init__(self, order: int, period: int, freqs: np.ndarray, coef: np.ndarray):
+        width = math.isqrt(order - 1) + 1
+        turn = -2j * np.pi / period
+        self._outer = np.exp(turn * (np.outer(np.arange(0, order, width), freqs) % period))
+        self._inner = np.exp(turn * (np.outer(np.arange(width), freqs) % period))
+        self.coef, self._freqs, self._period = coef, freqs, period
+        self._order, self._width = order, width
+
+    @classmethod
+    def of_rows(cls, alg: TransformAlgebra, rows: np.ndarray) -> "CornerColumns":
+        """U* E_rows, from the algebra's ``row_exponentials``."""
         period, freqs, coeffs = alg.row_exponentials(rows)
         freqs, where = np.unique(np.mod(freqs, period), return_inverse=True)
-        self.coef = np.zeros((freqs.size, len(rows)), dtype=np.complex128)
-        np.add.at(self.coef, where, coeffs.T.conj())
-        width = math.isqrt(n - 1) + 1
-        turn = -2j * np.pi / period
-        self._outer = np.exp(turn * (np.outer(np.arange(0, n, width), freqs) % period))
-        self._inner = np.exp(turn * (np.outer(np.arange(width), freqs) % period))
-        self._order, self._width = n, width
+        coef = np.zeros((freqs.size, len(rows)), dtype=np.complex128)
+        np.add.at(coef, where, coeffs.T.conj())
+        return cls(alg.order, period, freqs, coef)
+
+    def head(self, count: int) -> "CornerColumns":
+        """The first ``count`` columns, on the frequencies they use."""
+        keep = self.coef[:, :count].any(axis=1)
+        return CornerColumns(self._order, self._period, self._freqs[keep], self.coef[keep, :count])
 
     @functools.cached_property
     def _inner_real(self) -> np.ndarray:
@@ -520,11 +535,17 @@ class CornerColumns:
         return ((self._outer * z) @ self._inner.T).ravel()[: self._order]
 
     def diagonal(self, m: np.ndarray) -> np.ndarray:
-        """diag(Y M Y*), real for a Hermitian M, as Re of one (q, K^2) by (K^2, m) product."""
-        outer = (self._outer[:, :, None] * m * self._outer.conj()[:, None, :]).reshape(-1, m.size)
-        inner = (self._inner[:, :, None] * self._inner.conj()[:, None, :]).reshape(-1, m.size)
-        real = np.hstack((outer.real, -outer.imag)) @ np.hstack((inner.real, inner.imag)).T
-        return real.ravel()[: self._order]
+        """diag(Y M Y*), real for a Hermitian M.
+
+        Entry k is sum_tu M_tu exp(-2 pi i (p_t - p_u) k / P): Y' h over the
+        distinct differences, with h summing M over each.  The built-in p_t
+        lie in a few runs of consecutive integers, so there are O(K).
+        """
+        diffs = np.subtract.outer(self._freqs, self._freqs).ravel() % self._period
+        diffs, where = np.unique(diffs, return_inverse=True)
+        h = np.zeros(diffs.size, dtype=np.complex128)
+        np.add.at(h, where, m.ravel())
+        return CornerColumns(self._order, self._period, diffs, None).apply(h).real
 
     def blocks(self, size: int) -> list[tuple[slice, slice]]:
         """(elements, rows) of row blocks of ~size elements; the last has the partial row."""
@@ -549,8 +570,8 @@ class CornerColumns:
 
 def toeplitz_corner_parts(
     alg: TransformAlgebra, f: Symbol
-) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(g, I, S) with U* T_n(f) U = diag(g) + L S L* and L = U* E_I, or None.
+) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray, CornerColumns]]:
+    """(g, I, S, L) with U* T_n(f) U = diag(g) + L S L* and L = U* E_I, or None.
 
     For a real f of degree d and n >= 2d + 1, T_n(f) - A with
     A = U diag(g) U* lives on the corner block I = {0..d-1} u {n-d..n-1}
@@ -558,15 +579,16 @@ def toeplitz_corner_parts(
     Hartley algebras.  There A is Strang's circulant, A_jk = s_{(j-k) mod n}
     for s_k = a_k, s_{n-k} = a_{-k} (Fourier; Hartley, where an even s
     keeps only the cosine part of cas x cas), and g = sqrt(n) U* s is read
-    through ``CornerColumns`` on the 2d + 1 entries of s, in O(n d) with no
-    transform (with this U, g_j = f(-x_j) in Fourier, f(x_j) in Hartley).
+    through ``CornerColumns`` on I and d, the 2d + 1 entries of s, in
+    O(n d) with no transform (with this U, g_j = f(-x_j) in Fourier,
+    f(x_j) in Hartley); L is the same factorization without column d.
     In the sine algebra A is the tau matrix T_n(f) - H,
     H_jk = a_{j+k+2} + a_{2n-j-k}, and g_j = f(x_j) on the grid.  So
     S = T_II - A_II is read exactly from the coefficients, and L in closed
-    form from ``row_exponentials`` (``CornerColumns``).  Nothing is verified
-    here.  None for a complex f, n < 2d + 1, a custom algebra, or an odd
-    part of f in the sine or Hartley algebra (some |Im a_k| above the
-    round-off of ``Symbol.is_real``, read before any transform).
+    form from ``row_exponentials``.  Nothing is verified here.  None for a
+    complex f, n < 2d + 1, a custom algebra, or an odd part of f in the
+    sine or Hartley algebra (some |Im a_k| above the round-off of
+    ``Symbol.is_real``, read before any transform).
     """
     n, d = alg.order, f.degree
     if alg.row_exponentials is None or not f.is_real or n < 2 * d + 1:
@@ -580,13 +602,13 @@ def toeplitz_corner_parts(
     if alg.kind == "sine":
         g = f.eval_real(alg.grid)
         s = section_entries(f, j + k + 2) + section_entries(f, 2 * n - j - k)
-    else:
-        strang = lambda idx: section_entries(f, np.where(idx < n - d, idx, idx - n))  # s at idx
-        support = np.append(rows, d)  # I and d: where Strang's column lives
-        cols = CornerColumns(alg, support)
-        g = np.sqrt(n) * cols.apply(cols.coef @ strang(support)).real
-        s = section_entries(f, j - k) - strang((j - k) % n)
-    return g, rows, s
+        return g, rows, s, CornerColumns.of_rows(alg, rows)
+    strang = lambda idx: section_entries(f, np.where(idx < n - d, idx, idx - n))  # s at idx
+    support = np.append(rows, d)  # I and d: where Strang's column lives
+    cols = CornerColumns.of_rows(alg, support)
+    g = np.sqrt(n) * cols.apply(cols.coef @ strang(support)).real
+    s = section_entries(f, j - k) - strang((j - k) % n)
+    return g, rows, s, cols.head(2 * d)
 
 
 def toeplitz_corner_form(
@@ -602,8 +624,8 @@ def toeplitz_corner_form(
     parts = toeplitz_corner_parts(alg, f)
     if parts is None:
         return None
-    g, rows, s = parts
-    low = CornerColumns(alg, rows).dense()
+    g, rows, s, corner = parts
+    low = corner.dense()
     x, tx = _weyl_probe(f, alg.order)
     y = alg.transform(x)
     defect = tx - alg.inverse(g * y)

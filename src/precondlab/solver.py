@@ -25,6 +25,7 @@ from .algebras import (
     algebra_diagonal,
     check_toeplitz_trace,
     check_transform,
+    has_fastest_transforms,
     resolve_algebra_factory,
     toeplitz_corner_parts,
     toeplitz_diagonal,
@@ -150,8 +151,8 @@ class _EigenCoordinates:
     work buffer, and z = r / c overwrites each block of it once read.
     """
 
-    def __init__(self, alg: TransformAlgebra, f: Symbol, g, rows, s):
-        self._corner = corner = CornerColumns(alg, rows)
+    def __init__(self, alg: TransformAlgebra, f: Symbol, g, s, corner: CornerColumns):
+        self._corner = corner
         self._core = corner.coef @ s @ corner.coef.conj().T  # C S C*
         c = g + corner.diagonal(self._core)
         check_toeplitz_trace(alg, f, c)
@@ -182,16 +183,20 @@ def _eigen_operators(alg: TransformAlgebra, f: Symbol) -> Optional[_EigenCoordin
     same factors, checked by the trace identity.  None below
     EIGEN_MIN_ORDER, where there are no corner parts, where S = 0 (T_n(f)
     lies in the algebra and one step solves it), or for a band wider than
-    DIRECT_MAX_TAPS.  Up to that width the eigen path won at every order
-    measured; at n = 4096 it breaks even near 97 taps, as the rank-2d term
-    grows while the physical product moves to its FFT embedding.
+    DIRECT_MAX_TAPS.  The Fourier transforms are the cheapest, so there
+    the O(n d) corner product waits for n >= EIGEN_MIN_ORDER floor(d / 2):
+    at n = 4096 it took up to 1.25x (d = 15) and 1.8x (d = 31) the physical
+    time, at 65536 0.56-0.87x.  Hartley and sine took <= 1.04x at every
+    d <= 31 and n from 4096 to 65536.
     """
-    if alg.order < EIGEN_MIN_ORDER or 2 * f.degree + 1 > DIRECT_MAX_TAPS:
+    floor = EIGEN_MIN_ORDER * (max(1, f.degree // 2) if has_fastest_transforms(alg) else 1)
+    if alg.order < floor or 2 * f.degree + 1 > DIRECT_MAX_TAPS:
         return None
     parts = toeplitz_corner_parts(alg, f)
     if parts is None or not parts[2].any():
         return None
-    return _EigenCoordinates(alg, f, *parts)
+    g, _, s, corner = parts
+    return _EigenCoordinates(alg, f, g, s, corner)
 
 
 def _check_residual_gap(a: ToeplitzOperator, rhs, x, residual, iterations, x_peak) -> None:
@@ -224,48 +229,42 @@ def _iterate(sweeps, r, x, norm_b: float, tol: float, cap: int, peak: bool) -> t
     the last block's z after the convergence test.
     """
     p = np.empty_like(r)
-    # per block: slices of p, r, x; elements, rows; z and A p while they live; views of r
-    blocks = [[p[el], r[el], x[el], el, rows, None, None, r[el].real, r[el].imag]
-              for el, rows in sweeps.blocks]
-    last = blocks[-1]
-    gamma = 0.0
-    for block in blocks:
-        pb, rb, _, el, _, _, _, _, _ = block
-        block[5] = zb = sweeps.precondition(rb, el)
-        pb[...] = zb
-        gamma += np.vdot(rb, zb).real
+    # per block: slices of p, r, x; elements, rows; views of r
+    blocks = [(p[el], r[el], x[el], el, rows, r[el].real, r[el].imag) for el, rows in sweeps.blocks]
+    zs, gamma = [], 0.0  # z per block
+    for pb, rb, _, el, _, _, _ in blocks:
+        zs.append(sweeps.precondition(rb, el))
+        pb[...] = zs[-1]
+        gamma += np.vdot(rb, zs[-1]).real
     history = [1.0]
     x_peak_sq = 0.0
     while history[-1] > tol and len(history) <= cap:
         w = 0.0
-        for pb, _, _, _, rows, zb, _, _, _ in blocks:  # p = z + beta p; w from p
+        for (pb, _, _, _, rows, _, _), zb in zip(blocks, zs):  # p = z + beta p; w from p
             if len(history) > 1:
                 pb *= beta
                 pb += zb
             w = w + sweeps.gather(pb, rows)
-        curvature = 0.0
-        for block in blocks:  # A p, p* A p
-            pb, _, _, el, rows, _, _, _, _ = block
-            block[6] = apb = sweeps.product(pb, el, rows, w)
-            curvature += np.vdot(pb, apb).real
+        aps, curvature = [], 0.0  # A p per block
+        for pb, _, _, el, rows, _, _ in blocks:  # A p, p* A p
+            aps.append(sweeps.product(pb, el, rows, w))
+            curvature += np.vdot(pb, aps[-1]).real
         if not curvature > 0.0:
             raise NotPositiveDefiniteError(
                 f"negative curvature p*Ap = {curvature:.3e}; matrix is not HPD"
             )
         alpha = gamma / curvature
         r_sq = x_sq = gamma_new = 0.0
-        for block in blocks:  # x, r, |r|^2, |x|^2; z, r* z
-            pb, rb, xb, el, _, _, apb, re, im = block
-            block[6] = None  # a physical A p goes before the preconditioner apply
+        for i, (pb, rb, xb, el, _, re, im) in enumerate(blocks):  # x, r, |r|^2, |x|^2; z, r* z
             xb += alpha * pb
-            rb -= alpha * apb
+            rb -= alpha * aps[i]
             r_sq += re.dot(re) + im.dot(im)
             if peak:
                 x_sq += np.vdot(xb, xb).real
-            if block is not last:
-                block[5] = zb = sweeps.precondition(rb, el)
-                gamma_new += np.vdot(rb, zb).real
-        del apb
+            if i < len(blocks) - 1:
+                zs[i] = sweeps.precondition(rb, el)
+                gamma_new += np.vdot(rb, zs[i]).real
+        del aps  # a physical A p goes before the preconditioner apply
         history.append(math.sqrt(r_sq) / norm_b)
         x_peak_sq = max(x_peak_sq, x_sq)
         if history[-1] <= tol:
@@ -274,9 +273,9 @@ def _iterate(sweeps, r, x, norm_b: float, tol: float, cap: int, peak: bool) -> t
             raise InvariantViolationError(
                 f"pcg residual is {history[-1]} after {len(history) - 1} iterations"
             )
-        _, rb, _, el, _, _, _, _, _ = last
-        last[5] = zb = sweeps.precondition(rb, el)
-        gamma_new += np.vdot(rb, zb).real
+        _, rb, _, el, _, _, _ = blocks[-1]
+        zs[-1] = sweeps.precondition(rb, el)
+        gamma_new += np.vdot(rb, zs[-1]).real
         beta = gamma_new / gamma  # p stays its own buffer: z may be a work buffer or r
         gamma = gamma_new
     return history, x_peak_sq

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from precondlab.algebras import (
     ALGEBRA_KINDS,
-    CornerColumns,
     TransformAlgebra,
     algebra_diagonal,
     check_transform,
@@ -449,22 +448,26 @@ CORNER_CASES = [
     ("hartley", parse_trig_expression("2.2+cos+0.4cos2x+0.3cos3x")),
     ("sine", parse_trig_expression("2.2+cos+0.4cos2x+0.3cos3x")),
 ]
+# an even band of 63 taps (DIRECT_MAX_TAPS), the widest the eigen-coordinate solve takes
+WIDE = Symbol({0: 8.0} | {k: 0.5 / abs(k) for k in range(-31, 32) if k})
+WIDE_CASES = [(kind, WIDE) for kind in ALGEBRA_KINDS]
 
 
 def _corner(kind, f, n):
-    """(alg, g, L = Y C of the corner rows I, S) of the corner parts of T_n(f)."""
+    """(alg, g, I, L = Y C of the corner rows I, S) of the corner parts of T_n(f)."""
     alg = make_algebra(kind, n)
-    g, rows, s = toeplitz_corner_parts(alg, f)
-    return alg, g, CornerColumns(alg, rows), s
+    g, rows, s, corner = toeplitz_corner_parts(alg, f)
+    return alg, g, rows, corner, s
 
 
 # n = 2d + 1; (q, m) layouts with and without a partial last row (64 = 8 x 8,
 # 65 = 7 x 9 + 2, 97 = 9 x 10 + 7, 40001 = 199 x 201 + 2); odd and even n
-@pytest.mark.parametrize("kind, f", CORNER_CASES)
-@pytest.mark.parametrize("n", [7, 64, 65, 96, 97, 40001])
+@pytest.mark.parametrize("kind, f, n", [(*case, n) for case in CORNER_CASES
+                                        for n in (7, 64, 65, 96, 97, 40001)]
+                         + [(*case, n) for case in WIDE_CASES for n in (63, 200, 4099)])
 def test_corner_diagonal_is_the_toeplitz_diagonal(kind, f, n):
     # the projection's eigenvalues c = g + diag(L S L*), with no transform
-    alg, g, corner, s = _corner(kind, f, n)
+    alg, g, _, corner, s = _corner(kind, f, n)
     c = g + corner.diagonal(corner.coef @ s @ corner.coef.conj().T)
     d = toeplitz_diagonal(alg, f)
     assert c.dtype == np.float64 and c.shape == (n,)
@@ -474,11 +477,15 @@ def test_corner_diagonal_is_the_toeplitz_diagonal(kind, f, n):
     np.testing.assert_allclose(g, f.eval_real(xs), rtol=0, atol=1e-12 * np.max(np.abs(d)))
 
 
-@pytest.mark.parametrize("kind, f", CORNER_CASES)
-@pytest.mark.parametrize("n", [7, 65, 96])
+@pytest.mark.parametrize("kind, f, n", [(*case, n) for case in CORNER_CASES for n in (7, 65, 96)]
+                         + [(*case, 63) for case in WIDE_CASES])
 def test_corner_columns_match_their_dense_form(kind, f, n):
-    _, _, corner, s = _corner(kind, f, n)
+    alg, _, rows, corner, s = _corner(kind, f, n)
     low = corner.dense()
+    # L = U* E_I: for Fourier, the factorization on I and d with column d dropped
+    np.testing.assert_allclose(low, alg.unitary.conj().T[:, rows], atol=1e-13)
+    frequencies = {"fourier": 2 * f.degree, "hartley": 2 * f.degree + 1, "sine": 4 * f.degree}
+    assert corner.coef.shape[0] == frequencies[kind]
     np.testing.assert_allclose(corner.diagonal(corner.coef @ s @ corner.coef.conj().T),
                                np.diag(low @ s @ low.conj().T).real, atol=1e-13)
     rng = np.random.default_rng(n)
@@ -488,11 +495,11 @@ def test_corner_columns_match_their_dense_form(kind, f, n):
     for size in (1, 10, n):  # one row per block, a few rows, one block
         blocks = corner.blocks(size)
         assert np.concatenate([np.arange(n)[el] for el, _ in blocks]).tolist() == list(range(n))
-        gathered = sum(corner.adjoint(v[el], rows) for el, rows in blocks)
+        gathered = sum(corner.adjoint(v[el], qs) for el, qs in blocks)
         np.testing.assert_allclose(corner.coef.conj().T @ gathered, low.conj().T @ v, atol=1e-12)
         out = v.copy()
-        for el, rows in blocks:
-            corner.add_to(out[el], corner.coef @ z, rows)
+        for el, qs in blocks:
+            corner.add_to(out[el], corner.coef @ z, qs)
         np.testing.assert_allclose(out, v + low @ z, atol=1e-12)
 
 

@@ -385,12 +385,15 @@ def eigen_from_order_two(monkeypatch):
     monkeypatch.setattr(precondlab.solver, "EIGEN_MIN_ORDER", 2)
 
 
+# an even band of 63 taps (DIRECT_MAX_TAPS), the widest the eigen path takes
+WIDE = Symbol({0: 8.0} | {k: 0.5 / abs(k) for k in range(-31, 32) if k})
 # (kind, symbol, n), each with corner parts: n = 2d + 1, odd and even n, all three kinds
 EIGEN_CASES = [
     ("fourier", MIXED, 7), ("fourier", MIXED, 97), ("fourier", HERMITIAN, 64),
     ("fourier", parse_trig_expression("3+cos"), 3),
     ("hartley", EVEN, 7), ("hartley", EVEN, 96), ("hartley", EVEN, 97),
     ("sine", EVEN, 7), ("sine", EVEN, 96), ("sine", EVEN, 97),
+    ("fourier", WIDE, 200), ("hartley", WIDE, 200), ("sine", WIDE, 200),
 ]
 # (kind, symbol, n) that keep to x: n = 2, n < 2d + 1, an odd part in sine or
 # Hartley, a band wider than DIRECT_MAX_TAPS, and T_n(f) inside the algebra (S = 0)
@@ -481,6 +484,15 @@ def test_eigen_coordinates_at_the_crossover_order(kind, f):
     assert eigen.iterations == physical.iterations
     np.testing.assert_allclose(eigen.residual_history, physical.residual_history,
                                rtol=1e-6, atol=1e-14)
+
+
+def test_wide_fourier_bands_wait_for_a_larger_order():
+    # the Fourier eigen path starts at EIGEN_MIN_ORDER d / 2; Hartley and sine at EIGEN_MIN_ORDER
+    floor = precondlab.solver.EIGEN_MIN_ORDER * 15
+    assert _eigen_operators(make_algebra("fourier", floor - 1), WIDE) is None
+    assert _eigen_operators(make_algebra("fourier", floor), WIDE) is not None
+    for kind in ("hartley", "sine"):
+        assert _eigen_operators(make_algebra(kind, 4096), WIDE) is not None
 
 
 def test_tau_tridiagonal_above_the_crossover_takes_one_iteration():
