@@ -421,20 +421,20 @@ def toeplitz_diagonal(alg: TransformAlgebra, f: Symbol) -> np.ndarray:
     """diag(U* T_n(f) U) for a built-in algebra, without the section.
 
     These are the eigenvalues of the projection of T_n(f), real for a
-    real f.  Fourier: sqrt(n) U* c for the optimal circulant column c,
-    O(n log n).  Sine and Hartley: ``lag_sum`` on the grid, O(n deg f).
-    Only the lags |k| < n enter, so any degree works.  The maps U* and U
-    that the diagonal comes with are checked as well (``check_transform``;
-    for Fourier on the vector the diagonal transforms, see
-    ``_fourier_diagonal``).  The result is checked against the trace
-    identity sum d = n a_0, else InvariantViolationError.
+    real f.  The maps U* and U that the diagonal comes with are checked
+    first, on the ramp (``check_transform``).  Fourier: sqrt(n) U* c for
+    the optimal circulant column c, O(n log n).  Sine and Hartley:
+    ``lag_sum`` on the grid, O(n deg f).  Only the lags |k| < n enter, so
+    any degree works.  The result is checked against the trace identity
+    sum d = n a_0, else InvariantViolationError.
     """
     if alg.lag_weights is None:
         raise ValueError(f"{alg.kind} algebra has no closed-form Toeplitz diagonal")
+    check_transform(alg)
     if alg.kind == "fourier":
-        d = _fourier_diagonal(alg, f)
+        d = np.sqrt(alg.order) * alg.transform(optimal_circulant_column(f, alg.order))
+        d = d.real if f.is_real else d
     else:
-        check_transform(alg)
         d = lag_sum(alg, f, alg.grid)
     check_toeplitz_trace(alg, f, d)
     return d
@@ -450,26 +450,6 @@ def check_toeplitz_trace(alg: TransformAlgebra, f: Symbol, d: np.ndarray) -> Non
             f"{alg.kind} Toeplitz diagonal of order {n} breaks the trace "
             f"identity: defect {defect:.3e} of {scale:.3e}"
         )
-
-
-def _fourier_diagonal(alg: TransformAlgebra, f: Symbol) -> np.ndarray:
-    """sqrt(n) U* c for the optimal circulant column c, with U* and U checked on the way.
-
-    An even f gives an even c (c_{-j} = c_j), on which U U* c = c cannot
-    tell U from a flipped U*.  For a real f, c is Hermitian and U* c real,
-    while the real odd o = ||c|| (e_1 - e_{-1}) has an imaginary U* o: the
-    check runs on c + o, which is not even, and Re U* (c + o) = U* c.  At
-    n = 2 the flip is the identity and o = 0.  A complex f is checked on c.
-    """
-    n = alg.order
-    c = optimal_circulant_column(f, n)
-    if not f.is_real:
-        return np.sqrt(n) * check_transform(alg, c)
-    if n > 2:
-        t = np.linalg.norm(c)
-        c[1] += t
-        c[n - 1] -= t
-    return np.sqrt(n) * check_transform(alg, c).real
 
 
 def _weyl_probe(f: Symbol, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -492,11 +472,14 @@ class CornerColumns:
     and out += Y z on a row block of the (q, m) layout cost O(n K).
     """
 
-    def __init__(self, order: int, period: int, freqs: np.ndarray, coef: np.ndarray):
+    def __init__(self, order: int, period: int, freqs: np.ndarray, coef: np.ndarray, factors=None):
+        """factors: (A, B) on freqs where already built, else built here."""
         width = math.isqrt(order - 1) + 1
-        turn = -2j * np.pi / period
-        self._outer = np.exp(turn * (np.outer(np.arange(0, order, width), freqs) % period))
-        self._inner = np.exp(turn * (np.outer(np.arange(width), freqs) % period))
+        if factors is None:
+            turn = -2j * np.pi / period
+            factors = (np.exp(turn * (np.outer(np.arange(0, order, width), freqs) % period)),
+                       np.exp(turn * (np.outer(np.arange(width), freqs) % period)))
+        self._outer, self._inner = factors
         self.coef, self._freqs, self._period = coef, freqs, period
         self._order, self._width = order, width
 
@@ -510,9 +493,11 @@ class CornerColumns:
         return cls(alg.order, period, freqs, coef)
 
     def head(self, count: int) -> "CornerColumns":
-        """The first ``count`` columns, on the frequencies they use."""
+        """The first ``count`` columns, on the frequencies they use: the factors' kept columns."""
         keep = self.coef[:, :count].any(axis=1)
-        return CornerColumns(self._order, self._period, self._freqs[keep], self.coef[keep, :count])
+        factors = tuple(np.ascontiguousarray(x[:, keep]) for x in (self._outer, self._inner))
+        return CornerColumns(self._order, self._period, self._freqs[keep], self.coef[keep, :count],
+                             factors)
 
     @functools.cached_property
     def _inner_real(self) -> np.ndarray:

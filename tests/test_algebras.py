@@ -437,6 +437,23 @@ def test_toeplitz_diagonal_checks_the_trace(kind):
     toeplitz_diagonal(alg, f)  # the true lag weights pass
 
 
+@pytest.mark.parametrize("kind", ALGEBRA_KINDS)
+def test_toeplitz_diagonal_checks_its_maps(kind):
+    alg = make_algebra(kind, 16)
+
+    def flipped(x, out=None):  # U* reflected, k -> -k mod n
+        return np.roll(alg.transform(x)[::-1], 1)
+
+    def scaled(x, out=None):
+        return np.multiply(alg.transform(x), 1 + 1e-6, out=out)
+
+    f = parse_trig_expression("3+cos")  # even: the Fourier column alone cannot show a flip
+    for transform in (flipped, scaled):
+        with pytest.raises(NotUnitaryError, match=kind):
+            toeplitz_diagonal(TransformAlgebra(**(vars(alg) | dict(transform=transform))), f)
+    toeplitz_diagonal(alg, f)  # the true maps pass
+
+
 def test_toeplitz_diagonal_needs_closed_forms():
     with pytest.raises(ValueError):
         toeplitz_diagonal(random_unitary_algebra(8), constant(1.0))

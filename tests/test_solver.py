@@ -302,40 +302,47 @@ def test_scaled_transform_fails_at_build(kind):
     build_preconditioner(op, "algebra_projection", alg_kind=kind)
 
 
-def _counted_fourier(calls, flip=None):
-    """Factory of Fourier algebras whose maps log their calls.
+def _counted(calls, flip=None, kind="fourier"):
+    """Factory of algebras whose maps log their calls.
 
-    flip="inverse" swaps in U* for U, flip="transform" U for U*.
+    flip="transform" or "inverse" reflects that map's output, k -> -k mod n:
+    in Fourier the reflected U* is U, and the reflected U is U*.
     """
+    def reflect(y):
+        y[...] = np.roll(np.flip(y, 0), 1, 0)
+        return y
+
     def factory(n):
-        alg = make_algebra("fourier", n)
-        transform_map = alg.inverse if flip == "transform" else alg.transform
-        inverse_map = alg.transform if flip == "inverse" else alg.inverse
+        alg = make_algebra(kind, n)
 
         def transform(x, out=None):
             calls.append("transform")
-            return transform_map(x, out=out)
+            y = alg.transform(x, out=out)
+            return reflect(y) if flip == "transform" else y
 
         def inverse(z, out=None):
             calls.append("inverse")
-            return inverse_map(z, out=out)
+            y = alg.inverse(z, out=out)
+            return reflect(y) if flip == "inverse" else y
 
         return TransformAlgebra(**(vars(alg) | dict(transform=transform, inverse=inverse)))
 
     return factory
 
 
+@pytest.mark.parametrize("kind", ALGEBRA_KINDS)
 @pytest.mark.parametrize("n", [3, 16, 17])
-def test_fourier_toeplitz_build_checks_the_transform_of_its_diagonal(n):
-    # one U* for the diagonal, one U for the round trip: no separate check vector
+def test_toeplitz_build_checks_the_maps_of_its_diagonal(n, kind):
+    # U* and U on the ramp, then for Fourier one more U*: the diagonal sqrt(n) U* c
     calls = []
     op = ToeplitzOperator(parse_trig_expression("3+cos"), n)
-    build_preconditioner(op, "algebra_projection", alg_kind=_counted_fourier(calls))
-    assert calls == ["transform", "inverse"]
-    # the column of the even symbol 3+cos is even, yet the flipped U* is caught
-    with pytest.raises(NotUnitaryError, match="round-trip"):
-        build_preconditioner(op, "algebra_projection",
-                             alg_kind=_counted_fourier([], flip="inverse"))
+    build_preconditioner(op, "algebra_projection", alg_kind=_counted(calls, kind=kind))
+    assert calls == ["transform", "inverse"] + ["transform"] * (kind == "fourier")
+    # the symbol 3+cos is even, yet a flipped map is caught
+    for flip in ("transform", "inverse"):
+        with pytest.raises(NotUnitaryError, match="round-trip"):
+            build_preconditioner(op, "algebra_projection",
+                                 alg_kind=_counted([], flip=flip, kind=kind))
 
 
 @pytest.mark.parametrize("kind", ALGEBRA_KINDS)
@@ -508,17 +515,18 @@ def test_eigen_coordinate_transforms_do_not_grow_with_the_iterations():
     for tol in (1e-3, 1e-12):
         calls = []
         trace = pcg(ToeplitzOperator(MIXED, n), b, precond="algebra_projection",
-                    alg_kind=_counted_fourier(calls), tol=tol)
+                    alg_kind=_counted(calls), tol=tol)
         iterations.append(trace.iterations)
         counts.append((calls.count("transform"), calls.count("inverse")))
     assert iterations[0] < iterations[1]
     # U* b and its check U, and U x at the end: g and c come from the corner columns
     assert counts == [(1, 2), (1, 2)]
-    # a band past DIRECT_MAX_TAPS keeps to x: the build's check plus two per apply
+    # a band past DIRECT_MAX_TAPS keeps to x: the build's check and the U* of its
+    # diagonal, plus two per apply
     calls = []
     trace = pcg(ToeplitzOperator(parse_trig_expression("3+cos+0.5cos32x"), n), b,
-                precond="algebra_projection", alg_kind=_counted_fourier(calls))
-    assert len(calls) == 2 + 2 * trace.iterations
+                precond="algebra_projection", alg_kind=_counted(calls))
+    assert len(calls) == 3 + 2 * trace.iterations
 
 
 def _scaled_fourier(n):
@@ -537,7 +545,7 @@ def test_wrong_maps_fail_at_set_up_on_a_generic_rhs(maps, monkeypatch):
         raise AssertionError("an iteration started")
 
     monkeypatch.setattr(precondlab.algebras.CornerColumns, "add_to", refuse)
-    factory = _scaled_fourier if maps == "scaled" else _counted_fourier([], flip=maps)
+    factory = _scaled_fourier if maps == "scaled" else _counted([], flip=maps)
     with pytest.raises(NotUnitaryError, match="fourier"):
         pcg(ToeplitzOperator(MIXED, 4096), _rhs(4096), precond="algebra_projection",
             alg_kind=factory)
@@ -549,7 +557,7 @@ def test_a_flipped_transform_on_an_even_rhs_still_solves():
     n = 4096
     op, b = ToeplitzOperator(MIXED, n), np.ones(n, dtype=complex)
     flipped = pcg(op, b, precond="algebra_projection",
-                  alg_kind=_counted_fourier([], flip="transform"))
+                  alg_kind=_counted([], flip="transform"))
     right = pcg(op, b, precond="algebra_projection")
     assert flipped.iterations == right.iterations
     np.testing.assert_allclose(flipped.solution, right.solution, rtol=0,
@@ -577,6 +585,14 @@ def test_fourier_solve_peak_memory():
 # ---------------------------------------------------------------------------
 # guards: (call, error, message fragment)
 
+def _warns(call):
+    """call, which must pass a RuntimeWarning on its way to the error."""
+    def run():
+        with pytest.warns(RuntimeWarning):
+            call()
+    return run
+
+
 GUARDS = [
     pytest.param(lambda: build_preconditioner(np.eye(4), "jacobi"), ValueError,
                  "unknown preconditioner", id="preconditioner"),
@@ -588,8 +604,8 @@ GUARDS = [
     pytest.param(lambda: pcg(np.array([[np.nan]]), np.ones(1)), NotPositiveDefiniteError,
                  "p\\*Ap = nan", id="nan-curvature"),
     # |b|^2 overflows: gamma and the step are inf, the residual nan, the curvature 1e300
-    pytest.param(lambda: pcg(np.array([[1e-300]]), np.array([1e300])), InvariantViolationError,
-                 "residual is nan after 1 iterations", id="nan-residual"),
+    pytest.param(_warns(lambda: pcg(np.array([[1e-300]]), np.array([1e300]))),
+                 InvariantViolationError, "residual is nan after 1 iterations", id="nan-residual"),
     pytest.param(lambda: precondlab.solver._check_diagonal(np.array([np.nan, 1.0]), 1.0),
                  NotPositiveDefiniteError, "clamp threshold", id="nan-diagonal"),
     pytest.param(
@@ -606,15 +622,16 @@ GUARDS = [
     # a flipped U that U* 1 cannot see: the residual gap at exit catches it (the CLI exits 2)
     pytest.param(
         lambda: pcg(ToeplitzOperator(MIXED, 4096), np.ones(4096), precond="algebra_projection",
-                    alg_kind=_counted_fourier([], flip="inverse")),
+                    alg_kind=_counted([], flip="inverse")),
         InvariantViolationError, "drifted from the system", id="flipped-inverse",
     ),
     # a bad right-hand side is not blamed on the matrix
     pytest.param(lambda: pcg(np.eye(2), [np.nan, 1.0]), ValueError,
                  "rhs has a NaN or infinite entry", id="nan-rhs"),
     # the step overflows while the residual vanishes: x is [inf]
-    pytest.param(lambda: pcg(np.array([[1e-300]]), np.array([1e150])), InvariantViolationError,
-                 "solution is not finite after 1 iterations", id="inf-solution"),
+    pytest.param(_warns(lambda: pcg(np.array([[1e-300]]), np.array([1e150]))),
+                 InvariantViolationError, "solution is not finite after 1 iterations",
+                 id="inf-solution"),
     pytest.param(lambda: pcg(np.eye(2), np.ones(2), max_iter=-3), ValueError,
                  "max_iter must be at least 0, got -3", id="negative-max-iter"),
 ]
