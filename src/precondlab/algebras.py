@@ -568,7 +568,8 @@ def toeplitz_corner_parts(
     O(n d) with no transform (with this U, g_j = f(-x_j) in Fourier,
     f(x_j) in Hartley); L is the same factorization without column d.
     In the sine algebra A is the tau matrix T_n(f) - H,
-    H_jk = a_{j+k+2} + a_{2n-j-k}, and g_j = f(x_j) on the grid.  So
+    H_jk = a_{j+k+2} + a_{2n-j-k}, and g_j = f(x_j) on the grid, read
+    through L's own factors, which hold every frequency -k mod P.  So
     S = T_II - A_II is read exactly from the coefficients, and L in closed
     form from ``row_exponentials``.  Nothing is verified here.  None for a
     complex f, n < 2d + 1, a custom algebra, or an odd part of f in the
@@ -585,9 +586,14 @@ def toeplitz_corner_parts(
     rows = np.concatenate((np.arange(d), np.arange(n - d, n)))
     j, k = rows[:, None], rows[None, :]
     if alg.kind == "sine":
-        g = f.eval_real(alg.grid)
+        # g_j = f(x_0 + 2 pi j / P) = a_0 + (Y c)_j, c holding a_k e^{i k x_0} at -k mod P
+        cols, ks = CornerColumns.of_rows(alg, rows), np.delete(np.arange(-d, d + 1), d)
+        c = np.zeros(len(cols.coef), dtype=np.complex128)
+        c[np.searchsorted(cols._freqs, -ks % (2 * n + 2))] = (
+            np.delete(f.coefficient_array(-d, d + 1), d) * np.exp(1j * ks * alg.grid[0]))
+        g = (f.coefficient(0) + cols.apply(c)).real
         s = section_entries(f, j + k + 2) + section_entries(f, 2 * n - j - k)
-        return g, rows, s, CornerColumns.of_rows(alg, rows)
+        return g, rows, s, cols
     strang = lambda idx: section_entries(f, np.where(idx < n - d, idx, idx - n))  # s at idx
     support = np.append(rows, d)  # I and d: where Strang's column lives
     cols = CornerColumns.of_rows(alg, support)

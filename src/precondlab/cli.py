@@ -294,6 +294,9 @@ def cmd_operator_scan(args) -> int:
     src = operators.source_from_spec(args.source)
     if src.symbol is not None:
         _real(src.symbol, "operator-scan --source toeplitz:")
+    defect = operators.hs_declaration_defect(src, max(args.ladder))
+    if defect:
+        raise ParseError(defect)
 
     def work():
         report = operators.distribution_convergence(

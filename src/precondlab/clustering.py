@@ -28,7 +28,6 @@ from .errors import (
     NotPositiveDefiniteError,
 )
 from .linalg import (
-    HERMITIAN_EIG_TOL,
     as_square,
     frobenius_norm_sq,
     hermitian_eig,
@@ -162,7 +161,7 @@ def preconditioned_eigenvalues(a, b) -> tuple[np.ndarray, float]:
     ma, mb = as_square(a), as_square(b)
     if ma.shape != mb.shape:
         raise DimensionMismatchError(f"shapes {ma.shape} and {mb.shape} differ")
-    if not is_hermitian(ma, tol=HERMITIAN_EIG_TOL):
+    if not is_hermitian(ma):
         raise NotPositiveDefiniteError("A must be Hermitian")
     wb, vb = hermitian_eig(mb)
     delta = _check_positive(wb)
@@ -243,7 +242,7 @@ def _algebra_deviations(a, alg: TransformAlgebra, mode: str) -> tuple[float, np.
     which is scaled in W's memory.
     """
     ma = as_square(a)
-    hermitian = is_hermitian(ma, tol=HERMITIAN_EIG_TOL)
+    hermitian = is_hermitian(ma)
     if mode == "preconditioned" and not hermitian:
         raise NotPositiveDefiniteError("A must be Hermitian")
     w = eigenbasis(alg, ma)

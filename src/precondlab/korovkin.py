@@ -23,6 +23,7 @@ each function over a size ladder.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Sequence
 
 import numpy as np
@@ -169,25 +170,17 @@ class KorovkinReport:
         }
 
 
-def _korovkin_family(gens: Sequence[Symbol], squares: str):
-    """(squares, products): each g_k^2 or their sum ``sum_sq``, and g_k g_l for k < l."""
+def _korovkin_family(gens: Sequence[Symbol]):
+    """(squares, products): each g_k^2, and g_k g_l for k < l."""
     if not gens:
         raise ValueError("need at least one generator")
-    if squares == "each":
-        sq = [product(g, g, label=f"({g.label})^2" if g.label else "g^2") for g in gens]
-    elif squares == "sum":
-        total = Symbol({})
-        for g in gens:
-            total = total.plus(product(g, g))
-        sq = [Symbol(total.coefficients, label="sum_sq")]
-    else:
-        raise ValueError(f"unknown squares variant {squares!r}")
+    sq = [product(g, g, label=f"({g.label})^2" if g.label else "g^2") for g in gens]
     prods = [product(g, h) for i, g in enumerate(gens) for h in gens[i + 1:]]
     return sq, prods
 
 
-def check_holdout_labels(generators: Sequence[Symbol], holdout: Sequence[Symbol],
-                         squares: str = "each") -> tuple[list[Symbol], list[Symbol]]:
+def check_holdout_labels(generators: Sequence[Symbol],
+                         holdout: Sequence[Symbol]) -> tuple[list[Symbol], list[Symbol]]:
     """The (squares, products) family of real generators, checked against the holdout.
 
     A complex generator, or a holdout labelled like a generator, square or
@@ -199,7 +192,7 @@ def check_holdout_labels(generators: Sequence[Symbol], holdout: Sequence[Symbol]
     gens = list(generators)
     if not all(g.is_real for g in gens):
         raise ValueError("generators must be real symbols")
-    squares_set, product_set = _korovkin_family(gens, squares)
+    squares_set, product_set = _korovkin_family(gens)
     for f in [*squares_set, *product_set]:
         check_energy(f.coefficients, f.label)
     taken = {f.label or "symbol" for f in [*gens, *squares_set, *product_set]}
@@ -218,23 +211,18 @@ def korovkin_test(
     holdout: Sequence[Symbol],
     ladder=DEFAULT_LADDER,
     eps_grid=DEFAULT_EPS_GRID,
-    squares: str = "each",
 ) -> KorovkinReport:
     """Run the test-set-implies-holdout clustering experiment.
 
-    The test set is the generators together with their squares; products
-    g_k g_l (k < l) and every holdout symbol are then checked.  A function
-    counts as strongly clustered (``ClusterReport.strong``) when either the
-    bounded-Frobenius criterion or the outlier classifier certifies it.
-
-    squares='each' puts every g_k^2 in the test set (the theorems'
-    hypothesis); squares='sum' replaces them with the single function
-    sum_k g_k^2.  Whether the weaker 'sum' variant suffices is an open
-    question, so both are exposed and neither is asserted.  The family is
-    built and checked once, by ``check_holdout_labels``.
+    The test set is the generators together with each square g_k^2, the
+    theorems' hypothesis; products g_k g_l (k < l) and every holdout symbol
+    are then checked.  A function counts as strongly clustered
+    (``ClusterReport.strong``) when either the bounded-Frobenius criterion
+    or the outlier classifier certifies it.  The family is built and
+    checked once, by ``check_holdout_labels``.
     """
     gens = list(generators)
-    squares_set, product_set = check_holdout_labels(gens, holdout, squares)
+    squares_set, product_set = check_holdout_labels(gens, holdout)
     factory = resolve_algebra_factory(kind)
     ladder = tuple(int(n) for n in ladder)
     epsilons = tuple(float(e) for e in eps_grid)
@@ -288,7 +276,9 @@ def remainder_propagation(
     Unlabelled generators are labelled g0, g1, ... by position; labels must differ.
     """
     gens = [g if g.label else Symbol(g.coefficients, f"g{i}") for i, g in enumerate(generators)]
-    squares, prods = _korovkin_family(gens, "sum")
+    squares, prods = _korovkin_family(gens)
+    sum_sq = functools.reduce(Symbol.plus, squares, Symbol({}))
+    squares = [Symbol(sum_sq.coefficients, label="sum_sq")]
     labels = [f.label for f in gens + squares + prods]
     if len(set(labels)) < len(labels):
         raise ValueError(f"duplicate labels among generators and derived functions: {labels}")

@@ -11,8 +11,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NoConvergenceError, NotHermitianError
 
-# Tolerance used by eigensolver/solver preconditions ("Hermitian within
-# tolerance"); the stricter 1e-12 flag check is `is_hermitian`'s default.
+# Tolerance of every Hermitian check: `is_hermitian` and the eigensolver
+# preconditions ("Hermitian within tolerance").
 HERMITIAN_EIG_TOL = 1e-10
 HERMITIAN_BLOCK_ROWS = 64
 
@@ -55,10 +55,10 @@ def hermitian_defect(a) -> float:
     return _defect_and_peak(as_square(a))[0]
 
 
-def is_hermitian(a, tol: float = 1e-12) -> bool:
-    """True when max|A[j,k] - conj(A[k,j])| <= tol * (1 + max|entry|)."""
+def is_hermitian(a) -> bool:
+    """True when max|A[j,k] - conj(A[k,j])| <= HERMITIAN_EIG_TOL * (1 + max|entry|)."""
     defect, peak = _defect_and_peak(as_square(a))
-    return defect <= tol * (1.0 + peak)
+    return defect <= HERMITIAN_EIG_TOL * (1.0 + peak)
 
 
 def frobenius_norm_sq(a) -> float:
@@ -70,11 +70,18 @@ def frobenius_norm_sq(a) -> float:
 def _symmetrized(a) -> np.ndarray:
     """(A + A*) / 2, free of representable round-off, for A Hermitian within HERMITIAN_EIG_TOL."""
     m = as_square(a)
-    if not is_hermitian(m, tol=HERMITIAN_EIG_TOL):
-        raise NotHermitianError(
-            f"matrix is not Hermitian: defect {hermitian_defect(m):.3e}"
-        )
+    defect, peak = _defect_and_peak(m)
+    if not defect <= HERMITIAN_EIG_TOL * (1.0 + peak):
+        raise NotHermitianError(f"matrix is not Hermitian: defect {defect:.3e}")
     return 0.5 * (m + m.conj().T)
+
+
+def _converged(name: str, solver, m: np.ndarray, **options) -> np.ndarray:
+    """solver(m, **options), a LAPACK failure raised as NoConvergenceError naming ``name``."""
+    try:
+        return solver(m, **options)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"{name} failed to converge: {exc}") from exc
 
 
 def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
@@ -86,29 +93,17 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     Raises NotHermitianError when the symmetry check fails and
     NoConvergenceError when the underlying iteration does not converge.
     """
-    h = _symmetrized(a)
-    try:
-        w, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"eigh failed to converge: {exc}") from exc
-    return w, v
+    return tuple(_converged("eigh", np.linalg.eigh, _symmetrized(a)))
 
 
 def hermitian_eigvalues(a) -> np.ndarray:
     """Eigenvalues only, sorted ascending."""
-    h = _symmetrized(a)
-    try:
-        return np.linalg.eigvalsh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"eigvalsh failed to converge: {exc}") from exc
+    return _converged("eigvalsh", np.linalg.eigvalsh, _symmetrized(a))
 
 
 def singular_values(a) -> np.ndarray:
     """Singular values sorted ascending (nonnegative square roots of eig(A*A))."""
-    try:
-        s = np.linalg.svd(_lapack_view(as_matrix(a)), compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"svd failed to converge: {exc}") from exc
+    s = _converged("svd", np.linalg.svd, _lapack_view(as_matrix(a)), compute_uv=False)
     return s[::-1].copy()
 
 
@@ -129,7 +124,4 @@ def hermitian_eigvalues_unchecked(a: np.ndarray) -> np.ndarray:
     symmetrized copy: the caller vouches that A is Hermitian, and LAPACK
     reads one triangle of NumPy's working copy.
     """
-    try:
-        return np.linalg.eigvalsh(_lapack_view(a))
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"eigvalsh failed to converge: {exc}") from exc
+    return _converged("eigvalsh", np.linalg.eigvalsh, _lapack_view(a))

@@ -91,6 +91,19 @@ def hs_tail_fraction(src: OperatorSource, n: int) -> float:
     return (total - inner) / total
 
 
+def hs_declaration_defect(src: OperatorSource, n: int) -> Optional[str]:
+    """Why a declared hilbert_schmidt decay fails at order n (the ladder top), or None.
+
+    It fails when the border mass fraction (``hs_tail_fraction``) exceeds
+    HS_TAIL_FRACTION_MAX or is NaN; other decay classes are not checked.
+    """
+    frac = hs_tail_fraction(src, n) if src.decay_class == "hilbert_schmidt" else 0.0
+    if frac <= HS_TAIL_FRACTION_MAX:
+        return None
+    return (f"source {src.label!r} declares hilbert_schmidt decay but its "
+            f"border mass fraction is {frac:.3%} (> {HS_TAIL_FRACTION_MAX:.0%})")
+
+
 def distribution_convergence(
     src: OperatorSource,
     alg_kind,
@@ -102,13 +115,9 @@ def distribution_convergence(
         raise ValueError("distribution convergence is defined for self-adjoint sources")
     factory = resolve_algebra_factory(alg_kind)
     ladder = _validate_ladder(sorted(ladder))
-    if src.decay_class == "hilbert_schmidt":
-        frac = hs_tail_fraction(src, max(ladder))
-        if not frac <= HS_TAIL_FRACTION_MAX:
-            raise InvariantViolationError(
-                f"source {src.label!r} declares hilbert_schmidt decay but its "
-                f"border mass fraction is {frac:.3%} (> {HS_TAIL_FRACTION_MAX:.0%})"
-            )
+    defect = hs_declaration_defect(src, max(ladder))
+    if defect:
+        raise InvariantViolationError(defect)
     pairs = {n: (_truncation(src, n), factory(n)) for n in ladder}
     kind = pairs[ladder[0]][1].kind
     return build_cluster_report(pairs, eps_grid, label=f"{src.label} vs {kind} projection")

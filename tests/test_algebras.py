@@ -494,6 +494,18 @@ def test_corner_diagonal_is_the_toeplitz_diagonal(kind, f, n):
     np.testing.assert_allclose(g, f.eval_real(xs), rtol=0, atol=1e-12 * np.max(np.abs(d)))
 
 
+@pytest.mark.parametrize("f", [CORNER_CASES[2][1], WIDE])
+def test_sine_corner_parts_evaluate_no_symbol(f, monkeypatch):
+    # the sine g is read through L's factors, not from O(n d) exponentials on the grid
+    def refuse(self, x):
+        raise AssertionError(f"Symbol.eval of {self.label!r} on {np.size(x)} points")
+
+    monkeypatch.setattr(Symbol, "eval", refuse)
+    g = toeplitz_corner_parts(make_algebra("sine", 200), f)[0]
+    monkeypatch.undo()
+    assert g.dtype == np.float64 and g.shape == (200,)
+
+
 @pytest.mark.parametrize("kind, f, n", [(*case, n) for case in CORNER_CASES for n in (7, 65, 96)]
                          + [(*case, 63) for case in WIDE_CASES])
 def test_corner_columns_match_their_dense_form(kind, f, n):

@@ -15,7 +15,7 @@ import precondlab
 from precondlab import algebras, cli, operators, toeplitz
 from precondlab.algebras import ALGEBRA_KINDS, TransformAlgebra, resolve_algebra_factory
 from precondlab.cli import SUBCOMMANDS, load_config, main, resolve_symbol
-from precondlab.errors import ParseError
+from precondlab.errors import InvariantViolationError, ParseError
 from precondlab.selftest import SELFTEST_CHECKS
 
 
@@ -248,12 +248,24 @@ def test_classifier_ladder_checked_in_config(tmp_path, capsys):
     assert code == 1 and err.startswith("error:") and str(path) in err
 
 
-def test_invariant_violation_exit_two(tmp_path, capsys):
-    # hs_decay(0.6) declares Hilbert-Schmidt decay, but 10 % of its mass lies past the border
-    code, out, err = run(
-        capsys, "operator-scan", "--source", "hs_decay(0.6)", "--outdir", str(tmp_path)
-    )
-    assert code == 2 and "invariant violation" in err and "border mass" in err and not out
+def test_invariant_violation_exit_two(tmp_path, capsys, monkeypatch):
+    # an invariant that fails inside the run, past the argument checks, is exit 2
+    def fail(*args, **kwargs):
+        raise InvariantViolationError("checked in the run")
+
+    monkeypatch.setattr(operators, "distribution_convergence", fail)
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "operator-scan", "--outdir", str(out_dir))
+    assert code == 2 and err == "invariant violation: checked in the run\n" and not out
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("source", ["hs_decay(1.0)", "rank1(0.95)"])
+@pytest.mark.parametrize("dry_run", [[], ["--dry-run"]])
+def test_operator_scan_takes_a_backed_hilbert_schmidt_source(source, dry_run, tmp_path, capsys):
+    code, _, err = run(capsys, "operator-scan", "--source", source, *dry_run,
+                       "--outdir", str(tmp_path / "out"))
+    assert code == 0, err
 
 
 def test_indefinite_sine_projection_exit_two(tmp_path, capsys):
@@ -331,6 +343,9 @@ BAD_INPUTS = [
     # and so must each square and product that korovkin-test builds from the generators
     (["korovkin-test", "--generators=1e100cos", "--holdout=", "--ladder=8,16,32,64"], 1,
      "sum of |a_k|^2 is not finite for symbol '(1e100cos)^2'"),
+    # a declared Hilbert-Schmidt decay must hold at the ladder top (512): border mass <= 1 %
+    (["operator-scan", "--source=hs_decay(0.6)"], 1, "border mass fraction is 9.994% (> 1%)"),
+    (["operator-scan", "--source=rank1(0.99)"], 1, "border mass fraction is 1.155% (> 1%)"),
 ]
 
 

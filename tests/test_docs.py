@@ -5,12 +5,14 @@ per-layer benchmark metric into a silent ``missing`` entry.  The tracer
 also needs every layer loaded by the time the CLI parser is built.
 Conversely, every name the package re-exports must have a user: the
 library itself, the README quick start, the benchmark or the acceptance
-tests.
+tests, and every optional parameter of a re-exported function a call
+among those readers that sets it.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -22,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+import precondlab
 from precondlab import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -99,6 +102,36 @@ def test_every_reexport_has_a_user():
     unused = [name for name in _reexports()
               if name not in refs and not re.search(rf"\b{name}\b", text)]
     assert unused == [], f"re-exported, yet used by no module, reader or test: {unused}"
+
+
+def _sets_parameter(call: ast.Call, param: inspect.Parameter, index: int) -> bool:
+    """Whether the call passes ``param`` (at ``index`` in the signature), by keyword or position."""
+    if any(k.arg in (param.name, None) for k in call.keywords):  # None: a ** mapping
+        return True
+    if param.kind not in (param.POSITIONAL_ONLY, param.POSITIONAL_OR_KEYWORD):
+        return False
+    return len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_optional_parameter_of_a_reexport_is_set_by_a_user():
+    # a default no caller overrides is a switch nobody sets; classes are pinned elsewhere
+    sources = [p.read_text(encoding="utf-8") for p in (ROOT / "src" / "precondlab").glob("*.py")]
+    sources += [p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    sources += [_quick_start(), (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")]
+    calls = [node for text in sources for node in ast.walk(ast.parse(text))
+             if isinstance(node, ast.Call)]
+    unset = []
+    for name in _reexports():
+        func = getattr(precondlab, name)
+        if not inspect.isfunction(func):
+            continue
+        named = [c for c in calls if getattr(c.func, "id", getattr(c.func, "attr", None)) == name]
+        for index, param in enumerate(inspect.signature(func).parameters.values()):
+            if param.default is not param.empty and not any(
+                _sets_parameter(c, param, index) for c in named
+            ):
+                unset.append(f"{name}({param.name}=)")
+    assert unset == [], f"optional parameters that no module, reader or test sets: {unset}"
 
 
 def _tracer_targets() -> tuple:

@@ -278,6 +278,8 @@ def test_korovkin_rejects_a_holdout_labelled_like_the_family(holdout):
 def test_korovkin_rejects_complex_generators():
     with pytest.raises(ValueError):
         korovkin_test("fourier", [parse_trig_expression("cos").scaled(1j)], [])
+    with pytest.raises(ValueError, match="at least one generator"):
+        korovkin_test("fourier", [], [])
 
 
 def test_korovkin_builds_the_family_once(monkeypatch):
@@ -287,23 +289,6 @@ def test_korovkin_builds_the_family_once(monkeypatch):
     korovkin_test("fourier", [cosine(), sine()], [constant(2.0, label="2")],
                   ladder=(8, 16, 32, 64))
     assert len(calls) == 1
-
-
-def test_korovkin_sum_of_squares_variant():
-    report = korovkin_test(
-        "fourier",
-        [cosine(), sine()],
-        [parse_trig_expression("2+cos")],
-        ladder=(16, 32, 64, 128),
-        squares="sum",
-    )
-    labels = [v.label for v in report.test_set]
-    assert labels == ["cos", "sin", "sum_sq"]
-    assert report.test_set_strong  # cos^2 + sin^2 = 1: zero difference
-    with pytest.raises(ValueError):
-        korovkin_test("fourier", [cosine()], [], squares="geometric")
-    with pytest.raises(ValueError, match="at least one generator"):
-        korovkin_test("fourier", [], [])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from precondlab.errors import DimensionMismatchError, NoConvergenceError, NotHermitianError
 from precondlab.linalg import (
     HERMITIAN_BLOCK_ROWS,
+    HERMITIAN_EIG_TOL,
     as_matrix,
     as_square,
     frobenius_norm_sq,
@@ -213,8 +214,9 @@ def test_lapack_failure_is_no_convergence(routine, kernel, monkeypatch):
 def test_is_hermitian_scales_by_the_whole_matrix_maximum(n):
     m = seeded_matrix(n, seed=n, hermitian=True)
     m[n - 1, n - 1] = 1e3  # the largest entry sits in the last row block
-    m[0, n - 1] += 1e-9
-    defect = float(np.max(np.abs(m - m.conj().T)))
-    threshold = defect / (1.0 + float(np.max(np.abs(m))))
-    for tol in (threshold * 0.999, threshold * 1.001):
-        assert is_hermitian(m, tol=tol) == (tol >= threshold)
+    allowed = HERMITIAN_EIG_TOL * (1.0 + float(np.max(np.abs(m))))
+    for factor in (0.999, 1.001):
+        nearly = m.copy()
+        # a defect of factor * allowed: one entry off the diagonal, or 2 Im of the one entry
+        nearly[n - 1, 0] += factor * allowed * (0.5j if n == 1 else 1.0)
+        assert is_hermitian(nearly) == (factor < 1.0)
