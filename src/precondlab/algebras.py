@@ -468,8 +468,8 @@ class CornerColumns:
     Y[k, t] = exp(-2 pi i p_t k / P) over distinct frequencies p_t, and C
     is (K, |I|).  With k = q m + j and m = ceil(sqrt(n)),
     Y[k, t] = A[q, t] B[j, t], each phase reduced mod P in integers first:
-    the factors hold O(sqrt(n) K) numbers.  Y z, diag(Y M Y*), and Y* v
-    and out += Y z on a row block of the (q, m) layout cost O(n K).
+    the factors hold O(sqrt(n) K) numbers.  Y z, diag(Y M Y*), Y* diag(h) Y,
+    and Y* v and out += Y z on a row block of the (q, m) layout cost O(n K).
     """
 
     def __init__(self, order: int, period: int, freqs: np.ndarray, coef: np.ndarray, factors=None):
@@ -505,32 +505,38 @@ class CornerColumns:
 
         Real products run faster than complex ones.
         """
-        re, im = self._inner.real, self._inner.imag
-        pairs = np.stack((np.stack((re, -im), 2), np.stack((im, re), 2)), 1)
-        return pairs.reshape(2 * self._width, -1)
-
-    def dense(self) -> np.ndarray:
-        """L as an (n, |I|) array."""
-        y = self._outer[:, None, :] * self._inner[None, :, :]
-        y = y.reshape(len(self._outer) * self._width, self.coef.shape[0])
-        return y[: self._order] @ self.coef
+        conj = self._inner.conj()  # rows Re v: (re, -im) pairs; rows Im v: (im, re)
+        return np.stack((conj, 1j * conj), 1).view(np.float64).reshape(2 * self._width, -1)
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         """Y z as a new vector."""
         return ((self._outer * z) @ self._inner.T).ravel()[: self._order]
 
-    def diagonal(self, m: np.ndarray) -> np.ndarray:
-        """diag(Y M Y*), real for a Hermitian M.
-
-        Entry k is sum_tu M_tu exp(-2 pi i (p_t - p_u) k / P): Y' h over the
-        distinct differences, with h summing M over each.  The built-in p_t
-        lie in a few runs of consecutive integers, so there are O(K).
-        """
+    @functools.cached_property
+    def _differences(self) -> tuple["CornerColumns", np.ndarray]:
+        """(Y' on the O(K) distinct p_t - p_u mod P, the index of each (t, u)): Y_t conj(Y_u)."""
         diffs = np.subtract.outer(self._freqs, self._freqs).ravel() % self._period
-        diffs, where = np.unique(diffs, return_inverse=True)
-        h = np.zeros(diffs.size, dtype=np.complex128)
+        diffs, first, where = np.unique(diffs, return_index=True, return_inverse=True)
+        t, u = np.divmod(first, len(self._freqs))
+        factors = [np.ascontiguousarray(x[:, t] * x[:, u].conj())
+                   for x in (self._outer, self._inner)]
+        return CornerColumns(self._order, self._period, diffs, None, factors), where
+
+    def diagonal(self, m: np.ndarray) -> np.ndarray:
+        """diag(Y M Y*), real for a Hermitian M: Y' h, h summing M over each p_t - p_u."""
+        spread, where = self._differences
+        h = np.zeros(spread._freqs.size, dtype=np.complex128)
         np.add.at(h, where, m.ravel())
-        return CornerColumns(self._order, self._period, diffs, None).apply(h).real
+        return spread.apply(h).real
+
+    def gram(self, h: np.ndarray) -> np.ndarray:
+        """Y* diag(h) Y for each row of the real (b, n) h, (b, K, K): entry p_t - p_u of Y'* h."""
+        spread, where = self._differences
+        q, m = len(spread._outer), self._width
+        padded = np.concatenate((h, np.zeros((len(h), q * m - self._order))), axis=1)
+        head = (padded.reshape(-1, m) @ spread._inner.conj().view(np.float64)).view(np.complex128)
+        sums = np.einsum("bqt,qt->bt", head.reshape(len(h), q, -1), spread._outer.conj())
+        return sums[:, where].reshape(len(h), len(self._freqs), -1)
 
     def blocks(self, size: int) -> list[tuple[slice, slice]]:
         """(elements, rows) of row blocks of ~size elements; the last has the partial row."""
@@ -604,28 +610,28 @@ def toeplitz_corner_parts(
 
 def toeplitz_corner_form(
     alg: TransformAlgebra, f: Symbol
-) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(g, L, S) of ``toeplitz_corner_parts``, with L formed and the form verified, or None.
+) -> Optional[tuple[np.ndarray, CornerColumns, np.ndarray]]:
+    """(g, L, S) of ``toeplitz_corner_parts``, with the form verified, or None.
 
     The form is verified per n on ``_weyl_probe`` x, with y = U* x:
     ||T x - U (g y) - E_I S x_I|| must stay within TRACE_RTOL ||T x||, and
-    ||L* y - x_I|| (L* U* = E_I*) within TRACE_RTOL ||x||.  None where
-    there are no parts or a check fails.
+    ||L* y - x_I|| (L* U* = E_I*, through ``adjoint``) within
+    TRACE_RTOL ||x||.  None where there are no parts or a check fails.
     """
     parts = toeplitz_corner_parts(alg, f)
     if parts is None:
         return None
     g, rows, s, corner = parts
-    low = corner.dense()
     x, tx = _weyl_probe(f, alg.order)
     y = alg.transform(x)
     defect = tx - alg.inverse(g * y)
     defect[rows] -= s @ x[rows]
     if np.linalg.norm(defect) > TRACE_RTOL * np.linalg.norm(tx):
         return None
-    if np.linalg.norm(low.conj().T @ y - x[rows]) > TRACE_RTOL * np.linalg.norm(x):
+    gathered = corner.coef.conj().T @ corner.adjoint(y, slice(None))
+    if np.linalg.norm(gathered - x[rows]) > TRACE_RTOL * np.linalg.norm(x):
         return None
-    return g, low, s
+    return g, corner, s
 
 
 def _pairing_order(n: int) -> np.ndarray:

@@ -132,17 +132,21 @@ def _real(sym: symbols.Symbol, what: str) -> symbols.Symbol:
     return sym
 
 
-def _positive(sym: symbols.Symbol, what: str) -> symbols.Symbol:
+def _positive(sym: symbols.Symbol, what: str, zeros: bool = False) -> symbols.Symbol:
     """sym, if it is real and positive on a grid of max(1024, 32 deg) points.
 
-    `what` needs HPD sections.  Between grid points h apart, f dips at most
-    h^2/8 max |f''| <= 0.5 % of sum |a_k| below the grid values.
+    `what` needs HPD sections, or with zeros an HPD projection in every
+    algebra, whose eigenvalues u* T_n(f) u are >= min f: f >= 0, f != 0, a
+    value down to -REALNESS_TOL sum |a_k| read as 0.  Between grid points h
+    apart, f dips at most h^2/8 max |f''| <= 0.5 % of sum |a_k| below them.
     """
     _real(sym, what)
     points = max(1024, 32 * sym.degree)
     low = float(np.min(sym.eval_real(2.0 * np.pi * np.arange(points) / points)))
-    if not low > 0.0:
-        raise ParseError(f"{what} needs a positive symbol, got min {low:.6g} for {sym.label!r}")
+    scale = sum(abs(a) for a in sym.coefficients.values())
+    if not (low > 0.0 or zeros and low >= -symbols.REALNESS_TOL * scale and scale > 0.0):
+        need = "a nonnegative symbol other than 0" if zeros else "a positive symbol"
+        raise ParseError(f"{what} needs {need}, got min {low:.6g} for {sym.label!r}")
     return sym
 
 
@@ -233,7 +237,7 @@ def cmd_project(args) -> int:
 def cmd_cluster_scan(args) -> int:
     sym = resolve_symbol(args.symbol)
     if args.preconditioned:
-        _real(sym, "cluster-scan --preconditioned")
+        _positive(sym, "cluster-scan --preconditioned", zeros=True)
     mode = "preconditioned" if args.preconditioned else "difference"
 
     def work():

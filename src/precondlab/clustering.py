@@ -305,18 +305,18 @@ def _tally(n: int, negatives, positives, epsilons) -> dict:
     }
 
 
-def _pencil_counts(low, s, delta, weight, epsilons) -> Optional[dict]:
+def _pencil_counts(gram, norms, s, delta, weight, epsilons) -> Optional[dict]:
     """Pencil eigenvalues |lambda| >= eps of (L diag(s) L* - diag(delta), diag(weight)), or None.
 
-    The inertia of M - s w is that of G + L S L*, G = -delta - s weight,
-    for each of the ``_shifts`` s.  Haynsworth:
-    In(G + L S L*) = In(G) + In(Z) - In(-S^-1), Z = -S^-1 - L* G^-1 L, and
-    the Z of all 2|eps| shifts come from one batched eigvalsh, O(n r^2)
-    each.  A tie is some |G_i| <= STRUCTURE_RTOL |s| weight_i, or an
-    eigenvalue of Z within STRUCTURE_RTOL of the terms that form it,
-    max |S^-1| + tr(L* |G|^-1 L): round-off then decides the count.  So is
-    a 1/G or Z that is not finite, as a subnormal eps gives: the tie bound
-    on G underflows to 0 there.
+    L enters as gram(h) = L* diag(h) L and norms = diag(L L*).  The inertia
+    of M - s w is that of G + L S L*, G = -delta - s weight, for each of
+    the ``_shifts`` s.  Haynsworth: In(G + L S L*) = In(G) + In(Z) - In(-S^-1),
+    Z = -S^-1 - L* G^-1 L, with the Z of all 2|eps| shifts from one gram and
+    one batched eigvalsh.  A tie is some |G_i| <= STRUCTURE_RTOL |s| weight_i,
+    or an eigenvalue of Z within STRUCTURE_RTOL of the terms that form it,
+    max |S^-1| + tr(L* |G|^-1 L): round-off then decides the count.  So is a
+    1/G or Z that is not finite, as a subnormal eps gives: the tie bound on
+    G underflows to 0 there.
     """
     shifts = _shifts(epsilons)[:, None]
     g = -delta - shifts * weight
@@ -326,11 +326,11 @@ def _pencil_counts(low, s, delta, weight, epsilons) -> Optional[dict]:
         inv = 1.0 / g
     if not np.all(np.isfinite(inv)):
         return None
-    z = np.diag(-1.0 / s) - low.conj().T @ (low * inv[:, :, None])
+    z = np.diag(-1.0 / s) - gram(inv)
     if not np.all(np.isfinite(z)):
         return None
     z = np.linalg.eigvalsh(z)
-    size = np.max(np.abs(1.0 / s)) + np.abs(inv) @ np.sum(np.abs(low) ** 2, axis=1)
+    size = np.max(np.abs(1.0 / s)) + np.abs(inv) @ norms
     if np.any(np.min(np.abs(z), axis=1) <= STRUCTURE_RTOL * size):
         return None
     negatives = np.sum(g < 0, axis=1) + np.sum(z < 0, axis=1) - np.sum(s > 0)
@@ -434,10 +434,11 @@ def _band_counts(f: Symbol, alg: TransformAlgebra, mode: str, epsilons):
 def _structured_counts(a, alg: TransformAlgebra, mode: str, epsilons):
     """(||A - B||_F^2, {eps: count}) without the dense W = U* A U, or None.
 
-    A LowRank V V* has W = diag(g) + L S L* with g = 0, L = U* V, S = I in
-    any algebra, scale ||V||_F^2.  A Symbol takes ``toeplitz_corner_form``,
+    W = diag(g) + L S L*, L = Y C, Y seen through gram(h) = Y* diag(h) Y and
+    diagonal(M) = diag(Y M Y*) only.  A LowRank V V* has g = 0, Y = U* V,
+    C = S = I, scale ||V||_F^2.  A Symbol takes ``toeplitz_corner_form``,
     scale sum |a_k|, or else (an odd part in the sine or Hartley algebra)
-    ``_band_counts``.  S is compressed to its eigenvalues above
+    ``_band_counts``.  S is compressed on C to its eigenvalues above
     STRUCTURE_RTOL * scale; with Delta = diag(L S L*),
     A - B = U (L S L* - Delta) U* and ||A - B||_F^2 = tr(M S M S) - ||Delta||^2,
     M = L* L.  With nothing left, A lies in the algebra: the counts and the
@@ -446,34 +447,38 @@ def _structured_counts(a, alg: TransformAlgebra, mode: str, epsilons):
     eigenvalues, in preconditioned mode.  None for any other A, where no
     form is available, or where a count is a tie.
     """
+    n = alg.order
     if isinstance(a, LowRank):
         v = np.asarray(a.factor, dtype=np.complex128)
-        if v.shape[0] != alg.order:
+        if v.shape[0] != n:
             raise DimensionMismatchError(
-                f"factor order {v.shape[0]} does not match algebra order {alg.order}"
-            )
-        g, low, s = np.zeros(alg.order), alg.transform(v), np.eye(v.shape[1])
-        scale = frobenius_norm_sq(v)
+                f"factor order {v.shape[0]} does not match algebra order {n}")
+        y, g, s, scale = alg.transform(v), np.zeros(n), np.eye(v.shape[1]), frobenius_norm_sq(v)
+        gram, coef = lambda h: (y.conj().T * h[:, None, :]) @ y, s
+        diagonal = lambda m: np.einsum("ij,jk,ik->i", y, m, y.conj()).real
     elif isinstance(a, Symbol):
         form = toeplitz_corner_form(alg, a)
         if form is None:
             return _band_counts(a, alg, mode, epsilons)
-        (g, low, s), scale = form, sum(abs(c) for c in a.coefficients.values())
+        (g, corner, s), scale = form, sum(abs(c) for c in a.coefficients.values())
+        gram, diagonal, coef = corner.gram, corner.diagonal, corner.coef
     else:
         return None
     w, q = np.linalg.eigh(0.5 * (s + s.conj().T))
     keep = np.abs(w) > STRUCTURE_RTOL * scale
-    w, low = w[keep], low @ q[:, keep]
-    delta = np.einsum("ij,j,ij->i", low, w, low.conj()).real
+    w, coef = w[keep], coef @ q[:, keep]
+    delta = diagonal((coef * w) @ coef.conj().T)
     weight = 1.0
     if mode == "preconditioned":
         weight = g + delta
         _check_positive(weight)
     if not w.size:
         return 0.0, dict.fromkeys(epsilons, 0)
-    ms = (low.conj().T @ low) * w
+    low_gram = lambda h: coef.conj().T @ gram(h) @ coef  # L* diag(h) L
+    ms = low_gram(np.ones((1, n)))[0] * w
     fro = max(float(np.sum(ms * ms.T).real - delta @ delta), 0.0)
-    counts = _pencil_counts(low, w, delta, weight, epsilons)
+    norms = diagonal(coef @ coef.conj().T)  # diag(L L*)
+    counts = _pencil_counts(low_gram, norms, w, delta, weight, epsilons)
     return None if counts is None else (fro, counts)
 
 
@@ -491,8 +496,8 @@ def build_cluster_report(
     B_n is its projection of A_n, and both counts and ||A_n - B_n||_F^2 are
     read off W = U* A_n U without forming B_n.  A_n may then also be a
     Symbol f (A_n = T_n(f)) or a LowRank factor: where W = diag(g) + L S L*
-    is available and verified, the counts come from that form in
-    O(n r^2) (``_structured_counts``), else from the dense W.  Dense A_n
+    is available and verified, the counts come from that form, L never
+    formed (``_structured_counts``), else from the dense W.  Dense A_n
     and B_n must be n x n, else DimensionMismatchError.
     """
     ladder = _validate_ladder(sorted(pairs))

@@ -506,18 +506,25 @@ def test_sine_corner_parts_evaluate_no_symbol(f, monkeypatch):
     assert g.dtype == np.float64 and g.shape == (200,)
 
 
+# n = 2d + 1, odd n with a partial last row of the (q, m) layout, even n
 @pytest.mark.parametrize("kind, f, n", [(*case, n) for case in CORNER_CASES for n in (7, 65, 96)]
-                         + [(*case, 63) for case in WIDE_CASES])
+                         + [(*case, 63) for case in WIDE_CASES]
+                         + [(*case, n) for case in WIDE_CASES for n in (97, 200)])
 def test_corner_columns_match_their_dense_form(kind, f, n):
     alg, _, rows, corner, s = _corner(kind, f, n)
-    low = corner.dense()
     # L = U* E_I: for Fourier, the factorization on I and d with column d dropped
-    np.testing.assert_allclose(low, alg.unitary.conj().T[:, rows], atol=1e-13)
+    low = alg.unitary.conj().T[:, rows]
     frequencies = {"fourier": 2 * f.degree, "hartley": 2 * f.degree + 1, "sine": 4 * f.degree}
     assert corner.coef.shape[0] == frequencies[kind]
     np.testing.assert_allclose(corner.diagonal(corner.coef @ s @ corner.coef.conj().T),
                                np.diag(low @ s @ low.conj().T).real, atol=1e-13)
     rng = np.random.default_rng(n)
+    # C* gram(h) C = L* diag(h) L, the identity for h = 1
+    h = np.vstack((np.ones(n), rng.standard_normal((3, n))))
+    gram = corner.coef.conj().T @ corner.gram(h) @ corner.coef
+    np.testing.assert_allclose(gram, np.einsum("ki,bk,kj->bij", low.conj(), h, low),
+                               rtol=0, atol=1e-12 * np.sqrt(n))
+    np.testing.assert_allclose(gram[0], np.eye(len(rows)), rtol=0, atol=1e-12 * np.sqrt(n))
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     z = rng.standard_normal(low.shape[1]) + 0j
     np.testing.assert_allclose(corner.apply(corner.coef @ z), low @ z, atol=1e-13)

@@ -268,15 +268,6 @@ def test_operator_scan_takes_a_backed_hilbert_schmidt_source(source, dry_run, tm
     assert code == 0, err
 
 
-def test_indefinite_sine_projection_exit_two(tmp_path, capsys):
-    # the tau algebra contains T_n(cos) itself, whose eigenvalues change sign
-    code, out, err = run(
-        capsys, "cluster-scan", "--algebra", "sine", "--symbol", "preset:cos",
-        "--ladder", "16,32,64,128", "--preconditioned", "--outdir", str(tmp_path),
-    )
-    assert code == 2 and "B is not positive definite" in err and not out
-
-
 # Bad input, one row each: (argv, exit code, message fragment).  Options are
 # written --key=value so the config-file run can move them into the file;
 # {tmp} is the test's directory, holding inf.txt ("0 inf 0"), nan.txt
@@ -346,6 +337,16 @@ BAD_INPUTS = [
     # a declared Hilbert-Schmidt decay must hold at the ladder top (512): border mass <= 1 %
     (["operator-scan", "--source=hs_decay(0.6)"], 1, "border mass fraction is 9.994% (> 1%)"),
     (["operator-scan", "--source=rank1(0.99)"], 1, "border mass fraction is 1.155% (> 1%)"),
+    # a preconditioned scan needs f >= 0, f != 0, for an HPD projection in every algebra:
+    # the tau algebra contains T_n(cos) itself, whose eigenvalues change sign
+    (["cluster-scan", "--algebra=sine", "--symbol=preset:cos", "--ladder=16,32,64,128",
+      "--preconditioned"], 1, "needs a nonnegative symbol"),
+    (["cluster-scan", "--symbol=preset:0.01cos3x", "--ladder=8,16,32,64", "--preconditioned"], 1,
+     "needs a nonnegative symbol"),
+    (["cluster-scan", "--symbol=preset:1+1.5cos", "--ladder=2,4,8,16", "--preconditioned"], 1,
+     "got min -0.5 for '1+1.5cos'"),
+    (["cluster-scan", "--symbol=preset:0", "--preconditioned"], 1,
+     "needs a nonnegative symbol other than 0"),
 ]
 
 
@@ -366,7 +367,9 @@ def test_bad_input_exits_with_error_line(argv, code, fragment, mode, tmp_path, c
         options.append("--dry-run")
     elif mode == "config":
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("".join(opt[2:].replace("=", " = ", 1) + "\n" for opt in options))
+        # a switch --key is the line key = true
+        cfg.write_text("".join((opt[2:].replace("=", " = ", 1) if "=" in opt else opt[2:] + " = true")
+                               + "\n" for opt in options))
         options = ["--config", str(cfg)]
     out_dir = tmp_path / "out"
     got, _, err = run(capsys, command, *options, "--outdir", str(out_dir))

@@ -1,5 +1,6 @@
 """Tests for cluster quantification and classification."""
 
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -400,6 +401,35 @@ def test_structured_counts_match_dense_for_even_symbols(kind, mode, n):
     _assert_structured_matches_dense(toeplitz_section(f, n), structured, alg, mode)
 
 
+@pytest.mark.parametrize("kind", ALGEBRA_KINDS)
+@pytest.mark.parametrize("mode", ["difference", "preconditioned"])
+@pytest.mark.parametrize("degree", [8, 15, 31])
+def test_structured_counts_match_dense_for_wide_bands(kind, mode, degree):
+    # bands of 17 to 63 taps from n = 2d + 1 up; an odd part only where Fourier takes it
+    f = _real_symbol(np.random.default_rng(degree), degree, even=kind != "fourier")
+    for n in (2 * degree + 1, 2 * degree + 2, 100, 257):
+        alg = make_algebra(kind, n)
+        structured = _structured_counts(f, alg, mode, DEFAULT_EPS_GRID)
+        assert structured is not None, n
+        _assert_structured_matches_dense(toeplitz_section(f, n), structured, alg, mode)
+
+
+def test_wide_band_count_stays_small_in_memory():
+    # L is never formed: one count of a 63-tap band at n = 8192 stays within
+    # 100 vectors of n complex numbers, where a dense n x 2d L with its
+    # per-shift products takes ~700
+    n, f = 8192, Symbol({0: 8.0} | {k: 0.5 / abs(k) for k in range(-31, 32) if k})
+    alg = make_algebra("fourier", n)
+    tracemalloc.start()
+    try:
+        structured = _structured_counts(f, alg, "difference", DEFAULT_EPS_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert structured is not None
+    assert peak <= 100 * 16 * n
+
+
 @pytest.mark.parametrize("mode", ["difference", "preconditioned"])
 @pytest.mark.parametrize("n", [8, 64, 129])
 def test_structured_counts_take_any_real_fourier_symbol(mode, n):
@@ -413,8 +443,8 @@ def test_structured_diagonal_is_the_toeplitz_diagonal():
     f = parse_trig_expression("3+cos+0.5cos2x+0.7cos3x")
     for kind in ALGEBRA_KINDS:
         alg = make_algebra(kind, 64)
-        g, low, s = toeplitz_corner_form(alg, f)
-        diagonal = g + np.einsum("ij,jk,ik->i", low, s, low.conj()).real
+        g, corner, s = toeplitz_corner_form(alg, f)
+        diagonal = g + corner.diagonal(corner.coef @ s @ corner.coef.conj().T)
         assert np.max(np.abs(diagonal - toeplitz_diagonal(alg, f))) <= 1e-12, kind
 
 

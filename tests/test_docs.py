@@ -180,6 +180,19 @@ def test_only_the_runner_imports_cli():
     assert importers == []
 
 
+# the factors of L = Y C in ``CornerColumns``: their layout is private to algebras.py
+CORNER_FACTORS = {"_outer", "_inner", "_inner_real", "_freqs", "_period"}
+
+
+def test_only_algebras_reads_the_corner_factors():
+    # every other layer sees L only through CornerColumns' methods
+    readers = [path.name for path in sorted((ROOT / "src" / "precondlab").glob("*.py"))
+               if path.name != "algebras.py" and any(
+                   isinstance(node, ast.Attribute) and node.attr in CORNER_FACTORS
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))]
+    assert readers == []
+
+
 STARTUP = """
 import json, sys
 import precondlab, precondlab.cli
