@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Sequence
 
@@ -402,7 +403,9 @@ def _add_common(p: _Parser, algebra=_parse_algebra) -> None:
                    help="print the resolved plan without computing")
 
 
+@cache
 def build_parser() -> _Parser:
+    """The CLI parser, built once per process: parsing leaves it as it was."""
     parser = _Parser(prog="precondlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -477,6 +480,10 @@ SUBCOMMANDS = tuple(_HANDLERS)
 
 
 def main(argv=None) -> int:
+    # The collector skips what is alive at the first call (the imports), at exit
+    # too; a long-lived host that calls main also keeps what it held then out.
+    if not gc.get_freeze_count():
+        gc.freeze()
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:

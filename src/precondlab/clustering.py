@@ -52,8 +52,8 @@ FROBENIUS_FLOOR = 1e-12
 # terms come this close to zero (relative) is a tie at eps and falls back.
 STRUCTURE_RTOL = 1e-10
 # The banded counter runs from BAND_MIN_ORDER up: below it the dense
-# eigen-solve is faster.
-BAND_MIN_ORDER = 192
+# eigen-solve is faster (degree 3: up to n ~ 100 in sine, ~150 in Hartley).
+BAND_MIN_ORDER = 160
 
 
 def _check_eps(eps) -> float:
@@ -359,6 +359,25 @@ def _band_blocks(band: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     return diag, off
 
 
+def _ldl_pivots(rows, scale):
+    """Unpivoted LDL* of the pivots P in rows = [P | C], (b, b + c, B), batch last.
+
+    (d, X, tie): D's diagonal, X = L^-1 C (so C* P^-1 C = X* D^-1 X) and,
+    per pivot, a d_k not finite or within STRUCTURE_RTOL of the terms that
+    formed it, scale + sum_i |L_ki|^2 |d_i|.
+    """
+    b, rows = rows.shape[0], rows.copy()
+    d, formed = np.empty((b, rows.shape[2])), np.zeros((b, rows.shape[2]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(b):
+            d[k] = rows[k, k].real
+            column = rows[k + 1 :, k]
+            formed[k + 1 :] += np.abs(column) ** 2 / np.abs(d[k])
+            rows[k + 1 :, k + 1 :] -= (column / d[k])[:, None] * rows[k, None, k + 1 :]
+        tie = ~np.all(np.abs(d) > STRUCTURE_RTOL * (scale + formed), axis=0)
+    return d, rows[:, b:], tie
+
+
 def _band_inertia_counts(m_band, w_band, epsilons) -> Optional[dict]:
     """Pencil eigenvalues |lambda| >= eps of (M, w) for Hermitian bands M, w, or None.
 
@@ -368,10 +387,10 @@ def _band_inertia_counts(m_band, w_band, epsilons) -> Optional[dict]:
     reduction): the odd blocks are decoupled pivots, and the Schur
     complement onto the even blocks is block tridiagonal again, so
     log2(n / b) batched steps cost O(n b^2) per shift.  The inertia is
-    the sum of the pivots' inertias (Haynsworth).  A tie is a pivot
-    eigenvalue within STRUCTURE_RTOL of the terms that formed the pivot,
-    ||A_ii||_F plus tr(C |D|^-1 C*) of each Schur term C D^-1 C*:
-    round-off then decides the count.
+    the sum of the pivots' inertias (Haynsworth), the signs of D from
+    ``_ldl_pivots``, or of eigh's eigenvalues for the pivots it flags.  A
+    tie is such an eigenvalue within STRUCTURE_RTOL of ||A_ii||_F plus
+    tr(X* |D|^-1 X) of each Schur term X* D^-1 X: round-off decides it.
     """
     n, width = m_band.shape
     size = max(width - 1, 1)
@@ -385,27 +404,40 @@ def _band_inertia_counts(m_band, w_band, epsilons) -> Optional[dict]:
     scale = np.linalg.norm(diag, axis=(2, 3))
     negatives = positives = 0
     while True:
-        odd = slice(1, None, 2) if diag.shape[1] > 1 else slice(None)
-        lam, vec = np.linalg.eigh(diag[:, odd])
-        if np.any(np.abs(lam) <= STRUCTURE_RTOL * scale[:, odd, None]):
-            return None
-        negatives = negatives + np.sum(lam < 0, axis=(1, 2))
-        positives = positives + np.sum(lam > 0, axis=(1, 2))
-        if diag.shape[1] == 1:
+        ns, nb = diag.shape[:2]
+        odd = slice(1, None, 2) if nb > 1 else slice(None)
+        no, k = diag[:, odd].shape[1], (nb - 1) // 2  # pivots, those with a block below
+        # rows [A_jj | A_j,j-1 | A_j,j+1] of pivot j = 2i + 1, batched last:
+        # A_j,j-1 = off[2i], A_j,j+1 = off[2i + 1]*, zero past the last block
+        rows = np.zeros((size, 3 * size, ns, no), dtype=np.complex128)
+        rows[:, :size] = diag[:, odd].transpose(2, 3, 0, 1)
+        rows[:, size : 2 * size, :, : off.shape[1] - k] = off[:, 0::2].transpose(2, 3, 0, 1)
+        rows[:, 2 * size :, :, :k] = off[:, 1::2].conj().transpose(3, 2, 0, 1)
+        rows = rows.reshape(size, 3 * size, -1)
+        d, x, tie = _ldl_pivots(rows, scale[:, odd].reshape(-1))
+        if np.any(tie):  # P = V diag(lam) V*: D = lam, X = V* C
+            flagged = rows[..., tie].transpose(2, 0, 1)
+            lam, vec = np.linalg.eigh(flagged[..., :size])
+            if np.any(np.abs(lam) <= STRUCTURE_RTOL * scale[:, odd].reshape(-1)[tie, None]):
+                return None
+            d[:, tie] = lam.T
+            x[..., tie] = (vec.conj().swapaxes(-1, -2) @ flagged[..., size:]).transpose(1, 2, 0)
+        d = d.reshape(size, ns, no)
+        negatives = negatives + np.sum(d < 0, axis=(0, 2))
+        positives = positives + np.sum(d > 0, axis=(0, 2))
+        if nb == 1:
             break
-        # pivot j = 2i + 1 couples to block 2i by off[2i] = A_{j,j-1} (up) and
-        # to block 2i + 2 by off[2i + 1]* = A_{j,j+1} (down), in its eigenbasis
-        vh = vec.conj().swapaxes(-1, -2)
-        up = vh @ off[:, 0::2]
-        down = vh[:, : off.shape[1] // 2] @ off[:, 1::2].conj().swapaxes(-1, -2)
-        inv = 1.0 / lam[..., None]
+        x = x.reshape(size, 2 * size, ns, no).transpose(2, 3, 0, 1)
+        # the blocks of X* D^-1 X = C* P^-1 C: up-up, then down-up and down-down
+        xh, y = x.conj().swapaxes(-1, -2), x / d.transpose(1, 2, 0)[..., None]
+        up, down = xh[..., :size, :] @ y[..., :size], xh[:, :k, size:] @ y[:, :k]
+        mass = np.abs(x * y)  # |X|^2 |D|^-1
         diag, scale = diag[:, 0::2], scale[:, 0::2]
-        for part, rows in ((up, slice(0, up.shape[1])), (down, slice(1, down.shape[1] + 1))):
-            k = part.shape[1]
-            diag[:, rows] -= part.conj().swapaxes(-1, -2) @ (inv[:, :k] * part)
-            scale[:, rows] += np.sum(np.abs(inv[:, :k]) * np.abs(part) ** 2, axis=(2, 3))
-        k = down.shape[1]
-        off = -(down.conj().swapaxes(-1, -2) @ (inv[:, :k] * up[:, :k]))
+        diag[:, :no] -= up
+        diag[:, 1 : k + 1] -= down[..., size:]
+        scale[:, :no] += np.sum(mass[..., :size], axis=(2, 3))
+        scale[:, 1 : k + 1] += np.sum(mass[:, :k, :, size:], axis=(2, 3))
+        off = -down[..., :size]
     return _tally(n, negatives, positives - pad, epsilons)
 
 

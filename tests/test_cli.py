@@ -412,6 +412,31 @@ def test_subcommands_are_the_parser_choices():
     assert SUBCOMMANDS == tuple(sub.choices)
 
 
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+FREEZE = """
+import gc, json, sys
+from precondlab import cli
+assert gc.get_freeze_count() == 0
+argv = ["cluster-scan", "--outdir", sys.argv[1], "--dry-run"]
+assert cli.main(argv) == 0
+frozen = gc.get_freeze_count()
+assert cli.main(argv) == 0
+print(json.dumps([frozen, gc.get_freeze_count()]))
+"""
+
+
+def test_main_freezes_the_import_heap_once(tmp_path):
+    # the collector then skips the imports, at exit too; a second call adds nothing
+    done = subprocess.run([sys.executable, "-c", FREEZE, str(tmp_path)], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert done.returncode == 0, done.stderr
+    frozen, again = json.loads(done.stdout.splitlines()[-1])
+    assert frozen > 0 and again == frozen
+
+
 @pytest.mark.parametrize("command", SUBCOMMANDS)
 def test_dry_run_writes_nothing(command, tmp_path, capsys):
     out_dir = tmp_path / "out"

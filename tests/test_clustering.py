@@ -20,12 +20,15 @@ from precondlab.algebras import (
     toeplitz_diagonal,
 )
 from precondlab.clustering import (
+    BAND_MIN_ORDER,
     DEFAULT_EPS_GRID,
     DEFAULT_LADDER,
     LowRank,
     _algebra_deviations,
     _band_blocks,
     _band_counts,
+    _band_inertia_counts,
+    _ldl_pivots,
     _structured_counts,
     build_cluster_report,
     classify,
@@ -715,6 +718,79 @@ def test_band_counts_fall_back_at_a_pivot_tie(kind):
         {m: (ODD_SYMBOL, make_algebra(kind, m)) for m in ladder}, (eps, 0.1))
     dense = _dense_counts(toeplitz_section(ODD_SYMBOL, n), alg, "difference", (eps, 0.1))
     assert {e: report.counts[(n, e)] for e in (eps, 0.1)} == dense[1]
+
+
+def _eigh_pivots(rows, scale):
+    """Every pivot flagged: the banded counts then take eigh on each, the reference."""
+    d, x, tie = _ldl_pivots(rows, scale)
+    return d, x, np.ones_like(tie)
+
+
+@pytest.mark.parametrize("kind", ["sine", "hartley"])
+@pytest.mark.parametrize("mode", ["difference", "preconditioned"])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_ldl_pivot_counts_match_eigh_pivots_and_dense(kind, mode, degree, monkeypatch):
+    # blocks of 2d + 1 rows: each degree meets a padded last block among these n
+    f = _real_symbol(np.random.default_rng(degree), degree, even=False)
+    for n in (BAND_MIN_ORDER, 2 * BAND_MIN_ORDER + 1, 1023, 1024):
+        alg = make_algebra(kind, n)
+        banded = _band_counts(f, alg, mode, DEFAULT_EPS_GRID)
+        with monkeypatch.context() as patch:
+            patch.setattr(clustering, "_ldl_pivots", _eigh_pivots)
+            reference = _band_counts(f, alg, mode, DEFAULT_EPS_GRID)
+        assert banded is not None and banded[1] == reference[1], n
+        if n < 1000 or degree == 3:  # the dense eigen-solve at n ~ 1024 is slow
+            _assert_structured_matches_dense(toeplitz_section(f, n), banded, alg, mode)
+
+
+def _lower_band(a, b):
+    """band[p, k] = a[p, p - k], k <= b, of a Hermitian a of bandwidth b."""
+    return np.array([[a[p, p - k] if k <= p else 0.0 for k in range(b + 1)]
+                     for p in range(len(a))])
+
+
+def test_a_pivot_with_a_zero_leading_entry_takes_eigh(monkeypatch):
+    # a Hermitian band of 2 x 2 blocks; block 1 of M - eps I is [[0, 1], [1, c]]:
+    # nonsingular, but an unpivoted LDL* divides by its zero leading entry
+    n, b, eps = 9, 2, 0.1
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = np.triu(np.tril(a + a.conj().T), -b)
+    a[2, 2], a[3, 2] = eps, 1.0
+    a = a + np.tril(a, -1).conj().T
+    band = _lower_band(a, b)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+    counts = _band_inertia_counts(band, None, (eps,))
+    assert calls == [(1, b, b)]  # that pivot alone
+    assert counts == {eps: int(np.sum(np.abs(np.linalg.eigvalsh(a)) >= eps))}
+
+
+def test_growth_in_a_pivot_factor_takes_eigh():
+    # pivots [[delta, 1, 1], [1, a, b], [1, b, c]], delta ~ 1e-9, 10x clear of an
+    # eigh tie: their last d_k cancels terms ~1/delta down to ~1e-9, and
+    # round-off can flip its sign; the terms that formed it flag the pivot
+    rng = np.random.default_rng(0)
+    blocks = []
+    while len(blocks) < 100:
+        delta, a, b = 10 ** rng.uniform(-9.4, -8), rng.uniform(-3, 3), rng.uniform(-3, 3)
+        a = np.round(a * 2**20) / 2**20  # (a + 1) - 1 is a: M - w below is exact
+        c = rng.uniform(-1e-9, 1e-9) + 1 / delta + (b - 1 / delta) ** 2 / (a - 1 / delta)
+        p = np.array([[delta, 1, 1], [1, a, b], [1, b, c]])
+        if np.min(np.abs(np.linalg.eigvalsh(p))) > 1e-9 * np.linalg.norm(p):
+            blocks.append(p)
+    n = 3 * len(blocks)
+    m, w = np.zeros((n, n)), np.zeros(n)
+    for j, p in enumerate(blocks):
+        m[3 * j : 3 * j + 3, 3 * j : 3 * j + 3] = p
+    w[1::3] = 1.0  # M - w has the blocks as pivots, M + w moves each a by 2
+    m += np.diag(w)
+    w_band = np.zeros((n, 4))
+    w_band[:, 0] = w
+    counts = _band_inertia_counts(_lower_band(m, 3), w_band, (1.0,))
+    below, above = np.linalg.eigvalsh(m - np.diag(w)), np.linalg.eigvalsh(m + np.diag(w))
+    assert counts == {1.0: int(np.sum(below >= 0) + np.sum(above <= 0))}
 
 
 # ---------------------------------------------------------------------------
