@@ -12,6 +12,7 @@ import platform
 
 from .algebras import (
     ALGEBRA_KINDS,
+    LowRank,
     TransformAlgebra,
     algebra_diagonal,
     contiguous_partition,
@@ -33,7 +34,6 @@ from .clustering import (
     DEFAULT_EPS_GRID,
     DEFAULT_LADDER,
     ClusterReport,
-    LowRank,
     build_cluster_report,
     classify,
     classify_frobenius,

@@ -21,9 +21,10 @@ without forming U, and the diagonal of U* T_n(f) U of a Toeplitz section
 (``toeplitz_diagonal``) comes from closed forms in O(n log n) or
 O(n deg f), without forming the section.  Where T_n(f) differs from an
 algebra matrix only in its corners, ``toeplitz_corner_parts`` gives
-U* T_n(f) U as a diagonal plus a rank-2 deg f term, with the corner
-columns in closed form (``CornerColumns``) and ``toeplitz_corner_form``
-checking it on a probe; for any real f,
+U* T_n(f) U as a ``DiagonalPlusLowRank``, a diagonal plus a rank-2 deg f
+term (the form a ``LowRank`` V V* takes too), with the corner columns in
+closed form (``CornerColumns``) and ``toeplitz_corner_form`` checking it
+on a probe; for any real f,
 ``toeplitz_band_form`` gives T_n(f) and its projection as bands of width
 2 deg f + 1 in the reflection-pairing order.
 """
@@ -559,10 +560,88 @@ class CornerColumns:
         o += ((self._outer[rows] * z).view(np.float64) @ self._inner_real.T).ravel()[: o.size]
 
 
-def toeplitz_corner_parts(
-    alg: TransformAlgebra, f: Symbol
-) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray, CornerColumns]]:
-    """(g, I, S, L) with U* T_n(f) U = diag(g) + L S L* and L = U* E_I, or None.
+class DiagonalPlusLowRank:
+    """W = U* A U = diag(g) + L S L* in an algebra's eigen coordinates, L = Y C of small rank.
+
+    ``columns`` is Y, read only through ``diagonal(M)`` = diag(Y M Y*) and
+    ``gram(h)`` = Y* diag(h) Y: the ``CornerColumns`` of a Toeplitz
+    section (``toeplitz_corner_parts``) or, for a ``LowRank`` V V*, the
+    dense ``LowRank`` Y = U* V (``LowRank.form``).  ``coef`` is C and ``s``
+    the Hermitian core S; an eigenvalue of S at or below rtol * ``scale``
+    is round-off to ``compressed``.
+    """
+
+    def __init__(self, g: np.ndarray, columns, coef: np.ndarray, s: np.ndarray, scale: float):
+        self.g, self.columns, self.coef, self.s, self.scale = g, columns, coef, s, scale
+
+    @functools.cached_property
+    def core(self) -> np.ndarray:
+        """C S C*, so that L S L* = Y (C S C*) Y*."""
+        return self.coef @ self.s @ self.coef.conj().T
+
+    @functools.cached_property
+    def delta(self) -> np.ndarray:
+        """diag(L S L*)."""
+        return self.columns.diagonal(self.core)
+
+    @functools.cached_property
+    def norms(self) -> np.ndarray:
+        """diag(L L*)."""
+        return self.columns.diagonal(self.coef @ self.coef.conj().T)
+
+    def eigenvalues(self) -> np.ndarray:
+        """c = g + diag(L S L*), the eigenvalues of the projection U diag(W) U*."""
+        return self.g + self.delta
+
+    def gram(self, h: np.ndarray) -> np.ndarray:
+        """L* diag(h) L for each row of the real (b, n) h, (b, r, r)."""
+        return self.coef.conj().T @ self.columns.gram(h) @ self.coef
+
+    def compressed(self, rtol: float) -> "DiagonalPlusLowRank":
+        """The form with S = diag(w) on the range of S: its eigenvalues w above
+        rtol * scale, and C Q for their eigenvectors Q."""
+        w, q = np.linalg.eigh(0.5 * (self.s + self.s.conj().T))
+        keep = np.abs(w) > rtol * self.scale
+        return DiagonalPlusLowRank(self.g, self.columns, self.coef @ q[:, keep],
+                                   np.diag(w[keep]), self.scale)
+
+
+class LowRank:
+    """A = V V* given by its n x r factor V, never formed unless a count falls back.
+
+    As the columns of a form V is read like ``CornerColumns``, through
+    ``diagonal`` and ``gram``.
+    """
+
+    def __init__(self, factor: np.ndarray):
+        self.factor = factor
+
+    def form(self, alg: TransformAlgebra) -> DiagonalPlusLowRank:
+        """U* V V* U = Y Y*: g = 0, the LowRank Y = U* V, C = S = I and scale ||V||_F^2."""
+        v = np.asarray(self.factor, dtype=np.complex128)
+        if v.shape[0] != alg.order:
+            raise DimensionMismatchError(
+                f"factor order {v.shape[0]} does not match algebra order {alg.order}")
+        eye = np.eye(v.shape[1])
+        return DiagonalPlusLowRank(np.zeros(alg.order), LowRank(alg.transform(v)), eye, eye,
+                                   frobenius_norm_sq(v))
+
+    def diagonal(self, m: np.ndarray) -> np.ndarray:
+        """diag(V M V*), real for a Hermitian M."""
+        return np.einsum("ij,jk,ik->i", self.factor, m, self.factor.conj()).real
+
+    def gram(self, h: np.ndarray) -> np.ndarray:
+        """V* diag(h) V for each row of the real (b, n) h, (b, r, r)."""
+        return (self.factor.conj().T * h[:, None, :]) @ self.factor
+
+
+def _corner_rows(n: int, d: int) -> np.ndarray:
+    """The corner rows I = {0..d-1} u {n-d..n-1}."""
+    return np.concatenate((np.arange(d), np.arange(n - d, n)))
+
+
+def toeplitz_corner_parts(alg: TransformAlgebra, f: Symbol) -> Optional[DiagonalPlusLowRank]:
+    """U* T_n(f) U = diag(g) + L S L* with L = U* E_I for the corner rows I, or None.
 
     For a real f of degree d and n >= 2d + 1, T_n(f) - A with
     A = U diag(g) U* lives on the corner block I = {0..d-1} u {n-d..n-1}
@@ -577,10 +656,10 @@ def toeplitz_corner_parts(
     H_jk = a_{j+k+2} + a_{2n-j-k}, and g_j = f(x_j) on the grid, read
     through L's own factors, which hold every frequency -k mod P.  So
     S = T_II - A_II is read exactly from the coefficients, and L in closed
-    form from ``row_exponentials``.  Nothing is verified here.  None for a
-    complex f, n < 2d + 1, a custom algebra, or an odd part of f in the
-    sine or Hartley algebra (some |Im a_k| above the round-off of
-    ``Symbol.is_real``, read before any transform).
+    form from ``row_exponentials``; the scale is sum |a_k|.  Nothing is
+    verified here.  None for a complex f, n < 2d + 1, a custom algebra, or
+    an odd part of f in the sine or Hartley algebra (some |Im a_k| above
+    the round-off of ``Symbol.is_real``, read before any transform).
     """
     n, d = alg.order, f.degree
     if alg.row_exponentials is None or not f.is_real or n < 2 * d + 1:
@@ -589,7 +668,8 @@ def toeplitz_corner_parts(
     floor = REALNESS_TOL * (1.0 + max((abs(a) for a in amps), default=0.0))
     if alg.kind != "fourier" and any(abs(a.imag) > floor for a in amps):
         return None
-    rows = np.concatenate((np.arange(d), np.arange(n - d, n)))
+    scale = sum(abs(a) for a in amps)
+    rows = _corner_rows(n, d)
     j, k = rows[:, None], rows[None, :]
     if alg.kind == "sine":
         # g_j = f(x_0 + 2 pi j / P) = a_0 + (Y c)_j, c holding a_k e^{i k x_0} at -k mod P
@@ -599,39 +679,38 @@ def toeplitz_corner_parts(
             np.delete(f.coefficient_array(-d, d + 1), d) * np.exp(1j * ks * alg.grid[0]))
         g = (f.coefficient(0) + cols.apply(c)).real
         s = section_entries(f, j + k + 2) + section_entries(f, 2 * n - j - k)
-        return g, rows, s, cols
-    strang = lambda idx: section_entries(f, np.where(idx < n - d, idx, idx - n))  # s at idx
-    support = np.append(rows, d)  # I and d: where Strang's column lives
-    cols = CornerColumns.of_rows(alg, support)
-    g = np.sqrt(n) * cols.apply(cols.coef @ strang(support)).real
-    s = section_entries(f, j - k) - strang((j - k) % n)
-    return g, rows, s, cols.head(2 * d)
+    else:
+        strang = lambda idx: section_entries(f, np.where(idx < n - d, idx, idx - n))  # s at idx
+        support = np.append(rows, d)  # I and d: where Strang's column lives
+        cols = CornerColumns.of_rows(alg, support)
+        g = np.sqrt(n) * cols.apply(cols.coef @ strang(support)).real
+        s = section_entries(f, j - k) - strang((j - k) % n)
+        cols = cols.head(2 * d)
+    return DiagonalPlusLowRank(g, cols, cols.coef, s, scale)
 
 
-def toeplitz_corner_form(
-    alg: TransformAlgebra, f: Symbol
-) -> Optional[tuple[np.ndarray, CornerColumns, np.ndarray]]:
-    """(g, L, S) of ``toeplitz_corner_parts``, with the form verified, or None.
+def toeplitz_corner_form(alg: TransformAlgebra, f: Symbol) -> Optional[DiagonalPlusLowRank]:
+    """The form of ``toeplitz_corner_parts``, verified, or None.
 
     The form is verified per n on ``_weyl_probe`` x, with y = U* x:
     ||T x - U (g y) - E_I S x_I|| must stay within TRACE_RTOL ||T x||, and
     ||L* y - x_I|| (L* U* = E_I*, through ``adjoint``) within
     TRACE_RTOL ||x||.  None where there are no parts or a check fails.
     """
-    parts = toeplitz_corner_parts(alg, f)
-    if parts is None:
+    form = toeplitz_corner_parts(alg, f)
+    if form is None:
         return None
-    g, rows, s, corner = parts
+    rows = _corner_rows(alg.order, f.degree)
     x, tx = _weyl_probe(f, alg.order)
     y = alg.transform(x)
-    defect = tx - alg.inverse(g * y)
-    defect[rows] -= s @ x[rows]
+    defect = tx - alg.inverse(form.g * y)
+    defect[rows] -= form.s @ x[rows]
     if np.linalg.norm(defect) > TRACE_RTOL * np.linalg.norm(tx):
         return None
-    gathered = corner.coef.conj().T @ corner.adjoint(y, slice(None))
+    gathered = form.coef.conj().T @ form.columns.adjoint(y, slice(None))
     if np.linalg.norm(gathered - x[rows]) > TRACE_RTOL * np.linalg.norm(x):
         return None
-    return g, corner, s
+    return form
 
 
 def _pairing_order(n: int) -> np.ndarray:

@@ -478,12 +478,14 @@ _HANDLERS = {
 }
 SUBCOMMANDS = tuple(_HANDLERS)
 
+# The collector skips what is alive at the first call (the imports), at exit too; a
+# long-lived host that calls main also keeps what it held then out.  Cached, so once
+# per process with no gc.get_freeze_count(), which walks the frozen objects.
+_freeze_imports = cache(gc.freeze)
+
 
 def main(argv=None) -> int:
-    # The collector skips what is alive at the first call (the imports), at exit
-    # too; a long-lived host that calls main also keeps what it held then out.
-    if not gc.get_freeze_count():
-        gc.freeze()
+    _freeze_imports()
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:

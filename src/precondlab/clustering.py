@@ -17,6 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .algebras import (
+    DiagonalPlusLowRank,
+    LowRank,
     TransformAlgebra,
     eigenbasis,
     toeplitz_band_form,
@@ -261,13 +263,6 @@ def _algebra_deviations(a, alg: TransformAlgebra, mode: str) -> tuple[float, np.
     return fro, np.abs(hermitian_eigvalues_unchecked(w))
 
 
-class LowRank:
-    """A = V V* given by its n x r factor V, never formed unless a count falls back."""
-
-    def __init__(self, factor: np.ndarray):
-        self.factor = factor
-
-
 def _as_matrix(a, n: int) -> np.ndarray:
     """The dense A_n of a pair's first item: a matrix, a Symbol or a LowRank."""
     if isinstance(a, Symbol):
@@ -305,12 +300,12 @@ def _tally(n: int, negatives, positives, epsilons) -> dict:
     }
 
 
-def _pencil_counts(gram, norms, s, delta, weight, epsilons) -> Optional[dict]:
-    """Pencil eigenvalues |lambda| >= eps of (L diag(s) L* - diag(delta), diag(weight)), or None.
+def _pencil_counts(form: DiagonalPlusLowRank, weight, epsilons) -> Optional[dict]:
+    """Pencil eigenvalues |lambda| >= eps of (L S L* - Delta, diag(weight)), or None.
 
-    L enters as gram(h) = L* diag(h) L and norms = diag(L L*).  The inertia
-    of M - s w is that of G + L S L*, G = -delta - s weight, for each of
-    the ``_shifts`` s.  Haynsworth: In(G + L S L*) = In(G) + In(Z) - In(-S^-1),
+    The form has S = diag(s) (``compressed``) and Delta = diag(L S L*).
+    The inertia of M - s w is that of G + L S L*, G = -Delta - s weight, for
+    each of the ``_shifts`` s.  Haynsworth: In(G + L S L*) = In(G) + In(Z) - In(-S^-1),
     Z = -S^-1 - L* G^-1 L, with the Z of all 2|eps| shifts from one gram and
     one batched eigvalsh.  A tie is some |G_i| <= STRUCTURE_RTOL |s| weight_i,
     or an eigenvalue of Z within STRUCTURE_RTOL of the terms that form it,
@@ -318,6 +313,7 @@ def _pencil_counts(gram, norms, s, delta, weight, epsilons) -> Optional[dict]:
     1/G or Z that is not finite, as a subnormal eps gives: the tie bound on
     G underflows to 0 there.
     """
+    s, delta = np.diagonal(form.s), form.delta
     shifts = _shifts(epsilons)[:, None]
     g = -delta - shifts * weight
     if np.any(np.abs(g) <= STRUCTURE_RTOL * np.abs(shifts) * weight):
@@ -326,11 +322,11 @@ def _pencil_counts(gram, norms, s, delta, weight, epsilons) -> Optional[dict]:
         inv = 1.0 / g
     if not np.all(np.isfinite(inv)):
         return None
-    z = np.diag(-1.0 / s) - gram(inv)
+    z = np.diag(-1.0 / s) - form.gram(inv)
     if not np.all(np.isfinite(z)):
         return None
     z = np.linalg.eigvalsh(z)
-    size = np.max(np.abs(1.0 / s)) + np.abs(inv) @ norms
+    size = np.max(np.abs(1.0 / s)) + np.abs(inv) @ form.norms
     if np.any(np.min(np.abs(z), axis=1) <= STRUCTURE_RTOL * size):
         return None
     negatives = np.sum(g < 0, axis=1) + np.sum(z < 0, axis=1) - np.sum(s > 0)
@@ -466,51 +462,35 @@ def _band_counts(f: Symbol, alg: TransformAlgebra, mode: str, epsilons):
 def _structured_counts(a, alg: TransformAlgebra, mode: str, epsilons):
     """(||A - B||_F^2, {eps: count}) without the dense W = U* A U, or None.
 
-    W = diag(g) + L S L*, L = Y C, Y seen through gram(h) = Y* diag(h) Y and
-    diagonal(M) = diag(Y M Y*) only.  A LowRank V V* has g = 0, Y = U* V,
-    C = S = I, scale ||V||_F^2.  A Symbol takes ``toeplitz_corner_form``,
-    scale sum |a_k|, or else (an odd part in the sine or Hartley algebra)
-    ``_band_counts``.  S is compressed on C to its eigenvalues above
-    STRUCTURE_RTOL * scale; with Delta = diag(L S L*),
+    W = diag(g) + L S L* comes as a ``DiagonalPlusLowRank``: from
+    ``LowRank.form``, or for a Symbol from ``toeplitz_corner_form``, else
+    (an odd part in the sine or Hartley algebra) ``_band_counts`` counts.
+    S is compressed to its range; with Delta = diag(L S L*),
     A - B = U (L S L* - Delta) U* and ||A - B||_F^2 = tr(M S M S) - ||Delta||^2,
     M = L* L.  With nothing left, A lies in the algebra: the counts and the
     mass are exactly 0.  Both modes count the pencil (L S L* - Delta, w),
-    with w = 1 in difference mode and w = D = g + Delta, the projection's
+    with w = 1 in difference mode and w = g + Delta, the projection's
     eigenvalues, in preconditioned mode.  None for any other A, where no
     form is available, or where a count is a tie.
     """
-    n = alg.order
     if isinstance(a, LowRank):
-        v = np.asarray(a.factor, dtype=np.complex128)
-        if v.shape[0] != n:
-            raise DimensionMismatchError(
-                f"factor order {v.shape[0]} does not match algebra order {n}")
-        y, g, s, scale = alg.transform(v), np.zeros(n), np.eye(v.shape[1]), frobenius_norm_sq(v)
-        gram, coef = lambda h: (y.conj().T * h[:, None, :]) @ y, s
-        diagonal = lambda m: np.einsum("ij,jk,ik->i", y, m, y.conj()).real
+        form = a.form(alg)
     elif isinstance(a, Symbol):
         form = toeplitz_corner_form(alg, a)
         if form is None:
             return _band_counts(a, alg, mode, epsilons)
-        (g, corner, s), scale = form, sum(abs(c) for c in a.coefficients.values())
-        gram, diagonal, coef = corner.gram, corner.diagonal, corner.coef
     else:
         return None
-    w, q = np.linalg.eigh(0.5 * (s + s.conj().T))
-    keep = np.abs(w) > STRUCTURE_RTOL * scale
-    w, coef = w[keep], coef @ q[:, keep]
-    delta = diagonal((coef * w) @ coef.conj().T)
+    form = form.compressed(STRUCTURE_RTOL)
     weight = 1.0
     if mode == "preconditioned":
-        weight = g + delta
+        weight = form.eigenvalues()
         _check_positive(weight)
-    if not w.size:
+    if not form.s.size:
         return 0.0, dict.fromkeys(epsilons, 0)
-    low_gram = lambda h: coef.conj().T @ gram(h) @ coef  # L* diag(h) L
-    ms = low_gram(np.ones((1, n)))[0] * w
-    fro = max(float(np.sum(ms * ms.T).real - delta @ delta), 0.0)
-    norms = diagonal(coef @ coef.conj().T)  # diag(L L*)
-    counts = _pencil_counts(low_gram, norms, w, delta, weight, epsilons)
+    ms = form.gram(np.ones((1, alg.order)))[0] @ form.s  # M S
+    fro = max(float(np.sum(ms * ms.T).real - form.delta @ form.delta), 0.0)
+    counts = _pencil_counts(form, weight, epsilons)
     return None if counts is None else (fro, counts)
 
 

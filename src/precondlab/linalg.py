@@ -50,11 +50,6 @@ def _defect_and_peak(m: np.ndarray) -> tuple[float, float]:
     return float(np.max(defects)), float(np.max(peaks))
 
 
-def hermitian_defect(a) -> float:
-    """Max entrywise deviation |A - A*|, scaled check left to callers."""
-    return _defect_and_peak(as_square(a))[0]
-
-
 def is_hermitian(a) -> bool:
     """True when max|A[j,k] - conj(A[k,j])| <= HERMITIAN_EIG_TOL * (1 + max|entry|)."""
     defect, peak = _defect_and_peak(as_square(a))

@@ -15,10 +15,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebras import resolve_algebra_factory
+from .algebras import LowRank, resolve_algebra_factory
 from .clustering import (
-    DEFAULT_EPS_GRID, DEFAULT_LADDER, ClusterReport, LowRank, _validate_ladder,
-    build_cluster_report,
+    DEFAULT_EPS_GRID, DEFAULT_LADDER, ClusterReport, _validate_ladder, build_cluster_report,
 )
 from .errors import InvariantViolationError
 from .linalg import frobenius_norm_sq

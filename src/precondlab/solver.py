@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .algebras import (
-    CornerColumns,
+    DiagonalPlusLowRank,
     TransformAlgebra,
     algebra_diagonal,
     check_toeplitz_trace,
@@ -145,19 +145,18 @@ def build_preconditioner(a, precond: str, alg_kind="fourier") -> tuple[str, Call
 
 
 class _EigenCoordinates:
-    """CG kernels of ``_eigen_operators``, on the row blocks of ``CornerColumns``' layout.
+    """CG kernels of ``_eigen_operators``, on the row blocks of the corner columns' layout.
 
     w = core Y* p is gathered block by block, A p = g p + Y w goes to a
     work buffer, and z = r / c overwrites each block of it once read.
     """
 
-    def __init__(self, alg: TransformAlgebra, f: Symbol, g, s, corner: CornerColumns):
-        self._corner = corner
-        self._core = corner.coef @ s @ corner.coef.conj().T  # C S C*
-        c = g + corner.diagonal(self._core)
+    def __init__(self, alg: TransformAlgebra, f: Symbol, form: DiagonalPlusLowRank):
+        self._corner, self._core = form.columns, form.core
+        c = form.eigenvalues()
         check_toeplitz_trace(alg, f, c)
-        self._g, self._c_inv, self._work = g, _reciprocal(c), None  # work: made by the first z
-        self.blocks = corner.blocks(BLOCK_ELEMENTS)
+        self._g, self._c_inv, self._work = form.g, _reciprocal(c), None  # work: made by the first z
+        self.blocks = self._corner.blocks(BLOCK_ELEMENTS)
 
     def gather(self, v, rows):
         return self._core @ self._corner.adjoint(v, rows)
@@ -192,11 +191,10 @@ def _eigen_operators(alg: TransformAlgebra, f: Symbol) -> Optional[_EigenCoordin
     floor = EIGEN_MIN_ORDER * (max(1, f.degree // 2) if has_fastest_transforms(alg) else 1)
     if alg.order < floor or 2 * f.degree + 1 > DIRECT_MAX_TAPS:
         return None
-    parts = toeplitz_corner_parts(alg, f)
-    if parts is None or not parts[2].any():
+    form = toeplitz_corner_parts(alg, f)
+    if form is None or not form.s.any():
         return None
-    g, _, s, corner = parts
-    return _EigenCoordinates(alg, f, g, s, corner)
+    return _EigenCoordinates(alg, f, form)
 
 
 def _check_residual_gap(a: ToeplitzOperator, rhs, x, residual, iterations, x_peak) -> None:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from precondlab.algebras import (
     ALGEBRA_KINDS,
+    LowRank,
     TransformAlgebra,
     algebra_diagonal,
     check_transform,
@@ -471,10 +472,9 @@ WIDE_CASES = [(kind, WIDE) for kind in ALGEBRA_KINDS]
 
 
 def _corner(kind, f, n):
-    """(alg, g, I, L = Y C of the corner rows I, S) of the corner parts of T_n(f)."""
+    """(alg, the corner parts of T_n(f), the corner rows I)."""
     alg = make_algebra(kind, n)
-    g, rows, s, corner = toeplitz_corner_parts(alg, f)
-    return alg, g, rows, corner, s
+    return alg, toeplitz_corner_parts(alg, f), np.r_[: f.degree, n - f.degree : n]
 
 
 # n = 2d + 1; (q, m) layouts with and without a partial last row (64 = 8 x 8,
@@ -484,14 +484,14 @@ def _corner(kind, f, n):
                          + [(*case, n) for case in WIDE_CASES for n in (63, 200, 4099)])
 def test_corner_diagonal_is_the_toeplitz_diagonal(kind, f, n):
     # the projection's eigenvalues c = g + diag(L S L*), with no transform
-    alg, g, _, corner, s = _corner(kind, f, n)
-    c = g + corner.diagonal(corner.coef @ s @ corner.coef.conj().T)
+    alg, form, _ = _corner(kind, f, n)
+    c = form.eigenvalues()
     d = toeplitz_diagonal(alg, f)
     assert c.dtype == np.float64 and c.shape == (n,)
     assert np.max(np.abs(c - d)) <= 1e-12 * np.max(np.abs(d)), (kind, n)
     # g_j = f(-x_j) in Fourier, f(x_j) in Hartley and sine
     xs = -alg.grid if kind == "fourier" else alg.grid
-    np.testing.assert_allclose(g, f.eval_real(xs), rtol=0, atol=1e-12 * np.max(np.abs(d)))
+    np.testing.assert_allclose(form.g, f.eval_real(xs), rtol=0, atol=1e-12 * np.max(np.abs(d)))
 
 
 @pytest.mark.parametrize("f", [CORNER_CASES[2][1], WIDE])
@@ -501,41 +501,49 @@ def test_sine_corner_parts_evaluate_no_symbol(f, monkeypatch):
         raise AssertionError(f"Symbol.eval of {self.label!r} on {np.size(x)} points")
 
     monkeypatch.setattr(Symbol, "eval", refuse)
-    g = toeplitz_corner_parts(make_algebra("sine", 200), f)[0]
+    g = toeplitz_corner_parts(make_algebra("sine", 200), f).g
     monkeypatch.undo()
     assert g.dtype == np.float64 and g.shape == (200,)
 
 
-# n = 2d + 1, odd n with a partial last row of the (q, m) layout, even n
+# n = 2d + 1, odd n with a partial last row of the (q, m) layout, even n; f None
+# is the dense columns U* V of a LowRank V V*
 @pytest.mark.parametrize("kind, f, n", [(*case, n) for case in CORNER_CASES for n in (7, 65, 96)]
                          + [(*case, 63) for case in WIDE_CASES]
-                         + [(*case, n) for case in WIDE_CASES for n in (97, 200)])
+                         + [(*case, n) for case in WIDE_CASES for n in (97, 200)]
+                         + [(kind, None, n) for kind in ALGEBRA_KINDS for n in (7, 96)])
 def test_corner_columns_match_their_dense_form(kind, f, n):
-    alg, _, rows, corner, s = _corner(kind, f, n)
-    # L = U* E_I: for Fourier, the factorization on I and d with column d dropped
-    low = alg.unitary.conj().T[:, rows]
-    frequencies = {"fourier": 2 * f.degree, "hartley": 2 * f.degree + 1, "sine": 4 * f.degree}
-    assert corner.coef.shape[0] == frequencies[kind]
-    np.testing.assert_allclose(corner.diagonal(corner.coef @ s @ corner.coef.conj().T),
-                               np.diag(low @ s @ low.conj().T).real, atol=1e-13)
     rng = np.random.default_rng(n)
-    # C* gram(h) C = L* diag(h) L, the identity for h = 1
+    if f is None:  # L = U* V, S = I; V with orthonormal columns, so L* L = I
+        alg = make_algebra(kind, n)
+        v = np.linalg.qr(rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3)))[0]
+        form, low = LowRank(v).form(alg), alg.unitary.conj().T @ v
+    else:  # L = U* E_I: for Fourier, the factorization on I and d with column d dropped
+        alg, form, rows = _corner(kind, f, n)
+        low = alg.unitary.conj().T[:, rows]
+        frequencies = {"fourier": 2 * f.degree, "hartley": 2 * f.degree + 1, "sine": 4 * f.degree}
+        assert form.coef.shape[0] == frequencies[kind]
+    np.testing.assert_allclose(form.delta, np.diag(low @ form.s @ low.conj().T).real, atol=1e-13)
+    # gram(h) = L* diag(h) L, the identity for h = 1
     h = np.vstack((np.ones(n), rng.standard_normal((3, n))))
-    gram = corner.coef.conj().T @ corner.gram(h) @ corner.coef
+    gram = form.gram(h)
     np.testing.assert_allclose(gram, np.einsum("ki,bk,kj->bij", low.conj(), h, low),
                                rtol=0, atol=1e-12 * np.sqrt(n))
-    np.testing.assert_allclose(gram[0], np.eye(len(rows)), rtol=0, atol=1e-12 * np.sqrt(n))
+    np.testing.assert_allclose(gram[0], np.eye(low.shape[1]), rtol=0, atol=1e-12 * np.sqrt(n))
+    if f is None:
+        return
+    corner = form.columns
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     z = rng.standard_normal(low.shape[1]) + 0j
-    np.testing.assert_allclose(corner.apply(corner.coef @ z), low @ z, atol=1e-13)
+    np.testing.assert_allclose(corner.apply(form.coef @ z), low @ z, atol=1e-13)
     for size in (1, 10, n):  # one row per block, a few rows, one block
         blocks = corner.blocks(size)
         assert np.concatenate([np.arange(n)[el] for el, _ in blocks]).tolist() == list(range(n))
         gathered = sum(corner.adjoint(v[el], qs) for el, qs in blocks)
-        np.testing.assert_allclose(corner.coef.conj().T @ gathered, low.conj().T @ v, atol=1e-12)
+        np.testing.assert_allclose(form.coef.conj().T @ gathered, low.conj().T @ v, atol=1e-12)
         out = v.copy()
         for el, qs in blocks:
-            corner.add_to(out[el], corner.coef @ z, qs)
+            corner.add_to(out[el], form.coef @ z, qs)
         np.testing.assert_allclose(out, v + low @ z, atol=1e-12)
 
 

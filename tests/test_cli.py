@@ -422,14 +422,23 @@ from precondlab import cli
 assert gc.get_freeze_count() == 0
 argv = ["cluster-scan", "--outdir", sys.argv[1], "--dry-run"]
 assert cli.main(argv) == 0
-frozen = gc.get_freeze_count()
+frozen, count = gc.get_freeze_count(), gc.get_freeze_count
+
+
+def refuse():  # the count walks every frozen object: a second main must not take it
+    raise AssertionError("gc.get_freeze_count called again")
+
+
+gc.get_freeze_count = refuse
 assert cli.main(argv) == 0
+gc.get_freeze_count = count
 print(json.dumps([frozen, gc.get_freeze_count()]))
 """
 
 
 def test_main_freezes_the_import_heap_once(tmp_path):
     # the collector then skips the imports, at exit too; a second call adds nothing
+    # and does not count the frozen objects
     done = subprocess.run([sys.executable, "-c", FREEZE, str(tmp_path)], capture_output=True,
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert done.returncode == 0, done.stderr

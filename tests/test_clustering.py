@@ -446,8 +446,7 @@ def test_structured_diagonal_is_the_toeplitz_diagonal():
     f = parse_trig_expression("3+cos+0.5cos2x+0.7cos3x")
     for kind in ALGEBRA_KINDS:
         alg = make_algebra(kind, 64)
-        g, corner, s = toeplitz_corner_form(alg, f)
-        diagonal = g + corner.diagonal(corner.coef @ s @ corner.coef.conj().T)
+        diagonal = toeplitz_corner_form(alg, f).eigenvalues()
         assert np.max(np.abs(diagonal - toeplitz_diagonal(alg, f))) <= 1e-12, kind
 
 

@@ -193,6 +193,18 @@ def test_only_algebras_reads_the_corner_factors():
     assert readers == []
 
 
+def test_one_counter_per_structure():
+    # _tally turns inertias into counts: once for diagonal plus low rank
+    # (Haynsworth on the form), once for bands; a new structure extends the form
+    callers = set()
+    for path in sorted((ROOT / "src" / "precondlab").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if any(getattr(node, "id", getattr(node, "attr", None)) == "_tally"
+                   for node in ast.walk(top)):
+                callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == {"clustering._pencil_counts", "clustering._band_inertia_counts"}
+
+
 STARTUP = """
 import json, sys
 import precondlab, precondlab.cli

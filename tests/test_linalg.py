@@ -11,10 +11,10 @@ from precondlab.errors import DimensionMismatchError, NoConvergenceError, NotHer
 from precondlab.linalg import (
     HERMITIAN_BLOCK_ROWS,
     HERMITIAN_EIG_TOL,
+    _defect_and_peak,
     as_matrix,
     as_square,
     frobenius_norm_sq,
-    hermitian_defect,
     hermitian_eig,
     hermitian_eigvalues,
     hermitian_eigvalues_unchecked,
@@ -174,7 +174,7 @@ def test_is_hermitian_tolerance():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, HERMITIAN_BLOCK_ROWS, 2 * HERMITIAN_BLOCK_ROWS + 3])
 def test_hermitian_defect_is_the_whole_matrix_maximum(n):
-    # row blocks take the max of the same per-entry values: bit-identical
+    # is_hermitian's defect: row blocks take the max of the same per-entry values, bit-identical
     def whole(m):
         return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
@@ -184,10 +184,10 @@ def test_hermitian_defect_is_the_whole_matrix_maximum(n):
     if n:
         nearly[n - 1, n - 2] += 1e-13j  # both rows of the deviation in the last block
     for m in (general, hermitian, nearly, np.asfortranarray(general), general.real.copy()):
-        assert hermitian_defect(m) == whole(m)
+        assert _defect_and_peak(as_square(m))[0] == whole(m)
     if n:
         general[0, n - 1] = np.nan
-        assert np.isnan(hermitian_defect(general))
+        assert np.isnan(_defect_and_peak(as_square(general))[0])
 
 
 def test_shapes_other_than_a_matrix_are_refused():
