@@ -24,7 +24,9 @@ algebra matrix only in its corners, ``toeplitz_corner_parts`` gives
 U* T_n(f) U as a ``DiagonalPlusLowRank``, a diagonal plus a rank-2 deg f
 term (the form a ``LowRank`` V V* takes too), with the corner columns in
 closed form (``CornerColumns``) and ``toeplitz_corner_form`` checking it
-on a probe; for any real f,
+on a probe.  For a real f with an odd part, ``toeplitz_pair_form`` gives
+the Hartley projection in Fourier coordinates, 2 x 2 blocks on the pairs
+(a, -a), beside the Fourier form; for any real f,
 ``toeplitz_band_form`` gives T_n(f) and its projection as bands of width
 2 deg f + 1 in the reflection-pairing order.
 """
@@ -453,14 +455,12 @@ def check_toeplitz_trace(alg: TransformAlgebra, f: Symbol, d: np.ndarray) -> Non
         )
 
 
-def _weyl_probe(f: Symbol, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(x, T_n(f) x) for the fixed probe x_j = frac(j phi) - 1/2 of the structured forms.
+def _weyl_probe(n: int) -> np.ndarray:
+    """The fixed probe x_j = frac(j phi) - 1/2 of the structured forms.
 
-    The product is matrix-free.  A random vector would import numpy.random,
-    which costs a command ~25 ms.
+    A random vector would import numpy.random, which costs a command ~25 ms.
     """
-    x = np.arange(n) * 0.6180339887498949 % 1.0 - 0.5
-    return x, ToeplitzOperator(f, n).matvec(x)
+    return np.arange(n) * 0.6180339887498949 % 1.0 - 0.5
 
 
 class CornerColumns:
@@ -513,15 +513,24 @@ class CornerColumns:
         """Y z as a new vector."""
         return ((self._outer * z) @ self._inner.T).ravel()[: self._order]
 
+    def _spread(self, summed: bool) -> tuple["CornerColumns", np.ndarray]:
+        """(Y' on the O(K) distinct p_t - p_u mod P, or p_t + p_u if summed, the index of
+        each (t, u)): Y_t conj(Y_u), or Y_t Y_u."""
+        f = self._freqs
+        spread = (np.add if summed else np.subtract).outer(f, f).ravel() % self._period
+        spread, first, where = np.unique(spread, return_index=True, return_inverse=True)
+        t, u = np.divmod(first, len(f))
+        factors = [np.ascontiguousarray(x[:, t] * (x[:, u] if summed else x[:, u].conj()))
+                   for x in (self._outer, self._inner)]
+        return CornerColumns(self._order, self._period, spread, None, factors), where
+
     @functools.cached_property
     def _differences(self) -> tuple["CornerColumns", np.ndarray]:
-        """(Y' on the O(K) distinct p_t - p_u mod P, the index of each (t, u)): Y_t conj(Y_u)."""
-        diffs = np.subtract.outer(self._freqs, self._freqs).ravel() % self._period
-        diffs, first, where = np.unique(diffs, return_index=True, return_inverse=True)
-        t, u = np.divmod(first, len(self._freqs))
-        factors = [np.ascontiguousarray(x[:, t] * x[:, u].conj())
-                   for x in (self._outer, self._inner)]
-        return CornerColumns(self._order, self._period, diffs, None, factors), where
+        return self._spread(False)
+
+    @functools.cached_property
+    def _sums(self) -> tuple["CornerColumns", np.ndarray]:
+        return self._spread(True)
 
     def diagonal(self, m: np.ndarray) -> np.ndarray:
         """diag(Y M Y*), real for a Hermitian M: Y' h, h summing M over each p_t - p_u."""
@@ -530,14 +539,26 @@ class CornerColumns:
         np.add.at(h, where, m.ravel())
         return spread.apply(h).real
 
-    def gram(self, h: np.ndarray) -> np.ndarray:
-        """Y* diag(h) Y for each row of the real (b, n) h, (b, K, K): entry p_t - p_u of Y'* h."""
-        spread, where = self._differences
+    def _spread_gram(self, spread: "CornerColumns", where: np.ndarray, h) -> np.ndarray:
+        """Y'* h at each (t, u) for each row of the real (b, n) h, (b, K, K)."""
         q, m = len(spread._outer), self._width
         padded = np.concatenate((h, np.zeros((len(h), q * m - self._order))), axis=1)
         head = (padded.reshape(-1, m) @ spread._inner.conj().view(np.float64)).view(np.complex128)
         sums = np.einsum("bqt,qt->bt", head.reshape(len(h), q, -1), spread._outer.conj())
         return sums[:, where].reshape(len(h), len(self._freqs), -1)
+
+    def gram(self, h: np.ndarray, paired: Optional[np.ndarray] = None) -> np.ndarray:
+        """Y* diag(h) Y for each row of the real (b, n) h, plus Y* diag(paired) conj(Y) for the
+        complex (b, n) paired, (b, K, K): Y'* h on the differences p_t - p_u, Y'* paired on
+        the sums p_t + p_u.
+
+        For columns of period n, conj(Y) = Pi Y with Pi the reflection k -> -k mod n.
+        """
+        grams = self._spread_gram(*self._differences, h)
+        if paired is None:
+            return grams
+        parts = self._spread_gram(*self._sums, np.concatenate((paired.real, paired.imag)))
+        return grams + parts[: len(h)] + 1j * parts[len(h) :]
 
     def blocks(self, size: int) -> list[tuple[slice, slice]]:
         """(elements, rows) of row blocks of ~size elements; the last has the partial row."""
@@ -593,9 +614,13 @@ class DiagonalPlusLowRank:
         """c = g + diag(L S L*), the eigenvalues of the projection U diag(W) U*."""
         return self.g + self.delta
 
-    def gram(self, h: np.ndarray) -> np.ndarray:
-        """L* diag(h) L for each row of the real (b, n) h, (b, r, r)."""
-        return self.coef.conj().T @ self.columns.gram(h) @ self.coef
+    def gram(self, h: np.ndarray, paired: Optional[np.ndarray] = None) -> np.ndarray:
+        """L* diag(h) L, plus L* diag(paired) Pi L, for each row of the real (b, n) h, (b, r, r).
+
+        A complex (b, n) ``paired`` needs ``CornerColumns`` of period n: Pi L = conj(Y) C.
+        """
+        grams = self.columns.gram(h) if paired is None else self.columns.gram(h, paired)
+        return self.coef.conj().T @ grams @ self.coef
 
     def compressed(self, rtol: float) -> "DiagonalPlusLowRank":
         """The form with S = diag(w) on the range of S: its eigenvalues w above
@@ -701,8 +726,8 @@ def toeplitz_corner_form(alg: TransformAlgebra, f: Symbol) -> Optional[DiagonalP
     if form is None:
         return None
     rows = _corner_rows(alg.order, f.degree)
-    x, tx = _weyl_probe(f, alg.order)
-    y = alg.transform(x)
+    x = _weyl_probe(alg.order)
+    tx, y = ToeplitzOperator(f, alg.order).matvec(x), alg.transform(x)
     defect = tx - alg.inverse(form.g * y)
     defect[rows] -= form.s @ x[rows]
     if np.linalg.norm(defect) > TRACE_RTOL * np.linalg.norm(tx):
@@ -711,6 +736,40 @@ def toeplitz_corner_form(alg: TransformAlgebra, f: Symbol) -> Optional[DiagonalP
     if np.linalg.norm(gathered - x[rows]) > TRACE_RTOL * np.linalg.norm(x):
         return None
     return form
+
+
+def toeplitz_pair_form(
+    alg: TransformAlgebra, f: Symbol
+) -> Optional[tuple[DiagonalPlusLowRank, np.ndarray, tuple[np.ndarray, np.ndarray]]]:
+    """(form, c, (p, q)): T_n(f) and its Hartley projection in Fourier coordinates, or None.
+
+    cas x = ((1 - i) e^{ix} + (1 + i) e^{-ix}) / 2 makes the Hartley algebra
+    2 x 2-block diagonal in Fourier coordinates, on the pairs (a, -a mod n):
+    with c = ``toeplitz_diagonal``, U_F* U_H diag(c) U_H* U_F = B has
+    B[a, a] = p_a = (c_a + c_-a) / 2 and B[a, -a] = q_a = i (c_-a - c_a) / 2
+    (p_a = c_a, q_a = 0 at the fixed points a = 0, n/2).  The form is the
+    Fourier ``toeplitz_corner_form``, U_F* T_n(f) U_F = diag(g) + L S L*, so
+    U_F* (T_n(f) - P) U_F = diag(g) - B + L S L* for any real f, odd part
+    included.  B is verified per n on ``_weyl_probe`` x: U_F (B U_F* x) must
+    match U_H (c U_H* x) within TRACE_RTOL.  None for another kind, where the
+    Fourier form is None, or a failed check.
+    """
+    if alg.kind != "hartley" or alg.lag_weights is None:
+        return None
+    n = alg.order
+    fourier = make_algebra("fourier", n)
+    form = toeplitz_corner_form(fourier, f)
+    if form is None:
+        return None
+    c = toeplitz_diagonal(alg, f)
+    flip = -np.arange(n) % n
+    p, q = 0.5 * (c + c[flip]), 0.5j * (c[flip] - c)
+    x = _weyl_probe(n)
+    y, want = fourier.transform(x), alg.inverse(c * alg.transform(x))
+    defect = np.linalg.norm(fourier.inverse(p * y + q * y[flip]) - want)
+    if defect > TRACE_RTOL * np.linalg.norm(want):
+        return None
+    return form, c, (p, q)
 
 
 def _pairing_order(n: int) -> np.ndarray:
@@ -754,7 +813,8 @@ def toeplitz_band_form(
     period = min(2 * b + 1, n)
     perm = _pairing_order(n)
     pos, ks = np.arange(n)[:, None], np.arange(b + 1)
-    x, tx = _weyl_probe(f, n)
+    x = _weyl_probe(n)
+    tx = ToeplitzOperator(f, n).matvec(x)
     probes = np.zeros((n, period + 1))
     probes[perm, np.arange(n) % period] = 1.0
     probes[:, period] = x

@@ -23,6 +23,7 @@ from .algebras import (
     eigenbasis,
     toeplitz_band_form,
     toeplitz_corner_form,
+    toeplitz_pair_form,
 )
 from .errors import (
     DimensionMismatchError,
@@ -54,7 +55,8 @@ FROBENIUS_FLOOR = 1e-12
 # terms come this close to zero (relative) is a tie at eps and falls back.
 STRUCTURE_RTOL = 1e-10
 # The banded counter runs from BAND_MIN_ORDER up: below it the dense
-# eigen-solve is faster (degree 3: up to n ~ 100 in sine, ~150 in Hartley).
+# eigen-solve is faster (degree 3: up to n ~ 100 in sine, whose odd parts
+# it counts; Hartley odd parts take the pair blocks of _structured_counts).
 BAND_MIN_ORDER = 160
 
 
@@ -300,38 +302,83 @@ def _tally(n: int, negatives, positives, epsilons) -> dict:
     }
 
 
-def _pencil_counts(form: DiagonalPlusLowRank, weight, epsilons) -> Optional[dict]:
-    """Pencil eigenvalues |lambda| >= eps of (L S L* - Delta, diag(weight)), or None.
+def _block_inverse(diag, off, pair, size):
+    """(h, b, signature) of a Hermitian G on 1 x 1 and 2 x 2 blocks, or None at a tie.
 
-    The form has S = diag(s) (``compressed``) and Delta = diag(L S L*).
-    The inertia of M - s w is that of G + L S L*, G = -Delta - s weight, for
-    each of the ``_shifts`` s.  Haynsworth: In(G + L S L*) = In(G) + In(Z) - In(-S^-1),
-    Z = -S^-1 - L* G^-1 L, with the Z of all 2|eps| shifts from one gram and
-    one batched eigvalsh.  A tie is some |G_i| <= STRUCTURE_RTOL |s| weight_i,
-    or an eigenvalue of Z within STRUCTURE_RTOL of the terms that form it,
-    max |S^-1| + tr(L* |G|^-1 L): round-off then decides the count.  So is a
-    1/G or Z that is not finite, as a subnormal eps gives: the tie bound on
-    G underflows to 0 there.
+    Over the last axis, G[i, i] = diag[i] and G[i, pair[i]] = off[i] for an
+    involution pair, off 0 at its fixed points (off None: G is diagonal).
+    A block [[p, o], [o*, q]] has det = p q - |o|^2 and
+    G^-1 = [[q, -o], [-o*, p]] / det, so h = diag(G^-1) and
+    b[i] = G^-1[i, pair[i]]; a fixed point is read as the block p I.  The
+    signature (positive minus negative eigenvalues) sums sign(p) over the
+    indices of blocks with det > 0, whose eigenvalues share the sign of p:
+    a block with det < 0 has one of each.  A tie is a block whose smaller
+    |eigenvalue| |det| / max |eigenvalue| is within STRUCTURE_RTOL of
+    ``size``, which bounds the terms of each of its rows, or a G^-1 that is
+    not finite.
     """
-    s, delta = np.diagonal(form.s), form.delta
+    if off is None:
+        partner, det, big, signs = 1.0, diag, 1.0, np.sign(diag)
+    else:
+        partner, square = diag[..., pair], off.real**2 + off.imag**2
+        det = diag * partner - square
+        big = 0.5 * (np.abs(diag + partner) + np.sqrt((diag - partner) ** 2 + 4.0 * square))
+        size, signs = np.maximum(size, size[..., pair]), np.sign(diag) * (det > 0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if not np.all(np.abs(det) / big > STRUCTURE_RTOL * size):
+            return None
+        inv = 1.0 / det
+        h, b = partner * inv, None if off is None else -off * inv
+    if not (np.all(np.isfinite(h)) and (b is None or np.all(np.isfinite(b)))):
+        return None
+    return h, b, np.sum(signs, axis=-1)
+
+
+def _pencil_counts(form: DiagonalPlusLowRank, remainder, weight, epsilons):
+    """(||R + L S L*||_F^2, {eps: |lambda| >= eps}) of the pencil (R + L S L*, w), or None.
+
+    The form has S = diag(s) (``compressed``); R and w are Hermitian and
+    block diagonal, each (diagonal, off) with off[i] the entry (i, -i mod n)
+    (``_block_inverse``); R's off None makes both diagonal, and any other
+    needs the form's ``gram`` with Pi.  The inertia of R + L S L* - s w is
+    that of G + L S L*, G = R - s w, for each of the ``_shifts`` s.  Haynsworth:
+    In(G + L S L*) = In(G) + In(Z) - In(-S^-1), Z = -S^-1 - L* G^-1 L, with
+    the Z of all 2|eps| shifts from one batched eigvalsh.  One gram pass
+    gives L* G^-1 L for every shift, M = L* L and L* R L for the mass
+    ||R||_F^2 + 2 Re tr(L* R L S) + tr(M S M S).  A tie (``_block_inverse``,
+    or an eigenvalue of Z within STRUCTURE_RTOL of the terms that form it,
+    max |S^-1| + (|h| + |b|) diag(L L*)) gives None: round-off then decides
+    the count.  So does a Z that is not finite.
+    """
+    s, n = np.diagonal(form.s), form.g.size
     shifts = _shifts(epsilons)[:, None]
-    g = -delta - shifts * weight
-    if np.any(np.abs(g) <= STRUCTURE_RTOL * np.abs(shifts) * weight):
+    (r_diag, r_off), (w_diag, w_off) = remainder, weight
+    size = np.abs(r_diag) + np.abs(shifts) * np.abs(w_diag)
+    off = pair = None
+    if r_off is not None:
+        off, pair = r_off - shifts * w_off, -np.arange(n) % n
+        size = size + np.abs(r_off) + np.abs(shifts) * np.abs(w_off)
+    blocks = _block_inverse(r_diag - shifts * w_diag, off, pair, size)
+    if blocks is None:
         return None
-    with np.errstate(over="ignore"):
-        inv = 1.0 / g
-    if not np.all(np.isfinite(inv)):
-        return None
-    z = np.diag(-1.0 / s) - form.gram(inv)
+    h, b, signature = blocks
+    rows = np.vstack((np.ones(n), r_diag, h))
+    paired = None if b is None else np.vstack((np.zeros(n), r_off, b))
+    grams = form.gram(rows, paired)
+    ms = grams[0] @ form.s  # M S
+    fro = (np.sum(r_diag**2) + 2.0 * np.diagonal(grams[1]).real @ s + np.sum(ms * ms.T).real
+           + (0.0 if r_off is None else np.sum(np.abs(r_off) ** 2)))
+    z = np.diag(-1.0 / s) - grams[2:]
     if not np.all(np.isfinite(z)):
         return None
     z = np.linalg.eigvalsh(z)
-    size = np.max(np.abs(1.0 / s)) + np.abs(inv) @ form.norms
-    if np.any(np.min(np.abs(z), axis=1) <= STRUCTURE_RTOL * size):
+    inv = np.abs(h) if b is None else np.abs(h) + np.abs(b)
+    if np.any(np.min(np.abs(z), axis=1, initial=np.inf) <= STRUCTURE_RTOL * (
+            np.max(np.abs(1.0 / s), initial=0.0) + inv @ form.norms)):
         return None
-    negatives = np.sum(g < 0, axis=1) + np.sum(z < 0, axis=1) - np.sum(s > 0)
-    positives = np.sum(g > 0, axis=1) + np.sum(z > 0, axis=1) - np.sum(s < 0)
-    return _tally(delta.size, negatives, positives, epsilons)
+    negatives = (n - signature) / 2 + np.sum(z < 0, axis=1) - np.sum(s > 0)
+    positives = (n + signature) / 2 + np.sum(z > 0, axis=1) - np.sum(s < 0)
+    return max(float(fro), 0.0), _tally(n, negatives, positives, epsilons)
 
 
 def _band_blocks(band: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -442,8 +489,10 @@ def _band_counts(f: Symbol, alg: TransformAlgebra, mode: str, epsilons):
 
     M = T_n(f) - P is counted against w = I (difference) or w = P
     (preconditioned); ||M||_F^2 is the sum of |band|^2, each off-diagonal
-    entry twice.  None below BAND_MIN_ORDER, where the dense path is
-    faster, where the form is unavailable, or at a tie.
+    entry twice.  ``_structured_counts`` sends it the odd parts in the sine
+    algebra, and in the Hartley algebra where ``toeplitz_pair_form`` is
+    None.  None below BAND_MIN_ORDER, where the dense path is faster, where
+    the form is unavailable, or at a tie.
     """
     form = toeplitz_band_form(alg, f) if alg.order >= BAND_MIN_ORDER else None
     if form is None:
@@ -463,35 +512,44 @@ def _structured_counts(a, alg: TransformAlgebra, mode: str, epsilons):
     """(||A - B||_F^2, {eps: count}) without the dense W = U* A U, or None.
 
     W = diag(g) + L S L* comes as a ``DiagonalPlusLowRank``: from
-    ``LowRank.form``, or for a Symbol from ``toeplitz_corner_form``, else
-    (an odd part in the sine or Hartley algebra) ``_band_counts`` counts.
-    S is compressed to its range; with Delta = diag(L S L*),
-    A - B = U (L S L* - Delta) U* and ||A - B||_F^2 = tr(M S M S) - ||Delta||^2,
-    M = L* L.  With nothing left, A lies in the algebra: the counts and the
-    mass are exactly 0.  Both modes count the pencil (L S L* - Delta, w),
-    with w = 1 in difference mode and w = g + Delta, the projection's
-    eigenvalues, in preconditioned mode.  None for any other A, where no
-    form is available, or where a count is a tie.
+    ``LowRank.form``, or for a Symbol from ``toeplitz_corner_form``.  S is
+    compressed to its range.  There B = diag(W), so with
+    Delta = diag(L S L*), A - B = U (L S L* - Delta) U*: the remainder
+    R = -Delta is diagonal, and with nothing left A lies in the algebra and
+    the counts and the mass are exactly 0.  A Symbol with no corner form in
+    the Hartley algebra (an odd part) takes ``toeplitz_pair_form``: W in
+    Fourier coordinates, where B has 2 x 2 blocks on the pairs (a, -a) and
+    R = diag(g) - B.  Any other Symbol (an odd part in the sine algebra)
+    takes ``_band_counts``.  ``_pencil_counts`` counts the pencil
+    (R + L S L*, w), with w = 1 in difference mode and w = B in
+    preconditioned mode, whose eigenvalues c must be positive.  None for
+    any other A, where no form is available, or where a count is a tie.
     """
+    projection = None
     if isinstance(a, LowRank):
         form = a.form(alg)
     elif isinstance(a, Symbol):
         form = toeplitz_corner_form(alg, a)
         if form is None:
-            return _band_counts(a, alg, mode, epsilons)
+            paired = toeplitz_pair_form(alg, a)
+            if paired is None:
+                return _band_counts(a, alg, mode, epsilons)
+            form, c, projection = paired
     else:
         return None
     form = form.compressed(STRUCTURE_RTOL)
-    weight = 1.0
+    if projection is None:
+        c = form.eigenvalues()
+        projection, remainder = (c, None), (-form.delta, None)
+    else:
+        remainder = (form.g - projection[0], -projection[1])
+    weight = (1.0, 0.0)
     if mode == "preconditioned":
-        weight = form.eigenvalues()
-        _check_positive(weight)
-    if not form.s.size:
+        _check_positive(c)
+        weight = projection
+    if not form.s.size and remainder[1] is None:
         return 0.0, dict.fromkeys(epsilons, 0)
-    ms = form.gram(np.ones((1, alg.order)))[0] @ form.s  # M S
-    fro = max(float(np.sum(ms * ms.T).real - form.delta @ form.delta), 0.0)
-    counts = _pencil_counts(form, weight, epsilons)
-    return None if counts is None else (fro, counts)
+    return _pencil_counts(form, remainder, weight, epsilons)
 
 
 def build_cluster_report(

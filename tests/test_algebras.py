@@ -547,6 +547,20 @@ def test_corner_columns_match_their_dense_form(kind, f, n):
         np.testing.assert_allclose(out, v + low @ z, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [7, 64, 65, 97])
+def test_paired_gram_is_the_reflected_dense_gram(n):
+    # Fourier corner columns have Pi L = conj(Y) C for the reflection Pi,
+    # k -> -k mod n: L* diag(b) Pi L is read on the frequency sums
+    alg, form, rows = _corner(*CORNER_CASES[0], n)
+    low, flip = alg.unitary.conj().T[:, rows], -np.arange(n) % n
+    rng = np.random.default_rng(n)
+    h = rng.standard_normal((3, n))
+    b = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    want = (np.einsum("ki,bk,kj->bij", low.conj(), h, low)
+            + np.einsum("ki,bk,kj->bij", low.conj(), b, low[flip]))
+    np.testing.assert_allclose(form.gram(h, b), want, rtol=0, atol=1e-12 * np.sqrt(n))
+
+
 @pytest.mark.parametrize("kind", ALGEBRA_KINDS)
 def test_check_transform(kind):
     alg = make_algebra(kind, 33)

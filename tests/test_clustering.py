@@ -18,6 +18,7 @@ from precondlab.algebras import (
     toeplitz_band_form,
     toeplitz_corner_form,
     toeplitz_diagonal,
+    toeplitz_pair_form,
 )
 from precondlab.clustering import (
     BAND_MIN_ORDER,
@@ -683,8 +684,9 @@ def test_structured_counts_take_odd_parts_in_sine_and_hartley(kind, mode):
 @pytest.mark.parametrize("kind", ["sine", "hartley"])
 @pytest.mark.parametrize("mode", ["difference", "preconditioned"])
 def test_odd_parts_take_no_corner_probe(kind, mode, monkeypatch):
-    # the odd part routes the count before any Toeplitz product: below
-    # BAND_MIN_ORDER nothing is probed, above it only the band form's check
+    # the odd part routes the count before any Toeplitz product of the kind's
+    # own corner form: in sine, below BAND_MIN_ORDER nothing is probed, above
+    # it only the band form's check; in Hartley only the Fourier corner form's
     built = []
 
     class Counted(ToeplitzOperator):
@@ -693,10 +695,13 @@ def test_odd_parts_take_no_corner_probe(kind, mode, monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(algebras, "ToeplitzOperator", Counted)
-    for n, probes in ((64, 0), (256, 1)):
+    probes = {"sine": {64: 0, 256: 1}, "hartley": {64: 1, 256: 1}}[kind]
+    for n in (64, 256):
         built.clear()
+        assert toeplitz_corner_form(make_algebra(kind, n), ODD_SYMBOL) is None
+        assert built == [], n
         _structured_counts(ODD_SYMBOL, make_algebra(kind, n), mode, DEFAULT_EPS_GRID)
-        assert len(built) == probes, n
+        assert len(built) == probes[n], n
 
 
 @pytest.mark.parametrize("kind", ["sine", "hartley"])
@@ -709,8 +714,10 @@ def test_band_counts_fall_back_at_a_pivot_tie(kind):
     diag, _ = _band_blocks(m_band, m_band.shape[1] - 1)
     eps = float(np.max(np.abs(np.linalg.eigvalsh(diag[1]))))
     assert _band_counts(ODD_SYMBOL, alg, "difference", (eps, 0.1)) is None
-    assert _structured_counts(ODD_SYMBOL, alg, "difference", (eps, 0.1)) is None
     assert _band_counts(ODD_SYMBOL, alg, "difference", (0.1,)) is not None
+    if kind == "hartley":  # Hartley counts on pair blocks: eps at an eigenvalue of one
+        eps = _pair_block_eps(alg, ODD_SYMBOL, "difference", 1)
+    assert _structured_counts(ODD_SYMBOL, alg, "difference", (eps, 0.1)) is None
     # the report takes the dense W at that size
     ladder = (32, 64, 128, 256)
     report = build_cluster_report(
@@ -790,6 +797,97 @@ def test_growth_in_a_pivot_factor_takes_eigh():
     counts = _band_inertia_counts(_lower_band(m, 3), w_band, (1.0,))
     below, above = np.linalg.eigvalsh(m - np.diag(w)), np.linalg.eigvalsh(m + np.diag(w))
     assert counts == {1.0: int(np.sum(below >= 0) + np.sum(above <= 0))}
+
+
+# ---------------------------------------------------------------------------
+# pair-block counts: odd parts in the Hartley algebra, in Fourier coordinates
+
+
+def _pair_block_eps(alg, f, mode, a):
+    """max |lambda| of the pencil (E, w) on the block of (a, -a), E = diag(g) - B: a tie at eps."""
+    form, _, (p, q) = toeplitz_pair_form(alg, f)
+    idx = np.unique([a, -a % alg.order])
+    b = np.diag(p[idx]).astype(np.complex128)
+    if len(idx) == 2:
+        b[0, 1], b[1, 0] = q[idx]
+    w = np.eye(len(idx)) if mode == "difference" else b
+    return float(np.max(np.abs(np.linalg.eigvals(np.linalg.solve(w, np.diag(form.g[idx]) - b)))))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    degree=st.integers(1, 5),
+    n=st.one_of(st.sampled_from(["2d", "2d+1"]), st.integers(2, 300)),
+    mode=st.sampled_from(["difference", "preconditioned"]),
+)
+def test_pair_counts_fuzz_against_dense(seed, degree, n, mode):
+    # odd parts in Hartley take the pair blocks from n = 2d + 1 up, odd n
+    # included; below it the count falls back to the dense path
+    f = _real_symbol(np.random.default_rng(seed), degree, even=False)
+    n = {"2d": 2 * degree, "2d+1": 2 * degree + 1}.get(n, n)
+    alg = make_algebra("hartley", n)
+    structured = _structured_counts(f, alg, mode, DEFAULT_EPS_GRID)
+    if n <= 2 * degree:
+        assert toeplitz_pair_form(alg, f) is None and structured is None
+        return
+    assert toeplitz_pair_form(alg, f) is not None
+    assert structured is not None, (n, mode)
+    _assert_structured_matches_dense(toeplitz_section(f, n), structured, alg, mode)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_pair_blocks_are_the_hartley_projection_in_fourier_coordinates(n):
+    # B = U_F* P U_F from the dense unitaries; a = 0 and, for even n, a = n/2
+    # are fixed points of a -> -a, 1 x 1 blocks
+    degree = min((n - 1) // 2, 2)  # n >= 2d + 1; n = 2 takes the constant
+    f = Symbol({k: a for k, a in {0: 3.0, 1: 0.5 - 0.2j, -1: 0.5 + 0.2j, 2: -0.25j,
+                                  -2: 0.25j}.items() if abs(k) <= degree})
+    hartley, fourier = make_algebra("hartley", n), make_algebra("fourier", n)
+    t = toeplitz_section(f, n)
+    _, c, (p, q) = toeplitz_pair_form(hartley, f)
+    u_h = hartley.unitary
+    np.testing.assert_allclose(c, np.diagonal(u_h.conj().T @ t @ u_h).real, rtol=0, atol=1e-13)
+    dense = fourier.unitary.conj().T @ (u_h * c) @ u_h.conj().T @ fourier.unitary
+    flip = -np.arange(n) % n
+    got = np.diag(p).astype(np.complex128)
+    got[np.arange(n), flip] += q
+    np.testing.assert_allclose(got, dense, rtol=0, atol=1e-13)
+    fixed = np.flatnonzero(flip == np.arange(n))
+    assert fixed.tolist() == ([0, n // 2] if n % 2 == 0 else [0])
+    assert np.all(q[fixed] == 0) and np.all(p[fixed] == c[fixed])
+
+
+@pytest.mark.parametrize("mode", ["difference", "preconditioned"])
+@pytest.mark.parametrize("a", [0, 1, 17, 32])
+def test_pair_counts_fall_back_at_a_block_tie(mode, a):
+    # eps at an eigenvalue of one block of E (a 1 x 1 block at the fixed
+    # points 0 and n/2): G = E - s w is singular there
+    n = 64
+    alg = make_algebra("hartley", n)
+    eps = _pair_block_eps(alg, ODD_SYMBOL, mode, a)
+    assert _structured_counts(ODD_SYMBOL, alg, mode, (eps, 0.1)) is None
+    assert _structured_counts(ODD_SYMBOL, alg, mode, (0.1,)) is not None
+    # the report takes the dense W at that size
+    ladder = (8, 16, 32, 64)
+    report = build_cluster_report(
+        {m: (ODD_SYMBOL, make_algebra("hartley", m)) for m in ladder}, (eps, 0.1), mode=mode)
+    dense = _dense_counts(toeplitz_section(ODD_SYMBOL, n), alg, mode, (eps, 0.1))
+    assert {e: report.counts[(n, e)] for e in (eps, 0.1)} == dense[1]
+
+
+def test_pair_form_is_none_without_the_hartley_maps():
+    hartley = make_algebra("hartley", 64)
+    assert toeplitz_pair_form(hartley, ODD_SYMBOL) is not None
+    # Hartley diagonals with a random unitary's transforms: the Weyl check of B sees it
+    mixed = TransformAlgebra(**(vars(random_unitary_algebra(64, seed=1)) | dict(
+        kind="hartley", grid=hartley.grid, lag_weights=hartley.lag_weights)))
+    assert toeplitz_pair_form(mixed, ODD_SYMBOL) is None
+    assert _structured_counts(ODD_SYMBOL, mixed, "difference", DEFAULT_EPS_GRID) is None
+    for kind in ("fourier", "sine"):
+        assert toeplitz_pair_form(make_algebra(kind, 64), ODD_SYMBOL) is None
+    assert toeplitz_pair_form(make_algebra("hartley", 4), ODD_SYMBOL) is None  # n < 2d + 1
+    assert toeplitz_pair_form(hartley, NON_HERMITIAN_SYMBOL) is None
 
 
 # ---------------------------------------------------------------------------

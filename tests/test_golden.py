@@ -205,7 +205,7 @@ def test_documented_commands_match_golden_outputs(tmp_path, capsys):
 
 
 def test_hartley_odd_control_matches_the_dense_eigen_solve():
-    # the banded counts of 9-cluster-scan at its smallest size, against the dense W
+    # the pair-block counts of 9-cluster-scan at its smallest size, against the dense W
     f = parse_trig_expression("2+cos+0.5sin2x")
     alg = make_algebra("hartley", 1024)
     fro, deviations = _algebra_deviations(toeplitz_section(f, 1024), alg, "difference")
