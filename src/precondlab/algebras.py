@@ -26,9 +26,9 @@ term (the form a ``LowRank`` V V* takes too), with the corner columns in
 closed form (``CornerColumns``) and ``toeplitz_corner_form`` checking it
 on a probe.  For a real f with an odd part, ``toeplitz_pair_form`` gives
 the Hartley projection in Fourier coordinates, 2 x 2 blocks on the pairs
-(a, -a), beside the Fourier form; for any real f,
-``toeplitz_band_form`` gives T_n(f) and its projection as bands of width
-2 deg f + 1 in the reflection-pairing order.
+(a, -a), beside the Fourier form; for any real f in the sine algebra,
+``toeplitz_band_form`` gives T_n(f) and its tau projection as bands of
+width deg f in the natural order.
 """
 
 from __future__ import annotations
@@ -772,12 +772,6 @@ def toeplitz_pair_form(
     return form, c, (p, q)
 
 
-def _pairing_order(n: int) -> np.ndarray:
-    """The reflection-pairing order 0, 1, n-1, 2, n-2, ... of the indices 0..n-1."""
-    j = np.arange(n)
-    return np.where(j % 2 == 1, (j + 1) // 2, (n - j // 2) % n)
-
-
 def _band_matvec(low: np.ndarray, y: np.ndarray) -> np.ndarray:
     """A y for the Hermitian A with lower band low[p, k] = A[p, p - k]."""
     out = low[:, 0] * y
@@ -792,42 +786,36 @@ def toeplitz_band_form(
 ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(g, M, P): T_n(f) - P and P = U diag(g) U* as bands, or None.
 
-    For a real f of degree d, in the pairing order perm = 0, 1, n-1, 2, ...,
-    T_n(f) and the projection P of T_n(f) onto a built-in algebra are
-    Hermitian with bandwidth b <= 2d + 1: the pairing order puts j and
-    n - j side by side, and the odd part of f, i K with K real skew, has
-    diag(U* i K U) = 0 in the real sine and Hartley bases.  M and P are
-    returned as lower bands, M[p, k] = (T - P)[perm[p], perm[p - k]] for
-    k = 0..b.  g = ``toeplitz_diagonal``; the band of T comes from the
-    coefficients, that of P from 2b + 1 comb probes (ones at every
-    (2b + 1)-th position) in one batched x -> U (g U* x).  The bands are
-    verified per n on ``_weyl_probe``: ||T x - U (g U* x) - M x|| and
-    ||U (g U* x) - P x|| must stay within TRACE_RTOL ||T x||.  None for a
-    complex f, a custom algebra or a failed check.
+    For a real f of degree d, T_n(f) and its projection P onto the sine
+    algebra are Hermitian with bandwidth b = min(d, n - 1): the odd part
+    of f, i K with K real skew, has diag(U* i K U) = 0 in the real sine
+    basis, and the tau projection of the even part is a Toeplitz-plus-Hankel
+    band of width d.  M and P are returned as lower bands,
+    M[p, k] = (T - P)[p, p - k] for k = 0..b.  g = ``toeplitz_diagonal``;
+    the band of T is a_k in column k, that of P comes from 2b + 1 comb
+    probes (ones at every (2b + 1)-th position) in one batched
+    x -> U (g U* x).  The bands are verified per n on ``_weyl_probe``:
+    ||T x - U (g U* x) - M x|| and ||U (g U* x) - P x|| must stay within
+    TRACE_RTOL ||T x||.  None for a complex f, another kind or a failed check.
     """
     n, d = alg.order, f.degree
-    if alg.lag_weights is None or not f.is_real:
+    if alg.kind != "sine" or alg.lag_weights is None or not f.is_real:
         return None
     g = toeplitz_diagonal(alg, f).real  # real for a real f, up to round-off
-    b = min(2 * d + 1, n - 1)
+    b = min(d, n - 1)
     period = min(2 * b + 1, n)
-    perm = _pairing_order(n)
     pos, ks = np.arange(n)[:, None], np.arange(b + 1)
     x = _weyl_probe(n)
     tx = ToeplitzOperator(f, n).matvec(x)
     probes = np.zeros((n, period + 1))
-    probes[perm, np.arange(n) % period] = 1.0
+    probes[np.arange(n), np.arange(n) % period] = 1.0
     probes[:, period] = x
     applied = alg.inverse(g[:, None] * alg.transform(probes))
     inside = pos >= ks
-    p_band = np.where(inside, applied[perm[:, None], (pos - ks) % period], 0.0)
-    lags = perm[:, None] - perm[np.maximum(pos - ks, 0)]
-    m_band = np.where(inside, section_entries(f, lags), 0.0) - p_band
+    p_band = np.where(inside, applied[pos, (pos - ks) % period], 0.0)
+    m_band = np.where(inside, section_entries(f, ks), 0.0) - p_band
     px = applied[:, period]
-    defect = np.concatenate((
-        tx[perm] - px[perm] - _band_matvec(m_band, x[perm]),
-        px[perm] - _band_matvec(p_band, x[perm]),
-    ))
+    defect = np.concatenate((tx - px - _band_matvec(m_band, x), px - _band_matvec(p_band, x)))
     if np.linalg.norm(defect) > TRACE_RTOL * np.linalg.norm(tx):
         return None
     return g, m_band, p_band

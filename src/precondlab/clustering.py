@@ -54,10 +54,9 @@ FROBENIUS_FLOOR = 1e-12
 # (relative to the scale of A) are dropped, and a count whose Haynsworth
 # terms come this close to zero (relative) is a tie at eps and falls back.
 STRUCTURE_RTOL = 1e-10
-# The banded counter runs from BAND_MIN_ORDER up: below it the dense
-# eigen-solve is faster (degree 3: up to n ~ 100 in sine, whose odd parts
-# it counts; Hartley odd parts take the pair blocks of _structured_counts).
-BAND_MIN_ORDER = 160
+# The banded counter of sine odd parts runs from BAND_MIN_ORDER up: below
+# it the dense eigen-solve is faster (degrees 1-5, both modes: up to n ~ 90).
+BAND_MIN_ORDER = 96
 
 
 def _check_eps(eps) -> float:
@@ -490,9 +489,8 @@ def _band_counts(f: Symbol, alg: TransformAlgebra, mode: str, epsilons):
     M = T_n(f) - P is counted against w = I (difference) or w = P
     (preconditioned); ||M||_F^2 is the sum of |band|^2, each off-diagonal
     entry twice.  ``_structured_counts`` sends it the odd parts in the sine
-    algebra, and in the Hartley algebra where ``toeplitz_pair_form`` is
-    None.  None below BAND_MIN_ORDER, where the dense path is faster, where
-    the form is unavailable, or at a tie.
+    algebra.  None below BAND_MIN_ORDER, where the dense path is faster,
+    where the form is unavailable (any other kind), or at a tie.
     """
     form = toeplitz_band_form(alg, f) if alg.order >= BAND_MIN_ORDER else None
     if form is None:
@@ -519,8 +517,9 @@ def _structured_counts(a, alg: TransformAlgebra, mode: str, epsilons):
     the counts and the mass are exactly 0.  A Symbol with no corner form in
     the Hartley algebra (an odd part) takes ``toeplitz_pair_form``: W in
     Fourier coordinates, where B has 2 x 2 blocks on the pairs (a, -a) and
-    R = diag(g) - B.  Any other Symbol (an odd part in the sine algebra)
-    takes ``_band_counts``.  ``_pencil_counts`` counts the pencil
+    R = diag(g) - B.  An odd part in the sine algebra takes ``_band_counts``,
+    on the tau band; a Fourier or Hartley Symbol with neither form is left
+    to the dense path.  ``_pencil_counts`` counts the pencil
     (R + L S L*, w), with w = 1 in difference mode and w = B in
     preconditioned mode, whose eigenvalues c must be positive.  None for
     any other A, where no form is available, or where a count is a tie.

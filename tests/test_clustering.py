@@ -479,11 +479,13 @@ def _report_counts(f, algebra_of, ladder, mode):
 @pytest.mark.parametrize("kind", ALGEBRA_KINDS)
 @pytest.mark.parametrize("mode", ["difference", "preconditioned"])
 def test_a_failed_corner_check_counts_like_the_dense_path(kind, mode):
-    # L* U* x = x_I fails: the band path counts from BAND_MIN_ORDER, the dense path below
+    # L* U* x = x_I fails: sine counts on the band from BAND_MIN_ORDER, Hartley on
+    # the pair blocks (whose Fourier form has its own columns), the rest densely
     f, ladder, corrupted = EVEN_SYMBOL, (32, 64, 128, 256), _corrupted_corner(kind)
     for n in ladder:
         assert toeplitz_corner_form(corrupted(n), f) is None
-    assert _band_counts(f, corrupted(256), mode, DEFAULT_EPS_GRID) is not None
+    banded = _band_counts(f, corrupted(256), mode, DEFAULT_EPS_GRID)
+    assert (banded is not None) == (kind == "sine")
     got = _report_counts(f, corrupted, ladder, mode)
     want = {n: _dense_counts(toeplitz_section(f, n), make_algebra(kind, n), mode)[1]
             for n in ladder}
@@ -493,7 +495,7 @@ def test_a_failed_corner_check_counts_like_the_dense_path(kind, mode):
 @pytest.mark.parametrize("mode", ["difference", "preconditioned"])
 def test_a_failed_corner_probe_counts_like_the_dense_path(mode):
     # g off the grid fails the probe of T x; from BAND_MIN_ORDER the trace check refuses it
-    f, ladder = EVEN_SYMBOL, (16, 32, 64, 128)
+    f, ladder = EVEN_SYMBOL, (8, 16, 32, 64)
     for n in ladder:
         assert toeplitz_corner_form(_scaled_sine_grid(n), f) is None
     got = _report_counts(f, _scaled_sine_grid, ladder, mode)
@@ -632,7 +634,7 @@ def test_structured_counts_fuzz_against_dense(seed, degree, even, n, kind, mode)
 
 
 # ---------------------------------------------------------------------------
-# banded counts: odd parts in the sine and Hartley algebras
+# banded counts: odd parts in the sine algebra
 
 
 ODD_SYMBOL = parse_trig_expression("3+cos+0.5sin2x")
@@ -641,33 +643,52 @@ ODD_SYMBOL = parse_trig_expression("3+cos+0.5sin2x")
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    degree=st.integers(1, 4),
+    degree=st.integers(1, 7),
     n=st.one_of(st.sampled_from([2, 3, 4, 5, 7, 9]), st.integers(2, 200)),
-    kind=st.sampled_from(ALGEBRA_KINDS),
+    even=st.booleans(),
     mode=st.sampled_from(["difference", "preconditioned"]),
 )
-def test_band_counts_fuzz_against_dense(seed, degree, n, kind, mode):
-    # odd parts, every kind and any order from 2 up, n < 2d + 1 included:
-    # the order gate is lifted, so the banded path runs wherever it can
-    f = _real_symbol(np.random.default_rng(seed), degree, even=False)
-    alg = make_algebra(kind, n)
+def test_band_counts_fuzz_against_dense(seed, degree, n, even, mode):
+    # sine symbols with and without an odd part, any order from 2 up, n < 2d + 1
+    # included: the order gate is lifted, so the banded path runs wherever it can
+    f = _real_symbol(np.random.default_rng(seed), degree, even)
+    alg = make_algebra("sine", n)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(clustering, "BAND_MIN_ORDER", 2)
         banded = _band_counts(f, alg, mode, DEFAULT_EPS_GRID)
-    assert banded is not None, (kind, n, mode)
+    assert banded is not None, (n, mode)
     _assert_structured_matches_dense(toeplitz_section(f, n), banded, alg, mode)
 
 
 def test_band_form_is_none_without_a_banded_projection():
     assert toeplitz_band_form(make_algebra("sine", 64), NON_HERMITIAN_SYMBOL) is None
+    for kind in ("fourier", "hartley"):
+        assert toeplitz_band_form(make_algebra(kind, 64), ODD_SYMBOL) is None
     assert toeplitz_band_form(random_unitary_algebra(16, seed=1), ODD_SYMBOL) is None
-    # Hartley diagonals with a random unitary's transforms: the trace identity
+    # sine diagonals with a random unitary's transforms: the trace identity
     # holds, but U diag(g) U* is dense, and the Weyl band check sees it
-    hartley = make_algebra("hartley", 64)
+    sine = make_algebra("sine", 64)
     mixed = TransformAlgebra(**(vars(random_unitary_algebra(64, seed=1)) | dict(
-        kind="hartley", grid=hartley.grid, lag_weights=hartley.lag_weights)))
+        kind="sine", grid=sine.grid, lag_weights=sine.lag_weights)))
     assert toeplitz_band_form(mixed, ODD_SYMBOL) is None
-    assert toeplitz_band_form(hartley, ODD_SYMBOL) is not None
+    assert toeplitz_band_form(sine, ODD_SYMBOL) is not None
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 5])
+def test_sine_bands_have_width_d_in_the_natural_order(degree):
+    # T_n(f) - P and the tau projection P are bands of width d: their lower
+    # bands have min(d, n - 1) + 1 columns and hold every entry of the dense pair
+    f = _real_symbol(np.random.default_rng(degree), degree, even=False)
+    for n in sorted({2, 3, degree + 1, 2 * degree + 1, 64, 97}):
+        alg = make_algebra("sine", n)
+        _, m_band, p_band = toeplitz_band_form(alg, f)
+        b = min(degree, n - 1)
+        assert m_band.shape == p_band.shape == (n, b + 1), n
+        t = toeplitz_section(f, n)
+        p = project(alg, t)
+        for band, dense in ((p_band, p), (m_band, t - p)):
+            np.testing.assert_allclose(band, _lower_band(dense, b), rtol=0, atol=1e-12)
+            assert np.max(np.abs(np.tril(dense, -b - 1)), initial=0.0) <= 1e-12, n
 
 
 @pytest.mark.parametrize("kind", ["sine", "hartley"])
@@ -706,16 +727,19 @@ def test_odd_parts_take_no_corner_probe(kind, mode, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["sine", "hartley"])
 def test_band_counts_fall_back_at_a_pivot_tie(kind):
-    # eps at an eigenvalue of the first pivot, the second diagonal block of
-    # M in the pairing order: M -+ eps I has a singular pivot
+    # sine: eps at an eigenvalue of the first pivot, the second d x d diagonal
+    # block of M, so M -+ eps I has a singular pivot.  Hartley counts on pair
+    # blocks, not on a band: eps at an eigenvalue of one
     n = 256
     alg = make_algebra(kind, n)
-    _, m_band, _ = toeplitz_band_form(alg, ODD_SYMBOL)
-    diag, _ = _band_blocks(m_band, m_band.shape[1] - 1)
-    eps = float(np.max(np.abs(np.linalg.eigvalsh(diag[1]))))
-    assert _band_counts(ODD_SYMBOL, alg, "difference", (eps, 0.1)) is None
-    assert _band_counts(ODD_SYMBOL, alg, "difference", (0.1,)) is not None
-    if kind == "hartley":  # Hartley counts on pair blocks: eps at an eigenvalue of one
+    if kind == "sine":
+        _, m_band, _ = toeplitz_band_form(alg, ODD_SYMBOL)
+        diag, _ = _band_blocks(m_band, m_band.shape[1] - 1)
+        eps = float(np.max(np.abs(np.linalg.eigvalsh(diag[1]))))
+        assert _band_counts(ODD_SYMBOL, alg, "difference", (eps, 0.1)) is None
+        assert _band_counts(ODD_SYMBOL, alg, "difference", (0.1,)) is not None
+    else:
+        assert _band_counts(ODD_SYMBOL, alg, "difference", (0.1,)) is None
         eps = _pair_block_eps(alg, ODD_SYMBOL, "difference", 1)
     assert _structured_counts(ODD_SYMBOL, alg, "difference", (eps, 0.1)) is None
     # the report takes the dense W at that size
@@ -736,14 +760,18 @@ def _eigh_pivots(rows, scale):
 @pytest.mark.parametrize("mode", ["difference", "preconditioned"])
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
 def test_ldl_pivot_counts_match_eigh_pivots_and_dense(kind, mode, degree, monkeypatch):
-    # blocks of 2d + 1 rows: each degree meets a padded last block among these n
+    # sine bands have blocks of d rows: each degree from 2 meets a padded last
+    # block among these n.  Hartley counts on pair blocks and has no band
     f = _real_symbol(np.random.default_rng(degree), degree, even=False)
     for n in (BAND_MIN_ORDER, 2 * BAND_MIN_ORDER + 1, 1023, 1024):
         alg = make_algebra(kind, n)
         banded = _band_counts(f, alg, mode, DEFAULT_EPS_GRID)
+        if kind == "hartley":
+            assert banded is None, n
+            banded = _structured_counts(f, alg, mode, DEFAULT_EPS_GRID)
         with monkeypatch.context() as patch:
             patch.setattr(clustering, "_ldl_pivots", _eigh_pivots)
-            reference = _band_counts(f, alg, mode, DEFAULT_EPS_GRID)
+            reference = _structured_counts(f, alg, mode, DEFAULT_EPS_GRID)
         assert banded is not None and banded[1] == reference[1], n
         if n < 1000 or degree == 3:  # the dense eigen-solve at n ~ 1024 is slow
             _assert_structured_matches_dense(toeplitz_section(f, n), banded, alg, mode)
