@@ -93,7 +93,7 @@ def _check_diagonal(d: np.ndarray, scale: float) -> None:
 
 def _reciprocal(d: np.ndarray) -> np.ndarray:
     """1 / d for the diagonal d of U* A U, checked real and above the clamp."""
-    if not np.max(np.abs(d.imag)) <= 1e-8 * (1.0 + np.max(np.abs(d.real))):
+    if np.iscomplexobj(d) and not np.max(np.abs(d.imag)) <= 1e-8 * (1.0 + np.max(np.abs(d.real))):
         raise NotPositiveDefiniteError("projected diagonal is not real")
     dr = d.real
     _check_diagonal(dr, float(np.max(np.abs(dr))))
@@ -218,50 +218,60 @@ def _check_residual_gap(a: ToeplitzOperator, rhs, x, residual, iterations, x_pea
         )
 
 
+def _r_dot_z(rb, rv, z, r_sq: float) -> float:
+    """Re r* z for a block rb of r, rv its float64 view and |rb|^2 = r_sq: r_sq if z is rb."""
+    return r_sq if z is rb else rv.dot(z.view(np.float64))
+
+
 def _iterate(sweeps, r, x, norm_b: float, tol: float, cap: int, peak: bool) -> tuple[list, float]:
     """PCG from x = 0, r = b, in place: ([||r_k|| / ||b||], max ||x_k||^2 if peak else 0).
 
     An iteration is three sweeps over ``sweeps.blocks`` (one, the whole
     vector, on x itself): p = z + beta p and w; A p and p* A p; x, r,
-    |r|^2 (summed as np.linalg.norm does), |x|^2, z = M^-1 r and r* z,
-    the last block's z after the convergence test.
+    |r|^2, |x|^2, z = M^-1 r and r* z, the last block's z after the
+    convergence test.  Each inner product Re u* v is one float64 dot of
+    the real views of u and v; where M^-1 r is r itself, r* z is |r|^2.
     """
     p = np.empty_like(r)
-    # per block: slices of p, r, x; elements, rows; views of r
-    blocks = [(p[el], r[el], x[el], el, rows, r[el].real, r[el].imag) for el, rows in sweeps.blocks]
+    blocks = []  # per block: slices of p, r, x, float64 views of the last two; elements, rows
+    for el, rows in sweeps.blocks:
+        rb, xb = r[el], x[el]
+        blocks.append((p[el], rb, xb, rb.view(np.float64), xb.view(np.float64), el, rows))
+
     zs, gamma = [], 0.0  # z per block
-    for pb, rb, _, el, _, _, _ in blocks:
+    for pb, rb, _, rv, _, el, _ in blocks:
         zs.append(sweeps.precondition(rb, el))
         pb[...] = zs[-1]
-        gamma += np.vdot(rb, zs[-1]).real
+        gamma += _r_dot_z(rb, rv, zs[-1], rv.dot(rv))
     history = [1.0]
     x_peak_sq = 0.0
     while history[-1] > tol and len(history) <= cap:
         w = 0.0
-        for (pb, _, _, _, rows, _, _), zb in zip(blocks, zs):  # p = z + beta p; w from p
+        for (pb, *_, rows), zb in zip(blocks, zs):  # p = z + beta p; w from p
             if len(history) > 1:
                 pb *= beta
                 pb += zb
             w = w + sweeps.gather(pb, rows)
         aps, curvature = [], 0.0  # A p per block
-        for pb, _, _, el, rows, _, _ in blocks:  # A p, p* A p
+        for pb, *_, el, rows in blocks:  # A p, p* A p
             aps.append(sweeps.product(pb, el, rows, w))
-            curvature += np.vdot(pb, aps[-1]).real
+            curvature += pb.view(np.float64).dot(aps[-1].view(np.float64))
         if not curvature > 0.0:
             raise NotPositiveDefiniteError(
                 f"negative curvature p*Ap = {curvature:.3e}; matrix is not HPD"
             )
         alpha = gamma / curvature
         r_sq = x_sq = gamma_new = 0.0
-        for i, (pb, rb, xb, el, _, re, im) in enumerate(blocks):  # x, r, |r|^2, |x|^2; z, r* z
+        for i, (pb, rb, xb, rv, xv, el, _) in enumerate(blocks):  # x, r, |r|^2, |x|^2; z, r* z
             xb += alpha * pb
             rb -= alpha * aps[i]
-            r_sq += re.dot(re) + im.dot(im)
+            block_sq = rv.dot(rv)
+            r_sq += block_sq
             if peak:
-                x_sq += np.vdot(xb, xb).real
+                x_sq += xv.dot(xv)
             if i < len(blocks) - 1:
                 zs[i] = sweeps.precondition(rb, el)
-                gamma_new += np.vdot(rb, zs[i]).real
+                gamma_new += _r_dot_z(rb, rv, zs[i], block_sq)
         del aps  # a physical A p goes before the preconditioner apply
         history.append(math.sqrt(r_sq) / norm_b)
         x_peak_sq = max(x_peak_sq, x_sq)
@@ -271,9 +281,9 @@ def _iterate(sweeps, r, x, norm_b: float, tol: float, cap: int, peak: bool) -> t
             raise InvariantViolationError(
                 f"pcg residual is {history[-1]} after {len(history) - 1} iterations"
             )
-        _, rb, _, el, _, _, _ = blocks[-1]
+        _, rb, _, rv, _, el, _ = blocks[-1]
         zs[-1] = sweeps.precondition(rb, el)
-        gamma_new += np.vdot(rb, zs[-1]).real
+        gamma_new += _r_dot_z(rb, rv, zs[-1], block_sq)
         beta = gamma_new / gamma  # p stays its own buffer: z may be a work buffer or r
         gamma = gamma_new
     return history, x_peak_sq
@@ -333,8 +343,9 @@ def pcg(
         return SolveTrace(order, 0, [0.0], label, time.perf_counter() - start,
                           solution=np.zeros(order, dtype=np.complex128))
 
-    # on the eigen path, U* b is the one forward transform and checks the maps
-    r = rhs.copy() if alg is None else check_transform(alg, rhs)
+    # on the eigen path, U* b is the one forward transform and checks the maps; a real b
+    # takes the real transform
+    r = rhs.copy() if alg is None else check_transform(alg, rhs if rhs.imag.any() else rhs.real)
     x = np.zeros(order, dtype=np.complex128)
     history, x_peak_sq = _iterate(sweeps, r, x, norm_b, tol, cap, alg is not None)
     del r, sweeps  # with p and the work buffer, gone before the gap check

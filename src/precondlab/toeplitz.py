@@ -2,42 +2,44 @@
 
 Includes the bounded product-correction T_n(g^2) - T_n(g)^2 whose rank and
 norm stay bounded as the order grows, and a matrix-free Toeplitz operator
-for iterative solvers: a direct banded product in O(n deg f) for a
-trigonometric polynomial of low degree, the 2n circulant embedding with
-FFTs in O(n log n) otherwise.
+for iterative solvers.  Its product is banded in O(n deg f) for a
+trigonometric polynomial of low degree: one matrix-vector product of a
+strided window over v for narrow bands, one complex convolution for wider
+ones.  Past DIRECT_MAX_TAPS it takes the 2n circulant embedding with FFTs,
+O(n log n).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import DimensionMismatchError
 from .linalg import as_square
 from .symbols import Symbol, product
 
 # Widest bands a_{-m..m} that ToeplitzOperator multiplies directly.  Up to
-# SPLIT_MAX_TAPS taps the product is four float64 np.convolve calls on the
-# real and imaginary parts (numpy's fast small-kernel loop takes float64
-# kernels of at most 11 taps), up to DIRECT_MAX_TAPS one complex convolve,
-# and past that the 2n FFT embedding.  Median us per product, complex /
-# split / FFT, 1 BLAS thread, 2-core x86-64 host, NumPy 2.4; n = 65536
-# with the glibc heap policy set at import (see __init__.py), median of
-# 8 runs:
+# WINDOW_MAX_TAPS taps the product is one matrix-vector product of the
+# overlapping (n, 2m + 1) window of a zero-padded copy of v with the
+# reversed taps, up to DIRECT_MAX_TAPS one complex np.convolve, and past
+# that the 2n FFT embedding.  Median us per product, window / complex /
+# FFT, 1 BLAS thread, 2-core x86-64 host, NumPy 2.4, the glibc heap
+# policy set at import (see __init__.py), median of 8 runs:
 #
-#   taps | n = 64       | n = 512       | n = 2048       | n = 65536
-#      3 | 5 / 16 / 26  | 21 / 22 / 62  | 72 / 31 / 154  | 1871 / 748 / 5427
-#      7 | 6 / 17 / 26  | 16 / 15 / 36  | 78 / 41 / 154  | 1991 / 954 / 6194
-#     11 | 6 / 18 / 27  | 20 / 24 / 44  | 81 / 58 / 149  | 2077 / 1284 / 5363
-#     13 | 6 / 23 / 27  | 24 / 62 / 53  | 82 / 186 / 158 | 2477 / 5825 / 7182
-#     31 | 7 / 24 / 26  | 27 / 74 / 50  | 97 / 227 / 142 | 2510 / 4835 / 5831
-#     63 | 8 / 27 / 25  | 37 / 111 / 52 | 88 / 204 / 123 | 2964 / 6364 / 6182
+#   taps | n = 64      | n = 512      | n = 2048       | n = 65536
+#      3 | 3 / 3 / 16  | 5 / 15 / 35  | 14 / 54 / 165  | 720 / 1916 / 5424
+#      7 | 2 / 4 / 16  | 7 / 15 / 33  | 22 / 57 / 108  | 696 / 1793 / 5407
+#     11 | 3 / 4 / 16  | 9 / 17 / 34  | 31 / 58 / 100  | 937 / 1785 / 5148
+#     13 | 3 / 4 / 18  | 10 / 17 / 40 | 37 / 75 / 128  | 1149 / 1912 / 5330
+#     21 | 3 / 5 / 16  | 15 / 18 / 34 | 54 / 65 / 104  | 1670 / 1946 / 5382
+#     23 | 4 / 5 / 16  | 17 / 19 / 35 | 59 / 68 / 103  | 1877 / 2029 / 5263
+#     31 | 4 / 5 / 23  | 21 / 20 / 38 | 108 / 83 / 107 | 2526 / 2135 / 5294
+#     63 | 6 / 6 / 16  | 62 / 25 / 35 | 155 / 84 / 106 | 5031 / 2520 / 5240
 #
-# The split's four calls cost ~10 us, so it loses below n ~ 512, by at
-# most that much; past 11 taps it loses 2-3x everywhere.  At 127 taps the
-# FFT embedding wins for n = 512 and 2048, and at n = 65536 still loses
-# to the complex convolve by ~25 %.
-SPLIT_MAX_TAPS = 11
+# The window's cost grows with its width like a dense product's; it ties
+# the complex convolve at 21-23 taps and loses from 31.  The FFT embedding
+# loses to the complex convolve at every n here up to 63 taps.
+WINDOW_MAX_TAPS = 21
 DIRECT_MAX_TAPS = 63
 
 
@@ -87,12 +89,14 @@ class ToeplitzOperator:
     """Matrix-free Toeplitz section.
 
     With m = min(deg f, n - 1), T_n(f) is a band of the 2m + 1 taps
-    a_{-m..m}.  Up to DIRECT_MAX_TAPS taps a product is the direct
-    convolution with them, O(n m): in real arithmetic up to SPLIT_MAX_TAPS
-    taps, Re(T v) = Re a * Re v - Im a * Im v and Im(T v) = Re a * Im v +
-    Im a * Re v, else one complex convolution.  A wider band takes the
-    standard embedding of the section into a circulant of order 2n,
-    O(n log n).  `dense()` materializes the section for direct comparisons.
+    a_{-m..m}.  Up to DIRECT_MAX_TAPS taps a product is direct, O(n m): up
+    to WINDOW_MAX_TAPS taps row j of the (n, 2m + 1) window over
+    [0]*m + v + [0]*m, v_{j-m..j+m}, times the reversed taps; else the
+    complex convolution with the taps.  The window's buffer is made by the
+    first product and reused by every later one, so one operator serves one
+    thread at a time.  A wider band takes the standard embedding of the
+    section into a circulant of order 2n, O(n log n).  `dense()`
+    materializes the section for direct comparisons.
     """
 
     def __init__(self, symbol: Symbol, order: int):
@@ -104,14 +108,14 @@ class ToeplitzOperator:
         m = min(symbol.degree, n - 1)
         taps = symbol.coefficient_array(-m, m + 1)  # a_{-m}, ..., a_m
         if len(taps) <= DIRECT_MAX_TAPS:
-            self._taps, self._circ_fft = taps, None
-            self._taps_re, self._taps_im = taps.real.copy(), taps.imag.copy()
+            # (zero-padded v, its window, reversed taps): made by the first product
+            self._taps, self._circ_fft, self._window = taps, None, None
             return
         # first column of the circulant: a_0, ..., a_m, 0, ..., 0, a_{-m}, ..., a_{-1}
         ext = np.zeros(2 * n, dtype=np.complex128)
         ext[: m + 1] = taps[m:]
         ext[2 * n - m :] = taps[:m]
-        self._taps, self._circ_fft = None, np.fft.fft(ext)
+        self._taps, self._circ_fft, self._window = None, np.fft.fft(ext), None
 
     def matvec(self, x) -> np.ndarray:
         v = np.asarray(x, dtype=np.complex128)
@@ -120,18 +124,17 @@ class ToeplitzOperator:
                 f"vector length {v.shape} does not match order {self.order}"
             )
         if self._circ_fft is None:
-            # (T v)_j = sum_k a_{j-k} v_k is entry j + m of the full convolution
-            m = len(self._taps) // 2
-            band = slice(m, m + self.order)
-            if len(self._taps) > SPLIT_MAX_TAPS:
-                return np.convolve(v, self._taps)[band]
-            # contiguous copies: on the strided views np.convolve took ~15 % longer
-            # per product in the n = 65536 solves
-            vr, vi, ar, ai = v.real.copy(), v.imag.copy(), self._taps_re, self._taps_im
-            out = np.empty(self.order, dtype=np.complex128)
-            np.subtract(np.convolve(vr, ar)[band], np.convolve(vi, ai)[band], out=out.real)
-            np.add(np.convolve(vr, ai)[band], np.convolve(vi, ar)[band], out=out.imag)
-            return out
+            # (T v)_j = sum_k a_{j-k} v_k = sum_t a_{m-t} v_{j-m+t}, t = 0..2m
+            m, n = len(self._taps) // 2, self.order
+            if len(self._taps) > WINDOW_MAX_TAPS:
+                return np.convolve(v, self._taps)[m : m + n]
+            if self._window is None:
+                padded = np.zeros(n + 2 * m, dtype=np.complex128)
+                window = as_strided(padded, (n, 2 * m + 1), 2 * padded.strides, writeable=False)
+                self._window = padded, window, self._taps[::-1].copy()
+            padded, window, reversed_taps = self._window
+            padded[m : m + n] = v  # the zero edges stay zero
+            return window @ reversed_taps
         padded = np.zeros(2 * self.order, dtype=np.complex128)
         padded[: self.order] = v
         out = np.fft.ifft(self._circ_fft * np.fft.fft(padded))[: self.order]

@@ -1,5 +1,6 @@
 """Tests for transform algebras, projections and pinchings."""
 
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from precondlab.algebras import (
     ALGEBRA_KINDS,
     LowRank,
     TransformAlgebra,
+    _fourier_transform,
     algebra_diagonal,
     check_transform,
     contiguous_partition,
@@ -153,6 +155,59 @@ def test_real_symmetric_unitary_is_its_own_inverse(kind):
     assert alg.inverse is alg.transform
     assert not np.any(u.imag)
     np.testing.assert_allclose(u, u.T, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 64, 65])
+@pytest.mark.parametrize("given_out", [False, True], ids=["new", "out"])
+def test_fourier_transform_of_a_real_vector_is_the_complex_fft(n, given_out, monkeypatch):
+    # a real vector takes the half-length real FFT and its conjugate mirror
+    x = np.random.default_rng(n).standard_normal(n)
+    want = np.fft.fft(x.astype(np.complex128), norm="ortho")
+    rfft_calls = []
+
+    def rfft(*args, _fn=np.fft.rfft, **kwargs):
+        rfft_calls.append(1)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", rfft)
+    out = np.full(n, np.nan, dtype=np.complex128) if given_out else None
+    got = _fourier_transform(x, out=out)
+    assert rfft_calls == [1]
+    assert got.shape == (n,) and got.dtype == np.complex128
+    assert got is out if given_out else got is not x
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_fourier_transform_keeps_the_complex_path_for_other_inputs(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.fft.rfft was called")
+
+    monkeypatch.setattr(np.fft, "rfft", refuse)
+    rng = np.random.default_rng(5)
+    block = rng.standard_normal((8, 3))  # real 2-D: along axis 0, complex path
+    np.testing.assert_allclose(_fourier_transform(block),
+                               np.fft.fft(block, axis=0, norm="ortho"), rtol=0, atol=1e-14)
+    z = rng.standard_normal(8) + 0j  # complex 1-D with no imaginary part
+    np.testing.assert_allclose(_fourier_transform(z), np.fft.fft(z, norm="ortho"),
+                               rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", ALGEBRA_KINDS)
+def test_make_algebra_builds_its_grid_on_first_read(kind):
+    # the grid (half a complex vector) is built on first read, like the unitary
+    n = 65536
+    tracemalloc.start()
+    try:
+        alg = make_algebra(kind, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+    assert callable(vars(alg)["grid"])
+    grid = alg.grid
+    assert grid.shape == (n,) and alg.grid is grid and vars(alg)["grid"] is grid
+    want = np.pi * np.arange(1, n + 1) / (n + 1) if kind == "sine" else 2 * np.pi * np.arange(n) / n
+    np.testing.assert_allclose(grid, want, rtol=1e-15, atol=0)
 
 
 def test_eigenbasis_custom_is_dense_product():

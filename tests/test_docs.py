@@ -205,6 +205,18 @@ def test_one_counter_per_structure():
     assert callers == {"clustering._pencil_counts", "clustering._band_inertia_counts"}
 
 
+def test_one_home_for_the_banded_product():
+    # np.convolve and the strided window are the banded Toeplitz product:
+    # every other layer multiplies through ToeplitzOperator.matvec
+    users = set()
+    for path in sorted((ROOT / "src" / "precondlab").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if any(getattr(node, "id", getattr(node, "attr", None)) in {"convolve", "as_strided"}
+                   for node in ast.walk(top)):
+                users.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert users == {"toeplitz.ToeplitzOperator"}
+
+
 STARTUP = """
 import json, sys
 import precondlab, precondlab.cli

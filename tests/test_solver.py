@@ -483,6 +483,37 @@ def test_complex_symbol_keeps_to_x(eigen_from_order_two):
     assert _eigen_operators(make_algebra("fourier", 64), f) is None
 
 
+@pytest.mark.parametrize("f, n", [(MIXED, 97), (HERMITIAN, 64), (parse_trig_expression("3+cos"), 3)])
+def test_a_real_rhs_solves_as_its_complex_form(f, n, eigen_from_order_two, monkeypatch):
+    # U* b of a real b (b and b + 0j alike) is the half-length real FFT; a transform
+    # that sees only complex input must give the same solve up to round-off
+    b, op = np.random.default_rng(n).standard_normal(n), ToeplitzOperator(f, n)
+
+    def complex_input(m):
+        alg = make_algebra("fourier", m)
+        widened = lambda x, out=None: alg.transform(np.asarray(x, dtype=np.complex128), out=out)
+        return TransformAlgebra(**(vars(alg) | dict(transform=widened)))
+
+    rfft_calls = []
+
+    def rfft(*args, _fn=np.fft.rfft, **kwargs):
+        rfft_calls.append(1)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", rfft)
+    kw = dict(precond="algebra_projection", tol=1e-12)
+    real, zero_imag = (pcg(op, rhs, alg_kind="fourier", **kw) for rhs in (b, b + 0j))
+    assert len(rfft_calls) == 2  # one U* b per solve
+    forced = pcg(op, b + 0j, alg_kind=complex_input, **kw)
+    assert len(rfft_calls) == 2
+    assert real.residual_history == zero_imag.residual_history
+    assert real.iterations == forced.iterations
+    np.testing.assert_allclose(real.residual_history, forced.residual_history,
+                               rtol=1e-6, atol=1e-14)
+    np.testing.assert_allclose(real.solution, forced.solution,
+                               atol=1e-12 * np.linalg.norm(forced.solution))
+
+
 @pytest.mark.parametrize("kind, f", [("fourier", HERMITIAN), ("hartley", EVEN), ("sine", EVEN)])
 def test_eigen_coordinates_at_the_crossover_order(kind, f):
     n = precondlab.solver.EIGEN_MIN_ORDER
@@ -566,9 +597,9 @@ def test_a_flipped_transform_on_an_even_rhs_still_solves():
 
 
 def test_fourier_solve_peak_memory():
-    # x, r, p and the work buffer of A p and z, with g, 1/c and the algebra's grid at
-    # half a vector each, factors of O(sqrt(n)) and one row block's temporaries: 6.0
-    # vectors of 16n bytes, and a quarter vector to spare
+    # x, r, p and the work buffer of A p and z, with g and 1/c at half a vector each,
+    # factors of O(sqrt(n)) and one row block's temporaries (the algebra's grid is
+    # never built): 5.5 vectors of 16n bytes, and three quarters of a vector to spare
     n = 65536
     op = ToeplitzOperator(HERMITIAN, n)
     b = np.random.default_rng(9).standard_normal(n).astype(np.complex128)

@@ -1,6 +1,7 @@
 """Tests for Toeplitz sections and the product correction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from precondlab.linalg import hermitian_eigvalues, is_hermitian, singular_values
 from precondlab.symbols import Symbol, constant, cosine, parse_trig_expression, product
 from precondlab.toeplitz import (
     DIRECT_MAX_TAPS,
-    SPLIT_MAX_TAPS,
+    WINDOW_MAX_TAPS,
     ToeplitzOperator,
     product_correction,
     section_entries,
@@ -227,28 +228,31 @@ def _record_products(monkeypatch):
 
 
 def _regime(calls):
-    """Which product ran: four real convolutions, one complex one, or the FFT embedding."""
+    """Which product ran: the window (no convolution, no FFT), one complex convolution,
+    or the FFT embedding."""
     if "fft" in calls:
         return "fft"
-    real = ("convolve", np.dtype(np.float64), np.dtype(np.float64))
-    if calls == [real] * 4:
-        return "split"
-    return "complex" if len(calls) == 1 and calls[0][0] == "convolve" else "other"
+    if not calls:
+        return "window"
+    complex_ = ("convolve", np.dtype(np.complex128), np.dtype(np.complex128))
+    return "complex" if calls == [complex_] else "other"
 
 
 CAP_DEGREE = (DIRECT_MAX_TAPS - 1) // 2
-SPLIT_DEGREE = (SPLIT_MAX_TAPS - 1) // 2
-# (symbol, order, regime) for the 2 min(deg f, n - 1) + 1 taps of T_n(f): four
-# float64 convolutions up to SPLIT_MAX_TAPS, one complex convolution up to
-# DIRECT_MAX_TAPS, the 2n FFT embedding past that
+WINDOW_DEGREE = (WINDOW_MAX_TAPS - 1) // 2
+# (symbol, order, regime) for the 2 min(deg f, n - 1) + 1 taps of T_n(f): the
+# window product up to WINDOW_MAX_TAPS, one complex convolution up to
+# DIRECT_MAX_TAPS, the 2n FFT embedding past that.  The ids keep "split", the
+# name of the narrow-band regime when it was four float64 convolutions, so the
+# test names stay the same across the change of its product.
 PRODUCT_CASES = [
-    pytest.param(_band_symbol(SPLIT_DEGREE - 1, 11), 100, "split", id="below-split-cap"),
-    pytest.param(_band_symbol(SPLIT_DEGREE, 12), 100, "split", id="at-split-cap"),
-    pytest.param(_band_symbol(SPLIT_DEGREE + 1, 13), 100, "complex", id="above-split-cap"),
-    pytest.param(_band_symbol(SPLIT_DEGREE + 1, 14), SPLIT_DEGREE + 1, "split",
+    pytest.param(_band_symbol(WINDOW_DEGREE - 1, 11), 100, "window", id="below-split-cap"),
+    pytest.param(_band_symbol(WINDOW_DEGREE, 12), 100, "window", id="at-split-cap"),
+    pytest.param(_band_symbol(WINDOW_DEGREE + 1, 13), 100, "complex", id="above-split-cap"),
+    pytest.param(_band_symbol(WINDOW_DEGREE + 1, 14), WINDOW_DEGREE + 1, "window",
                  id="degree-n-clipped-to-split-cap"),
-    pytest.param(_real_band_symbol(SPLIT_DEGREE, 15), 100, "split", id="real-at-split-cap"),
-    pytest.param(_real_band_symbol(SPLIT_DEGREE + 1, 16), 100, "complex",
+    pytest.param(_real_band_symbol(WINDOW_DEGREE, 15), 100, "window", id="real-at-split-cap"),
+    pytest.param(_real_band_symbol(WINDOW_DEGREE + 1, 16), 100, "complex",
                  id="real-above-split-cap"),
     pytest.param(_band_symbol(CAP_DEGREE - 1, 1), 100, "complex", id="below-cap"),
     pytest.param(_band_symbol(CAP_DEGREE, 2), 100, "complex", id="at-cap"),
@@ -257,13 +261,13 @@ PRODUCT_CASES = [
                  id="degree-n-clipped-to-cap"),
     pytest.param(_band_symbol(2 * CAP_DEGREE, 5), CAP_DEGREE + 2, "fft",
                  id="degree-above-n-fft"),
-    pytest.param(COMPLEX_DEGREE_SIX, 3, "split", id="degree-above-n"),
-    pytest.param(COMPLEX_DEGREE_SIX, 1, "split", id="n1"),
-    pytest.param(COMPLEX_DEGREE_SIX, 2, "split", id="n2"),
-    pytest.param(COMPLEX_DEGREE_SIX, 64, "complex", id="complex"),
-    pytest.param(constant(2.5), 7, "split", id="constant"),
-    pytest.param(constant(2.5), 1, "split", id="constant-n1"),
-    pytest.param(parse_trig_expression("1+cos3x"), 16, "split", id="zero-lags-in-band"),
+    pytest.param(COMPLEX_DEGREE_SIX, 3, "window", id="degree-above-n"),
+    pytest.param(COMPLEX_DEGREE_SIX, 1, "window", id="n1"),
+    pytest.param(COMPLEX_DEGREE_SIX, 2, "window", id="n2"),
+    pytest.param(COMPLEX_DEGREE_SIX, 64, "window", id="complex"),
+    pytest.param(constant(2.5), 7, "window", id="constant"),
+    pytest.param(constant(2.5), 1, "window", id="constant-n1"),
+    pytest.param(parse_trig_expression("1+cos3x"), 16, "window", id="zero-lags-in-band"),
 ]
 
 
@@ -293,8 +297,8 @@ INPUT_FORMS = {"complex": _complex_input, "real": lambda rng, n: rng.standard_no
 
 
 @pytest.mark.parametrize("form", INPUT_FORMS)
-@pytest.mark.parametrize("degree", [SPLIT_DEGREE, SPLIT_DEGREE + 1, CAP_DEGREE + 1],
-                         ids=["split", "complex", "fft"])
+@pytest.mark.parametrize("degree", [WINDOW_DEGREE, WINDOW_DEGREE + 1, CAP_DEGREE + 1],
+                         ids=["split", "complex", "fft"])  # "split": the window, see PRODUCT_CASES
 def test_operator_product_input_forms(form, degree):
     n = 80
     f = _band_symbol(degree, degree)
@@ -316,13 +320,13 @@ def test_operator_product_input_forms(form, degree):
     real_symbol=st.booleans(),
     real_vector=st.booleans(),
 )
-@example(seed=0, degree=SPLIT_DEGREE, n=80, real_symbol=False, real_vector=False)
-@example(seed=1, degree=SPLIT_DEGREE + 1, n=80, real_symbol=True, real_vector=True)
+@example(seed=0, degree=WINDOW_DEGREE, n=80, real_symbol=False, real_vector=False)
+@example(seed=1, degree=WINDOW_DEGREE + 1, n=80, real_symbol=True, real_vector=True)
 @example(seed=2, degree=40, n=80, real_symbol=False, real_vector=True)
 @example(seed=3, degree=40, n=7, real_symbol=True, real_vector=False)
 def test_operator_product_property(seed, degree, n, real_symbol, real_vector):
-    # every regime: split up to 11 taps, complex up to 63, FFT past that (n > 32 and
-    # degree > 31), with n below the degree too
+    # every regime: the window up to 21 taps, complex up to 63, FFT past that (n > 32
+    # and degree > 31), with n below the degree too
     f = (_real_band_symbol if real_symbol else _band_symbol)(degree, seed)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n) if real_vector else _complex_input(rng, n)
@@ -342,9 +346,50 @@ def test_operator_of_low_degree_runs_no_fft(monkeypatch):
     f = parse_trig_expression("2+cos-0.3sin2x+0.1cos3x")
     op = ToeplitzOperator(f, n)
     y = op.matvec(np.ones(n))
-    assert _regime(calls) == "split"  # four float64 convolutions at the benchmark's size
+    assert _regime(calls) == "window"  # the window product at the benchmark's size
     # interior rows of T_n(f) 1 read f(0) = 2 + 1 + 0.1; the first and last miss lags
     np.testing.assert_allclose(y[3:-3], 3.1, rtol=1e-14)
+
+
+# (symbol, order) for repeated products: degree >= n, n = 1 and 2, and the
+# window's cap, and cap + 1, where the complex convolution takes over
+REPEAT_CASES = [
+    pytest.param(COMPLEX_DEGREE_SIX, 3, id="degree-above-n"),
+    pytest.param(COMPLEX_DEGREE_SIX, 1, id="n1"),
+    pytest.param(COMPLEX_DEGREE_SIX, 2, id="n2"),
+    pytest.param(_band_symbol(WINDOW_DEGREE, 21), 100, id="at-window-cap"),
+    pytest.param(_band_symbol(WINDOW_DEGREE + 1, 22), 100, id="above-window-cap"),
+]
+
+
+@pytest.mark.parametrize("f, n", REPEAT_CASES)
+def test_operator_products_do_not_leak_into_each_other(f, n):
+    # the window's buffer is reused: a second product must not see the first vector
+    op, section = ToeplitzOperator(f, n), toeplitz_section(f, n)
+    rng = np.random.default_rng(n)
+    first, second = _complex_input(rng, n), rng.standard_normal(n)
+    y1 = op.matvec(first)
+    y1_kept = y1.copy()
+    y2 = op.matvec(second)
+    for x, y in ((first, y1), (second, y2)):
+        want = section @ x
+        assert np.linalg.norm(y - want) <= 1e-13 * np.linalg.norm(want)
+    assert np.array_equal(y1, y1_kept)  # the first result is not the second's buffer
+    assert np.array_equal(op.matvec(first), y1)
+
+
+def test_operator_construction_allocates_no_vector():
+    # the window's buffer is made by the first product, not by the operator
+    n = 65536
+    f = parse_trig_expression("2+cos-0.3sin2x+0.1cos3x")
+    tracemalloc.start()
+    try:
+        op = ToeplitzOperator(f, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+    np.testing.assert_allclose(op.matvec(np.ones(n))[3:-3], 3.1, rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
